@@ -17,8 +17,8 @@
 
 #include <cstdio>
 
+#include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
 #include "sim/options.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
@@ -33,10 +33,11 @@ randomCase(unsigned filter_bits)
 {
     UniformRandomStream stream(4000);
     UnboundedOeStore store(16);
-    TwoWaySplitter::Config c;
-    c.engine.windowSize = 100;
+    KWaySplitter::Config c;
+    c.depth = 1;
+    c.rootWindow = 100;
     c.filterBits = filter_bits;
-    TwoWaySplitter splitter(c, store);
+    KWaySplitter splitter(c, store);
 
     const uint64_t kWarm = 400'000, kMeasure = 1'000'000;
     for (uint64_t t = 0; t < kWarm; ++t)
@@ -61,10 +62,11 @@ circularCase(unsigned filter_bits)
     // on a splittable stream: extra bits must not stop transitions.
     CircularStream stream(4000);
     UnboundedOeStore store(16);
-    TwoWaySplitter::Config c;
-    c.engine.windowSize = 100;
+    KWaySplitter::Config c;
+    c.depth = 1;
+    c.rootWindow = 100;
     c.filterBits = filter_bits;
-    TwoWaySplitter splitter(c, store);
+    KWaySplitter splitter(c, store);
 
     const uint64_t kWarm = 1'000'000, kMeasure = 400'000; // 100 cycles
     for (uint64_t t = 0; t < kWarm; ++t)

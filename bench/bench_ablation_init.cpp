@@ -19,8 +19,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
 #include "sim/options.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
@@ -48,10 +48,11 @@ SweepRow
 runPoint(OeInitPolicy policy, size_t window)
 {
     UnboundedOeStore store(16, policy);
-    TwoWaySplitter::Config c;
-    c.engine.windowSize = window;
+    KWaySplitter::Config c;
+    c.depth = 1;
+    c.rootWindow = window;
     c.filterBits = 16; // raw affinity signs, like Figure 3
-    TwoWaySplitter splitter(c, store);
+    KWaySplitter splitter(c, store);
     CircularStream s(4000);
 
     // "After enough time": random initialization starts from

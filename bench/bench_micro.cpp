@@ -10,8 +10,8 @@
 #include "cache/cache.hpp"
 #include "cache/fully_assoc.hpp"
 #include "cache/lru_stack.hpp"
+#include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
 #include "multicore/machine.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
@@ -61,18 +61,19 @@ BENCHMARK(BM_AffinityEngine)
     ->ArgNames({"window", "ar"});
 
 static void
-BM_FourWaySplitter(benchmark::State &state)
+BM_FourWaySplit(benchmark::State &state)
 {
-    FourWaySplitter::Config c;
+    KWaySplitter::Config c;
+    c.depth = 2;
     UnboundedOeStore store(16);
-    FourWaySplitter splitter(c, store);
+    KWaySplitter splitter(c, store);
     CircularStream stream(20000);
     for (auto _ : state)
         benchmark::DoNotOptimize(
             splitter.onReference(stream.next()).subset);
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FourWaySplitter);
+BENCHMARK(BM_FourWaySplit);
 
 static void
 BM_SetAssocCache(benchmark::State &state)

@@ -4,7 +4,8 @@
  *
  * This is the smallest useful tour of the public API:
  *  1. make an O_e store (the "affinity cache");
- *  2. make a 2-way splitter (affinity engine + transition filter);
+ *  2. make a 2-way splitter (a depth-1 tree: one affinity engine
+ *     plus its transition filter);
  *  3. feed it a reference stream;
  *  4. read back which subset each line belongs to.
  *
@@ -14,8 +15,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
 #include "workloads/synthetic.hpp"
 
 using namespace xmig;
@@ -32,10 +33,11 @@ main()
     // finite, hardware-sized variant.
     UnboundedOeStore store(/*affinity_bits=*/16);
 
-    TwoWaySplitter::Config config;
-    config.engine.windowSize = 100; // |R|
+    KWaySplitter::Config config;
+    config.depth = 1;        // 2^1 subsets
+    config.rootWindow = 100; // |R|
     config.filterBits = 20;
-    TwoWaySplitter splitter(config, store);
+    KWaySplitter splitter(config, store);
 
     // Let the algorithm watch the program run for a while.
     std::printf("training on 1M references...\n");

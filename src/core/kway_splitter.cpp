@@ -30,38 +30,25 @@ KWaySplitter::KWaySplitter(const Config &config, OeStore &store)
             ec.shadowTag = "root";
         }
         ec.faults = config.faults;
-        Node node;
-        node.engine = std::make_unique<AffinityEngine>(ec, store);
-        node.filter =
-            std::make_unique<TransitionFilter>(config.filterBits);
-        nodes_.push_back(std::move(node));
+        nodes_.push_back({std::make_unique<AffinityEngine>(ec, store),
+                          TransitionFilter(config.filterBits)});
     }
-}
-
-size_t
-KWaySplitter::nodeOnPath(unsigned level) const
-{
-    size_t idx = 0;
-    for (unsigned l = 0; l < level; ++l)
-        idx = 2 * idx + (nodes_[idx].filter->side() > 0 ? 1 : 2);
-    // Heap-shape balance bound: the node selected for `level` must
-    // lie inside that level's index band [2^level - 1, 2^(level+1) - 1)
-    // and inside the allocated complete tree.
-    XMIG_AUDIT(idx < nodes_.size() &&
-                   idx + 1 >= (size_t(1) << level) &&
-                   idx + 1 < (size_t(1) << (level + 1)),
-               "k-way path node %zu outside level-%u band (of %zu nodes)",
-               idx, level, nodes_.size());
-    return idx;
+    // Spread sampled residues over the tree levels. The offset makes
+    // depth 2 reproduce section 3.6 exactly: odd residues drive the
+    // root (X), even ones the selected second-level node
+    // (Y[sign(F_X)]).
+    for (uint32_t h = 0; h < levelOf_.size(); ++h)
+        levelOf_[h] = static_cast<uint8_t>((h + config.depth - 1) %
+                                           config.depth);
 }
 
 unsigned
-KWaySplitter::subset() const
+KWaySplitter::walkSubset() const
 {
     unsigned bits = 0;
     size_t idx = 0;
     for (unsigned l = 0; l < config_.depth; ++l) {
-        const bool negative = nodes_[idx].filter->side() < 0;
+        const bool negative = nodes_[idx].filter.side() < 0;
         bits = (bits << 1) | (negative ? 1u : 0u);
         idx = 2 * idx + (negative ? 2 : 1);
     }
@@ -72,35 +59,41 @@ SplitDecision
 KWaySplitter::onReference(uint64_t line, bool update_filter)
 {
     SplitDecision out;
-    const unsigned before = subset();
-
     const uint32_t h = hashMod31(line);
     out.sampled = h < config_.samplingCutoff;
     if (out.sampled) {
-        // Spread sampled residues over the tree levels. The offset
-        // makes depth 2 reproduce section 3.6 exactly: odd residues
-        // drive the root (X), even ones the selected second-level
-        // node (Y[sign(F_X)]).
-        const unsigned level =
-            (h + config_.depth - 1) % config_.depth;
+        const unsigned level = levelOf_[h];
         const size_t idx = nodeOnPath(level);
+        XMIG_AUDIT(idx < nodes_.size(),
+                   "k-way path node %zu of %zu nodes", idx,
+                   nodes_.size());
         Node &node = nodes_[idx];
         out.ae = node.engine->reference(line).ae;
-        if (update_filter && node.filter->update(out.ae)) {
-            XMIG_JOURNAL(journal_, obs::JournalKind::NodeFlip,
-                         obs::JournalCause::Threshold,
-                         static_cast<int64_t>(idx),
-                         static_cast<int64_t>(level),
-                         node.filter->value());
+        if (update_filter && node.filter.update(out.ae)) {
+            // A flip on the current path toggles that level's subset
+            // bit, so it is always a transition.
+            out.transition = true;
+            ++transitions_;
+            subset_ = walkSubset();
+            // At depth <= 2 the controller's `transition` event
+            // already names the new subset, and the subset names the
+            // node that flipped; only deeper trees need the record.
+            if (config_.depth >= 3) {
+                XMIG_JOURNAL(journal_, obs::JournalKind::NodeFlip,
+                             obs::JournalCause::Threshold,
+                             static_cast<int64_t>(idx),
+                             static_cast<int64_t>(level),
+                             node.filter.value());
+            }
         }
     }
 
-    out.subset = subset();
+    out.subset = subset_;
     XMIG_AUDIT(out.subset < numSubsets(),
                "k-way subset %u out of %u", out.subset, numSubsets());
-    out.transition = out.subset != before;
-    if (out.transition)
-        ++transitions_;
+    XMIG_EXPECT(out.subset == walkSubset(),
+                "cached k-way subset %u, filters say %u", out.subset,
+                walkSubset());
     return out;
 }
 
@@ -116,7 +109,8 @@ void
 KWaySplitter::resetFilters()
 {
     for (Node &node : nodes_)
-        node.filter->reset();
+        node.filter.reset();
+    subset_ = walkSubset();
 }
 
 void
@@ -125,7 +119,7 @@ KWaySplitter::checkpoint(std::vector<EngineCheckpoint> &engines,
 {
     for (const Node &node : nodes_) {
         engines.push_back(node.engine->checkpoint());
-        filters.push_back(checkpointFilter(*node.filter));
+        filters.push_back(checkpointFilter(node.filter));
     }
 }
 
@@ -140,8 +134,9 @@ KWaySplitter::restore(const std::vector<EngineCheckpoint> &engines,
                 engines.size(), filters.size(), nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
         nodes_[i].engine->restore(engines[i]);
-        restoreFilter(*nodes_[i].filter, filters[i]);
+        restoreFilter(nodes_[i].filter, filters[i]);
     }
+    subset_ = walkSubset();
 }
 
 } // namespace xmig

@@ -1,36 +1,69 @@
 /**
  * @file
- * Generalized recursive k-way working-set splitting (k = 2^depth).
+ * The working-set splitter: recursive k-way splitting (k = 2^depth)
+ * over a complete binary tree of 2-way mechanisms.
  *
- * The paper demonstrates 2-way and 4-way splitting and conjectures
- * ("we believe it is possible") that the scheme adapts to a larger
- * number of cores (section 6). This module realizes that conjecture:
- * a complete binary tree of 2-way mechanisms, one per internal node.
- * The root mechanism splits the whole working-set; the node at path
- * p (a sign string) splits the subset selected by p. Which node a
- * sampled line drives is chosen by H(e) mod depth — the same idea as
- * section 3.6's odd/even split of the hash residues, extended so
- * every tree level receives a share of the sampled lines. All nodes
- * share one O_e store, and a node's R-window is |R_root| / 2^level,
- * matching the paper's |R_Y| = |R_X| / 2 choice.
+ * A 2-way mechanism (sections 3.2-3.4) is an affinity engine plus a
+ * transition filter: the *sign of the filter*, not of the raw
+ * affinity, names the half a referenced line belongs to. The tree
+ * has one mechanism per internal node. The root splits the whole
+ * working-set; the node at path p (a sign string) splits the subset
+ * selected by p. Which node a sampled line drives is chosen by
+ * H(e) mod depth, so every tree level receives a share of the
+ * sampled lines. All nodes share one O_e store, and a node's
+ * R-window is |R_root| / 2^level.
  *
- * The subset index of a line is the root-to-leaf path of filter
- * signs. With depth = 2 this degenerates to exactly the paper's
- * 4-way structure (modulo the level-selection hash, which maps odd
- * residues to the root as section 3.6 does for depth 2).
+ * Depth 1 is the paper's 2-way splitter. Depth 2 is exactly its
+ * section 3.6 4-way structure: heap nodes 0/1/2 are X/Y[+1]/Y[-1],
+ * odd residues drive X and even residues drive Y[sign(F_X)], and
+ * |R_Y| = |R_X| / 2. Deeper trees realize the paper's conjecture
+ * (section 6) that the scheme adapts to more cores.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/splitter.hpp" // SplitDecision
 #include "core/transition_filter.hpp"
 
 namespace xmig {
+
+/**
+ * Register a transition filter's live state under `prefix`
+ * (xmig-scope): `<prefix>.value`, `.transitions`, `.updates`,
+ * `.saturated`.
+ */
+void registerFilterMetrics(obs::MetricsRegistry &registry,
+                           const std::string &prefix,
+                           const TransitionFilter &filter);
+
+/** Capture one transition filter's state (checkpoint.hpp). */
+inline FilterCheckpoint
+checkpointFilter(const TransitionFilter &filter)
+{
+    return {filter.value(), filter.transitions(), filter.updates()};
+}
+
+/** Restore one transition filter from a checkpoint. */
+inline void
+restoreFilter(TransitionFilter &filter, const FilterCheckpoint &ckpt)
+{
+    filter.restore(ckpt.value, ckpt.transitions, ckpt.updates);
+}
+
+/** Outcome of presenting one reference to a splitter. */
+struct SplitDecision
+{
+    unsigned subset = 0;     ///< subset index after the update
+    bool transition = false; ///< the subset index changed
+    bool sampled = false;    ///< line participated in affinity tracking
+    int64_t ae = 0;          ///< A_e used (0 when not sampled)
+};
 
 /**
  * Recursive splitter for 2^depth subsets.
@@ -46,12 +79,15 @@ class KWaySplitter
         WindowKind window = WindowKind::Fifo;
         ArKind ar = ArKind::Exact;
         unsigned filterBits = 20;
+        /** Track lines with H(e) < cutoff; 31 disables sampling. */
         uint32_t samplingCutoff = 31;
 
         /**
          * Arm the shadow-model oracle on the root mechanism. Only
          * the root is shadowable: its lines always drive it, while
-         * deeper nodes swap lines as the sign path above them moves.
+         * deeper nodes swap lines as the sign path above them moves,
+         * leaving O_e values no single-engine reference model can
+         * predict.
          */
         ShadowMode shadow = ShadowMode::Off;
         uint64_t shadowDeepCheckEvery = 4096;
@@ -62,11 +98,19 @@ class KWaySplitter
 
     KWaySplitter(const Config &config, OeStore &store);
 
-    /** Present one reference; see FourWaySplitter::onReference. */
+    /**
+     * Present a reference.
+     * @param update_filter false implements L2 filtering: the engine
+     *        state advances but the filters (and hence the subset)
+     *        cannot change.
+     */
     SplitDecision onReference(uint64_t line, bool update_filter = true);
 
-    /** Current subset in [0, 2^depth). */
-    unsigned subset() const;
+    /**
+     * Current subset in [0, 2^depth): the root-to-leaf path of filter
+     * signs, root first, one bit per level (1 = negative).
+     */
+    unsigned subset() const { return subset_; }
 
     unsigned numSubsets() const { return 1u << config_.depth; }
     uint64_t transitions() const { return transitions_; }
@@ -78,11 +122,14 @@ class KWaySplitter
     const AffinityEngine &rootEngine() const { return *nodes_[0].engine; }
     AffinityEngine &rootEngine() { return *nodes_[0].engine; }
 
-    /** Root transition filter (the whole-working-set split). */
-    const TransitionFilter &rootFilter() const
+    /** Transition filter of heap node `node` (0 = root). */
+    const TransitionFilter &filter(size_t node) const
     {
-        return *nodes_[0].filter;
+        return nodes_[node].filter;
     }
+
+    /** Root transition filter (the whole-working-set split). */
+    const TransitionFilter &rootFilter() const { return filter(0); }
 
     /** Zero every node's filter (watchdog re-initialization). */
     void resetFilters();
@@ -95,7 +142,10 @@ class KWaySplitter
     void restore(const std::vector<EngineCheckpoint> &engines,
                  const std::vector<FilterCheckpoint> &filters);
 
-    /** Register every tree node's mechanism under `prefix`. */
+    /**
+     * Register every tree node's mechanism under `prefix`:
+     * `<prefix>.nodeN.{engine,filter}.*` in heap order.
+     */
     void registerMetrics(obs::MetricsRegistry &registry,
                          const std::string &prefix) const;
 
@@ -111,18 +161,34 @@ class KWaySplitter
     struct Node
     {
         std::unique_ptr<AffinityEngine> engine;
-        std::unique_ptr<TransitionFilter> filter;
+        TransitionFilter filter;
     };
 
     /**
      * Tree index of the node on the current sign path at `level`
-     * (level 0 = root). Uses heap indexing: children of i are
-     * 2i+1 (filter positive) and 2i+2 (negative).
+     * (level 0 = root). Heap indexing: children of i are 2i+1
+     * (filter positive) and 2i+2 (negative), so the path node is
+     * 2^level - 1 plus the subset's top `level` bits.
      */
-    size_t nodeOnPath(unsigned level) const;
+    size_t
+    nodeOnPath(unsigned level) const
+    {
+        return (size_t(1) << level) - 1 +
+               (subset_ >> (config_.depth - level));
+    }
+
+    /** Walk the filter signs from the root to recompute the subset. */
+    unsigned walkSubset() const;
 
     Config config_;
-    std::vector<Node> nodes_; ///< heap-ordered complete binary tree
+    /** Heap-ordered complete binary tree; never resized after
+     *  construction (registered metrics point into it). */
+    std::vector<Node> nodes_;
+    /** Tree level driven by each hash residue H(e) < 31. */
+    std::array<uint8_t, 31> levelOf_{};
+    /** Cached walkSubset(); only a filter flip, reset or restore
+     *  moves it. */
+    unsigned subset_ = 0;
     uint64_t transitions_ = 0;
     obs::Journal *journal_ = nullptr; ///< xmig-lens hook (may be null)
 };

@@ -51,74 +51,34 @@ MigrationController::buildSplitter(unsigned ways)
 {
     XMIG_ASSERT(ways >= 2 && (ways & (ways - 1)) == 0,
                 "cannot build a %u-way splitter", ways);
-    const ShadowMode shadow =
-        config_.shadowAudit ? ShadowMode::Armed : ShadowMode::Off;
-    if (ways == 2) {
-        TwoWaySplitter::Config sc;
-        sc.engine.affinityBits = config_.affinityBits;
-        sc.engine.windowSize = config_.windowX;
-        sc.engine.window = config_.window;
-        sc.engine.ar = config_.ar;
-        sc.engine.shadow = shadow;
-        sc.engine.shadowDeepCheckEvery = config_.shadowDeepCheckEvery;
-        sc.engine.shadowTag = "X";
-        sc.engine.faults = config_.faults;
-        sc.filterBits = config_.filterBits;
-        sc.samplingCutoff = config_.samplingCutoff;
-        two_ = std::make_unique<TwoWaySplitter>(sc, *store_);
-    } else if (ways == 4) {
-        FourWaySplitter::Config sc;
-        sc.affinityBits = config_.affinityBits;
-        sc.windowX = config_.windowX;
-        sc.windowY = config_.windowY;
-        sc.window = config_.window;
-        sc.ar = config_.ar;
-        sc.filterBits = config_.filterBits;
-        sc.samplingCutoff = config_.samplingCutoff;
-        sc.shadow = shadow;
-        sc.shadowDeepCheckEvery = config_.shadowDeepCheckEvery;
-        sc.faults = config_.faults;
-        four_ = std::make_unique<FourWaySplitter>(sc, *store_);
-    } else {
-        KWaySplitter::Config sc;
-        sc.depth = static_cast<unsigned>(std::countr_zero(ways));
-        sc.affinityBits = config_.affinityBits;
-        sc.rootWindow = config_.windowX;
-        sc.window = config_.window;
-        sc.ar = config_.ar;
-        sc.filterBits = config_.filterBits;
-        sc.samplingCutoff = config_.samplingCutoff;
-        sc.shadow = shadow;
-        sc.shadowDeepCheckEvery = config_.shadowDeepCheckEvery;
-        sc.faults = config_.faults;
-        kway_ = std::make_unique<KWaySplitter>(sc, *store_);
-    }
+    KWaySplitter::Config sc;
+    sc.depth = static_cast<unsigned>(std::countr_zero(ways));
+    sc.affinityBits = config_.affinityBits;
+    sc.rootWindow = config_.windowX;
+    sc.window = config_.window;
+    sc.ar = config_.ar;
+    sc.filterBits = config_.filterBits;
+    sc.samplingCutoff = config_.samplingCutoff;
+    sc.shadow = config_.shadowAudit ? ShadowMode::Armed : ShadowMode::Off;
+    sc.shadowDeepCheckEvery = config_.shadowDeepCheckEvery;
+    sc.faults = config_.faults;
+    splitter_ = std::make_unique<KWaySplitter>(sc, *store_);
     // Keep the causal journal attached across resplits/restores.
-    if (journal_ != nullptr) {
-        if (two_)
-            two_->attachJournal(journal_);
-        else if (four_)
-            four_->attachJournal(journal_);
-        else if (kway_)
-            kway_->attachJournal(journal_);
-    }
+    if (journal_ != nullptr)
+        splitter_->attachJournal(journal_);
 }
 
 void
 MigrationController::attachJournal(obs::Journal *journal)
 {
-    // Exactly one splitter flavor is live (or none before the first
-    // buildSplitter); re-attachment after a resplit relies on that.
-    XMIG_ASSERT((two_ != nullptr) + (four_ != nullptr) +
-                        (kway_ != nullptr) <= 1,
-                "more than one splitter flavor is live");
+    // A splitter exists whenever there is something to split;
+    // buildSplitter re-attaches the journal on every rebuild.
+    XMIG_AUDIT((splitter_ != nullptr) == (splitWays_ > 1),
+               "%s splitter for a %u-way split",
+               splitter_ ? "a" : "no", splitWays_);
     journal_ = journal;
-    if (two_)
-        two_->attachJournal(journal);
-    else if (four_)
-        four_->attachJournal(journal);
-    else if (kway_)
-        kway_->attachJournal(journal);
+    if (splitter_)
+        splitter_->attachJournal(journal);
     watchdog_.attachJournal(journal);
     if (config_.faults != nullptr)
         config_.faults->attachJournal(journal);
@@ -139,14 +99,8 @@ MigrationController::rootFilterForJournal() const
 void
 MigrationController::retireSplitter()
 {
-    if (two_)
-        retiredTwo_.push_back(std::move(two_));
-    if (four_)
-        retiredFour_.push_back(std::move(four_));
-    if (kway_)
-        retiredKway_.push_back(std::move(kway_));
-    XMIG_AUDIT(!two_ && !four_ && !kway_,
-               "a splitter survived retirement");
+    if (splitter_)
+        retiredSplitters_.push_back(std::move(splitter_));
 }
 
 void
@@ -271,13 +225,7 @@ MigrationController::setCoreOnline(unsigned core)
 unsigned
 MigrationController::subset() const
 {
-    if (two_)
-        return two_->subset();
-    if (four_)
-        return four_->subset();
-    if (kway_)
-        return kway_->subset();
-    return 0;
+    return splitter_ ? splitter_->subset() : 0;
 }
 
 void
@@ -302,15 +250,8 @@ MigrationController::injectStoreFaults()
 void
 MigrationController::disarmRootShadow(const char *reason)
 {
-    XMIG_AUDIT((two_ != nullptr) + (four_ != nullptr) +
-                       (kway_ != nullptr) <= 1,
-               "more than one splitter is live");
-    if (two_)
-        two_->engine().disarmShadow(reason);
-    else if (four_)
-        four_->engineX().disarmShadow(reason);
-    else if (kway_)
-        kway_->rootEngine().disarmShadow(reason);
+    if (splitter_)
+        splitter_->rootEngine().disarmShadow(reason);
 }
 
 void
@@ -465,10 +406,8 @@ MigrationController::onRequest(uint64_t line, bool l2_miss,
         (!config_.l2Filtering || l2_miss) &&
         (!config_.pointerLoadFilter || pointer_load);
 
-    SplitDecision decision = two_
-        ? two_->onReference(line, update_filter)
-        : four_ ? four_->onReference(line, update_filter)
-                : kway_->onReference(line, update_filter);
+    const SplitDecision decision =
+        splitter_->onReference(line, update_filter);
 
     if (decision.sampled && update_filter)
         ++stats_.filterUpdates;
@@ -568,73 +507,42 @@ MigrationController::onRequestBatch(const Request *reqs, size_t n)
 std::optional<int64_t>
 MigrationController::affinityOf(uint64_t line) const
 {
-    if (two_)
-        return two_->engine().affinityOf(line);
-    if (four_)
-        return four_->engineX().affinityOf(line);
-    // The k-way tree (and the splitterless degenerate state) share
-    // one store; peek it directly.
-    return store_->peek(line);
+    if (!splitter_)
+        return std::nullopt;
+    return splitter_->rootEngine().affinityOf(line);
 }
 
 const ShadowAudit *
 MigrationController::shadowAudit() const
 {
-    if (two_)
-        return two_->engine().shadow();
-    if (four_)
-        return four_->engineX().shadow();
-    if (kway_)
-        return kway_->rootEngine().shadow();
-    return nullptr;
+    return splitter_ ? splitter_->rootEngine().shadow() : nullptr;
 }
 
 const AffinityEngine &
 MigrationController::rootEngine() const
 {
-    if (two_)
-        return two_->engine();
-    if (four_)
-        return four_->engineX();
-    XMIG_ASSERT(kway_ != nullptr, "no splitter (single live core)");
-    return kway_->rootEngine();
+    XMIG_ASSERT(splitter_ != nullptr, "no splitter (single live core)");
+    return splitter_->rootEngine();
 }
 
 const TransitionFilter &
 MigrationController::rootFilter() const
 {
-    if (two_)
-        return two_->filter();
-    if (four_)
-        return four_->filterX();
-    XMIG_ASSERT(kway_ != nullptr, "no splitter (single live core)");
-    return kway_->rootFilter();
+    XMIG_ASSERT(splitter_ != nullptr, "no splitter (single live core)");
+    return splitter_->rootFilter();
 }
 
 uint64_t
 MigrationController::splitterTransitions() const
 {
-    if (two_)
-        return two_->transitions();
-    if (four_)
-        return four_->transitions();
-    if (kway_)
-        return kway_->transitions();
-    return 0;
+    return splitter_ ? splitter_->transitions() : 0;
 }
 
 void
 MigrationController::resetFilters()
 {
-    XMIG_AUDIT((two_ != nullptr) + (four_ != nullptr) +
-                       (kway_ != nullptr) <= 1,
-               "more than one splitter is live");
-    if (two_)
-        two_->resetFilters();
-    else if (four_)
-        four_->resetFilters();
-    else if (kway_)
-        kway_->resetFilters();
+    if (splitter_)
+        splitter_->resetFilters();
 }
 
 ControllerCheckpoint
@@ -650,12 +558,8 @@ MigrationController::checkpoint() const
     c.activeCore = activeCore_;
     c.stats = stats_;
     c.recovery = recovery_;
-    if (two_)
-        two_->checkpoint(c.engines, c.filters);
-    else if (four_)
-        four_->checkpoint(c.engines, c.filters);
-    else if (kway_)
-        kway_->checkpoint(c.engines, c.filters);
+    if (splitter_)
+        splitter_->checkpoint(c.engines, c.filters);
     store_->snapshotEntries(c.storeEntries);
     c.storeStats = store_->stats();
     return c;
@@ -691,12 +595,8 @@ MigrationController::restore(const ControllerCheckpoint &ckpt)
         buildSplitter(splitWays_);
     recomputeMapping();
     store_->restoreEntries(ckpt.storeEntries, ckpt.storeStats);
-    if (two_)
-        two_->restore(ckpt.engines, ckpt.filters);
-    else if (four_)
-        four_->restore(ckpt.engines, ckpt.filters);
-    else if (kway_)
-        kway_->restore(ckpt.engines, ckpt.filters);
+    if (splitter_)
+        splitter_->restore(ckpt.engines, ckpt.filters);
     transitionsBase_ = stats_.transitions;
 }
 

@@ -43,7 +43,6 @@
 
 #include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
@@ -66,15 +65,17 @@ struct MigrationControllerConfig
 {
     /**
      * Number of cores to split across: a power of two from 2 to 64.
-     * 2 and 4 use the paper's exact structures; larger counts use
-     * the generalized recursive splitter (KWaySplitter), realizing
-     * the section 6 conjecture.
+     * Every count runs through the recursive splitter (KWaySplitter)
+     * at depth log2(numCores); depths 1 and 2 are the paper's 2-way
+     * and section 3.6 4-way structures, deeper trees realize the
+     * section 6 conjecture.
      */
     unsigned numCores = 4;
 
     unsigned affinityBits = 16;
+    /** |R| of the whole-working-set mechanism; tree level l uses
+     *  windowX / 2^l (section 3.6's |R_Y| = |R_X| / 2). */
     size_t windowX = 128;
-    size_t windowY = 64;
     WindowKind window = WindowKind::Fifo;
     ArKind ar = ArKind::Exact;
 
@@ -165,7 +166,7 @@ struct ControllerCheckpoint
     unsigned activeCore = 0;
     MigrationStats stats;
     RecoveryStats recovery;
-    /** Engine states in splitter layout order (splitter.hpp). */
+    /** Engine/filter states in the tree's heap order. */
     std::vector<EngineCheckpoint> engines;
     std::vector<FilterCheckpoint> filters;
     std::vector<OeEntrySnapshot> storeEntries;
@@ -223,7 +224,11 @@ class MigrationController
     const MigrationControllerConfig &config() const { return config_; }
     const OeStore &store() const { return *store_; }
 
-    /** Current affinity of a line, if tracked (snapshots, tests). */
+    /**
+     * Current affinity A_e = O_e - Delta of a line as the root
+     * mechanism sees it, if tracked (snapshots, tests). Nullopt while
+     * a lone live core leaves no splitter.
+     */
     std::optional<int64_t> affinityOf(uint64_t line) const;
 
     /** Transition counts of the underlying splitter. */
@@ -241,12 +246,12 @@ class MigrationController
                          const std::string &prefix) const;
 
     /**
-     * Shadow oracle of the audited mechanism (X for 2/4 cores, the
-     * tree root otherwise); nullptr unless shadowAudit was set.
+     * Shadow oracle of the audited mechanism (the tree root);
+     * nullptr unless shadowAudit was set.
      */
     const ShadowAudit *shadowAudit() const;
 
-    /** Whole-working-set mechanism (X / the tree root). */
+    /** Whole-working-set mechanism (the tree root, X in the paper). */
     const AffinityEngine &rootEngine() const;
 
     /** Whole-working-set transition filter. */
@@ -332,9 +337,8 @@ class MigrationController
 
     MigrationControllerConfig config_;
     std::unique_ptr<OeStore> store_;
-    std::unique_ptr<TwoWaySplitter> two_;
-    std::unique_ptr<FourWaySplitter> four_;
-    std::unique_ptr<KWaySplitter> kway_;
+    /** Null only while a lone live core leaves nothing to split. */
+    std::unique_ptr<KWaySplitter> splitter_;
     unsigned activeCore_ = 0;
     MigrationStats stats_;
 
@@ -357,9 +361,7 @@ class MigrationController
     // Retired splitters/stores: registered metric gauges hold
     // references into them, so a resplit parks rather than frees.
     std::vector<std::unique_ptr<OeStore>> retiredStores_;
-    std::vector<std::unique_ptr<TwoWaySplitter>> retiredTwo_;
-    std::vector<std::unique_ptr<FourWaySplitter>> retiredFour_;
-    std::vector<std::unique_ptr<KWaySplitter>> retiredKway_;
+    std::vector<std::unique_ptr<KWaySplitter>> retiredSplitters_;
 
     // Migration fabric state (engaged only under mig_drop/mig_delay
     // fault plans; otherwise migrations complete instantaneously).

@@ -4,7 +4,7 @@
  * registerMetrics lives here, in a translation unit of its own, so
  * the cold registration code (string building, closure thunks) is
  * laid out away from the hot per-reference paths of engine.cpp,
- * splitter.cpp and migration_controller.cpp.
+ * kway_splitter.cpp and migration_controller.cpp.
  */
 
 #include "core/engine.hpp"
@@ -12,7 +12,6 @@
 #include "core/migration_controller.hpp"
 #include "core/oe_store.hpp"
 #include "core/soa_oe_store.hpp"
-#include "core/splitter.hpp"
 #include "obs/registry.hpp"
 
 namespace xmig {
@@ -54,30 +53,6 @@ registerFilterMetrics(obs::MetricsRegistry &registry,
 }
 
 void
-TwoWaySplitter::registerMetrics(obs::MetricsRegistry &registry,
-                                const std::string &prefix) const
-{
-    registry.addCounter(prefix + ".transitions", &transitions_);
-    engine_.registerMetrics(registry, prefix + ".engine");
-    registerFilterMetrics(registry, prefix + ".filter", filter_);
-}
-
-void
-FourWaySplitter::registerMetrics(obs::MetricsRegistry &registry,
-                                 const std::string &prefix) const
-{
-    registry.addCounter(prefix + ".transitions", &transitions_);
-    engineX_.registerMetrics(registry, prefix + ".x.engine");
-    registerFilterMetrics(registry, prefix + ".x.filter", filterX_);
-    engineYPos_.registerMetrics(registry, prefix + ".y_pos.engine");
-    registerFilterMetrics(registry, prefix + ".y_pos.filter",
-                          filterYPos_);
-    engineYNeg_.registerMetrics(registry, prefix + ".y_neg.engine");
-    registerFilterMetrics(registry, prefix + ".y_neg.filter",
-                          filterYNeg_);
-}
-
-void
 KWaySplitter::registerMetrics(obs::MetricsRegistry &registry,
                               const std::string &prefix) const
 {
@@ -88,7 +63,7 @@ KWaySplitter::registerMetrics(obs::MetricsRegistry &registry,
         nodes_[i].engine->registerMetrics(registry,
                                           node_prefix + ".engine");
         registerFilterMetrics(registry, node_prefix + ".filter",
-                              *nodes_[i].filter);
+                              nodes_[i].filter);
     }
 }
 
@@ -122,13 +97,8 @@ MigrationController::registerMetrics(obs::MetricsRegistry &registry,
         });
     }
 
-    const std::string sp = prefix + ".splitter";
-    if (two_)
-        two_->registerMetrics(registry, sp);
-    else if (four_)
-        four_->registerMetrics(registry, sp);
-    else if (kway_)
-        kway_->registerMetrics(registry, sp);
+    if (splitter_)
+        splitter_->registerMetrics(registry, prefix + ".splitter");
 
     // xmig-iron resilience counters.
     const std::string rp = prefix + ".recovery";

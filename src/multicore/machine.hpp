@@ -105,7 +105,6 @@ struct MachineConfig
         c.numCores = 4;
         c.affinityBits = 16;
         c.windowX = 128;
-        c.windowY = 64;
         c.filterBits = 18;
         c.samplingCutoff = 8; // 25 % working-set sampling
         c.l2Filtering = true;

@@ -5,6 +5,7 @@
 #include "cache/l1_filter.hpp"
 #include "cache/lru_stack.hpp"
 #include "core/oe_store.hpp"
+#include "util/contracts.hpp"
 #include "workloads/registry.hpp"
 
 namespace xmig {
@@ -15,7 +16,7 @@ namespace {
 class ProfileSink : public LineSink
 {
   public:
-    ProfileSink(FourWaySplitter &splitter)
+    ProfileSink(KWaySplitter &splitter)
         : splitter_(splitter)
     {
     }
@@ -34,7 +35,7 @@ class ProfileSink : public LineSink
     const LruStack &split(unsigned k) const { return split_[k]; }
 
   private:
-    FourWaySplitter &splitter_;
+    KWaySplitter &splitter_;
     LruStack single_;
     LruStack split_[4];
     uint64_t accesses_ = 0;
@@ -55,10 +56,13 @@ StackProfileResult
 runStackProfile(const std::string &benchmark,
                 const StackProfileParams &params)
 {
+    XMIG_ASSERT(params.splitter.depth == 2,
+                "Figures 4/5 profile 4 split stacks, not a depth-%u tree",
+                params.splitter.depth);
     auto workload = makeWorkload(benchmark);
 
     UnboundedOeStore store(params.splitter.affinityBits);
-    FourWaySplitter splitter(params.splitter, store);
+    KWaySplitter splitter(params.splitter, store);
     ProfileSink sink(splitter);
 
     L1FilterConfig l1c;

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/splitter.hpp"
+#include "core/kway_splitter.hpp"
 
 namespace xmig {
 
@@ -31,17 +31,18 @@ struct StackProfileParams
     uint64_t lineBytes = 64;
     uint64_t seed = 42;
 
-    FourWaySplitter::Config splitter = defaultSplitter();
+    KWaySplitter::Config splitter = defaultSplitter();
 
     /** x values (cache sizes in bytes) at which p1/p4 are reported. */
     std::vector<uint64_t> plotSizes = defaultPlotSizes();
 
-    static FourWaySplitter::Config
+    /** The section 3.6 4-way split: the depth-2 tree. */
+    static KWaySplitter::Config
     defaultSplitter()
     {
-        FourWaySplitter::Config c;
-        c.windowX = 128;
-        c.windowY = 64;
+        KWaySplitter::Config c;
+        c.depth = 2;
+        c.rootWindow = 128; // |R_X| = 128, |R_Y| = 64
         c.filterBits = 20;
         c.samplingCutoff = 31; // unlimited affinity cache, no sampling
         return c;

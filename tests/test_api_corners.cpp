@@ -9,7 +9,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/l1_filter.hpp"
-#include "core/splitter.hpp"
+#include "core/kway_splitter.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -70,21 +70,23 @@ TEST(ApiCorners, EngineExposesDeltaAndWindowAffinity)
     }
 }
 
-TEST(ApiCorners, FourWaySplitterFilterAccessors)
+TEST(ApiCorners, SplitterNodeFilterAccessors)
 {
+    // Depth 2: heap nodes 0/1/2 are the paper's X/Y[+1]/Y[-1].
     UnboundedOeStore store(16);
-    FourWaySplitter::Config c;
-    FourWaySplitter splitter(c, store);
-    EXPECT_EQ(splitter.filterX().value(), 0);
-    EXPECT_EQ(splitter.filterY(+1).value(), 0);
-    EXPECT_EQ(splitter.filterY(-1).value(), 0);
+    KWaySplitter::Config c;
+    c.depth = 2;
+    KWaySplitter splitter(c, store);
+    EXPECT_EQ(&splitter.rootFilter(), &splitter.filter(0));
+    EXPECT_EQ(splitter.filter(0).value(), 0);
+    EXPECT_EQ(splitter.filter(1).value(), 0);
+    EXPECT_EQ(splitter.filter(2).value(), 0);
     UniformRandomStream s(1000);
     for (int t = 0; t < 20'000; ++t)
         splitter.onReference(s.next());
-    // All three filters received traffic.
-    EXPECT_GT(splitter.filterX().updates(), 0u);
-    EXPECT_GT(splitter.filterY(+1).updates() +
-                  splitter.filterY(-1).updates(),
+    // X and the Y level both received traffic.
+    EXPECT_GT(splitter.filter(0).updates(), 0u);
+    EXPECT_GT(splitter.filter(1).updates() + splitter.filter(2).updates(),
               0u);
 }
 

@@ -36,7 +36,6 @@ controllerConfig()
     MigrationControllerConfig c;
     c.numCores = 4;
     c.windowX = 64;
-    c.windowY = 32;
     c.filterBits = 18;
     return c;
 }

@@ -144,7 +144,6 @@ TEST(FaultSoakDeathTest, UnhandledCorruptionStillTripsAtParanoid)
     MigrationControllerConfig cfg;
     cfg.numCores = 4;
     cfg.windowX = 64;
-    cfg.windowY = 32;
     cfg.filterBits = 18;
     MigrationController ctrl(cfg);
     CircularStream stream(4000);

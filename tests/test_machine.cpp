@@ -26,7 +26,6 @@ tinyMachine(unsigned cores)
     c.l2Ways = 4;
     c.l2Skewed = false;
     c.controller.windowX = 8;
-    c.controller.windowY = 4;
     c.controller.filterBits = 16;
     c.controller.l2Filtering = false;
     c.controller.boundedStore = false;

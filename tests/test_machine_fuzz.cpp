@@ -38,7 +38,6 @@ TEST_P(MachineFuzzTest, InvariantsHoldUnderMixedTraffic)
     cfg.controller.boundedStore = bounded;
     cfg.controller.affinityCache.entries = 1024;
     cfg.controller.windowX = 64;
-    cfg.controller.windowY = 32;
     cfg.controller.window =
         lru ? WindowKind::DistinctLru : WindowKind::Fifo;
     cfg.prefetch.kind = static_cast<PrefetchKind>(prefetch);

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "core/migration_controller.hpp"
+#include "util/hashing.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace xmig {
@@ -19,7 +21,6 @@ baseConfig(unsigned cores)
     MigrationControllerConfig c;
     c.numCores = cores;
     c.windowX = 64;
-    c.windowY = 32;
     c.filterBits = 18;
     return c;
 }
@@ -64,7 +65,6 @@ TEST(MigrationController, FourCoresAllUsedOnCircular)
 {
     MigrationControllerConfig c = baseConfig(4);
     c.windowX = 128;
-    c.windowY = 64;
     MigrationController ctrl(c);
     CircularStream s(4000);
     for (int t = 0; t < 2'000'000; ++t)
@@ -168,8 +168,31 @@ TEST(MigrationController, AffinityOfReportsTrackedLines)
     MigrationController ctrl(baseConfig(4));
     ctrl.onRequest(31); // H(31)=0: even, goes to a Y engine
     ctrl.onRequest(1);  // H(1)=1: odd, goes to X
-    // affinityOf consults engine X and the shared store.
+    // affinityOf consults the root (X) engine and the shared store.
     EXPECT_TRUE(ctrl.affinityOf(1).has_value());
+}
+
+TEST(MigrationController, AffinityOfIsRootAffinityAtEightCores)
+{
+    // affinityOf reports A_e = O_e - Delta as the root sees it, at
+    // every arity; the raw stored O_e differs from it by Delta.
+    MigrationController ctrl(baseConfig(8));
+    CircularStream s(2000);
+    for (int t = 0; t < 200'000; ++t)
+        ctrl.onRequest(s.next());
+    ASSERT_NE(ctrl.rootEngine().delta(), 0);
+    uint64_t checked = 0;
+    for (uint64_t line = 0; line < 2000; ++line) {
+        // At depth 3, residues with (H + 2) % 3 == 0 drive the root.
+        if ((hashMod31(line) + 2) % 3 != 0)
+            continue;
+        const std::optional<int64_t> want =
+            ctrl.rootEngine().affinityOf(line);
+        ASSERT_TRUE(want.has_value()) << "line " << line;
+        EXPECT_EQ(ctrl.affinityOf(line), want) << "line " << line;
+        ++checked;
+    }
+    EXPECT_GT(checked, 500u);
 }
 
 } // namespace

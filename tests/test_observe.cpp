@@ -92,8 +92,8 @@ TEST(Observatory, FullQuadcoreRunProducesAllArtifacts)
                  "machine.controller.store.evictions",
                  "machine.controller.store.occupancy",
                  "machine.controller.splitter.transitions",
-                 "machine.controller.splitter.x.engine.references",
-                 "machine.controller.splitter.y_neg.filter.value",
+                 "machine.controller.splitter.node0.engine.references",
+                 "machine.controller.splitter.node2.filter.value",
              }) {
             EXPECT_TRUE(r.contains(path)) << path;
         }

@@ -79,7 +79,6 @@ TEST(PointerLoadFilter, BlocksNonPointerRequests)
     MigrationControllerConfig c;
     c.numCores = 4;
     c.windowX = 64;
-    c.windowY = 32;
     c.filterBits = 16;
     c.pointerLoadFilter = true;
     MigrationController ctrl(c);

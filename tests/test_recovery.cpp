@@ -26,7 +26,6 @@ baseConfig(unsigned cores)
     MigrationControllerConfig c;
     c.numCores = cores;
     c.windowX = 64;
-    c.windowY = 32;
     c.filterBits = 18;
     return c;
 }

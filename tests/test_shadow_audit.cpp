@@ -21,7 +21,7 @@
 #include "core/migration_controller.hpp"
 #include "core/oe_store.hpp"
 #include "core/shadow_audit.hpp"
-#include "core/splitter.hpp"
+#include "core/kway_splitter.hpp"
 #include "mem/trace.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/registry.hpp"
@@ -266,38 +266,47 @@ TEST(ShadowAuditDisarm, ForeignStoreEntryDisarms)
     EXPECT_FALSE(engine.shadow()->armed());
 }
 
+/** Wide-affinity tree of `depth` levels with the root shadow armed. */
+KWaySplitter::Config
+wideTree(unsigned depth)
+{
+    KWaySplitter::Config sc;
+    sc.depth = depth;
+    sc.affinityBits = 44;
+    sc.rootWindow = 128;
+    sc.window = WindowKind::DistinctLru;
+    sc.shadow = ShadowMode::Armed;
+    return sc;
+}
+
 TEST(ShadowAuditSplitter, TwoWayMechanismStaysBitExact)
 {
-    TwoWaySplitter::Config sc;
-    sc.engine = wideConfig(128, WindowKind::DistinctLru);
-    UnboundedOeStore store(sc.engine.affinityBits);
-    TwoWaySplitter splitter(sc, store);
+    const KWaySplitter::Config sc = wideTree(1);
+    UnboundedOeStore store(sc.affinityBits);
+    KWaySplitter splitter(sc, store);
     HalfRandomStream stream(400, 64);
     for (uint64_t i = 0; i < 100'000; ++i)
         splitter.onReference(stream.next());
-    ASSERT_NE(splitter.engine().shadow(), nullptr);
-    EXPECT_TRUE(splitter.engine().shadow()->armed());
-    EXPECT_EQ(splitter.engine().shadow()->comparisons(), 100'000u);
+    ASSERT_NE(splitter.rootEngine().shadow(), nullptr);
+    EXPECT_TRUE(splitter.rootEngine().shadow()->armed());
+    EXPECT_EQ(splitter.rootEngine().shadow()->comparisons(), 100'000u);
 }
 
 TEST(ShadowAuditSplitter, FourWayArmsOnlyMechanismX)
 {
-    FourWaySplitter::Config sc;
-    sc.affinityBits = 44;
-    sc.window = WindowKind::DistinctLru;
-    sc.shadow = ShadowMode::Armed;
+    const KWaySplitter::Config sc = wideTree(2);
     UnboundedOeStore store(sc.affinityBits);
-    FourWaySplitter splitter(sc, store);
+    KWaySplitter splitter(sc, store);
     CircularStream stream(600);
     for (uint64_t i = 0; i < 60'000; ++i)
         splitter.onReference(stream.next());
-    // Lines are hash-partitioned: mechanism X sees roughly half the
-    // stream (odd residues) and stays exact; the Y mechanisms share
+    // Lines are hash-partitioned: the root (X) sees roughly half the
+    // stream (odd residues) and stays exact; the Y-level nodes share
     // the store across siblings and are not armed.
-    ASSERT_NE(splitter.engineX().shadow(), nullptr);
-    EXPECT_TRUE(splitter.engineX().shadow()->armed());
-    EXPECT_GT(splitter.engineX().shadow()->comparisons(), 20'000u);
-    EXPECT_LT(splitter.engineX().shadow()->comparisons(), 60'000u);
+    ASSERT_NE(splitter.rootEngine().shadow(), nullptr);
+    EXPECT_TRUE(splitter.rootEngine().shadow()->armed());
+    EXPECT_GT(splitter.rootEngine().shadow()->comparisons(), 20'000u);
+    EXPECT_LT(splitter.rootEngine().shadow()->comparisons(), 60'000u);
 }
 
 MigrationControllerConfig
