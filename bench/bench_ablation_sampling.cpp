@@ -16,7 +16,7 @@
 
 #include <cstdio>
 
-#include "core/oe_store.hpp"
+#include "core/soa_oe_store.hpp"
 #include "sim/options.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
@@ -60,7 +60,7 @@ main(int argc, char **argv)
     for (unsigned entries_k : {32, 16, 8, 4}) {
         AffinityCacheConfig c;
         c.entries = uint64_t(entries_k) * 1024;
-        AffinityCacheStore store(c);
+        SoaAffinityStore store(c);
         char buf[128];
         std::snprintf(
             buf, sizeof(buf),

@@ -13,9 +13,8 @@
  *
  *  2. Hot-path ns/reference — single-thread microloops over the
  *     per-reference kernels: AffinityEngine::reference with FIFO and
- *     distinct-LRU windows, the affinity-cache probe/update loop in
- *     both layouts (virtual AoS store vs devirtualized SoA store),
- *     and MigrationMachine on a recorded 179.art stream both
+ *     distinct-LRU windows, the affinity-cache probe/update loop, and
+ *     MigrationMachine on a recorded 179.art stream both
  *     per-reference (access) and batched (accessBatch, K = 64, the
  *     xmig-bolt pipeline). These move with the per-reference
  *     overhaul, not with the runner. The headline gate number is the
@@ -35,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,24 +132,15 @@ engineLoopNs(WindowKind window, uint64_t iters)
 /**
  * Affinity-cache probe/update loop, isolated from the engine: the
  * access pattern is a circular sweep wider than the cache, so every
- * iteration probes and every fourth updates (forcing evictions). The
- * AoS arm goes through the OeStore interface exactly as the scalar
- * engine does; the SoA arm uses the devirtualized *Fast entry points
- * the batched engine uses. Identical streams, so the delta is the
- * layout + dispatch cost alone.
+ * iteration probes and every fourth updates (forcing evictions),
+ * through the devirtualized *Fast entry points the batched engine
+ * uses.
  */
 double
-probeLoopNs(bool soa, uint64_t iters)
+probeLoopNs(uint64_t iters)
 {
     AffinityCacheConfig ac; // the section 4.2 default: 8k, 4-way
-    std::unique_ptr<OeStore> aosStore;
-    std::unique_ptr<SoaAffinityStore> soaStore;
-    OeStore *vstore = nullptr;
-    if (soa)
-        soaStore = std::make_unique<SoaAffinityStore>(ac);
-    else
-        vstore = (aosStore = std::make_unique<AffinityCacheStore>(ac))
-                     .get();
+    SoaAffinityStore store(ac);
     // Prime, ~3/4 of the entry count: the sweep mostly hits (the
     // affinity cache's operating regime), with enough conflict misses
     // in the skewed banks to keep the install path warm.
@@ -162,23 +151,14 @@ probeLoopNs(bool soa, uint64_t iters)
     // measured loop starts in the mostly-hit regime.
     for (uint64_t i = 0; i < 2 * span; ++i) {
         line = line + 1 == span ? 0 : line + 1;
-        if (soa)
-            sink += soaStore->lookupFast(line, 3);
-        else
-            sink += vstore->lookup(line, 3);
+        sink += store.lookupFast(line, 3);
     }
     const double t0 = now();
     for (uint64_t i = 0; i < iters; ++i) {
         line = line + 1 == span ? 0 : line + 1;
-        if (soa) {
-            sink += soaStore->lookupFast(line, 3);
-            if ((i & 3) == 0)
-                soaStore->storeFast(line ^ 0x1555, sink & 0xff);
-        } else {
-            sink += vstore->lookup(line, 3);
-            if ((i & 3) == 0)
-                vstore->store(line ^ 0x1555, sink & 0xff);
-        }
+        sink += store.lookupFast(line, 3);
+        if ((i & 3) == 0)
+            store.storeFast(line ^ 0x1555, sink & 0xff);
     }
     const double dt = now() - t0;
     if (sink == 0x7eadbeef)
@@ -317,8 +297,7 @@ main(int argc, char **argv)
     const double fifo_ns = engineLoopNs(WindowKind::Fifo, micro_iters);
     const double lru_ns =
         engineLoopNs(WindowKind::DistinctLru, micro_iters);
-    const double probe_aos_ns = probeLoopNs(false, micro_iters);
-    const double probe_soa_ns = probeLoopNs(true, micro_iters);
+    const double probe_soa_ns = probeLoopNs(micro_iters);
     const double machine_ns = machineLoopNs(micro_iters, true);
     const double machine_scalar_ns = machineLoopNs(micro_iters, false);
     const double arena_ns = arenaLoopNs(instr);
@@ -327,8 +306,7 @@ main(int argc, char **argv)
     micro.addRow({"AffinityEngine FIFO/Exact", fmt("%.1f", fifo_ns)});
     micro.addRow(
         {"AffinityEngine DistinctLru/Exact", fmt("%.1f", lru_ns)});
-    micro.addRow({"AffinityCache probe AoS", fmt("%.1f", probe_aos_ns)});
-    micro.addRow({"AffinityCache probe SoA", fmt("%.1f", probe_soa_ns)});
+    micro.addRow({"AffinityCache probe", fmt("%.1f", probe_soa_ns)});
     micro.addRow({"MigrationMachine 179.art (K=64)",
                   fmt("%.1f", machine_ns)});
     micro.addRow({"MigrationMachine 179.art (scalar)",
@@ -350,8 +328,6 @@ main(int argc, char **argv)
                              dt);
             std::fprintf(f, "engine_fifo_ns_per_ref,%.2f\n", fifo_ns);
             std::fprintf(f, "engine_lru_ns_per_ref,%.2f\n", lru_ns);
-            std::fprintf(f, "affinity_probe_aos_ns,%.2f\n",
-                         probe_aos_ns);
             std::fprintf(f, "affinity_probe_soa_ns,%.2f\n",
                          probe_soa_ns);
             std::fprintf(f, "machine_ns_per_ref,%.2f\n", machine_ns);
@@ -399,7 +375,6 @@ main(int argc, char **argv)
                          "  \"ns_per_reference\": {\n"
                          "    \"engine_fifo_exact\": %.2f,\n"
                          "    \"engine_distinctlru_exact\": %.2f,\n"
-                         "    \"affinity_probe_aos\": %.2f,\n"
                          "    \"affinity_probe_soa\": %.2f,\n"
                          "    \"migration_machine_179art\": %.2f,\n"
                          "    \"migration_machine_179art_unbatched\":"
@@ -407,7 +382,7 @@ main(int argc, char **argv)
                          "    \"arena_2tenant_throughput\": %.2f\n"
                          "  }\n"
                          "}\n",
-                         fifo_ns, lru_ns, probe_aos_ns, probe_soa_ns,
+                         fifo_ns, lru_ns, probe_soa_ns,
                          machine_ns, machine_scalar_ns, arena_ns);
             std::fclose(f);
         } else {

@@ -29,8 +29,8 @@ main()
     constexpr uint64_t kLines = 4000;
     CircularStream stream(kLines);
 
-    // Unlimited O_e storage; swap in AffinityCacheStore for the
-    // finite, hardware-sized variant.
+    // Unlimited O_e storage; swap in SoaAffinityStore
+    // (core/soa_oe_store.hpp) for the finite, hardware-sized variant.
     UnboundedOeStore store(/*affinity_bits=*/16);
 
     KWaySplitter::Config config;

@@ -161,7 +161,6 @@ class SetAssocTags : public TagStore
 
   private:
     uint64_t setOf(uint64_t line) const { return line & (numSets_ - 1); }
-    unsigned victimWay(uint64_t set);
     void agePass();
 
     uint64_t numSets_;

@@ -39,9 +39,7 @@ MigrationController::makeStore() const
     if (config_.boundedStore) {
         AffinityCacheConfig ac = config_.affinityCache;
         ac.affinityBits = config_.affinityBits;
-        if (ac.soa)
-            return std::make_unique<SoaAffinityStore>(ac);
-        return std::make_unique<AffinityCacheStore>(ac);
+        return std::make_unique<SoaAffinityStore>(ac);
     }
     return std::make_unique<UnboundedOeStore>(config_.affinityBits);
 }

@@ -282,9 +282,6 @@ class MigrationController
     /** Live core a splitter subset currently maps to. */
     unsigned coreForSubset(unsigned subset) const;
 
-    /** True while a (delayed) migration request is in flight. */
-    bool migrationPending() const { return pendingValid_; }
-
     const RecoveryStats &recovery() const { return recovery_; }
     const Watchdog &watchdog() const { return watchdog_; }
 

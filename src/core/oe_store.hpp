@@ -252,7 +252,10 @@ class UnboundedOeStore : public OeStore
     OeStoreStats stats_;
 };
 
-/** Configuration of the finite affinity cache (section 3.5 / 4.2). */
+/**
+ * Configuration of the finite affinity cache (section 3.5 / 4.2),
+ * implemented by SoaAffinityStore (soa_oe_store.hpp).
+ */
 struct AffinityCacheConfig
 {
     uint64_t entries = 8 * 1024;  ///< total entries (paper: 8k)
@@ -261,69 +264,6 @@ struct AffinityCacheConfig
     ReplPolicy repl = ReplPolicy::Age; ///< "age-based replacement"
     unsigned affinityBits = 16;
     uint64_t seed = 7;
-
-    /**
-     * Structure-of-arrays frame layout (soa_oe_store.hpp, xmig-bolt).
-     * Bit-identical to the AoS layout by contract — the knob exists
-     * so tests can drive both layouts through the same stimulus and
-     * the perf delta can be measured (bench_speedup probe microbench).
-     */
-    bool soa = true;
-};
-
-/**
- * Finite, tagged affinity cache.
- *
- * The O_e value rides in the tag frame itself (CacheEntry::payload),
- * exactly as section 3.5's hardware array stores tag + affinity side
- * by side: a hit is ONE probe — tag match and value together — with
- * no separate line-to-O_e map to hash (xmig-swift hot-path layout).
- * Misses install O_e = Delta so the transition filter is not
- * perturbed by untracked lines (section 4.2 relies on this to
- * suppress migrations for working-sets far larger than the total L2
- * capacity).
- */
-class AffinityCacheStore : public OeStore
-{
-  public:
-    explicit AffinityCacheStore(const AffinityCacheConfig &config);
-
-    int64_t lookup(uint64_t line, int64_t delta) override;
-    void store(uint64_t line, int64_t oe) override;
-    std::optional<int64_t> peek(uint64_t line) const override;
-    const OeStoreStats &stats() const override { return stats_; }
-
-    bool corruptRandomEntry(Rng &rng) override;
-
-    /** Tag corruption drops the tag *and* its O_e word together. */
-    bool dropRandomEntry(Rng &rng) override;
-
-    void snapshotEntries(std::vector<OeEntrySnapshot> &out) const override;
-    void restoreEntries(const std::vector<OeEntrySnapshot> &entries,
-                        const OeStoreStats &stats) override;
-
-    /** Valid entries; maintained incrementally, O(1). */
-    uint64_t occupancy() const { return resident_; }
-    const AffinityCacheConfig &config() const { return config_; }
-
-    /**
-     * Approximate storage cost in bytes: per entry, `tag_bits` of tag,
-     * the affinity value, and 2 age bits (section 3.5's accounting).
-     */
-    uint64_t storageBits(unsigned tag_bits = 20) const;
-
-  private:
-    /** Cheap per-call accounting audit + periodic paranoid sweep. */
-    void auditConsistency();
-
-    /** The `target`-th valid frame's line, for uniform fault picks. */
-    uint64_t nthValidLine(uint64_t target) const;
-
-    AffinityCacheConfig config_;
-    std::unique_ptr<TagStore> tags_;
-    uint64_t resident_ = 0; ///< valid entries (mirrors tag occupancy)
-    OeStoreStats stats_;
-    uint64_t auditTick_ = 0; ///< paranoid reconciliation cadence
 };
 
 } // namespace xmig

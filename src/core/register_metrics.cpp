@@ -86,14 +86,9 @@ MigrationController::registerMetrics(obs::MetricsRegistry &registry,
     registry.addCounter(prefix + ".store.stores", &ss.stores);
     registry.addCounter(prefix + ".store.evictions", &ss.evictions);
     if (const auto *bounded =
-            dynamic_cast<const AffinityCacheStore *>(store_.get())) {
+            dynamic_cast<const SoaAffinityStore *>(store_.get())) {
         registry.addGauge(prefix + ".store.occupancy", [bounded] {
             return static_cast<double>(bounded->occupancy());
-        });
-    } else if (const auto *soa = dynamic_cast<const SoaAffinityStore *>(
-                   store_.get())) {
-        registry.addGauge(prefix + ".store.occupancy", [soa] {
-            return static_cast<double>(soa->occupancy());
         });
     }
 

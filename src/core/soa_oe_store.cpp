@@ -164,7 +164,9 @@ SoaAffinityStore::storeFast(uint64_t line, int64_t oe)
 void
 SoaAffinityStore::auditConsistency()
 {
-    // Cheap bound every call (same as AffinityCacheStore).
+    // Cheap bound every call: resident entries can never outgrow the
+    // configured entry count, and every miss either filled a free slot
+    // or displaced a victim.
     XMIG_AUDIT(resident_ <= config_.entries &&
                    stats_.evictions <= stats_.misses + stats_.stores,
                "affinity cache accounting desync: %llu resident / %llu "
@@ -262,10 +264,12 @@ void
 SoaAffinityStore::restoreEntries(
     const std::vector<OeEntrySnapshot> &entries, const OeStoreStats &stats)
 {
-    // Same rebuild-from-scratch semantics as AffinityCacheStore:
-    // invalidate everything, then greedy sorted re-insertion (which
-    // may displace an already-restored line; it re-initializes to
-    // A_e = 0 on its next touch, like an ordinary capacity eviction).
+    // Rebuild from scratch: invalidate everything, then greedy sorted
+    // re-insertion. Insertion order fixes the replacement ages, so
+    // victim choices after a restore may differ from the original
+    // run; the contents are exact. Greedy re-insertion may displace
+    // an already-restored line; it re-initializes to A_e = 0 on its
+    // next touch, like an ordinary capacity eviction.
     std::fill(valid_.begin(), valid_.end(), uint8_t{0});
     resident_ = 0;
 

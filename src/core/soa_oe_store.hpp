@@ -1,23 +1,21 @@
 /**
  * @file
- * Structure-of-arrays affinity cache (xmig-bolt hot-path layout).
+ * The finite affinity cache of section 3.5 / 4.2, stored as a
+ * structure of arrays.
  *
- * SoaAffinityStore is a bit-for-bit behavioral replica of
- * AffinityCacheStore (oe_store.hpp) with the frame record exploded
- * into parallel arrays: tags, O_e payloads, and replacement metadata
- * each live in their own contiguous vector. A probe then touches ~8
- * bytes per candidate way instead of a whole ~48-byte CacheEntry, the
- * 8k-entry tag array fits in L1, and the periodic age sweep of the
- * Age replacement policy runs over two plain byte arrays the compiler
- * can vectorize.
+ * Each frame is a tag (the full line address), its O_e value and its
+ * replacement state. Instead of one record per frame, every field
+ * lives in its own contiguous vector: a probe touches ~8 bytes per
+ * candidate way, the 8k-entry tag array fits in L1, and the periodic
+ * age sweep of the Age replacement policy runs over two plain byte
+ * arrays the compiler can vectorize.
  *
- * "Bit-for-bit" is a hard contract, not an aspiration: the decision
- * stream (hits, victims, evictions, trace events, audit cadence,
- * snapshot order, fault picks) must be indistinguishable from the
- * AoS store so that AffinityCacheConfig::soa can flip layouts without
- * perturbing a single simulation result. test_oe_store and
- * test_batch_determinism drive both layouts through identical
- * stimulus and compare every observable.
+ * Placement, replacement and clock semantics are those of the cache
+ * substrate's SkewedTags / SetAssocTags (cache/tags.hpp), so the
+ * affinity cache evicts exactly as a TagStore of the same geometry
+ * would. test_oe_store pins the full decision stream (hits, victims,
+ * evictions, fault picks, snapshot order) under every geometry and
+ * ReplPolicy with golden digests.
  */
 
 #pragma once
@@ -36,11 +34,15 @@
 namespace xmig {
 
 /**
- * SoA replica of the finite affinity cache.
+ * Finite, tagged affinity cache.
  *
- * Supports every AffinityCacheConfig (skewed or set-associative
- * indexing, any ReplPolicy), replicating SkewedTags / SetAssocTags
- * placement, replacement, and clock semantics exactly.
+ * The O_e value sits beside its tag, as section 3.5's hardware array
+ * stores tag + affinity side by side: a hit is one probe that yields
+ * tag match and value together. Misses install O_e = Delta, so the
+ * transition filter is not perturbed by untracked lines (section 4.2
+ * relies on this to suppress migrations for working-sets far larger
+ * than the total L2 capacity). Supports every AffinityCacheConfig:
+ * skewed or set-associative indexing, any ReplPolicy.
  */
 class SoaAffinityStore : public OeStore
 {
@@ -82,7 +84,10 @@ class SoaAffinityStore : public OeStore
     uint64_t occupancy() const { return resident_; }
     const AffinityCacheConfig &config() const { return config_; }
 
-    /** Same storage accounting as AffinityCacheStore::storageBits. */
+    /**
+     * Approximate storage cost in bits: per entry, `tag_bits` of tag,
+     * the affinity value, and 2 age bits (section 3.5's accounting).
+     */
     uint64_t
     storageBits(unsigned tag_bits = 20) const
     {

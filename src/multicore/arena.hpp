@@ -11,8 +11,7 @@
  * sides with the same machinery:
  *
  *  - A `Session` per tenant: the tenant's push-model Workload runs
- *    on a dedicated producer thread feeding a bounded BatchQueue
- *    (the same pull-inversion xmig-bolt uses for pipelined feeding),
+ *    on a dedicated producer thread feeding a bounded BatchQueue,
  *    and the arena's single consumer thread pops reference chunks in
  *    whatever interleave the TenantScheduler dictates. Arbitration
  *    is therefore a pure function of the schedule — byte-identical

@@ -64,6 +64,15 @@ TimeSeriesSampler::sampleNow()
 }
 
 void
+TimeSeriesSampler::rebaseDeltas()
+{
+    for (size_t c = 0; c < names_.size(); ++c) {
+        if (deltaSrc_[c])
+            deltaPrev_[c] = *deltaSrc_[c];
+    }
+}
+
+void
 TimeSeriesSampler::record()
 {
     if (ring_.empty())

@@ -62,6 +62,14 @@ class TimeSeriesSampler
     /** Record one row now, regardless of cadence. */
     void sampleNow();
 
+    /**
+     * Re-read every delta column's counter as its new baseline. Call
+     * after the counters were zeroed (a warm-up reset): the next row
+     * then reports the increase since the reset instead of a counter
+     * that went backwards.
+     */
+    void rebaseDeltas();
+
     /** Rows currently held (<= capacity). */
     size_t samples() const;
 

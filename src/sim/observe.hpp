@@ -104,6 +104,14 @@ class RunObservatory
             sampler_.tick();
     }
 
+    /** The attached machines' counters were just zeroed (warm-up). */
+    void
+    onStatsReset()
+    {
+        if (sampling_)
+            sampler_.rebaseDeltas();
+    }
+
     /**
      * Export everything that was requested: JSONL metrics, CSV time
      * series, and the trace file. Must run while every attached

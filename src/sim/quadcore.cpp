@@ -2,8 +2,6 @@
 
 #include "obs/prof.hpp"
 #include "sim/observe.hpp"
-#include "sim/runner/batch_queue.hpp"
-#include "sim/runner/job_pool.hpp"
 #include "workloads/registry.hpp"
 
 namespace xmig {
@@ -12,99 +10,34 @@ namespace {
 
 /**
  * Feeds both machines and zeroes their counters once the warm-up
- * instruction budget has retired.
- */
-class WarmupTee : public RefSink
-{
-  public:
-    WarmupTee(MigrationMachine &baseline, MigrationMachine &migration,
-              uint64_t warmup_instructions)
-        : baseline_(baseline),
-          migration_(migration),
-          warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        baseline_.access(ref);
-        migration_.access(ref);
-        if (!done_ && ref.isIfetch() && ++instructions_ >= warmup_) {
-            baseline_.resetStats();
-            migration_.resetStats();
-            done_ = true;
-        }
-    }
-
-  protected:
-    MigrationMachine &baseline_;
-    MigrationMachine &migration_;
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    bool done_;
-};
-
-/**
- * WarmupTee that also advances the observatory's sampling clock.
- * Kept as a separate sink so the unobserved feed path stays
- * instruction-identical to a build without the observability layer
- * (measured: the extra per-reference hook costs ~5% even when the
- * branch never takes).
- */
-class ObservedWarmupTee final : public WarmupTee
-{
-  public:
-    ObservedWarmupTee(MigrationMachine &baseline,
-                      MigrationMachine &migration,
-                      uint64_t warmup_instructions,
-                      RunObservatory &observatory)
-        : WarmupTee(baseline, migration, warmup_instructions),
-          observatory_(observatory)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        WarmupTee::access(ref);
-        observatory_.onReference();
-    }
-
-  private:
-    RunObservatory &observatory_;
-};
-
-/**
- * xmig-bolt batched feed: buffers K references and drives both
- * machines through accessBatch(). Warm-up runs per-reference so the
- * counter reset lands at the exact reference WarmupTee resets at;
- * the caller must flush() after the workload ends.
+ * instruction budget has retired. Warm-up runs one reference at a
+ * time, so the reset lands at the exact reference that retires the
+ * budget; after it, references are buffered and driven through
+ * accessBatch() in K-reference chunks. The caller passes an
+ * observatory only while it samples or traces; then every reference
+ * stays on the per-reference branch and ticks the sampling clock.
+ * The caller must flush() after the workload ends.
  */
 class BatchFeedTee final : public RefSink
 {
   public:
     BatchFeedTee(MigrationMachine &baseline, MigrationMachine &migration,
-                 uint64_t warmup_instructions)
+                 uint64_t warmup_instructions,
+                 RunObservatory *observatory)
         : baseline_(baseline),
           migration_(migration),
+          observatory_(observatory),
           warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
+          done_(warmup_instructions == 0),
+          perRef_(!done_ || observatory != nullptr)
     {
     }
 
     void
     access(const MemRef &ref) override
     {
-        if (!done_) {
-            baseline_.access(ref);
-            migration_.access(ref);
-            if (ref.isIfetch() && ++instructions_ >= warmup_) {
-                baseline_.resetStats();
-                migration_.resetStats();
-                done_ = true;
-            }
+        if (perRef_) {
+            accessOne(ref);
             return;
         }
         buf_[count_++] = ref;
@@ -123,88 +56,33 @@ class BatchFeedTee final : public RefSink
     }
 
   private:
+    void
+    accessOne(const MemRef &ref)
+    {
+        baseline_.access(ref);
+        migration_.access(ref);
+        if (!done_ && ref.isIfetch() && ++instructions_ >= warmup_) {
+            baseline_.resetStats();
+            migration_.resetStats();
+            done_ = true;
+            perRef_ = observatory_ != nullptr;
+            if (observatory_)
+                observatory_->onStatsReset();
+        }
+        if (observatory_)
+            observatory_->onReference();
+    }
+
     MigrationMachine &baseline_;
     MigrationMachine &migration_;
+    RunObservatory *observatory_;
     uint64_t warmup_;
     uint64_t instructions_ = 0;
     bool done_;
+    bool perRef_; ///< warm-up still running, or observatory recording
     MemRef buf_[MigrationMachine::kBatchRefs];
     size_t count_ = 0;
 };
-
-/**
- * xmig-bolt pipelined feed, producer half: feeds the baseline inline
- * on this worker and hands each chunk (with any warm-up boundary
- * marked) to the queue for the consumer worker's migration machine.
- */
-class PipelineProducerTee final : public RefSink
-{
-  public:
-    PipelineProducerTee(MigrationMachine &baseline, BatchQueue &queue,
-                        uint64_t warmup_instructions)
-        : baseline_(baseline),
-          queue_(queue),
-          warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        chunk_.refs[chunk_.count++] = ref;
-        if (!done_ && ref.isIfetch() && ++instructions_ >= warmup_) {
-            chunk_.resetAfter = static_cast<int32_t>(chunk_.count) - 1;
-            done_ = true;
-        }
-        if (chunk_.count == BatchQueue::kChunkRefs)
-            flush();
-    }
-
-    void
-    flush()
-    {
-        if (chunk_.count == 0)
-            return;
-        if (chunk_.resetAfter >= 0) {
-            const size_t b = static_cast<size_t>(chunk_.resetAfter) + 1;
-            baseline_.accessBatch(chunk_.refs.data(), b);
-            baseline_.resetStats();
-            baseline_.accessBatch(chunk_.refs.data() + b,
-                                  chunk_.count - b);
-        } else {
-            baseline_.accessBatch(chunk_.refs.data(), chunk_.count);
-        }
-        queue_.push(chunk_);
-        chunk_.count = 0;
-        chunk_.resetAfter = -1;
-    }
-
-  private:
-    MigrationMachine &baseline_;
-    BatchQueue &queue_;
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    bool done_;
-    BatchQueue::Chunk chunk_;
-};
-
-/** Consumer half: drain the queue into the migration machine. */
-void
-drainIntoMachine(BatchQueue &queue, MigrationMachine &migration)
-{
-    BatchQueue::Chunk c;
-    while (queue.pop(c)) {
-        if (c.resetAfter >= 0) {
-            const size_t b = static_cast<size_t>(c.resetAfter) + 1;
-            migration.accessBatch(c.refs.data(), b);
-            migration.resetStats();
-            migration.accessBatch(c.refs.data() + b, c.count - b);
-        } else {
-            migration.accessBatch(c.refs.data(), c.count);
-        }
-    }
-}
 
 } // namespace
 
@@ -238,54 +116,15 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
         const uint64_t total = params.warmupInstructions +
                                params.instructionsPerBenchmark;
         // Sampling cadence and trace interleave are defined over
-        // single references; both batched modes stand down to the
-        // scalar path while either is recording (observe.hpp).
-        FeedMode feed = params.feed;
-        if (observatory && (observatory->samplingActive() ||
-                            observatory->tracingActive()))
-            feed = FeedMode::PerRef;
-
-        if (feed == FeedMode::Pipelined) {
-            // Two roles on two pool workers: the producer runs the
-            // workload and the baseline, the consumer the migration
-            // machine. JobPool(2) always has two live workers, so the
-            // bounded queue cannot deadlock (a 1-worker pool would
-            // run both roles serially and block on the first full
-            // slot — hence the explicit pool, not a caller-provided
-            // one).
-            BatchQueue queue;
-            JobPool pool(2);
-            pool.run(2, [&](size_t job) {
-                if (job == 0) {
-                    try {
-                        PipelineProducerTee tee(
-                            baseline, queue, params.warmupInstructions);
-                        workload->run(tee, total, params.seed);
-                        tee.flush();
-                    } catch (...) {
-                        queue.close(); // unblock the consumer
-                        throw;
-                    }
-                    queue.close();
-                } else {
-                    drainIntoMachine(queue, migration);
-                }
-            });
-        } else if (feed == FeedMode::Batched) {
-            BatchFeedTee tee(baseline, migration,
-                             params.warmupInstructions);
-            workload->run(tee, total, params.seed);
-            tee.flush();
-        } else if (observatory) {
-            ObservedWarmupTee tee(baseline, migration,
-                                  params.warmupInstructions,
-                                  *observatory);
-            workload->run(tee, total, params.seed);
-        } else {
-            WarmupTee tee(baseline, migration,
-                          params.warmupInstructions);
-            workload->run(tee, total, params.seed);
-        }
+        // single references, so the tee stays per-reference while
+        // either is recording (observe.hpp).
+        const bool recording =
+            observatory && (observatory->samplingActive() ||
+                            observatory->tracingActive());
+        BatchFeedTee tee(baseline, migration, params.warmupInstructions,
+                         recording ? observatory : nullptr);
+        workload->run(tee, total, params.seed);
+        tee.flush();
     }
 
     // Registered pointers reach into the two machines above, so every
@@ -303,15 +142,6 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
     row.migrations = migration.stats().migrations;
     row.l2ToL2Forwards = migration.stats().l2ToL2Forwards;
     return row;
-}
-
-std::vector<QuadcoreRow>
-runQuadcoreAll(const QuadcoreParams &params)
-{
-    std::vector<QuadcoreRow> rows;
-    for (const auto &name : allWorkloadNames())
-        rows.push_back(runQuadcore(name, params));
-    return rows;
 }
 
 } // namespace xmig

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "multicore/machine.hpp"
 
@@ -61,30 +60,10 @@ struct QuadcoreRow
     }
 };
 
-/**
- * How the reference stream reaches the two machines of a cell
- * (xmig-bolt). All three modes produce byte-identical results — the
- * batched paths are exact by construction and the pipelined queue
- * preserves reference order — so the choice is purely a speed knob
- * (docs/parallelism.md, "batching").
- */
-enum class FeedMode : uint8_t
-{
-    PerRef,    ///< one access() per reference (the original path)
-    Batched,   ///< K-ref accessBatch() chunks, serial (default)
-    Pipelined, ///< baseline and migration machines on 2 pool workers
-};
-
 /** Parameters of a Table 2 run. */
 struct QuadcoreParams
 {
     uint64_t instructionsPerBenchmark = 20'000'000;
-
-    /**
-     * Feed mode; forced back to PerRef while the observatory samples
-     * time series or traces (their artifacts are per-reference).
-     */
-    FeedMode feed = FeedMode::Batched;
 
     /**
      * Instructions to run before counters start. The paper's
@@ -101,16 +80,18 @@ struct QuadcoreParams
 /**
  * Run Table 2 for one benchmark.
  *
- * An optional observatory (sim/observe.hpp) is attached to both
- * machines — the baseline under `baseline.*`, the migration machine
- * under `machine.*` (also time-series sampled) — and finish()ed
- * before the machines are destroyed.
+ * Both machines see the reference stream in K-reference
+ * accessBatch() chunks after warm-up and one reference at a time
+ * during it. An optional observatory (sim/observe.hpp) is attached to
+ * both machines — the baseline under `baseline.*`, the migration
+ * machine under `machine.*` (also time-series sampled) — and
+ * finish()ed before the machines are destroyed. While it samples time
+ * series or traces, the whole run is fed one reference at a time,
+ * because those artifacts are defined per reference; the results are
+ * identical either way.
  */
 QuadcoreRow runQuadcore(const std::string &benchmark,
                         const QuadcoreParams &params,
                         RunObservatory *observatory = nullptr);
-
-/** Run Table 2 for every benchmark. */
-std::vector<QuadcoreRow> runQuadcoreAll(const QuadcoreParams &params);
 
 } // namespace xmig

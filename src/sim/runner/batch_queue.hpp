@@ -1,24 +1,16 @@
 /**
  * @file
- * Bounded chunk queue for intra-cell machine pipelining (xmig-bolt)
- * and per-tenant reference streams (xmig-arena).
+ * Bounded chunk queue for per-tenant reference streams (xmig-arena).
  *
- * runQuadcore's pipelined feed mode runs the baseline and migration
- * machines of one Table-2 cell on two JobPool workers: the producer
- * feeds the baseline inline and hands reference chunks to this queue;
- * the consumer drains them into the migration machine. The queue is
- * strictly single-producer single-consumer, bounded (back-pressure
- * keeps the two machines within capacity() chunks of each other, so
- * memory stays O(1)), and FIFO — the consumer sees exactly the
- * producer's reference order, which is what makes the pipelined run
- * byte-identical to the serial one (docs/parallelism.md, "batching").
- *
- * xmig-arena reuses the queue as a pull-inversion adapter: each
- * tenant Session runs its push-model Workload on a producer thread
- * feeding a BatchQueue, and the arena's single consumer thread pops
- * chunks in whatever interleave the tenant scheduler dictates. The
- * consumer-side cancel() lets the arena tear a session down while
- * its producer is blocked in push() mid-stream.
+ * Each tenant Session runs its push-model Workload on a producer
+ * thread feeding a BatchQueue, and the arena's single consumer thread
+ * pops chunks in whatever interleave the tenant scheduler dictates.
+ * The queue is strictly single-producer single-consumer, bounded
+ * (back-pressure keeps the producer within capacity() chunks of the
+ * consumer, so memory stays O(1)), and FIFO — the consumer sees
+ * exactly the producer's reference order. The consumer-side cancel()
+ * lets the arena tear a session down while its producer is blocked
+ * in push() mid-stream.
  *
  * A mutex + two condition variables, not a lock-free ring: one
  * handoff per K=64 references means the lock is touched ~16k times
@@ -53,14 +45,6 @@ class BatchQueue
     {
         std::array<MemRef, kChunkRefs> refs;
         uint32_t count = 0;
-
-        /**
-         * Warm-up boundary: when >= 0, the consumer must reset the
-         * machine's counters after feeding refs[0..resetAfter]
-         * (inclusive) — the exact reference where the scalar
-         * WarmupTee would have reset them.
-         */
-        int32_t resetAfter = -1;
     };
 
     explicit BatchQueue(size_t slots = kDefaultSlots)

@@ -70,6 +70,22 @@ TEST(Sampler, DeltaBaselineIsRegistrationTimeValue)
     EXPECT_EQ(s.rowValues(0)[0], 3.0);
 }
 
+TEST(Sampler, RebaseAfterCounterResetReportsGrowthSinceReset)
+{
+    TimeSeriesSampler s(cfg(10, 100));
+    uint64_t events = 0;
+    s.addDeltaColumn("rate", &events);
+    events = 50;
+    s.tick(10);
+    events = 0; // counters zeroed mid-interval (warm-up reset)
+    s.rebaseDeltas();
+    events = 7;
+    s.tick(10);
+    ASSERT_EQ(s.samples(), 2u);
+    EXPECT_EQ(s.rowValues(0)[0], 50.0);
+    EXPECT_EQ(s.rowValues(1)[0], 7.0);
+}
+
 TEST(Sampler, IntervalColumnDrainsTicks)
 {
     TimeSeriesSampler s(cfg(10, 100));

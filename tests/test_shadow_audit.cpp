@@ -21,6 +21,7 @@
 #include "core/migration_controller.hpp"
 #include "core/oe_store.hpp"
 #include "core/shadow_audit.hpp"
+#include "core/soa_oe_store.hpp"
 #include "core/kway_splitter.hpp"
 #include "mem/trace.hpp"
 #include "multicore/machine.hpp"
@@ -241,7 +242,7 @@ TEST(ShadowAuditDisarm, AffinityCacheEvictionDisarms)
     const EngineConfig config = wideConfig(8, WindowKind::DistinctLru);
     EngineConfig narrow = config;
     narrow.affinityBits = ac.affinityBits; // match the cache width
-    AffinityCacheStore store(ac);
+    SoaAffinityStore store(ac);
     AffinityEngine engine(narrow, store);
     // A working set far beyond 64 entries forces evictions; the first
     // miss on a line the shadow knows must disarm, never panic.
