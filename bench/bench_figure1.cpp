@@ -121,7 +121,8 @@ main(int argc, char **argv)
     if (!opt.samplesOut.empty() || !opt.traceOut.empty())
         XMIG_FATAL("bench_figure1 supports --metrics-out and "
                    "--journal-out only (arena runs have no sampler "
-                   "or tracer hookup)");
+                   "hookup, and --trace-out is wired for the quadcore "
+                   "harnesses)");
     if (opt.instructions == 20'000'000)
         opt.instructions = opt.smoke ? 2'000'000 : 8'000'000;
 

@@ -23,9 +23,6 @@
  * Flags beyond the common BenchOptions set:
  *   --smoke        tiny budgets + a 2-point sweep (CI)
  *   --csv-dir DIR  write degradation.csv and recovery.csv into DIR
- *
- * On a -DXMIG_FAULT=OFF build only the clean row runs (the hooks are
- * compiled away; arming a plan would be a fatal error).
  */
 
 #include <cstdio>
@@ -179,15 +176,6 @@ main(int argc, char **argv)
     // The sweep points are independent simulations (the cross-point
     // ratio/slowdown columns derive from the clean point at collation
     // time), so each rate is one xmig-swift sweep cell.
-    std::vector<double> run_rates;
-    bool hooks_out = false;
-    for (double r : rates) {
-        if (r > 0.0 && !kFaultEnabled) {
-            hooks_out = true;
-            break;
-        }
-        run_rates.push_back(r);
-    }
 
     /** Raw per-point results; ratios are derived after the join. */
     struct DegPoint
@@ -198,12 +186,12 @@ main(int argc, char **argv)
         uint64_t faults = 0;
         double cycles = 0.0;
     };
-    std::vector<DegPoint> points(run_rates.size());
+    std::vector<DegPoint> points(rates.size());
 
     SweepSpec spec;
-    spec.cells = run_rates.size();
+    spec.cells = rates.size();
     spec.run = [&](size_t i) {
-        const double r = run_rates[i];
+        const double r = rates[i];
         MachineConfig cfg;
         cfg.controller.watchdog.enabled = true;
         if (r > 0.0)
@@ -223,14 +211,10 @@ main(int argc, char **argv)
     };
     runSweep(spec, opt.jobs);
 
-    if (hooks_out)
-        std::printf("(fault hooks compiled out: faulted rows "
-                    "skipped)\n");
-
     uint64_t clean_misses = 0;
     double clean_cycles = 0.0;
-    for (size_t i = 0; i < run_rates.size(); ++i) {
-        const double r = run_rates[i];
+    for (size_t i = 0; i < rates.size(); ++i) {
+        const double r = rates[i];
         const DegPoint &p = points[i];
         const MachineStats &s = p.stats;
         if (r == 0.0) {
@@ -286,12 +270,6 @@ main(int argc, char **argv)
                stdout);
     if (deg_csv)
         std::fclose(deg_csv);
-
-    if (!kFaultEnabled) {
-        std::printf("\nRecovery experiment needs the fault hooks; "
-                    "rebuild with -DXMIG_FAULT=ON.\n");
-        return 0;
-    }
 
     // ----- Experiment 2: recovery after core loss --------------------
     // Size the scripted unplug in references: replay the workload

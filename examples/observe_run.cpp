@@ -12,9 +12,10 @@
  *  - time-series CSV: A_R, Delta, filter value, migration and miss
  *    rates, per-core L2 occupancies sampled every N references
  *    (plot for Figure-3-style views of the algorithm at work);
- *  - Chrome trace JSON: migrations, affinity-cache evictions and
- *    shadow-audit disarms on a simulated-time axis — open it in
- *    chrome://tracing or https://ui.perfetto.dev.
+ *  - Chrome trace JSON: the xmig-lens event journal (migrations with
+ *    their causes, subset transitions, fault and recovery events) on
+ *    a simulated-time axis — open it in chrome://tracing or
+ *    https://ui.perfetto.dev.
  *
  * Build & run:  ./build/examples/observe_run
  *   (or pass --bench 179.art --instr 2000000 --sample-every 5000

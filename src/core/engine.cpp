@@ -217,10 +217,8 @@ AffinityEngine::reference(uint64_t line)
 
     auditWindowSum(members);
 
-    if constexpr (kFaultEnabled) {
-        if (config_.faults)
-            injectSoftErrors(out);
-    }
+    if (config_.faults)
+        injectSoftErrors(out);
 
     if (shadow_)
         shadow_->onReference(line, *this, out.ae);
@@ -239,7 +237,7 @@ AffinityEngine::referenceBatch(const uint64_t *lines, size_t n,
     const bool fast = config_.window == WindowKind::Fifo &&
                       config_.ar == ArKind::Exact &&
                       !(shadow_ && shadow_->armed()) &&
-                      !(kFaultEnabled && config_.faults != nullptr);
+                      config_.faults == nullptr;
     if (!fast) {
         for (size_t i = 0; i < n; ++i) {
             // xmig-lint: allow(alloc-in-hot-loop) -- exact per-ref

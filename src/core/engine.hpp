@@ -87,7 +87,7 @@ struct EngineConfig
      * xmig-iron soft-error hook: when non-null and the plan targets
      * Ae / Delta / Ar, reference() may flip a bit of the respective
      * register after the normal update. Null (the default) costs one
-     * predictable branch; -DXMIG_FAULT=OFF removes the hook entirely.
+     * predictable branch.
      */
     FaultInjector *faults = nullptr;
 };

@@ -7,7 +7,6 @@
 #include "core/soa_oe_store.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/logging.hpp"
 
@@ -139,8 +138,6 @@ MigrationController::applyTopology()
         const uint64_t gap = stats_.requests - lastResplitAt_;
         resplitGap_.record(gap);
         lastResplitAt_ = stats_.requests;
-        XMIG_TRACE("fault", "resplit",
-                   {{"ways", ways}, {"live_cores", live}});
         XMIG_JOURNAL(journal_, obs::JournalKind::Resplit,
                      obs::JournalCause::FaultForced,
                      static_cast<int64_t>(ways),
@@ -187,8 +184,6 @@ MigrationController::setCoreOffline(unsigned core)
         // The execution's host died: restart on the lowest live core.
         const unsigned refuge =
             static_cast<unsigned>(std::countr_zero(liveMask_));
-        XMIG_TRACE("fault", "forced_migration",
-                   {{"from", core}, {"to", refuge}});
         XMIG_JOURNAL(journal_, obs::JournalKind::ForcedMigration,
                      obs::JournalCause::FaultForced,
                      static_cast<int64_t>(core),
@@ -278,9 +273,6 @@ MigrationController::serviceMigrationFabric(uint64_t now)
         nextIssueAllowed_ = now + backoff_;
         backoff_ = std::min(backoff_ * 2, config_.retry.backoffCap);
         retryPending_ = true;
-        XMIG_TRACE("fault", "migration_timeout",
-                   {{"target", pendingTarget_},
-                    {"backoff", backoff_}});
         XMIG_JOURNAL(journal_, obs::JournalKind::MigrationTimeout,
                      obs::JournalCause::FaultForced,
                      static_cast<int64_t>(pendingTarget_),
@@ -301,12 +293,9 @@ MigrationController::requestMigration(unsigned target, uint64_t now)
         return;
     }
 
-    bool fabric_faulty = false;
-    if constexpr (kFaultEnabled) {
-        fabric_faulty = config_.faults &&
-            (config_.faults->armedFor(FaultSite::MigDrop) ||
-             config_.faults->armedFor(FaultSite::MigDelay));
-    }
+    const bool fabric_faulty = config_.faults &&
+        (config_.faults->armedFor(FaultSite::MigDrop) ||
+         config_.faults->armedFor(FaultSite::MigDelay));
     if (!fabric_faulty) {
         // Ideal fabric: the classic instantaneous migration.
         completeMigration(target, now, obs::JournalCause::Threshold);
@@ -365,10 +354,6 @@ MigrationController::completeMigration(unsigned target, uint64_t now,
     XMIG_ASSERT(liveMask_ >> target & 1,
                 "migration to offline core %u", target);
     ++stats_.migrations;
-    XMIG_TRACE("migration", "migrate",
-               {{"from", activeCore_},
-                {"to", target},
-                {"n", stats_.migrations}});
     XMIG_JOURNAL(journal_, obs::JournalKind::Migration, cause,
                  static_cast<int64_t>(activeCore_),
                  static_cast<int64_t>(target),
@@ -388,10 +373,8 @@ MigrationController::onRequest(uint64_t line, bool l2_miss,
     ++stats_.requests;
     const uint64_t now = stats_.requests;
 
-    if constexpr (kFaultEnabled) {
-        if (config_.faults)
-            injectStoreFaults();
-    }
+    if (config_.faults)
+        injectStoreFaults();
 
     if (splitWays_ <= 1) {
         // Lone survivor: nothing left to split, execution is pinned.
@@ -432,7 +415,6 @@ MigrationController::onRequest(uint64_t line, bool l2_miss,
         if (watchdog_.takeReinit()) {
             resetFilters();
             ++recovery_.filterReinits;
-            XMIG_TRACE("fault", "filter_reinit", {{"at", now}});
             XMIG_JOURNAL(journal_, obs::JournalKind::FilterReinit,
                          obs::JournalCause::WatchdogReinit,
                          static_cast<int64_t>(now));

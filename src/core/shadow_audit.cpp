@@ -1,7 +1,6 @@
 #include "core/shadow_audit.hpp"
 
 #include "core/engine.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
 
 namespace xmig {
@@ -45,7 +44,6 @@ ShadowAudit::disarm(const char *reason)
                 "shadow audit [%s] disarmed without a reason",
                 tag_.c_str());
     armed_ = false;
-    XMIG_TRACE("shadow", "disarm", reason);
     XMIG_WARN("shadow audit [%s] disarmed after %llu comparisons: %s",
               tag_.c_str(), (unsigned long long)comparisons_, reason);
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/trace.hpp"
-
 namespace xmig {
 
 SoaAffinityStore::SoaAffinityStore(const AffinityCacheConfig &config)
@@ -25,8 +23,7 @@ SoaAffinityStore::SoaAffinityStore(const AffinityCacheConfig &config)
 }
 
 size_t
-SoaAffinityStore::allocateIndex(uint64_t line, uint64_t *evicted_line,
-                                int64_t *evicted_oe, bool *evicted_valid)
+SoaAffinityStore::allocateIndex(uint64_t line, bool *evicted_valid)
 {
     // pickVictim (tags.cpp): prefer the first invalid candidate in way
     // order; otherwise apply the policy over the candidate frames.
@@ -82,10 +79,6 @@ SoaAffinityStore::allocateIndex(uint64_t line, uint64_t *evicted_line,
                victim, config_.ways);
     const size_t i = slotOf(line, victim);
     *evicted_valid = valid_[i] != 0;
-    if (*evicted_valid) {
-        *evicted_line = lines_[i];
-        *evicted_oe = payload_[i];
-    }
     ++clock_;
     lines_[i] = line;
     valid_[i] = 1;
@@ -111,20 +104,12 @@ SoaAffinityStore::lookupFast(uint64_t line, int64_t delta)
     }
     // Miss: allocate and force A_e = 0 by setting O_e = Delta.
     ++stats_.misses;
-    uint64_t victim_line = 0;
-    int64_t victim_oe = 0;
     bool victim_valid = false;
-    const size_t i =
-        allocateIndex(line, &victim_line, &victim_oe, &victim_valid);
-    if (victim_valid) {
+    const size_t i = allocateIndex(line, &victim_valid);
+    if (victim_valid)
         ++stats_.evictions;
-        XMIG_TRACE("affinity_cache", "evict",
-                   {{"victim", victim_line},
-                    {"for", line},
-                    {"evictions", stats_.evictions}});
-    } else {
+    else
         ++resident_;
-    }
     const int64_t oe = saturateToBits(delta, config_.affinityBits);
     payload_[i] = oe;
     return oe;
@@ -144,20 +129,12 @@ SoaAffinityStore::storeFast(uint64_t line, int64_t oe)
     }
     // The entry was displaced while the line sat in the R-window;
     // re-allocate, as a hardware write-allocate affinity cache would.
-    uint64_t victim_line = 0;
-    int64_t victim_oe = 0;
     bool victim_valid = false;
-    const size_t i =
-        allocateIndex(line, &victim_line, &victim_oe, &victim_valid);
-    if (victim_valid) {
+    const size_t i = allocateIndex(line, &victim_valid);
+    if (victim_valid)
         ++stats_.evictions;
-        XMIG_TRACE("affinity_cache", "evict",
-                   {{"victim", victim_line},
-                    {"for", line},
-                    {"evictions", stats_.evictions}});
-    } else {
+    else
         ++resident_;
-    }
     payload_[i] = sat;
 }
 
@@ -273,12 +250,9 @@ SoaAffinityStore::restoreEntries(
     std::fill(valid_.begin(), valid_.end(), uint8_t{0});
     resident_ = 0;
 
-    uint64_t victim_line = 0;
-    int64_t victim_oe = 0;
     bool victim_valid = false;
     for (const OeEntrySnapshot &e : entries) {
-        const size_t i = allocateIndex(e.line, &victim_line, &victim_oe,
-                                       &victim_valid);
+        const size_t i = allocateIndex(e.line, &victim_valid);
         if (!victim_valid)
             ++resident_;
         payload_[i] = saturateToBits(e.oe, config_.affinityBits);

@@ -159,8 +159,7 @@ class SoaAffinityStore : public OeStore
     }
 
     /** pickVictim + frame install, replicating TagStore::allocate. */
-    size_t allocateIndex(uint64_t line, uint64_t *evicted_line,
-                         int64_t *evicted_oe, bool *evicted_valid);
+    size_t allocateIndex(uint64_t line, bool *evicted_valid);
 
     /** Cheap per-call accounting audit + periodic paranoid sweep. */
     void auditConsistency();

@@ -14,8 +14,8 @@
  * seeded from the plan. Hook sites draw in simulation order, so a
  * given (workload seed, plan spec) pair replays bit-identically. A
  * null injector pointer (no plan armed) costs one predictable branch
- * per hook; building with -DXMIG_FAULT=OFF compiles the hooks away
- * entirely (kFaultEnabled == false), for bit-identical binaries.
+ * per hook, and an unarmed run is bit-identical to one on a machine
+ * with no hooks at all.
  *
  * Scheduled rules latch into per-site "due" flags at tick(); the next
  * draw() for that site consumes the flag. Core events are drained by
@@ -40,19 +40,12 @@
 #include "fault/fault_plan.hpp"
 #include "util/rng.hpp"
 
-#ifndef XMIG_FAULT_ENABLED
-#define XMIG_FAULT_ENABLED 1
-#endif
-
 namespace xmig::obs {
 class Journal;
 class MetricsRegistry;
 } // namespace xmig::obs
 
 namespace xmig {
-
-/** True when the fault-injection hooks are compiled in. */
-inline constexpr bool kFaultEnabled = XMIG_FAULT_ENABLED != 0;
 
 /** Per-site injection counts. */
 struct FaultStats

@@ -109,8 +109,6 @@ listCorpusEntries(const std::string &dir)
 bool
 writeJournalFor(const FuzzCase &c, const std::string &path)
 {
-    if (!obs::kJournalCompiled)
-        return false;
     FaultPlan plan;
     std::string error;
     if (!FaultPlan::parse(c.plan, &plan, &error))
@@ -326,7 +324,7 @@ runSoak(const SoakConfig &config, const PropertyHarness &harness,
             render.minimized = f.minimized;
             render.failure = f.failure;
             writeFileOrDie(f.reproPath, renderRepro(render));
-            if (config.journal && obs::kJournalCompiled) {
+            if (config.journal) {
                 const std::string jpath = stem + ".journal.jsonl";
                 if (writeJournalFor(f.minimized, jpath))
                     f.journalPath = jpath;

@@ -62,8 +62,7 @@ struct SoakConfig
 
     /**
      * Attach an xmig-lens journal to a re-run of each minimized
-     * failure and write it next to the repro. No-op when the journal
-     * is compiled out (-DXMIG_JOURNAL=OFF).
+     * failure and write it next to the repro.
      */
     bool journal = true;
 };

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/logging.hpp"
 
@@ -41,11 +40,6 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
     }
 
     if (!config.faultPlan.empty()) {
-        if constexpr (!kFaultEnabled) {
-            XMIG_FATAL("a fault plan is armed but this build compiled "
-                       "the fault hooks out; rebuild with "
-                       "-DXMIG_FAULT=ON");
-        }
         if (config.numCores > 1) {
             injector_ = std::make_unique<FaultInjector>(
                 FaultPlan::parseOrFatal(config.faultPlan));
@@ -85,12 +79,10 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
 void
 MigrationMachine::access(const MemRef &ref)
 {
-    if constexpr (kFaultEnabled) {
-        if (injector_) {
-            injector_->tick();
-            if (injector_->coreEventsPending())
-                applyCoreEvents();
-        }
+    if (injector_) {
+        injector_->tick();
+        if (injector_->coreEventsPending())
+            applyCoreEvents();
     }
     ++stats_.refs;
     if (ref.isIfetch())
@@ -105,19 +97,17 @@ MigrationMachine::access(const MemRef &ref)
 void
 MigrationMachine::accessBatch(const MemRef *refs, size_t n)
 {
-    if constexpr (kFaultEnabled) {
-        if (injector_) {
-            // Injector ticks, fault draws, and core hot-(un)plug
-            // events are all defined per reference; replaying them at
-            // chunk granularity would change every draw after the
-            // first. Exact fallback.
-            for (size_t i = 0; i < n; ++i) {
-                // xmig-lint: allow(alloc-in-hot-loop) -- injector is
-                // per-reference; exact fallback, cold path.
-                access(refs[i]);
-            }
-            return;
+    if (injector_) {
+        // Injector ticks, fault draws, and core hot-(un)plug events
+        // are all defined per reference; replaying them at chunk
+        // granularity would change every draw after the first. Exact
+        // fallback.
+        for (size_t i = 0; i < n; ++i) {
+            // xmig-lint: allow(alloc-in-hot-loop) -- injector is
+            // per-reference; exact fallback, cold path.
+            access(refs[i]);
         }
+        return;
     }
     while (n > 0) {
         const size_t k = n < kBatchRefs ? n : kBatchRefs;
@@ -138,7 +128,7 @@ MigrationMachine::accessBatch(const MemRef *refs, size_t n)
 
         // Phase 2: the sparse post-L1 events, in reference order,
         // with the counters set to their exact scalar values first —
-        // processLine() stamps trace/journal events with stats_.refs.
+        // processLine() stamps journal events with stats_.refs.
         for (size_t e = 0; e < m; ++e) {
             stats_.refs = base_refs + ev_ref[e] + 1;
             stats_.instructions = base_instr + ev_instr[e];
@@ -191,9 +181,6 @@ MigrationMachine::applyCoreEvents()
                          obs::JournalCause::FaultForced,
                          static_cast<int64_t>(ev.core),
                          static_cast<int64_t>(lost));
-            XMIG_TRACE("fault", "core_off",
-                       {{"core", ev.core},
-                        {"live", controller_->liveCores()}});
         } else {
             controller_->setCoreOnline(ev.core);
             if (controller_->liveMask() == live_before)
@@ -204,9 +191,6 @@ MigrationMachine::applyCoreEvents()
             XMIG_JOURNAL(journal_, obs::JournalKind::CoreOn,
                          obs::JournalCause::FaultForced,
                          static_cast<int64_t>(ev.core));
-            XMIG_TRACE("fault", "core_on",
-                       {{"core", ev.core},
-                        {"live", controller_->liveCores()}});
         }
         if (activeCore_ != controller_->activeCore()) {
             // Forced migration: the active core was unplugged.
@@ -214,7 +198,6 @@ MigrationMachine::applyCoreEvents()
             interMigrationGap_.record(stats_.refs - lastMigrationRef_);
             lastMigrationRef_ = stats_.refs;
             activeCore_ = controller_->activeCore();
-            XMIG_TRACE_COUNTER("machine", "active_core", activeCore_);
         }
     }
 }
@@ -232,10 +215,8 @@ MigrationMachine::processLine(const LineEvent &event)
     if (event.l1Miss)
         ++stats_.l1Misses;
 
-    // The trace timeline advances in post-L1 references: every event
-    // recorded below lands at this logical instant. The journal runs
-    // on the same clock so report timelines and traces line up.
-    XMIG_TRACE_CLOCK(stats_.refs);
+    // The journal timeline advances in post-L1 references: every
+    // event recorded below lands at this logical instant.
     XMIG_JOURNAL_CLOCK(journal_, stats_.refs);
 
     CacheEntry *probe = nullptr;
@@ -254,7 +235,6 @@ MigrationMachine::processLine(const LineEvent &event)
             ++stats_.migrations;
             interMigrationGap_.record(stats_.refs - lastMigrationRef_);
             lastMigrationRef_ = stats_.refs;
-            XMIG_TRACE_COUNTER("machine", "active_core", target);
             activeCore_ = target;
             probe = nullptr; // probe was on the previous active core
             probed = false;
@@ -272,12 +252,10 @@ MigrationMachine::processLine(const LineEvent &event)
     if (is_store)
         broadcastStore(event.line);
 
-    if constexpr (kFaultEnabled) {
-        // Dropped update-bus broadcasts leave stale modified bits
-        // behind; a periodic scrubber repairs them (self-healing).
-        if (busFaulty_ && ++scrubTick_ % 4096 == 0)
-            scrubCoherence();
-    }
+    // Dropped update-bus broadcasts leave stale modified bits behind;
+    // a periodic scrubber repairs them (self-healing).
+    if (busFaulty_ && ++scrubTick_ % 4096 == 0)
+        scrubCoherence();
 
     if constexpr (kAuditParanoid) {
         // Whole-machine coherence sweep (section 2.1's single-
@@ -348,9 +326,6 @@ MigrationMachine::scrubCoherence()
                                           repairs_before),
                      static_cast<int64_t>(scrubTick_));
     }
-    if (stats_.coherenceRepairs > 0)
-        XMIG_TRACE_COUNTER("fault", "coherence_repairs",
-                           stats_.coherenceRepairs);
 }
 
 void
@@ -475,13 +450,11 @@ MigrationMachine::broadcastStore(uint64_t line)
                activeCore_,
                (unsigned long long)(controller_ ? controller_->liveMask()
                                                 : 0));
-    if constexpr (kFaultEnabled) {
-        // A dropped broadcast loses the whole update: inactive copies
-        // keep both their stale value and their stale modified bit.
-        if (busFaulty_ && injector_->draw(FaultSite::BusDrop)) {
-            ++stats_.busDrops;
-            return;
-        }
+    // A dropped broadcast loses the whole update: inactive copies keep
+    // both their stale value and their stale modified bit.
+    if (busFaulty_ && injector_->draw(FaultSite::BusDrop)) {
+        ++stats_.busDrops;
+        return;
     }
     // Update bus: the store value reaches every inactive copy, whose
     // modified bit is reset so that at most the active core's copy is

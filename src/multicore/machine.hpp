@@ -91,9 +91,8 @@ struct MachineConfig
     /**
      * xmig-iron fault plan (fault_plan.hpp grammar); empty = no
      * faults. Parsed at construction; a multi-core machine then owns
-     * a FaultInjector shared with its controller and engines. A
-     * non-empty plan on a -DXMIG_FAULT=OFF build is a fatal error;
-     * on a single-core machine it is ignored with a warning.
+     * a FaultInjector shared with its controller and engines. On a
+     * single-core machine a plan is ignored with a warning.
      */
     std::string faultPlan;
 
@@ -197,7 +196,7 @@ class MigrationMachine : public RefSink, private LineSink
      * filters through the L1 level in one tight devirtualized loop,
      * then the (sparse) post-L1 events are processed in order with
      * stats_.refs / stats_.instructions set to their exact scalar
-     * values before every event, so trace and journal clocks cannot
+     * values before every event, so the journal clock cannot
      * tell the difference (docs/parallelism.md, "batching"). An armed
      * fault plan falls back to per-reference processing — injector
      * ticks are defined per reference.
@@ -269,9 +268,9 @@ class MigrationMachine : public RefSink, private LineSink
      * Attach the xmig-lens journal (non-owning; may be null) to this
      * machine and everything below it (controller, splitter engines,
      * watchdog, fault injector). The machine drives the journal clock
-     * in post-L1 references — the same timeline XMIG_TRACE uses — and
-     * records the machine-level events (migrations with distance,
-     * core churn, coherence scrubs).
+     * in post-L1 references — the timeline of both --journal-out and
+     * --trace-out — and records the machine-level events (migrations
+     * with distance, core churn, coherence scrubs).
      */
     void attachJournal(obs::Journal *journal);
 

@@ -58,6 +58,26 @@ registerJournal(Journal *journal)
     registry.journals.push_back(journal);
 }
 
+/** Write `text` to `path`, warning (as `what` output) on failure. */
+bool
+writeText(const std::string &path, const std::string &text,
+          const char *what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        XMIG_WARN("cannot open %s output %s", what, path.c_str());
+        return false;
+    }
+    const size_t written =
+        std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+    if (written != text.size()) {
+        XMIG_WARN("short write on %s output %s", what, path.c_str());
+        return false;
+    }
+    return true;
+}
+
 void
 unregisterJournal(Journal *journal)
 {
@@ -329,16 +349,7 @@ Journal::dumpNow(const char *reason) const
     text += "{\"incident\":\"";
     text += jsonEscape(reason != nullptr ? reason : "unknown");
     text += "\"}\n";
-    std::FILE *f = std::fopen(dumpPath_.c_str(), "w");
-    if (f == nullptr) {
-        XMIG_WARN("journal dump failed: cannot open %s",
-                  dumpPath_.c_str());
-        return false;
-    }
-    const size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return written == text.size();
+    return writeText(dumpPath_, text, "journal dump");
 }
 
 std::string
@@ -379,20 +390,82 @@ Journal::renderJsonl() const
 bool
 Journal::writeJsonl(const std::string &path) const
 {
-    const std::string text = renderJsonl();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        XMIG_WARN("cannot open journal output %s", path.c_str());
-        return false;
+    return writeText(path, renderJsonl(), "journal");
+}
+
+std::string
+Journal::renderChromeTrace() const
+{
+    std::string out;
+    out.reserve(256 + size() * 160);
+    // pid 0 is the simulated timeline; ts counts post-L1 references.
+    out += "{\"traceEvents\":[\n"
+           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
+           "\"tid\":0,\"args\":{\"name\":\"simulated time "
+           "(references)\"}}";
+    int64_t repairs = 0;
+    for (size_t i = 0; i < size(); ++i) {
+        const JournalEvent &event = eventAt(i);
+        const std::string ts = jsonNumber(static_cast<double>(event.time));
+        out += ",\n{\"name\":\"";
+        out += journalKindName(event.kind);
+        out += "\",\"cat\":\"";
+        out += journalCauseName(event.cause);
+        out += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
+        out += ts;
+        out += ",\"pid\":0,\"tid\":0";
+        const char *const *names = journalArgNames(event.kind);
+        if (names[0] != nullptr) {
+            out += ",\"args\":{";
+            for (size_t a = 0; a < 5 && names[a] != nullptr; ++a) {
+                out += a == 0 ? "\"" : ",\"";
+                out += names[a];
+                out += "\":";
+                out += jsonNumber(static_cast<double>(event.arg[a]));
+            }
+            out += "}";
+        }
+        out += "}";
+
+        // Counter tracks derived from the instants: the active core
+        // after each (forced) migration — arg 1 is "to" for both —
+        // and the running total of scrub repairs.
+        const char *counter = nullptr;
+        int64_t value = 0;
+        if (event.kind == JournalKind::Migration ||
+            event.kind == JournalKind::ForcedMigration) {
+            counter = "active_core";
+            value = event.arg[1];
+        } else if (event.kind == JournalKind::CoherenceScrub) {
+            repairs += event.arg[0];
+            counter = "coherence_repairs";
+            value = repairs;
+        }
+        if (counter != nullptr) {
+            out += ",\n{\"name\":\"";
+            out += counter;
+            out += "\",\"cat\":\"machine\",\"ph\":\"C\",\"ts\":";
+            out += ts;
+            out += ",\"pid\":0,\"tid\":0,\"args\":{\"value\":";
+            out += jsonNumber(static_cast<double>(value));
+            out += "}}";
+        }
     }
-    const size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    if (written != text.size()) {
-        XMIG_WARN("short write on journal output %s", path.c_str());
-        return false;
-    }
-    return true;
+    out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
+           "\"tool\":\"xmig-lens\",\"capacity\":";
+    out += jsonNumber(static_cast<double>(capacity_));
+    out += ",\"recorded\":";
+    out += jsonNumber(static_cast<double>(recorded_));
+    out += ",\"dropped\":";
+    out += jsonNumber(static_cast<double>(dropped()));
+    out += "}}\n";
+    return out;
+}
+
+bool
+Journal::writeChromeTrace(const std::string &path) const
+{
+    return writeText(path, renderChromeTrace(), "trace");
 }
 
 } // namespace xmig::obs

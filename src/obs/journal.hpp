@@ -7,19 +7,18 @@
  * decision time, split and re-split transitions, fault injections,
  * watchdog vetoes and reinits, checkpoint/restore, coherence scrubs —
  * into a compact bounded ring of fixed-size binary records stamped
- * with *simulated* time (post-L1 references, the same clock as
- * XMIG_TRACE_CLOCK). Because the journal is owned by one machine and
- * written only from that machine's sweep cell, its JSONL export is a
- * pure function of (seed, config, fault plan): byte-identical at any
- * `--jobs`, unlike the process-global Tracer (which forces jobs 1).
+ * with *simulated* time (post-L1 references). Because the journal is
+ * owned by one machine and written only from that machine's sweep
+ * cell, its exports are a pure function of (seed, config, fault
+ * plan): byte-identical at any `--jobs`. It is the only event stream:
+ * `--journal-out` writes it as JSONL and `--trace-out` renders the
+ * same events as a Chrome trace_event document (renderChromeTrace).
  *
  * Cost model: every emission site is wrapped in the XMIG_JOURNAL
  * macro, which tests one pointer before doing any work — an
  * unjournaled machine pays a predictable null-check branch on the
- * (already rare) event paths and nothing per reference. Building with
- * -DXMIG_JOURNAL=OFF compiles the macros away entirely (arguments are
- * parsed but never evaluated, like the disabled XMIG_TRACE macros).
- * The `journal-in-hot-loop` xmig_lint rule statically enforces that
+ * (already rare) event paths and skips evaluating the arguments. The
+ * `journal-in-hot-loop` xmig_lint rule statically enforces that
  * simulation code never calls the Journal directly.
  *
  * Post-mortem: journals with a dump path registered (see setDumpPath)
@@ -39,14 +38,7 @@
 #include <string>
 #include <vector>
 
-#ifndef XMIG_JOURNAL_ENABLED
-#define XMIG_JOURNAL_ENABLED 1
-#endif
-
 namespace xmig::obs {
-
-/** True when the XMIG_JOURNAL macros are compiled in. */
-inline constexpr bool kJournalCompiled = XMIG_JOURNAL_ENABLED != 0;
 
 /** What happened. One enumerator per decision-relevant event. */
 enum class JournalKind : uint8_t {
@@ -171,6 +163,20 @@ class Journal
     /** Write renderJsonl() to `path`; false on I/O failure. */
     bool writeJsonl(const std::string &path) const;
 
+    /**
+     * Render the retained events as one Chrome trace_event document
+     * (chrome://tracing, ui.perfetto.dev) on the simulated-time axis:
+     * one instant per event (name = kind, cat = cause, args named by
+     * journalArgNames), an `active_core` counter sample after every
+     * migration / forced_migration, and a `coherence_repairs` counter
+     * (cumulative over the retained scrubs) after every
+     * coherence_scrub. recorded/dropped land in otherData.
+     */
+    std::string renderChromeTrace() const;
+
+    /** Write renderChromeTrace() to `path`; false on I/O failure. */
+    bool writeChromeTrace(const std::string &path) const;
+
   private:
     size_t capacity_;
     std::vector<JournalEvent> ring_;
@@ -179,20 +185,7 @@ class Journal
     std::string dumpPath_;
 };
 
-namespace detail {
-
-/** Parse-only sink for compiled-out journal macros. */
-template <typename... Args>
-inline void
-journalNoop(const Journal *, JournalKind, JournalCause, Args...)
-{
-}
-
-} // namespace detail
-
 } // namespace xmig::obs
-
-#if XMIG_JOURNAL_ENABLED
 
 /**
  * Record a causal event on a (possibly null) Journal pointer:
@@ -219,30 +212,3 @@ journalNoop(const Journal *, JournalKind, JournalCause, Args...)
         if (::xmig::obs::Journal *xj_lens_ = (journal_ptr)) \
             xj_lens_->dumpNow(reason); \
     } while (0)
-
-#else // !XMIG_JOURNAL_ENABLED
-
-#define XMIG_JOURNAL(journal_ptr, ...) \
-    do { \
-        if (false) \
-            ::xmig::obs::detail::journalNoop((journal_ptr), \
-                                             __VA_ARGS__); \
-    } while (0)
-
-#define XMIG_JOURNAL_CLOCK(journal_ptr, t) \
-    do { \
-        if (false) { \
-            (void)(journal_ptr); \
-            (void)static_cast<uint64_t>(t); \
-        } \
-    } while (0)
-
-#define XMIG_JOURNAL_INCIDENT(journal_ptr, reason) \
-    do { \
-        if (false) { \
-            (void)(journal_ptr); \
-            (void)(reason); \
-        } \
-    } while (0)
-
-#endif // XMIG_JOURNAL_ENABLED

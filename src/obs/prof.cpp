@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace xmig::obs {
@@ -11,14 +10,6 @@ namespace {
 
 /** Innermost live scope (single-threaded simulator). */
 thread_local ProfScope *gCurrentScope = nullptr;
-
-/** Wall-clock origin so trace "X" events start near ts = 0. */
-std::chrono::steady_clock::time_point
-profEpoch()
-{
-    static const auto epoch = std::chrono::steady_clock::now();
-    return epoch;
-}
 
 std::string
 msString(uint64_t ns)
@@ -97,7 +88,6 @@ ProfScope::ProfScope(const char *name)
       start_(std::chrono::steady_clock::now()),
       parent_(gCurrentScope)
 {
-    profEpoch(); // pin the epoch before the first scope ends
     gCurrentScope = this;
 }
 
@@ -112,15 +102,6 @@ ProfScope::~ProfScope()
     if (parent_)
         parent_->childNs_ += elapsed;
     gCurrentScope = parent_;
-
-    Tracer &tr = tracer();
-    if (tr.enabled()) {
-        const uint64_t ts_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                start_ - profEpoch())
-                .count());
-        tr.completeWall(name_, ts_us, elapsed / 1000);
-    }
 }
 
 } // namespace xmig::obs

@@ -7,10 +7,9 @@
  * both *total* time (inclusive of nested scopes) and *self* time
  * (exclusive). Scopes are meant for phase granularity — a benchmark,
  * a warm-up, an export pass — not per-reference paths; each scope
- * costs two steady_clock reads. When a trace session is active the
- * scope additionally lands as a Chrome "X" (complete) event on the
- * wall-clock pid of the trace, so Perfetto shows simulated events and
- * host time side by side.
+ * costs two steady_clock reads. Host time stays out of the event
+ * journal and its Chrome rendering, which are pure functions of the
+ * simulated run; ProfileRegistry::report() prints the phase table.
  */
 
 #pragma once

@@ -4,10 +4,8 @@
 
 #include "multicore/machine.hpp"
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
 #include "sim/options.hpp"
 #include "util/contracts.hpp"
-#include "util/logging.hpp"
 
 namespace xmig {
 
@@ -41,39 +39,17 @@ RunObservatory::RunObservatory(const ObserveOptions &options)
     : options_(options),
       sampler_(samplerConfigOf(options))
 {
-    if (!options_.traceOut.empty()) {
-        if (obs::kTraceCompiled) {
-            obs::tracer().start(options_.traceOut);
-            tracing_ = true;
-        } else {
-            XMIG_WARN("trace output %s requested but XMIG_TRACE was "
-                      "compiled out (-DXMIG_TRACE=OFF)",
-                      options_.traceOut.c_str());
-        }
-    }
-    if (!options_.journalOut.empty()) {
-        if (obs::kJournalCompiled) {
-            journal_ =
-                std::make_unique<obs::Journal>(options_.journalCapacity);
-            // Arm incident dumps at the same path: a panic or watchdog
-            // fire flushes the causal history even if finish() never
-            // runs.
+    if (!options_.journalOut.empty() || !options_.traceOut.empty()) {
+        journal_ =
+            std::make_unique<obs::Journal>(options_.journalCapacity);
+        // Arm incident dumps at the JSONL path: a panic or watchdog
+        // fire flushes the causal history even if finish() never runs.
+        if (!options_.journalOut.empty())
             journal_->setDumpPath(options_.journalOut);
-        } else {
-            XMIG_WARN("journal output %s requested but XMIG_JOURNAL "
-                      "was compiled out (-DXMIG_JOURNAL=OFF)",
-                      options_.journalOut.c_str());
-        }
     }
 }
 
-RunObservatory::~RunObservatory()
-{
-    // finish() normally ran already (while the machines were alive);
-    // this only closes a trace session left open by an early exit.
-    if (tracing_ && !finished_)
-        obs::tracer().stop();
-}
+RunObservatory::~RunObservatory() = default;
 
 void
 RunObservatory::attachMachine(MigrationMachine &machine,
@@ -161,10 +137,10 @@ RunObservatory::finish()
         registry_.writeJsonl(options_.metricsOut);
     if (sampling_ && !options_.samplesOut.empty())
         sampler_.writeCsv(options_.samplesOut);
-    if (journal_)
+    if (!options_.journalOut.empty())
         journal_->writeJsonl(options_.journalOut);
-    if (tracing_)
-        obs::tracer().stop();
+    if (!options_.traceOut.empty())
+        journal_->writeChromeTrace(options_.traceOut);
 }
 
 } // namespace xmig

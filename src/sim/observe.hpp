@@ -10,12 +10,10 @@
  *  - a TimeSeriesSampler probing the affinity state (A_R, Delta,
  *    filter value), event rates and per-core L2 occupancies every
  *    `sampleEvery` references (exported as CSV);
- *  - the process-wide Tracer, started/stopped around the run so
- *    XMIG_TRACE sites (migrations, affinity-cache evictions, shadow
- *    disarms) land in a Chrome trace_event file;
  *  - an xmig-lens event Journal (obs/journal.hpp), attached to the
- *    sampled machine and exported as JSONL at the end. Unlike the
- *    Tracer, the journal is per-machine state, so --journal-out works
+ *    sampled machine and exported at the end as JSONL (--journal-out)
+ *    and/or as a Chrome trace_event document (--trace-out). The
+ *    journal is per-machine state, so both files are byte-identical
  *    at any --jobs value (docs/observability.md, "Journal").
  *
  * Lifetime rule (see obs/registry.hpp): registered pointers reach
@@ -78,8 +76,6 @@ class RunObservatory
 {
   public:
     explicit RunObservatory(const ObserveOptions &options);
-
-    /** Stops a still-running trace session (safety net). */
     ~RunObservatory();
 
     RunObservatory(const RunObservatory &) = delete;
@@ -91,7 +87,8 @@ class RunObservatory
      * install the standard time-series columns — A_R, Delta, filter
      * value, active core, per-interval event rates, and per-core L2
      * occupancies plus their spread — and attach the event journal
-     * (when --journal-out asked for one) to the machine.
+     * (when --journal-out or --trace-out asked for one) to the
+     * machine.
      */
     void attachMachine(MigrationMachine &machine,
                        const std::string &prefix, bool sampled);
@@ -114,8 +111,8 @@ class RunObservatory
 
     /**
      * Export everything that was requested: JSONL metrics, CSV time
-     * series, and the trace file. Must run while every attached
-     * machine is still alive. Idempotent.
+     * series, and the journal as JSONL and/or Chrome trace. Must run
+     * while every attached machine is still alive. Idempotent.
      */
     void finish();
 
@@ -123,7 +120,8 @@ class RunObservatory
     obs::TimeSeriesSampler &sampler() { return sampler_; }
     const ObserveOptions &options() const { return options_; }
 
-    /** The event journal (null unless --journal-out requested one). */
+    /** The event journal (null unless --journal-out or --trace-out
+     *  requested one). */
     obs::Journal *journal() { return journal_.get(); }
 
     /**
@@ -134,21 +132,12 @@ class RunObservatory
      */
     bool samplingActive() const { return sampling_; }
 
-    /**
-     * Whether the process-wide tracer is recording. Trace *clocks*
-     * are batch-exact (machines stamp events with stats_.refs), but
-     * the file-order interleave of two machines' events is not, so
-     * the batched feed stands down to keep trace files byte-stable.
-     */
-    bool tracingActive() const { return tracing_; }
-
   private:
     ObserveOptions options_;
     obs::MetricsRegistry registry_;
     obs::TimeSeriesSampler sampler_;
     std::unique_ptr<obs::Journal> journal_;
     bool sampling_ = false;
-    bool tracing_ = false;
     bool finished_ = false;
 };
 

@@ -25,9 +25,11 @@
  * first selected benchmark — see sim/observe.hpp):
  *   --metrics-out F   dump the metrics registry as JSONL to F
  *   --samples-out F   dump the time-series sampler as CSV to F
- *   --trace-out F     write a Chrome trace_event JSON file to F
+ *   --trace-out F     render the xmig-lens event journal as a Chrome
+ *                     trace_event JSON file to F
  *   --journal-out F   dump the xmig-lens event journal as JSONL to F
- *                     (per-machine state: works at any --jobs)
+ *                     (both are per-machine state: byte-identical at
+ *                     any --jobs)
  *   --sample-every N  references between time-series samples
  *
  * Numeric values are validated strictly (xmig-iron): empty, signed,
@@ -68,10 +70,7 @@ struct BenchOptions
 
     /**
      * Sweep workers (xmig-swift). 0 = auto: one per host core
-     * (JobPool::defaultJobs()), forced to 1 when --trace-out is set
-     * because the Tracer session is per-process. An *explicit*
-     * --jobs > 1 combined with --trace-out is a fatal error rather
-     * than a silent serialization.
+     * (JobPool::defaultJobs()).
      */
     unsigned jobs = 0;
 
@@ -129,11 +128,8 @@ struct BenchOptions
     {
         BenchOptions opt;
         double scale = 1.0;
-        bool jobs_explicit = false;
-        if (const char *env = std::getenv("XMIG_JOBS")) {
+        if (const char *env = std::getenv("XMIG_JOBS"))
             opt.jobs = parseJobs("XMIG_JOBS", env);
-            jobs_explicit = true;
-        }
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             auto next = [&]() -> const char * {
@@ -175,24 +171,13 @@ struct BenchOptions
                 // Validate eagerly so a typo dies at the command
                 // line, not after minutes of warm-up.
                 FaultPlan::parseOrFatal(opt.faultPlan);
-            } else if (arg == "--jobs") {
+            } else if (arg == "--jobs")
                 opt.jobs = parseJobs("--jobs", next());
-                jobs_explicit = true;
-            } else if (arg == "--smoke")
+            else if (arg == "--smoke")
                 opt.smoke = true;
         }
         opt.instructions = static_cast<uint64_t>(
             static_cast<double>(opt.instructions) * scale);
-        if (!opt.traceOut.empty() && opt.jobs != 1) {
-            // The Tracer is a per-process singleton: two concurrent
-            // cells would interleave one trace session. An explicit
-            // request for both is a contradiction; the auto default
-            // just degrades to the serial path.
-            if (jobs_explicit)
-                XMIG_FATAL("--trace-out requires --jobs 1 (the trace "
-                           "session is per-process)");
-            opt.jobs = 1;
-        }
         return opt;
     }
 };

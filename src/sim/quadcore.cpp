@@ -14,7 +14,7 @@ namespace {
  * time, so the reset lands at the exact reference that retires the
  * budget; after it, references are buffered and driven through
  * accessBatch() in K-reference chunks. The caller passes an
- * observatory only while it samples or traces; then every reference
+ * observatory only while it samples; then every reference
  * stays on the per-reference branch and ticks the sampling clock.
  * The caller must flush() after the workload ends.
  */
@@ -79,7 +79,7 @@ class BatchFeedTee final : public RefSink
     uint64_t warmup_;
     uint64_t instructions_ = 0;
     bool done_;
-    bool perRef_; ///< warm-up still running, or observatory recording
+    bool perRef_; ///< warm-up still running, or observatory sampling
     MemRef buf_[MigrationMachine::kBatchRefs];
     size_t count_ = 0;
 };
@@ -115,14 +115,13 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
         XMIG_PROF_SCOPE("feed");
         const uint64_t total = params.warmupInstructions +
                                params.instructionsPerBenchmark;
-        // Sampling cadence and trace interleave are defined over
-        // single references, so the tee stays per-reference while
-        // either is recording (observe.hpp).
-        const bool recording =
-            observatory && (observatory->samplingActive() ||
-                            observatory->tracingActive());
+        // The sampling cadence is defined over single references, so
+        // the tee stays per-reference while sampling (observe.hpp).
+        // The journal is batch-exact: accessBatch() stamps every
+        // event with its exact reference count.
+        const bool sampling = observatory && observatory->samplingActive();
         BatchFeedTee tee(baseline, migration, params.warmupInstructions,
-                         recording ? observatory : nullptr);
+                         sampling ? observatory : nullptr);
         workload->run(tee, total, params.seed);
         tee.flush();
     }

@@ -86,9 +86,9 @@ struct QuadcoreParams
  * both machines — the baseline under `baseline.*`, the migration
  * machine under `machine.*` (also time-series sampled) — and
  * finish()ed before the machines are destroyed. While it samples time
- * series or traces, the whole run is fed one reference at a time,
- * because those artifacts are defined per reference; the results are
- * identical either way.
+ * series, the whole run is fed one reference at a time, because the
+ * sampling cadence is defined per reference; the results (journal and
+ * trace included) are identical either way.
  */
 QuadcoreRow runQuadcore(const std::string &benchmark,
                         const QuadcoreParams &params,

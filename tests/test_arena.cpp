@@ -240,8 +240,6 @@ TEST(Arena, MetricsRegistryExportsTenantsAndClusters)
 
 TEST(Arena, JournalRecordsTenantLifecycle)
 {
-    if (!obs::kJournalCompiled)
-        GTEST_SKIP() << "journal compiled out (-DXMIG_JOURNAL=OFF)";
     obs::Journal journal;
     TenantArena arena(figureConfig(ArenaMode::Throughput,
                                    L3Policy::Unpartitioned,

@@ -21,8 +21,6 @@
 #include "core/engine.hpp"
 #include "core/oe_store.hpp"
 #include "core/soa_oe_store.hpp"
-#include "fault/fault_injector.hpp"
-#include "obs/journal.hpp"
 #include "sim/observe.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
@@ -124,8 +122,6 @@ TEST(BatchDeterminism, WarmupResetLandsMidChunkExactly)
 
 TEST(BatchDeterminism, ArmedFaultPlanAgreesBatchedAndPerRef)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     // Injector ticks are per-reference, so the fault-armed machine
     // falls back to the scalar path internally — both feeds must
     // still see the identical fault timeline.
@@ -138,22 +134,28 @@ TEST(BatchDeterminism, ArmedFaultPlanAgreesBatchedAndPerRef)
 
 TEST(BatchDeterminism, JournalJsonlBytesAgreeBatchedAndPerRef)
 {
-    if (!obs::kJournalCompiled)
-        GTEST_SKIP() << "journal compiled out";
-    std::string jsonl[2];
+    // The Chrome trace is rendered from the same journal, so it must
+    // agree byte for byte too.
+    std::string jsonl[2], trace[2];
     for (int m = 0; m < 2; ++m) {
         ObserveOptions oo = m == 0 ? perRefOptions("journal")
                                    : ObserveOptions{};
-        oo.journalOut = testing::TempDir() + "xmig_batch_journal_" +
-                        std::to_string(m) + ".jsonl";
+        const std::string stem = testing::TempDir() +
+                                 "xmig_batch_journal_" +
+                                 std::to_string(m);
+        oo.journalOut = stem + ".jsonl";
+        oo.traceOut = stem + ".json";
         RunObservatory observatory(oo);
         QuadcoreParams p;
         p.instructionsPerBenchmark = 120'000;
         runQuadcore("storm.thrash", p, &observatory);
         jsonl[m] = slurp(oo.journalOut);
+        trace[m] = slurp(oo.traceOut);
     }
     ASSERT_FALSE(jsonl[0].empty());
     EXPECT_EQ(jsonl[0], jsonl[1]) << "batched journal diverged";
+    ASSERT_FALSE(trace[0].empty());
+    EXPECT_EQ(trace[0], trace[1]) << "batched trace diverged";
 }
 
 TEST(BatchDeterminism, SweepTextIdenticalAcrossJobsBatchedAndPerRef)

@@ -12,7 +12,6 @@
 
 #include "core/engine.hpp"
 #include "core/shadow_audit.hpp"
-#include "fault/fault_injector.hpp"
 #include "core/migration_controller.hpp"
 #include "mem/ref.hpp"
 #include "multicore/machine.hpp"
@@ -286,8 +285,6 @@ TEST(MachineCheckpoint, RestoreIntoDegradedLiveMask)
     // The fuzz harness's checkpoint oracle in miniature, pinned to
     // the nastiest spot: the checkpoint lands while a core is
     // unplugged, and the restored machines later accept its rejoin.
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     cfg.faultPlan = "seed=4;at=60000:core_off=1";

@@ -44,8 +44,6 @@ feedMachine(MigrationMachine &machine, uint64_t refs, uint64_t lines,
 
 TEST(FaultInjector, ScheduledFlipFiresExactlyOnce)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     FaultInjector fi(plan("at=3:flip=ae"));
     EXPECT_TRUE(fi.armedFor(FaultSite::Ae));
     EXPECT_FALSE(fi.armedFor(FaultSite::Delta));
@@ -66,8 +64,6 @@ TEST(FaultInjector, ScheduledFlipFiresExactlyOnce)
 
 TEST(FaultInjector, RateRuleIsSeededAndReplayable)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     const FaultPlan p = plan("seed=11;rate=0.01:mig_drop");
     FaultInjector a(p), b(p);
     uint64_t fired = 0;
@@ -97,8 +93,6 @@ TEST(FaultInjector, RateRuleIsSeededAndReplayable)
 
 TEST(FaultInjector, FlipBitFlipsExactlyOneBitInWidth)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     FaultInjector fi(plan("seed=4;rate=1:flip=ae"));
     for (unsigned bits : {8u, 16u, 17u, 32u}) {
         for (int trial = 0; trial < 200; ++trial) {
@@ -122,8 +116,6 @@ TEST(FaultInjector, FlipBitFlipsExactlyOneBitInWidth)
 
 TEST(FaultInjector, CoreEventsDrainInFiringOrder)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     FaultInjector fi(plan("at=5:core_on=1;at=2:core_off=1"));
     EXPECT_TRUE(fi.armedForCoreEvents());
     std::vector<CoreFaultEvent> events;
@@ -140,8 +132,6 @@ TEST(FaultInjector, CoreEventsDrainInFiringOrder)
 
 TEST(FaultInjector, MigrationDelayIsReported)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     FaultInjector fi(plan("rate=1:mig_delay=17"));
     fi.tick();
     ASSERT_TRUE(fi.draw(FaultSite::MigDelay));
@@ -150,8 +140,6 @@ TEST(FaultInjector, MigrationDelayIsReported)
 
 TEST(EngineFaults, SoftErrorsLandAndDisarmTheShadow)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     FaultInjector fi(plan("seed=2;rate=0.001:flip=delta;"
                           "rate=0.001:flip=ar"));
     EngineConfig ec;
@@ -175,8 +163,6 @@ TEST(EngineFaults, SoftErrorsLandAndDisarmTheShadow)
 
 TEST(MachineFaults, BusDropsAreCountedAndScrubbed)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     cfg.faultPlan = "seed=5;rate=0.02:bus_drop";
@@ -194,8 +180,6 @@ TEST(MachineFaults, BusDropsAreCountedAndScrubbed)
 
 TEST(MachineFaults, SingleCoreIgnoresThePlan)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 1;
     cfg.faultPlan = "rate=0.1:bus_drop";
@@ -207,8 +191,6 @@ TEST(MachineFaults, SingleCoreIgnoresThePlan)
 
 TEST(MachineFaults, InertAndZeroRatePlansPreserveDeterminism)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig clean;
     clean.numCores = 4;
     MigrationMachine a(clean);

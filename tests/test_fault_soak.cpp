@@ -52,8 +52,6 @@ soak(MigrationMachine &machine, uint64_t iterations)
 
 TEST(FaultSoak, DensePlanOverAMillionReferences)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     cfg.faultPlan = kDensePlan;
@@ -93,8 +91,6 @@ TEST(FaultSoak, DensePlanOverAMillionReferences)
 
 TEST(FaultSoak, SamePlanReplaysBitIdentically)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     cfg.faultPlan = kDensePlan;
@@ -117,8 +113,6 @@ TEST(FaultSoak, SamePlanReplaysBitIdentically)
 
 TEST(FaultSoak, InjectedCorruptionDisarmsTheShadowInsteadOfPanicking)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     // Unbounded store + shadow armed: without the injected-fault

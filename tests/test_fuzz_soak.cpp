@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/soak.hpp"
-#include "obs/journal.hpp"
 #include "sim/runner/job_pool.hpp"
 
 namespace xmig {
@@ -176,15 +175,11 @@ TEST(Soak, FailuresArriveMinimizedWithJournalAndReplay)
     EXPECT_NE(repro.find(f.minimized.plan), std::string::npos);
     EXPECT_NE(repro.find("--replay"), std::string::npos);
 
-    // The journal ships next to the repro when compiled in.
-    if (obs::kJournalCompiled) {
-        ASSERT_FALSE(f.journalPath.empty());
-        const std::string journal = slurp(f.journalPath);
-        EXPECT_FALSE(journal.empty());
-        EXPECT_EQ(journal[0], '{');
-    } else {
-        EXPECT_TRUE(f.journalPath.empty());
-    }
+    // The journal ships next to the repro.
+    ASSERT_FALSE(f.journalPath.empty());
+    const std::string journal = slurp(f.journalPath);
+    EXPECT_FALSE(journal.empty());
+    EXPECT_EQ(journal[0], '{');
 
     // And the minimized case replays to the same oracle verdict.
     const CaseResult replay = harness.run(f.minimized);

@@ -110,6 +110,13 @@ TEST(UnorderedOutput, FlagsRangeForInOutputTu)
                             "void save() { std::ofstream out(\"x\"); }\n";
     EXPECT_EQ(rulesIn("src/obs/export.cpp", src),
               std::vector<std::string>{"unordered-output"});
+    // Journal sites feed the JSONL and Chrome trace exports, so an
+    // XMIG_JOURNAL TU writes output too.
+    const std::string journaled =
+        std::string(kUnorderedLoop) +
+        "void note() { XMIG_JOURNAL(journal_, kind, cause, 1); }\n";
+    EXPECT_EQ(rulesIn("src/sim/scrub.cpp", journaled),
+              std::vector<std::string>{"unordered-output"});
 }
 
 TEST(UnorderedOutput, SilentWithoutOutputMarkers)

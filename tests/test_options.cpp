@@ -75,17 +75,16 @@ TEST(BenchOptions, JobsFromEnvironment)
     unsetenv("XMIG_JOBS");
 }
 
-TEST(BenchOptions, TraceOutDegradesAutoJobsToSerial)
+TEST(BenchOptions, TraceOutKeepsRequestedJobs)
 {
     unsetenv("XMIG_JOBS");
-    // No explicit --jobs: the auto default quietly serializes, since
-    // the Tracer session is per-process.
-    const BenchOptions opt = parse({"--trace-out", "/tmp/t.json"});
-    EXPECT_EQ(opt.jobs, 1u);
-    // An explicit --jobs 1 is compatible, not a contradiction.
-    const BenchOptions serial =
-        parse({"--trace-out", "/tmp/t.json", "--jobs", "1"});
-    EXPECT_EQ(serial.jobs, 1u);
+    // The trace is rendered from the per-machine journal, so it places
+    // no constraint on the sweep width: auto stays auto, 4 stays 4.
+    EXPECT_EQ(parse({"--trace-out", "/tmp/t.json"}).jobs, 0u);
+    const BenchOptions opt =
+        parse({"--trace-out", "/tmp/t.json", "--jobs", "4"});
+    EXPECT_EQ(opt.traceOut, "/tmp/t.json");
+    EXPECT_EQ(opt.jobs, 4u);
 }
 
 // XMIG_FATAL exits with status 1; each bad value must die with a
@@ -155,16 +154,6 @@ TEST(BenchOptionsDeathTest, RejectsBadJobsEnvironment)
     setenv("XMIG_JOBS", "zero", 1);
     EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(1), "XMIG_JOBS");
     unsetenv("XMIG_JOBS");
-}
-
-// Explicitly asking for a parallel sweep *and* a per-process trace
-// session is a contradiction, not something to silently serialize.
-TEST(BenchOptionsDeathTest, RejectsExplicitJobsWithTraceOut)
-{
-    unsetenv("XMIG_JOBS");
-    EXPECT_EXIT(
-        parse({"--trace-out", "/tmp/t.json", "--jobs", "4"}),
-        ::testing::ExitedWithCode(1), "--trace-out requires --jobs 1");
 }
 
 TEST(QuadcoreWarmup, ExcludesWarmupEvents)

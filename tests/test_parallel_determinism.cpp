@@ -15,9 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/fault_injector.hpp"
-#include "obs/journal.hpp"
-
 namespace xmig {
 namespace {
 
@@ -66,8 +63,6 @@ TEST(ParallelDeterminism, Table2SmokeIsByteIdenticalAcrossJobs)
 
 TEST(ParallelDeterminism, Table2SmokeWithFaultPlanIsByteIdentical)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     // Per-cell machines own their fault RNGs, so an armed plan must
     // not break the byte-identity contract either.
     const std::string plan =
@@ -78,36 +73,51 @@ TEST(ParallelDeterminism, Table2SmokeWithFaultPlanIsByteIdentical)
     EXPECT_EQ(serial, table2("--jobs 8 " + plan));
 }
 
+/** Read and delete one artifact a harness run left behind. */
+std::string
+takeFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+}
+
 TEST(ParallelDeterminism, JournalIsByteIdenticalAcrossJobs)
 {
     // The xmig-lens journal is owned by the sampled machine, not the
-    // process, so arming it must not force jobs=1 — and its JSONL
-    // must still be a pure function of (seed, config, fault plan).
-    if (!obs::kJournalCompiled)
-        GTEST_SKIP() << "journal compiled out (-DXMIG_JOURNAL=OFF)";
+    // process, so arming it must not force jobs=1 — and both of its
+    // exports, the JSONL and the Chrome trace rendered from it, must
+    // be a pure function of (seed, config, fault plan).
     const std::string plan =
-        kFaultEnabled ? " --fault-plan \"at=200000:core_off=1;"
-                        "at=500000:core_on=1\""
-                      : "";
+        " --fault-plan \"at=200000:core_off=1;at=500000:core_on=1\"";
     const std::string dir = testing::TempDir();
-    auto journalAt = [&](int jobs) {
-        const std::string path =
-            dir + "xmig_pd_journal_j" + std::to_string(jobs) + ".jsonl";
-        table2("--jobs " + std::to_string(jobs) + plan +
-               " --journal-out " + path);
-        std::ifstream in(path, std::ios::binary);
-        EXPECT_TRUE(in.good()) << path;
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        std::remove(path.c_str());
-        return ss.str();
+    struct Exports
+    {
+        std::string jsonl, trace;
     };
-    const std::string serial = journalAt(1);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_NE(serial.find("\"journal\":\"xmig-lens\""),
+    auto exportsAt = [&](int jobs) {
+        const std::string stem =
+            dir + "xmig_pd_journal_j" + std::to_string(jobs);
+        table2("--jobs " + std::to_string(jobs) + plan +
+               " --journal-out " + stem + ".jsonl --trace-out " + stem +
+               ".json");
+        return Exports{takeFile(stem + ".jsonl"),
+                       takeFile(stem + ".json")};
+    };
+    const Exports serial = exportsAt(1);
+    ASSERT_FALSE(serial.jsonl.empty());
+    EXPECT_NE(serial.jsonl.find("\"journal\":\"xmig-lens\""),
               std::string::npos);
-    EXPECT_EQ(serial, journalAt(3));
-    EXPECT_EQ(serial, journalAt(8));
+    ASSERT_FALSE(serial.trace.empty());
+    EXPECT_NE(serial.trace.find("\"traceEvents\""), std::string::npos);
+    for (const int jobs : {3, 8}) {
+        const Exports parallel = exportsAt(jobs);
+        EXPECT_EQ(serial.jsonl, parallel.jsonl) << "jobs=" << jobs;
+        EXPECT_EQ(serial.trace, parallel.trace) << "jobs=" << jobs;
+    }
 }
 
 /**

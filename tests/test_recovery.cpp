@@ -197,8 +197,6 @@ TEST(Recovery, FilterResetKeepsTheControllerConsistent)
 
 TEST(Recovery, MachineAppliesScheduledCoreLoss)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     // Kill core 0: it starts active, so its L2 is guaranteed to hold
@@ -269,8 +267,6 @@ TEST(Recovery, MachineRestoredMidChurnCompletesTheRejoin)
     // while a scheduled core_off/core_on pair is half-applied, restore
     // into a fresh machine whose injector carries the matching
     // core_on, and check the rejoin completes on restored state.
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     cfg.faultPlan = "seed=6;at=40000:core_off=2";
@@ -306,8 +302,6 @@ TEST(Recovery, MachineRestoredMidChurnCompletesTheRejoin)
 
 TEST(Recovery, MachineSurvivesChurnAndRejoin)
 {
-    if (!kFaultEnabled)
-        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig cfg;
     cfg.numCores = 4;
     cfg.faultPlan =

@@ -25,8 +25,6 @@
 #include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
 #include "core/soa_oe_store.hpp"
-#include "fault/fault_injector.hpp"
-#include "obs/journal.hpp"
 #include "sim/observe.hpp"
 #include "sim/quadcore.hpp"
 #include "util/hashing.hpp"
@@ -158,15 +156,11 @@ journalDigest(unsigned cores, const std::string &plan, size_t *lines)
 
 TEST(SplitterGolden, JournalDigestsArePinned)
 {
-    if (!obs::kJournalCompiled)
-        GTEST_SKIP() << "journal compiled out";
     size_t lines = 0;
     EXPECT_EQ(journalDigest(4, "", &lines), 0xab4122c8d5cdcb21ull);
     EXPECT_EQ(lines, 1299u);
     EXPECT_EQ(journalDigest(2, "", &lines), 0x2a53f1330c8c377cull);
     EXPECT_EQ(lines, 145u);
-    if (!kFaultEnabled)
-        return;
     // A core loss re-splits 4 -> 2 ways; the rejoin re-expands.
     EXPECT_EQ(journalDigest(4, "at=100000:core_off=1;at=250000:core_on=1",
                             &lines),

@@ -501,11 +501,12 @@ ruleNoWallclock(const std::string &path, const LexedFile &lexed,
 // Rule: unordered-output
 // ---------------------------------------------------------------------------
 
-/** Tokens that mark a TU as producing CSV/JSONL/trace output. */
+/** Tokens that mark a TU as producing CSV/JSONL/trace output.
+ *  XMIG_JOURNAL sites feed the journal's JSONL and Chrome trace. */
 const std::unordered_set<std::string> kOutputMarkers = {
     "fopen", "fwrite",  "fprintf", "printf",
     "fputs", "puts",    "ofstream", "cout",
-    "XMIG_TRACE", "XMIG_TRACE_COUNTER",
+    "XMIG_JOURNAL",
 };
 
 /**
@@ -897,9 +898,9 @@ ruleJournalInHotLoop(const std::string &path, const LexedFile &lexed,
             {path, toks[i].line, "journal-in-hot-loop",
              "direct " + toks[i].text + toks[i + 1].text +
                  toks[i + 2].text +
-                 "() bypasses the journal macros: it is not compiled "
-                 "out under -DXMIG_JOURNAL=OFF and pays argument "
-                 "evaluation even with no journal attached; use "
+                 "() bypasses the journal macros: it skips their "
+                 "null check and evaluates its arguments even with "
+                 "no journal attached; use "
                  "XMIG_JOURNAL / XMIG_JOURNAL_CLOCK / "
                  "XMIG_JOURNAL_INCIDENT (src/obs/journal.hpp)",
              sourceLine(content, toks[i].line)});

@@ -50,9 +50,9 @@
  *                      (x->record(...) / x.setClock(...) /
  *                      x->dumpNow(...)) in src/ outside src/obs/ —
  *                      bare calls bypass the XMIG_JOURNAL macro
- *                      family, so they neither compile out under
- *                      -DXMIG_JOURNAL=OFF nor skip argument
- *                      evaluation when no journal is attached.
+ *                      family, so they skip its null check and
+ *                      evaluate their arguments even when no journal
+ *                      is attached.
  *   alloc-in-hot-loop  heap allocation (new, malloc, push_back,
  *                      make_unique, ...) or per-reference dispatch
  *                      through a virtual seam (x.lookup()/x.store()
