@@ -24,7 +24,8 @@
  * per-tenant machine counters, per-tenant turn-latency histograms
  * (p50/p95/p99 in the JSONL), shared-L3 cluster stats. --journal-out
  * dumps the first cell's xmig-lens journal (tenant admission, turns,
- * finishes, partitions).
+ * finishes, partitions); --trace-out renders the same journal as a
+ * Chrome trace.
  */
 
 #include <algorithm>
@@ -112,17 +113,30 @@ fmtU(uint64_t v)
     return buf;
 }
 
+/** Write `text` to `path` in one piece; an empty path writes nothing. */
+void
+writeArtifact(const std::string &path, const std::string &text,
+              const char *flag)
+{
+    if (path.empty())
+        return;
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        XMIG_FATAL("cannot open %s output '%s'", flag, path.c_str());
+    flushAtomically(text, f);
+    std::fclose(f);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (!opt.samplesOut.empty() || !opt.traceOut.empty())
-        XMIG_FATAL("bench_figure1 supports --metrics-out and "
-                   "--journal-out only (arena runs have no sampler "
-                   "hookup, and --trace-out is wired for the quadcore "
-                   "harnesses)");
+    if (!opt.samplesOut.empty())
+        XMIG_FATAL("bench_figure1 supports --metrics-out, "
+                   "--journal-out and --trace-out only (arena runs "
+                   "have no sampler hookup)");
     if (opt.instructions == 20'000'000)
         opt.instructions = opt.smoke ? 2'000'000 : 8'000'000;
 
@@ -141,6 +155,7 @@ main(int argc, char **argv)
     std::vector<CellOut> outs(cells);
     std::string firstCellMetrics;
     std::string firstCellJournal;
+    std::string firstCellTrace;
 
     SweepSpec spec;
     spec.cells = cells;
@@ -191,11 +206,13 @@ main(int argc, char **argv)
             cell.maxP99 = std::max(cell.maxP99, t.p99TurnCycles);
         }
         if (i == 0 && (!opt.metricsOut.empty() ||
-                       !opt.journalOut.empty())) {
+                       !opt.journalOut.empty() ||
+                       !opt.traceOut.empty())) {
             obs::MetricsRegistry registry;
             arena.registerMetrics(registry, "figure1");
             firstCellMetrics = registry.renderJsonl();
             firstCellJournal = journal.renderJsonl();
+            firstCellTrace = journal.renderChromeTrace();
         }
 
         RunResult res;
@@ -279,29 +296,9 @@ main(int argc, char **argv)
            "10*20 cyc/migration.\n";
     flushAtomically(out, stdout);
 
-    if (!opt.csvOut.empty()) {
-        std::FILE *f = std::fopen(opt.csvOut.c_str(), "w");
-        if (f == nullptr)
-            XMIG_FATAL("cannot open --csv output '%s'",
-                       opt.csvOut.c_str());
-        flushAtomically(csv, f);
-        std::fclose(f);
-    }
-    if (!opt.metricsOut.empty()) {
-        std::FILE *f = std::fopen(opt.metricsOut.c_str(), "w");
-        if (f == nullptr)
-            XMIG_FATAL("cannot open --metrics-out '%s'",
-                       opt.metricsOut.c_str());
-        flushAtomically(firstCellMetrics, f);
-        std::fclose(f);
-    }
-    if (!opt.journalOut.empty()) {
-        std::FILE *f = std::fopen(opt.journalOut.c_str(), "w");
-        if (f == nullptr)
-            XMIG_FATAL("cannot open --journal-out '%s'",
-                       opt.journalOut.c_str());
-        flushAtomically(firstCellJournal, f);
-        std::fclose(f);
-    }
+    writeArtifact(opt.csvOut, csv, "--csv");
+    writeArtifact(opt.metricsOut, firstCellMetrics, "--metrics-out");
+    writeArtifact(opt.journalOut, firstCellJournal, "--journal-out");
+    writeArtifact(opt.traceOut, firstCellTrace, "--trace-out");
     return 0;
 }

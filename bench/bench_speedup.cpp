@@ -208,10 +208,10 @@ machineLoopNs(uint64_t iters, bool batched)
 
 /**
  * End-to-end xmig-arena feed: ns per reference of a two-tenant
- * throughput arena — probe, producer threads, scheduler arbitration
+ * throughput arena — probe, tenant fibers, scheduler arbitration
  * and shared-L3 contention included. This is the whole-pipeline cost
  * bench_figure1 pays per cell, so it moves with the arena plumbing
- * (queue handoff, session bookkeeping), not just the machine kernel.
+ * (fiber switches, session bookkeeping), not just the machine kernel.
  */
 double
 arenaLoopNs(uint64_t instr)

@@ -1,68 +1,205 @@
 #include "multicore/arena.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <thread>
+#include <array>
+#include <exception>
 #include <utility>
 
 #include "mem/trace.hpp"
-#include "sim/runner/batch_queue.hpp"
 #include "util/contracts.hpp"
 #include "workloads/registry.hpp"
+
+#ifdef __has_feature
+#define XMIG_HAS_FEATURE(x) __has_feature(x)
+#else
+#define XMIG_HAS_FEATURE(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || XMIG_HAS_FEATURE(address_sanitizer)
+#define XMIG_FIBER_ASAN 1
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__) || XMIG_HAS_FEATURE(thread_sanitizer)
+#define XMIG_FIBER_TSAN 1
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace xmig {
 
 namespace {
 
-/** Thrown by the feed sink when the consumer cancels the stream. */
+/** Thrown inside a tenant fiber when the arena abandons its stream. */
 struct StreamCancelled
 {
 };
 
 /**
- * Producer-side sink: offsets every reference into the tenant's
- * private address range and hands full chunks to the session queue.
- * A failed push means the arena abandoned the stream; the exception
- * unwinds out of Workload::run so the producer thread can exit.
+ * A stackful coroutine on glibc makecontext/swapcontext, run on the
+ * thread that resumes it. resume() enters the body (the first call
+ * maps the stack and starts it) and returns when the body calls
+ * suspend() or returns; an exception escaping the body is rethrown
+ * from resume(). Every switch is annotated for ASan (so it
+ * tracks which stack is live) and TSan (so it sees one logical
+ * thread per fiber), which keeps the sanitizer CI jobs meaningful.
  */
-class TenantFeedSink : public RefSink
+class Fiber
 {
   public:
-    TenantFeedSink(BatchQueue &queue, uint64_t address_offset)
-        : queue_(queue), offset_(address_offset)
+    /** Reserve per stack, the same as a default pthread stack. */
+    static constexpr size_t kStackBytes = 8 * 1024 * 1024;
+
+    using Body = void (*)(void *arg);
+
+    Fiber(Body body, void *arg) : body_(body), arg_(arg) {}
+
+    ~Fiber()
     {
+        XMIG_ASSERT(!started_ || finished_,
+                    "destroying a fiber that is still suspended");
+#ifdef XMIG_FIBER_TSAN
+        if (tsanFiber_ != nullptr)
+            __tsan_destroy_fiber(tsanFiber_);
+#endif
+        if (map_ != nullptr)
+            munmap(map_, mapBytes_);
     }
 
+    Fiber(const Fiber &) = delete;
+    Fiber &operator=(const Fiber &) = delete;
+
+    bool started() const { return started_; }
+    bool finished() const { return finished_; }
+
+    /** Scheduler side: run the body until it suspends or returns. */
     void
-    access(const MemRef &ref) override
+    resume()
     {
-        MemRef shifted = ref;
-        shifted.addr += offset_;
-        chunk_.refs[chunk_.count++] = shifted;
-        if (chunk_.count == BatchQueue::kChunkRefs)
-            handOff();
+        XMIG_ASSERT(!finished_, "resuming a finished fiber");
+        if (!started_)
+            start();
+#ifdef XMIG_FIBER_TSAN
+        callerTsan_ = __tsan_get_current_fiber();
+        __tsan_switch_to_fiber(tsanFiber_, 0);
+#endif
+#ifdef XMIG_FIBER_ASAN
+        void *fakeStack = nullptr;
+        __sanitizer_start_switch_fiber(&fakeStack, stack_, kStackBytes);
+#endif
+        swapcontext(&caller_, &context_);
+#ifdef XMIG_FIBER_ASAN
+        __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
+        if (error_)
+            std::rethrow_exception(std::exchange(error_, nullptr));
     }
 
-    /** Push the trailing partial chunk, if any. */
+    /** Fiber side: switch back to whoever called resume(). */
     void
-    flush()
+    suspend()
     {
-        if (chunk_.count > 0)
-            handOff();
+        switchToCaller(false);
     }
 
   private:
     void
-    handOff()
+    start()
     {
-        if (!queue_.push(chunk_))
-            throw StreamCancelled{};
-        chunk_.count = 0;
+        // MAP_NORESERVE: only the pages the body touches count
+        // toward RSS. The lowest page is a PROT_NONE guard, so an
+        // overflow faults instead of scribbling on the heap.
+        const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+        mapBytes_ = kStackBytes + page;
+        void *map = mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE |
+                             MAP_STACK,
+                         -1, 0);
+        XMIG_ASSERT(map != MAP_FAILED, "cannot map a %zu-byte fiber stack",
+                    mapBytes_);
+        map_ = map;
+        const int guarded = mprotect(map_, page, PROT_NONE);
+        XMIG_ASSERT(guarded == 0,
+                    "cannot protect the fiber stack guard page");
+        stack_ = static_cast<char *>(map_) + page;
+        const int got = getcontext(&context_);
+        XMIG_ASSERT(got == 0, "getcontext failed");
+        context_.uc_stack.ss_sp = stack_;
+        context_.uc_stack.ss_size = kStackBytes;
+        context_.uc_link = nullptr;
+        starting_ = this;
+        makecontext(&context_, &Fiber::trampoline, 0);
+#ifdef XMIG_FIBER_TSAN
+        tsanFiber_ = __tsan_create_fiber(0);
+#endif
+        started_ = true;
     }
 
-    BatchQueue &queue_;
-    uint64_t offset_;
-    BatchQueue::Chunk chunk_;
+    /** Entry point of every fiber; never returns. */
+    static void
+    trampoline()
+    {
+        Fiber *self = starting_;
+#ifdef XMIG_FIBER_ASAN
+        __sanitizer_finish_switch_fiber(nullptr, &self->callerStack_,
+                                        &self->callerStackBytes_);
+#endif
+        // Unwinding must stop here: the frame below is glibc's.
+        try {
+            self->body_(self->arg_);
+        } catch (...) {
+            self->error_ = std::current_exception();
+        }
+        self->finished_ = true;
+        self->switchToCaller(true);
+    }
+
+    void
+    switchToCaller(bool exiting)
+    {
+#ifdef XMIG_FIBER_TSAN
+        __tsan_switch_to_fiber(callerTsan_, 0);
+#endif
+#ifdef XMIG_FIBER_ASAN
+        // A null save slot tells ASan this stack is gone for good.
+        void *fakeStack = nullptr;
+        __sanitizer_start_switch_fiber(exiting ? nullptr : &fakeStack,
+                                       callerStack_, callerStackBytes_);
+#else
+        (void)exiting;
+#endif
+        swapcontext(&context_, &caller_);
+#ifdef XMIG_FIBER_ASAN
+        __sanitizer_finish_switch_fiber(fakeStack, &callerStack_,
+                                        &callerStackBytes_);
+#endif
+    }
+
+    /** The fiber being started on this thread (trampoline's argument). */
+    static thread_local Fiber *starting_;
+
+    Body body_;
+    void *arg_;
+    ucontext_t context_{};
+    ucontext_t caller_{};
+    void *map_ = nullptr;
+    size_t mapBytes_ = 0;
+    char *stack_ = nullptr;
+    std::exception_ptr error_; ///< escaped the body, for resume()
+    bool started_ = false;
+    bool finished_ = false;
+#ifdef XMIG_FIBER_ASAN
+    const void *callerStack_ = nullptr;
+    size_t callerStackBytes_ = 0;
+#endif
+#ifdef XMIG_FIBER_TSAN
+    void *tsanFiber_ = nullptr;
+    void *callerTsan_ = nullptr;
+#endif
 };
+
+thread_local Fiber *Fiber::starting_ = nullptr;
 
 /**
  * Probe-side sink: offsets references straight into a machine, and
@@ -116,31 +253,85 @@ arenaModeName(ArenaMode mode)
     return "unknown";
 }
 
-/** One tenant: machine + pull-inverted reference stream. */
-struct TenantArena::Session
+/**
+ * One tenant: its machine, and its push-model workload running on a
+ * fiber. The session is the workload's sink: it offsets each
+ * reference into the tenant's address range, buffers 64-ref chunks
+ * and feeds each full chunk to the machine, suspending the fiber the
+ * moment the turn's budget runs out.
+ */
+struct TenantArena::Session : RefSink
 {
+    static constexpr size_t kChunkRefs = MigrationMachine::kBatchRefs;
+
     unsigned tenant = 0;
     TenantSpec spec;
     unsigned cluster = 0;
+    uint64_t addressOffset = 0; ///< tenant * kTenantAddressStride
     std::unique_ptr<MigrationMachine> machine;
-    BatchQueue queue;
-    std::thread producer;
-    BatchQueue::Chunk pending;
-    uint32_t pendingPos = 0;
-    bool streamDone = false; ///< queue closed and drained
+    Fiber fiber{&Session::runStream, this};
+    std::array<MemRef, kChunkRefs> chunk;
+    uint32_t chunkCount = 0;
+    uint64_t budget = 0;    ///< refs left in the current turn
+    bool cancelled = false; ///< arena abandoned the stream
     bool admitted = false;
     obs::Histogram turnCycles;
     double cycles = 0;      ///< accumulated stall-model cycles
     double startCycles = 0; ///< throughput mode: slot start offset
     uint64_t turns = 0;
 
-    explicit Session(size_t queue_slots) : queue(queue_slots) {}
+    /** All references consumed (the workload returned). */
+    bool drained() const { return fiber.finished(); }
 
-    /** All references consumed (stream drained past the last chunk). */
-    bool
-    drained() const
+    void
+    access(const MemRef &ref) override
     {
-        return streamDone && pendingPos >= pending.count;
+        MemRef &slot = chunk[chunkCount++];
+        slot = ref;
+        slot.addr += addressOffset;
+        if (chunkCount == kChunkRefs)
+            feedChunk();
+    }
+
+    /**
+     * Feed the buffered chunk, split at every point the budget runs
+     * out. The fiber suspends as soon as the budget reaches 0, even
+     * on the chunk's last reference, so a stream ending exactly on a
+     * quantum boundary is only seen to end on the next turn.
+     */
+    void
+    feedChunk()
+    {
+        uint32_t pos = 0;
+        while (pos < chunkCount) {
+            const uint64_t n =
+                std::min<uint64_t>(chunkCount - pos, budget);
+            machine->accessBatch(&chunk[pos], static_cast<size_t>(n));
+            pos += static_cast<uint32_t>(n);
+            budget -= n;
+            if (budget == 0) {
+                fiber.suspend();
+                if (cancelled)
+                    throw StreamCancelled{};
+            }
+        }
+        chunkCount = 0;
+    }
+
+    /** Fiber body: the tenant's whole reference stream. */
+    static void
+    runStream(void *arg)
+    {
+        Session &session = *static_cast<Session *>(arg);
+        try {
+            std::unique_ptr<Workload> workload =
+                makeWorkload(session.spec.benchmark);
+            workload->run(session, session.spec.instructions,
+                          session.spec.seed);
+            session.feedChunk();
+        } catch (const StreamCancelled &) {
+            // Arena teardown unwound the workload; nothing to report.
+        }
     }
 };
 
@@ -162,11 +353,13 @@ TenantArena::TenantArena(ArenaConfig config) : config_(std::move(config))
 TenantArena::~TenantArena()
 {
     for (auto &session : sessions_) {
-        // Unblock a producer mid-push (run() never reached its
-        // stream, or an exception unwound the schedule), then join.
-        session->queue.cancel();
-        if (session->producer.joinable())
-            session->producer.join();
+        // A suspended stream (an exception unwound the schedule)
+        // is resumed once more to throw StreamCancelled inside the
+        // fiber, which destroys its workload before the stack goes.
+        if (session->fiber.started() && !session->fiber.finished()) {
+            session->cancelled = true;
+            session->fiber.resume();
+        }
     }
 }
 
@@ -248,8 +441,10 @@ TenantArena::buildSessions()
 {
     sessions_.reserve(config_.tenants.size());
     for (size_t i = 0; i < config_.tenants.size(); ++i) {
-        auto session = std::make_unique<Session>(config_.queueSlots);
+        auto session = std::make_unique<Session>();
         session->tenant = static_cast<unsigned>(i);
+        session->addressOffset =
+            static_cast<uint64_t>(i) * kTenantAddressStride;
         session->spec = config_.tenants[i];
         for (size_t k = 0; k < clusters_.size(); ++k) {
             const auto &members = clusters_[k].tenants;
@@ -268,27 +463,6 @@ TenantArena::buildSessions()
                     "tenant %zu machine did not adopt the shared L3",
                     i);
         sessions_.push_back(std::move(session));
-    }
-    // Producers start only after every session exists: construction
-    // order stays deterministic and nothing races the probe phase.
-    for (auto &sessionPtr : sessions_) {
-        Session &session = *sessionPtr;
-        const uint64_t offset =
-            static_cast<uint64_t>(session.tenant) *
-            kTenantAddressStride;
-        session.producer = std::thread([&session, offset] {
-            try {
-                TenantFeedSink sink(session.queue, offset);
-                std::unique_ptr<Workload> workload =
-                    makeWorkload(session.spec.benchmark);
-                workload->run(sink, session.spec.instructions,
-                              session.spec.seed);
-                sink.flush();
-            } catch (const StreamCancelled &) {
-                // Consumer abandoned the stream; just exit.
-            }
-            session.queue.close();
-        });
     }
 }
 
@@ -395,40 +569,25 @@ TenantArena::run()
 
 /**
  * Feed up to `budget` references from the session's stream into its
- * machine. Returns the number actually fed (short only when the
- * stream ends). Runs on the arena's consumer thread.
+ * machine: resume the tenant's fiber (starting it on the first turn)
+ * until it spends the budget or its workload returns. Returns the
+ * number actually fed (short only when the stream ends).
  */
 uint64_t
 TenantArena::feedQuantum(Session &session, uint64_t budget)
 {
-    uint64_t fed = 0;
-    while (fed < budget && !session.drained()) {
-        if (session.pendingPos >= session.pending.count) {
-            if (!session.queue.pop(session.pending)) {
-                session.streamDone = true;
-                session.pending.count = 0;
-                session.pendingPos = 0;
-                break;
-            }
-            session.pendingPos = 0;
-        }
-        const uint64_t inChunk =
-            session.pending.count - session.pendingPos;
-        const uint64_t n = std::min<uint64_t>(inChunk, budget - fed);
-        session.machine->accessBatch(
-            &session.pending.refs[session.pendingPos],
-            static_cast<size_t>(n));
-        session.pendingPos += static_cast<uint32_t>(n);
-        fed += n;
-    }
-    XMIG_ASSERT(fed <= budget &&
-                    session.pendingPos <= session.pending.count,
-                "feedQuantum overran its budget or its chunk "
-                "(fed %llu of %llu, pos %u of %u)",
-                static_cast<unsigned long long>(fed),
-                static_cast<unsigned long long>(budget),
-                session.pendingPos, session.pending.count);
-    return fed;
+    if (budget == 0)
+        return 0;
+    session.budget = budget;
+    session.fiber.resume();
+    XMIG_ASSERT(session.budget <= budget &&
+                    (session.budget == 0 || session.drained()),
+                "tenant %u fiber suspended with %llu of %llu refs "
+                "unspent",
+                session.tenant,
+                static_cast<unsigned long long>(session.budget),
+                static_cast<unsigned long long>(budget));
+    return budget - session.budget;
 }
 
 /**

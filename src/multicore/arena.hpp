@@ -11,11 +11,12 @@
  * sides with the same machinery:
  *
  *  - A `Session` per tenant: the tenant's push-model Workload runs
- *    on a dedicated producer thread feeding a bounded BatchQueue,
- *    and the arena's single consumer thread pops reference chunks in
- *    whatever interleave the TenantScheduler dictates. Arbitration
- *    is therefore a pure function of the schedule — byte-identical
- *    at any `--jobs`, regardless of producer-thread timing.
+ *    on a stackful fiber on the thread that calls run(). The
+ *    TenantScheduler grants turns; each turn resumes the tenant's
+ *    fiber, which feeds 64-ref chunks to its machine and suspends the
+ *    moment the turn's budget runs out. Arbitration is therefore a
+ *    pure function of the schedule, and one arena is one thread, so
+ *    a run is byte-identical at any `--jobs`.
  *  - Migration mode: each tenant owns a numCores-way MigrationMachine
  *    (its own affinity controller) and tenants time-share the chip;
  *    the makespan is the *sum* of per-turn stall-model cycles.
@@ -98,9 +99,6 @@ struct ArenaConfig
 
     /** Solo-probe budget per tenant (appetite + solo baseline). */
     uint64_t probeInstructions = 30'000;
-
-    /** Producer/consumer queue depth per session, in chunks. */
-    size_t queueSlots = 8;
 };
 
 /** Per-tenant outcome. */
@@ -139,9 +137,10 @@ struct ArenaResult
 
 /**
  * N-tenant machine. Construction probes the tenants, carves the
- * shared L3, builds the per-tenant machines and starts the producer
- * threads; run() drives the whole schedule to completion on the
- * calling thread. One-shot: run() may be called exactly once.
+ * shared L3 and builds the per-tenant machines; run() drives the
+ * whole schedule to completion on the calling thread, starting each
+ * tenant's fiber at its first turn. One-shot: run() may be called
+ * exactly once.
  */
 class TenantArena
 {

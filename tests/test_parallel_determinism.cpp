@@ -122,10 +122,10 @@ TEST(ParallelDeterminism, JournalIsByteIdenticalAcrossJobs)
 
 /**
  * bench_figure1 runs a multi-tenant arena per cell: every cell owns
- * producer threads and a shared L3, so this exercises xmig-arena's
- * claim that reference-interleave arbitration is deterministic at
- * any job count. A reduced mix set and budget keep it CI-sized —
- * byte-identity does not need the full crossover sweep.
+ * one fiber per tenant and a shared L3, so this exercises
+ * xmig-arena's claim that reference-interleave arbitration is
+ * deterministic at any job count. A reduced mix set and budget keep
+ * it CI-sized — byte-identity does not need the full crossover sweep.
  */
 std::string
 figure1(const std::string &extra)
@@ -139,11 +139,32 @@ figure1(const std::string &extra)
 
 TEST(ParallelDeterminism, Figure1IsByteIdenticalAcrossJobs)
 {
-    const std::string serial = figure1("--jobs 1");
-    ASSERT_FALSE(serial.empty());
-    EXPECT_NE(serial.find("Crossover"), std::string::npos);
-    EXPECT_EQ(serial, figure1("--jobs 3"));
-    EXPECT_EQ(serial, figure1("--jobs 8"));
+    // stdout, plus the first cell's arena journal rendered as a
+    // Chrome trace, which must also be one valid JSON document.
+    const std::string dir = testing::TempDir();
+    struct Run
+    {
+        std::string out, trace;
+    };
+    auto runAt = [&](int jobs) {
+        const std::string path =
+            dir + "xmig_pd_fig1_j" + std::to_string(jobs) + ".json";
+        Run run;
+        run.out = figure1("--jobs " + std::to_string(jobs) +
+                          " --trace-out " + path);
+        capture("python3 -m json.tool " + path + " >/dev/null");
+        run.trace = takeFile(path);
+        return run;
+    };
+    const Run serial = runAt(1);
+    ASSERT_FALSE(serial.out.empty());
+    EXPECT_NE(serial.out.find("Crossover"), std::string::npos);
+    EXPECT_NE(serial.trace.find("\"tenant_turn\""), std::string::npos);
+    for (const int jobs : {3, 8}) {
+        const Run parallel = runAt(jobs);
+        EXPECT_EQ(serial.out, parallel.out) << "jobs=" << jobs;
+        EXPECT_EQ(serial.trace, parallel.trace) << "jobs=" << jobs;
+    }
 }
 
 TEST(ParallelDeterminism, Figure1CsvIsByteIdenticalAcrossJobs)

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/runner/batch_queue.hpp"
 #include "sim/runner/job_pool.hpp"
 #include "sim/runner/sweep.hpp"
 
@@ -157,112 +156,6 @@ TEST(Sweep, EmptySweepIsEmpty)
     const std::vector<RunResult> results = runSweep(spec, 4);
     EXPECT_TRUE(results.empty());
     EXPECT_EQ(collateText(results), "");
-}
-
-// ---------------------------------------------------------------
-// BatchQueue SPSC ring corners (xmig-bolt / xmig-arena handoff).
-// ---------------------------------------------------------------
-
-BatchQueue::Chunk
-chunkTagged(uint32_t tag)
-{
-    BatchQueue::Chunk c;
-    c.count = 1;
-    c.refs[0].addr = tag;
-    return c;
-}
-
-TEST(BatchQueue, CapacityOneRingStillPipelines)
-{
-    // The degenerate ring: every push must wait for the matching
-    // pop, lock-step, and order must survive.
-    BatchQueue queue(1);
-    EXPECT_EQ(queue.capacity(), 1u);
-    std::thread producer([&queue] {
-        for (uint32_t i = 0; i < 100; ++i)
-            EXPECT_TRUE(queue.push(chunkTagged(i)));
-        queue.close();
-    });
-    BatchQueue::Chunk out;
-    uint32_t expected = 0;
-    while (queue.pop(out))
-        EXPECT_EQ(out.refs[0].addr, expected++);
-    EXPECT_EQ(expected, 100u);
-    producer.join();
-}
-
-TEST(BatchQueue, ZeroSlotsClampToOne)
-{
-    BatchQueue queue(0);
-    EXPECT_EQ(queue.capacity(), 1u);
-    EXPECT_TRUE(queue.push(chunkTagged(7)));
-    BatchQueue::Chunk out;
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.refs[0].addr, 7u);
-}
-
-TEST(BatchQueue, WrapsCleanlyAtPowerOfTwoBoundary)
-{
-    // Drive head/tail far past several 2^k multiples of the slot
-    // count and check FIFO order and payload never skew. The ring is
-    // index-mod-slots, so an off-by-one at the wrap would surface as
-    // a reordered or repeated tag within the first few laps.
-    BatchQueue queue(8);
-    constexpr uint32_t kChunks = 8 * 16 + 3; // 16 full laps + tail
-    std::thread producer([&queue] {
-        for (uint32_t i = 0; i < kChunks; ++i)
-            EXPECT_TRUE(queue.push(chunkTagged(i)));
-        queue.close();
-    });
-    BatchQueue::Chunk out;
-    uint32_t expected = 0;
-    while (queue.pop(out))
-        EXPECT_EQ(out.refs[0].addr, expected++);
-    EXPECT_EQ(expected, kChunks);
-    producer.join();
-}
-
-TEST(BatchQueue, CloseWhileFullDrainsBufferedChunksFirst)
-{
-    // close() with a full ring must not drop the buffered chunks:
-    // pop() keeps returning them, and only reports end-of-stream
-    // once the ring is empty.
-    BatchQueue queue(2);
-    EXPECT_TRUE(queue.push(chunkTagged(1)));
-    EXPECT_TRUE(queue.push(chunkTagged(2)));
-    queue.close();
-    BatchQueue::Chunk out;
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.refs[0].addr, 1u);
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.refs[0].addr, 2u);
-    EXPECT_FALSE(queue.pop(out)) << "closed and drained";
-    EXPECT_FALSE(queue.pop(out)) << "end-of-stream is sticky";
-}
-
-TEST(BatchQueue, CancelUnblocksProducerStuckOnFullRing)
-{
-    // The arena teardown path: a producer blocked in push() on a
-    // full ring must wake and see false when the consumer cancels.
-    BatchQueue queue(1);
-    EXPECT_TRUE(queue.push(chunkTagged(1)));
-    std::atomic<int> result{-1};
-    std::thread producer([&queue, &result] {
-        result = queue.push(chunkTagged(2)) ? 1 : 0;
-    });
-    // Give the producer a chance to block on the full ring; even if
-    // cancel() lands first, push() must still report false.
-    for (int i = 0; i < 256 && result == -1; ++i)
-        std::this_thread::yield();
-    queue.cancel();
-    producer.join();
-    EXPECT_EQ(result, 0) << "push after cancel must report false";
-    EXPECT_TRUE(queue.cancelled());
-    BatchQueue::Chunk out;
-    EXPECT_FALSE(queue.pop(out))
-        << "cancel discards buffered chunks and closes the stream";
-    EXPECT_FALSE(queue.push(chunkTagged(3)))
-        << "cancellation is sticky for future pushes";
 }
 
 } // namespace
