@@ -1,6 +1,6 @@
 /**
  * @file
- * A single cache with write-policy semantics, built on a TagStore.
+ * A single cache with write-policy semantics, built on a FrameArray.
  *
  * The machine model of the paper needs two flavors:
  *  - L1 data: write-through, non-write-allocate (section 2.1);
@@ -11,9 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "cache/tags.hpp"
+#include "cache/frames.hpp"
 
 namespace xmig {
 
@@ -49,12 +48,12 @@ struct AccessOutcome
     uint64_t evictedLine = 0;
 
     /**
-     * Frame holding `line` after the operation: the hit entry, or the
-     * frame just filled; nullptr when the line was left non-resident
+     * Frame holding `line` after the operation: the hit frame, or the
+     * frame just filled; kNoFrame when the line was left non-resident
      * (WT-no-allocate store miss). Valid only until the next mutation
-     * of the cache. Saves callers a re-probe (xmig-swift).
+     * of the cache. Saves callers a re-probe.
      */
-    CacheEntry *entry = nullptr;
+    uint32_t frame = FrameArray::kNoFrame;
 };
 
 /** Hit/miss statistics for one cache. */
@@ -77,47 +76,96 @@ struct CacheStats
 /**
  * One cache level.
  *
- * Besides the usual access() path, exposes fill() / findEntry() /
- * invalidate() so the multi-core model can implement the paper's
- * migration-mode coherence (mirrored fills, modified-bit transfer,
- * update-bus stores into inactive copies).
+ * Besides the usual access() path, exposes fill() / find() /
+ * invalidate() and the per-frame modified and prefetched bits so the
+ * multi-core model can implement the paper's migration-mode coherence
+ * (mirrored fills, modified-bit transfer, update-bus stores into
+ * inactive copies).
  */
 class Cache
 {
   public:
+    using Slots = FrameArray::Slots;
+    static constexpr uint32_t kNoFrame = FrameArray::kNoFrame;
+
     explicit Cache(const CacheConfig &config);
 
     /**
      * Perform a load or store for `line`, applying the write policy.
      * Misses allocate according to the policy.
      */
-    AccessOutcome access(uint64_t line, bool is_store);
+    AccessOutcome
+    access(uint64_t line, bool is_store)
+    {
+        const Slots s = frames_.slots(line);
+        return accessProbed(line, s, frames_.find(line, s), is_store);
+    }
 
     /**
-     * access() with the tag probe hoisted out: `probe` MUST be the
-     * result of findEntry(line) with no intervening mutation of this
-     * cache. Lets the migration decision and the L2 access share one
-     * probe instead of three (xmig-swift hot path).
+     * access() with the index and the probe hoisted out: `s` MUST be
+     * slots(line) and `probe` find(line, s), with no intervening
+     * mutation of this cache. Lets the migration decision, the L2
+     * access and the probes of the other cores' L2s share one hash of
+     * the line.
      */
-    AccessOutcome accessProbed(uint64_t line, bool is_store,
-                               CacheEntry *probe);
+    AccessOutcome
+    accessProbed(uint64_t line, const Slots &s, uint32_t probe,
+                 bool is_store)
+    {
+        ++stats_.accesses;
+        return accessAt(line, s, probe, is_store, stats_.hits);
+    }
+
+    /**
+     * access() with the accesses/hits tallies kept in the caller's
+     * registers: the batch loop calls this per reference and settles
+     * the two counters once per chunk with settleBatchStats(), so the
+     * hot loop does no statistics memory traffic. The cache state
+     * transition is exactly access()'s.
+     */
+    AccessOutcome
+    accessTallied(uint64_t line, bool is_store, uint64_t &hits)
+    {
+        const Slots s = frames_.slots(line);
+        return accessAt(line, s, frames_.find(line, s), is_store, hits);
+    }
+
+    /** Fold a batch loop's register tallies into the stats. */
+    void
+    settleBatchStats(uint64_t accesses, uint64_t hits)
+    {
+        stats_.accesses += accesses;
+        stats_.hits += hits;
+    }
 
     /**
      * Install `line` without counting an access (broadcast fills,
      * forwarded lines). No-op if already resident, except that
-     * `modified` is ORed into the entry.
+     * `modified` is ORed into the frame.
      */
     AccessOutcome fill(uint64_t line, bool modified);
 
-    /** True if `line` is resident. */
-    bool contains(uint64_t line) const;
+    /** Candidate frames of `line` (shared by every probe of it). */
+    Slots slots(uint64_t line) const { return frames_.slots(line); }
 
-    /** Direct access to the frame of `line` (nullptr if absent). */
-    CacheEntry *findEntry(uint64_t line) { return findEntryFast(line); }
-    const CacheEntry *findEntry(uint64_t line) const;
+    /** Frame holding `line`, or kNoFrame. */
+    uint32_t
+    find(uint64_t line, const Slots &s) const
+    {
+        return frames_.find(line, s);
+    }
+    uint32_t find(uint64_t line) const { return frames_.find(line); }
+
+    /** True if `line` is resident. */
+    bool contains(uint64_t line) const { return find(line) != kNoFrame; }
+
+    bool modified(uint32_t f) const { return frames_.modified(f); }
+    void setModified(uint32_t f, bool on) { frames_.setModified(f, on); }
+    bool prefetched(uint32_t f) const { return frames_.prefetched(f); }
+    void setPrefetched(uint32_t f, bool on) { frames_.setPrefetched(f, on); }
 
     /** Remove `line` if resident. */
-    bool invalidate(uint64_t line);
+    bool invalidate(uint64_t line) { return frames_.invalidate(line); }
 
     /**
      * Drop every resident line (hot-unplug: the contents are lost,
@@ -130,92 +178,41 @@ class Cache
     void resetStats() { stats_ = {}; }
 
     const CacheConfig &config() const { return config_; }
-    TagStore &tags() { return *tags_; }
-    const TagStore &tags() const { return *tags_; }
-
-    /**
-     * findEntry() with the virtual dispatch peeled off: the concrete
-     * tag-store type is fixed at construction, so batch loops probe
-     * through a cached concrete pointer and the whole tag scan
-     * inlines (xmig-bolt hot path). Identical results to findEntry().
-     */
-    CacheEntry *
-    findEntryFast(uint64_t line)
-    {
-        if (sa_)
-            return sa_->findFast(line);
-        if (sk_)
-            return sk_->findFast(line);
-        return tags_->find(line);
-    }
-
-    /**
-     * access() with the accesses/hits tallies kept in the caller's
-     * registers: the batch loop calls this per reference and settles
-     * the two counters once per chunk with settleBatchStats(), so the
-     * hot loop does no statistics memory traffic. Misses still drop
-     * to the shared out-of-line missPath() (which counts the miss),
-     * so the cache *state* transition is exactly access()'s.
-     */
-    AccessOutcome
-    accessTallied(uint64_t line, bool is_store, uint64_t &hits)
-    {
-        AccessOutcome out;
-        CacheEntry *entry = findEntryFast(line);
-        if (entry) {
-            out.hit = true;
-            ++hits;
-            if (sa_)
-                sa_->touchFast(*entry);
-            else if (sk_)
-                sk_->touchFast(*entry);
-            else
-                tags_->touch(*entry);
-            if (is_store) {
-                if (config_.write == WritePolicy::WriteBackAllocate)
-                    entry->modified = true;
-                else
-                    out.writeThrough = true;
-            }
-            out.entry = entry;
-            return out;
-        }
-        missPath(line, is_store, out);
-        return out;
-    }
-
-    /** Fold a batch loop's register tallies into the stats. */
-    void
-    settleBatchStats(uint64_t accesses, uint64_t hits)
-    {
-        stats_.accesses += accesses;
-        stats_.hits += hits;
-    }
-
-    /**
-     * access() on the devirtualized probe/touch path. The hit arm is
-     * fully header-inline; misses drop to the shared out-of-line
-     * missPath(), which accessProbed() uses too — one miss code path,
-     * two entry points.
-     */
-    AccessOutcome
-    accessFast(uint64_t line, bool is_store)
-    {
-        ++stats_.accesses;
-        uint64_t hits = 0;
-        AccessOutcome out = accessTallied(line, is_store, hits);
-        stats_.hits += hits;
-        return out;
-    }
+    const FrameArray &frames() const { return frames_; }
 
   private:
-    /** The miss arm of accessProbed()/accessFast() (counts the miss). */
-    void missPath(uint64_t line, bool is_store, AccessOutcome &out);
+    /** The one access body: hit arm inline, miss arm out of line. */
+    AccessOutcome
+    accessAt(uint64_t line, const Slots &s, uint32_t probe, bool is_store,
+             uint64_t &hits)
+    {
+        AccessOutcome out;
+        if (probe == kNoFrame) {
+            missPath(line, s, is_store, out);
+            return out;
+        }
+        out.hit = true;
+        ++hits;
+        frames_.touch(probe);
+        if (is_store) {
+            if (config_.write == WritePolicy::WriteBackAllocate)
+                frames_.setModified(probe, true);
+            else
+                out.writeThrough = true;
+        }
+        out.frame = probe;
+        return out;
+    }
+
+    /** The miss arm of every access (counts the miss). */
+    void missPath(uint64_t line, const Slots &s, bool is_store,
+                  AccessOutcome &out);
+
+    /** Allocate `line`, reporting the displaced frame in `out`. */
+    uint32_t install(uint64_t line, const Slots &s, AccessOutcome &out);
 
     CacheConfig config_;
-    std::unique_ptr<TagStore> tags_;
-    SetAssocTags *sa_ = nullptr; ///< tags_, when set-associative
-    SkewedTags *sk_ = nullptr;   ///< tags_, when skewed
+    FrameArray frames_;
     CacheStats stats_;
 };
 

@@ -17,7 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/tags.hpp"
+#include "cache/frames.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 #include "util/saturating.hpp"
@@ -261,7 +261,12 @@ struct AffinityCacheConfig
     uint64_t entries = 8 * 1024;  ///< total entries (paper: 8k)
     unsigned ways = 4;            ///< associativity (paper: 4, skewed)
     bool skewed = true;
-    ReplPolicy repl = ReplPolicy::Age; ///< "age-based replacement"
+    /**
+     * The paper's "age-based replacement". Age evicts exactly the LRU
+     * victim, so it is an alias of ReplPolicy::Lru; the proof is
+     * AffinityStoreGolden.AgeEqualsLru (tests/test_oe_store.cpp).
+     */
+    ReplPolicy repl = ReplPolicy::Age;
     unsigned affinityBits = 16;
     uint64_t seed = 7;
 };

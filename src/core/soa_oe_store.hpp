@@ -1,19 +1,13 @@
 /**
  * @file
- * The finite affinity cache of section 3.5 / 4.2, stored as a
- * structure of arrays.
+ * The finite affinity cache of section 3.5 / 4.2: a FrameArray plus
+ * an O_e column.
  *
- * Each frame is a tag (the full line address), its O_e value and its
- * replacement state. Instead of one record per frame, every field
- * lives in its own contiguous vector: a probe touches ~8 bytes per
- * candidate way, the 8k-entry tag array fits in L1, and the periodic
- * age sweep of the Age replacement policy runs over two plain byte
- * arrays the compiler can vectorize.
- *
- * Placement, replacement and clock semantics are those of the cache
- * substrate's SkewedTags / SetAssocTags (cache/tags.hpp), so the
- * affinity cache evicts exactly as a TagStore of the same geometry
- * would. test_oe_store pins the full decision stream (hits, victims,
+ * The tags, replacement stamps and placement are the cache
+ * substrate's own FrameArray (cache/frames.hpp), so the affinity
+ * cache indexes and evicts exactly as a cache of the same geometry
+ * would; the O_e values live in a frame-indexed column beside it.
+ * test_oe_store pins the full decision stream (hits, victims,
  * evictions, fault picks, snapshot order) under every geometry and
  * ReplPolicy with golden digests.
  */
@@ -24,12 +18,9 @@
 #include <optional>
 #include <vector>
 
-#include "cache/tags.hpp"
+#include "cache/frames.hpp"
 #include "core/oe_store.hpp"
-#include "util/contracts.hpp"
-#include "util/hashing.hpp"
 #include "util/rng.hpp"
-#include "util/saturating.hpp"
 
 namespace xmig {
 
@@ -96,91 +87,20 @@ class SoaAffinityStore : public OeStore
     }
 
   private:
-    static constexpr size_t kNoFrame = ~size_t{0};
-
-    /** Candidate frame index of `line` in `way` (bank for skewed). */
-    size_t
-    slotOf(uint64_t line, unsigned way) const
-    {
-        if (config_.skewed) {
-            // SkewedTags::slotOf: bank 0 is straight modulo, other
-            // banks use the skewing hashes; frames are bank-major.
-            const uint64_t set = way == 0
-                ? (line & (setsPerWay_ - 1))
-                : skewHash(line, way, setsPerWay_);
-            return size_t(way) * setsPerWay_ + set;
-        }
-        // SetAssocTags: set-major layout, way-contiguous within a set.
-        return size_t(line & (setsPerWay_ - 1)) * config_.ways + way;
-    }
-
-    /** Frame index holding `line`, or kNoFrame. */
-    size_t
-    findIndex(uint64_t line) const
-    {
-        if (config_.skewed) {
-            for (unsigned w = 0; w < config_.ways; ++w) {
-                const size_t i = slotOf(line, w);
-                if (valid_[i] && lines_[i] == line)
-                    return i;
-            }
-            return kNoFrame;
-        }
-        const size_t base = size_t(line & (setsPerWay_ - 1)) *
-                            config_.ways;
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            if (valid_[base + w] && lines_[base + w] == line)
-                return base + w;
-        }
-        return kNoFrame;
-    }
-
-    /** SkewedTags/SetAssocTags::touch, over the exploded arrays. */
-    void
-    touchIndex(size_t i)
-    {
-        lastUse_[i] = ++clock_;
-        age_[i] = 0;
-        if (config_.repl == ReplPolicy::Age)
-            ageTick();
-    }
-
-    /** The shared ageTick: vectorizable over the byte arrays. */
-    void
-    ageTick()
-    {
-        const uint64_t window = lines_.size() / 4 + 1;
-        if (clock_ % window != 0)
-            return;
-        for (size_t i = 0; i < age_.size(); ++i) {
-            if (valid_[i] && age_[i] < 3)
-                ++age_[i];
-        }
-    }
-
-    /** pickVictim + frame install, replicating TagStore::allocate. */
-    size_t allocateIndex(uint64_t line, bool *evicted_valid);
+    /** Allocate a frame for `line`, keeping the occupancy count. */
+    uint32_t install(uint64_t line, const FrameArray::Slots &slots);
 
     /** Cheap per-call accounting audit + periodic paranoid sweep. */
     void auditConsistency();
 
-    /** The `target`-th valid frame's line, in frame-index order. */
-    uint64_t nthValidLine(uint64_t target) const;
+    /** The `target`-th valid frame, in frame order. */
+    uint32_t nthValidFrame(uint64_t target) const;
 
     AffinityCacheConfig config_;
-    uint64_t setsPerWay_ = 0; ///< sets per bank (skewed) or set count
-    uint64_t clock_ = 0;      ///< replacement clock (TagStore::clock_)
-    Rng rng_;                 ///< consumed only by ReplPolicy::Random
+    FrameArray frames_;
+    std::vector<int64_t> oe_; ///< O_e value, frame-indexed
 
-    // The frame record, exploded (one slot per frame, frame-indexed).
-    std::vector<uint64_t> lines_;   ///< tag: full line address
-    std::vector<int64_t> payload_;  ///< O_e value
-    std::vector<uint64_t> lastUse_; ///< LRU timestamp
-    std::vector<uint64_t> inserted_; ///< FIFO timestamp
-    std::vector<uint8_t> age_;      ///< 2-bit age counters
-    std::vector<uint8_t> valid_;    ///< validity (0/1)
-
-    uint64_t resident_ = 0; ///< valid entries (mirrors tag occupancy)
+    uint64_t resident_ = 0; ///< valid frames, maintained incrementally
     OeStoreStats stats_;
     uint64_t auditTick_ = 0; ///< paranoid reconciliation cadence
 };

@@ -37,6 +37,9 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
     for (unsigned c = 0; c < config.numCores; ++c) {
         l2c.seed = 11 + c;
         l2s_.push_back(std::make_unique<Cache>(l2c));
+        // processLine() hashes each line once for every L2 probe.
+        XMIG_ASSERT(l2s_.back()->frames().sameIndexing(l2s_[0]->frames()),
+                    "core %u's L2 is indexed differently", c);
     }
 
     if (!config.faultPlan.empty()) {
@@ -219,25 +222,25 @@ MigrationMachine::processLine(const LineEvent &event)
     // event recorded below lands at this logical instant.
     XMIG_JOURNAL_CLOCK(journal_, stats_.refs);
 
-    CacheEntry *probe = nullptr;
-    bool probed = false;
+    // Every L2 shares one geometry, so the line's candidate frames are
+    // computed once and serve every L2 probe of this event.
+    const Cache::Slots slots = l2s_[0]->slots(event.line);
+    uint32_t probe = l2s_[activeCore_]->find(event.line, slots);
     if (controller_ && event.l1Miss) {
         // The controller monitors L1-miss requests. With L2 filtering
         // its transition filters move only when the request would
         // miss the *current* active core's L2, so probe before
         // deciding. The probe stays valid for the access below when
         // execution does not migrate (onRequest never touches L2s).
-        probe = l2s_[activeCore_]->findEntry(event.line);
-        probed = true;
         const unsigned target = controller_->onRequest(
-            event.line, /*l2_miss=*/probe == nullptr, event.pointer);
+            event.line, /*l2_miss=*/probe == Cache::kNoFrame,
+            event.pointer);
         if (target != activeCore_) {
             ++stats_.migrations;
             interMigrationGap_.record(stats_.refs - lastMigrationRef_);
             lastMigrationRef_ = stats_.refs;
             activeCore_ = target;
-            probe = nullptr; // probe was on the previous active core
-            probed = false;
+            probe = l2s_[activeCore_]->find(event.line, slots);
         }
     }
 
@@ -247,10 +250,10 @@ MigrationMachine::processLine(const LineEvent &event)
     // The request is serviced by the L2 of the core that is active
     // after any migration: that is the point of distributing the
     // working-set.
-    accessL2(event.line, is_store, probe, probed);
+    accessL2(event.line, slots, probe, is_store);
 
     if (is_store)
-        broadcastStore(event.line);
+        broadcastStore(event.line, slots);
 
     // Dropped update-bus broadcasts leave stale modified bits behind;
     // a periodic scrubber repairs them (self-healing).
@@ -281,9 +284,10 @@ MigrationMachine::scrubCoherence()
     const uint64_t repairs_before = stats_.coherenceRepairs;
     std::unordered_map<uint64_t, std::vector<unsigned>> modified_at;
     for (unsigned c = 0; c < config_.numCores; ++c) {
-        l2s_[c]->tags().forEachValid([&](const CacheEntry &e) {
-            if (e.modified)
-                modified_at[e.line].push_back(c);
+        const FrameArray &frames = l2s_[c]->frames();
+        frames.forEachValid([&](uint32_t f) {
+            if (frames.modified(f))
+                modified_at[frames.line(f)].push_back(c);
         });
     }
     // Demote in ascending line order, not hash-table order: each
@@ -309,11 +313,12 @@ MigrationMachine::scrubCoherence()
         for (unsigned c : cores) {
             if (c == keeper)
                 continue;
-            CacheEntry *entry = l2s_[c]->findEntry(line);
-            XMIG_ASSERT(entry != nullptr && entry->modified,
+            Cache &l2 = *l2s_[c];
+            const uint32_t f = l2.find(line);
+            XMIG_ASSERT(f != Cache::kNoFrame && l2.modified(f),
                         "scrub lost track of line %llx on core %u",
                         (unsigned long long)line, c);
-            entry->modified = false;
+            l2.setModified(f, false);
             ++stats_.l3Writebacks;
             writebackToL3(line);
             ++stats_.coherenceRepairs;
@@ -329,8 +334,8 @@ MigrationMachine::scrubCoherence()
 }
 
 void
-MigrationMachine::accessL2(uint64_t line, bool is_store,
-                           CacheEntry *probe, bool probed)
+MigrationMachine::accessL2(uint64_t line, const Cache::Slots &slots,
+                           uint32_t probe, bool is_store)
 {
     ++stats_.l2Accesses;
     XMIG_AUDIT(stats_.l2Misses < stats_.l2Accesses,
@@ -338,16 +343,14 @@ MigrationMachine::accessL2(uint64_t line, bool is_store,
                (unsigned long long)stats_.l2Misses,
                (unsigned long long)stats_.l2Accesses);
     Cache &l2 = *l2s_[activeCore_];
-    AccessOutcome out = probed ? l2.accessProbed(line, is_store, probe)
-                               : l2.access(line, is_store);
+    const AccessOutcome out = l2.accessProbed(line, slots, probe, is_store);
     if (out.writeback) {
         ++stats_.l3Writebacks;
         writebackToL3(out.evictedLine);
     }
     if (out.hit) {
-        CacheEntry *entry = out.entry;
-        if (entry && entry->prefetched) {
-            entry->prefetched = false;
+        if (l2.prefetched(out.frame)) {
+            l2.setPrefetched(out.frame, false);
             ++stats_.prefetchUseful;
         }
         if (prefetcher_) // stride training sees hits too
@@ -369,9 +372,10 @@ MigrationMachine::accessL2(uint64_t line, bool is_store,
     for (unsigned c = 0; c < config_.numCores; ++c) {
         if (c == activeCore_)
             continue;
-        CacheEntry *remote = l2s_[c]->findEntry(line);
-        if (remote && remote->modified) {
-            remote->modified = false;
+        Cache &remote = *l2s_[c];
+        const uint32_t f = remote.find(line, slots);
+        if (f != Cache::kNoFrame && remote.modified(f)) {
+            remote.setModified(f, false);
             ++stats_.l2ToL2Forwards;
             ++stats_.l3Writebacks; // simultaneous write-back to L3
             writebackToL3(line);
@@ -391,18 +395,17 @@ MigrationMachine::issuePrefetches(uint64_t line, bool miss)
     prefetcher_->onDemand(line, miss, prefetchCandidates_);
     Cache &l2 = *l2s_[activeCore_];
     for (uint64_t candidate : prefetchCandidates_) {
-        if (l2.contains(candidate))
+        // A clean fill() of a resident line changes nothing.
+        const AccessOutcome out = l2.fill(candidate, false);
+        if (out.hit)
             continue;
-        AccessOutcome out = l2.fill(candidate, false);
         if (out.writeback) {
             ++stats_.l3Writebacks;
             writebackToL3(out.evictedLine);
         }
         fetchFromL3(candidate);
-        if (out.entry) {
-            out.entry->prefetched = true;
-            ++stats_.prefetchFills;
-        }
+        l2.setPrefetched(out.frame, true);
+        ++stats_.prefetchFills;
     }
 }
 
@@ -441,7 +444,7 @@ MigrationMachine::writebackToL3(uint64_t line)
 }
 
 void
-MigrationMachine::broadcastStore(uint64_t line)
+MigrationMachine::broadcastStore(uint64_t line, const Cache::Slots &slots)
 {
     // Only the active core drives the update bus, and it must be live.
     XMIG_AUDIT(!controller_ ||
@@ -462,9 +465,10 @@ MigrationMachine::broadcastStore(uint64_t line)
     for (unsigned c = 0; c < config_.numCores; ++c) {
         if (c == activeCore_)
             continue;
-        CacheEntry *copy = l2s_[c]->findEntry(line);
-        if (copy) {
-            copy->modified = false;
+        Cache &copy = *l2s_[c];
+        const uint32_t f = copy.find(line, slots);
+        if (f != Cache::kNoFrame) {
+            copy.setModified(f, false);
             ++stats_.updateBusStores;
         }
     }
@@ -486,10 +490,11 @@ std::vector<MachineCheckpoint::LineState>
 captureCache(const Cache &cache)
 {
     std::vector<MachineCheckpoint::LineState> out;
-    cache.tags().forEachValid([&](const CacheEntry &e) {
-        out.push_back({e.line, e.modified});
+    const FrameArray &frames = cache.frames();
+    frames.forEachValid([&](uint32_t f) {
+        out.push_back({frames.line(f), frames.modified(f)});
     });
-    // forEachValid order depends on the tag backing; sort for a
+    // forEachValid order depends on the index function; sort for a
     // deterministic record (and deterministic refill order below).
     std::sort(out.begin(), out.end(),
               [](const MachineCheckpoint::LineState &a,
@@ -555,9 +560,10 @@ MigrationMachine::countMultiModifiedLines() const
     // Collect modified lines per core and count collisions.
     std::unordered_map<uint64_t, unsigned> modified_copies;
     for (const auto &l2 : l2s_) {
-        l2->tags().forEachValid([&](const CacheEntry &e) {
-            if (e.modified)
-                ++modified_copies[e.line];
+        const FrameArray &frames = l2->frames();
+        frames.forEachValid([&](uint32_t f) {
+            if (frames.modified(f))
+                ++modified_copies[frames.line(f)];
         });
     }
     uint64_t bad = 0;

@@ -43,8 +43,9 @@ struct MachineConfig
 {
     /**
      * 1 disables migration (baseline single core); any power of two
-     * up to 64 enables it (2 and 4 use the paper's exact splitter
-     * structures, larger counts the generalized recursive one).
+     * up to 64 enables it. Every count runs the one recursive k-way
+     * splitter (core/kway_splitter.hpp): depth 1 and 2 are exactly the
+     * paper's 2- and 4-way structures, deeper trees generalize them.
      */
     unsigned numCores = 4;
 
@@ -299,15 +300,15 @@ class MigrationMachine : public RefSink, private LineSink
 
     /**
      * Handle the L2-level request on the (post-decision) active core.
-     * `probe`/`probed` carry a findEntry(line) result taken on that
-     * same core before the migration decision, so the decision and the
-     * access share one tag probe (xmig-swift).
+     * `slots` is the line's candidate frames in every L2 and `probe`
+     * the active core's find(line, slots), so the migration decision,
+     * the access and the remote-copy probes share one hash of the line.
      */
-    void accessL2(uint64_t line, bool is_store, CacheEntry *probe,
-                  bool probed);
+    void accessL2(uint64_t line, const Cache::Slots &slots, uint32_t probe,
+                  bool is_store);
 
     /** Store visibility on inactive copies (update bus, section 2.1). */
-    void broadcastStore(uint64_t line);
+    void broadcastStore(uint64_t line, const Cache::Slots &slots);
 
     /** Run the prefetcher and fill candidates into the active L2. */
     void issuePrefetches(uint64_t line, bool miss);

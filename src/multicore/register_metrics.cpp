@@ -23,7 +23,7 @@ registerCacheMetrics(obs::MetricsRegistry &registry,
     registry.addCounter(prefix + ".misses", &cs.misses);
     registry.addCounter(prefix + ".writebacks", &cs.writebacks);
     registry.addGauge(prefix + ".occupancy", [&cache] {
-        return static_cast<double>(cache.tags().occupancy());
+        return static_cast<double>(cache.frames().occupancy());
     });
 }
 

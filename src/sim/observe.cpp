@@ -106,17 +106,17 @@ RunObservatory::attachMachine(MigrationMachine &machine,
                                "_l2_occupancy",
                            [&machine, c] {
                                return static_cast<double>(
-                                   machine.l2(c).tags().occupancy());
+                                   machine.l2(c).frames().occupancy());
                            });
     }
     if (cores > 1) {
         // Live imbalance of the working-set split: how unevenly the
         // resident lines spread over the per-core L2s right now.
         sampler_.addColumn("l2_occupancy_spread", [&machine, cores] {
-            uint64_t lo = machine.l2(0).tags().occupancy();
+            uint64_t lo = machine.l2(0).frames().occupancy();
             uint64_t hi = lo;
             for (unsigned c = 1; c < cores; ++c) {
-                const uint64_t occ = machine.l2(c).tags().occupancy();
+                const uint64_t occ = machine.l2(c).frames().occupancy();
                 lo = std::min(lo, occ);
                 hi = std::max(hi, occ);
             }

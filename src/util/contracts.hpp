@@ -15,7 +15,7 @@
  *                    predictable branch.
  *  - XMIG_EXPECT   — compiled at audit level >= 2 (paranoid).
  *                    Expensive structural walks: O(|R|) window sums,
- *                    tag/payload reconciliation, whole-machine
+ *                    tag/O_e column reconciliation, whole-machine
  *                    coherence sweeps. Enable with
  *                    -DXMIG_AUDIT_LEVEL=paranoid when chasing a
  *                    silent-corruption bug or validating a refactor.

@@ -19,13 +19,17 @@ namespace xmig {
 /**
  * Working-set sampling hash H(e) = e mod 31 (section 3.5).
  *
- * Implemented as hardware would: split e into 5-bit blocks e_i with
- * e = sum_i 2^(5i) e_i; since 2^5 = 32 = 1 (mod 31), H(e) =
- * sum_i e_i mod 31 — a carry-save adder tree plus a small ROM. The
- * software version iterates the block sum until it fits 5 bits, then
- * folds the single remaining value 31 to 0.
+ * Hardware splits e into 5-bit blocks e_i with e = sum_i 2^(5i) e_i;
+ * since 2^5 = 32 = 1 (mod 31), H(e) = sum_i e_i mod 31 — a
+ * carry-save adder tree plus a small ROM. That digit-sum equals
+ * e mod 31 exactly (same theorem as casting out nines), so in
+ * software a single modulo computes the identical value.
  */
-uint32_t hashMod31(uint64_t e);
+inline uint32_t
+hashMod31(uint64_t e)
+{
+    return static_cast<uint32_t>(e % 31);
+}
 
 /**
  * Sampling predicate of section 3.5: keep line e iff H(e) < cutoff.
@@ -39,6 +43,16 @@ sampledLine(uint64_t e, uint32_t cutoff)
     return hashMod31(e) < cutoff;
 }
 
+/** SplitMix64 finalizer; a good 64-bit bit mixer. */
+inline uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /**
  * Skewing function for bank `bank` of a skewed-associative cache.
  *
@@ -47,9 +61,19 @@ sampledLine(uint64_t e, uint32_t cutoff)
  * unlikely to conflict in another — the defining property of skewed
  * associativity. numSets must be a power of two.
  */
-uint64_t skewHash(uint64_t line_addr, unsigned bank, uint64_t num_sets);
-
-/** SplitMix64 finalizer; a good 64-bit bit mixer. */
-uint64_t mix64(uint64_t x);
+inline uint64_t
+skewHash(uint64_t line_addr, unsigned bank, uint64_t num_sets)
+{
+    // Bank 0 indexes conventionally; each other bank applies an
+    // independent full-avalanche permutation of the line address, so
+    // two lines conflicting in one bank are (near-)independently
+    // placed in every other bank — the defining skewed-associativity
+    // property. Sequential line streams disperse uniformly in every
+    // bank.
+    const uint64_t mask = num_sets - 1;
+    if (bank == 0)
+        return line_addr & mask;
+    return mix64(line_addr + 0xd6e8feb86659fd93ULL * bank) & mask;
+}
 
 } // namespace xmig

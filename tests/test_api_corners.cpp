@@ -104,7 +104,7 @@ TEST(ApiCorners, MachineResetStatsKeepsTraining)
     // Machine *state* survives: active core, cache contents, and the
     // controller's training, so post-reset behavior is steady-state.
     EXPECT_EQ(m.activeCore(), active_before);
-    EXPECT_GT(m.l2(active_before).tags().occupancy(), 0u);
+    EXPECT_GT(m.l2(active_before).frames().occupancy(), 0u);
     for (int t = 0; t < 100'000; ++t)
         m.access(MemRef::load(0x40000000 + s.next() * 64));
     // Trained machine: far fewer misses than accesses.

@@ -137,5 +137,34 @@ TEST(Mix64, IsDeterministicAndSpreads)
     EXPECT_LT(same, 20u);
 }
 
+
+TEST(Mix64, ValuesArePinned)
+{
+    // The skewed caches' placement depends on these exact bits.
+    EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(mix64(42), 0xbdd732262feb6e95ull);
+    EXPECT_EQ(mix64(~0ull), 0xe4d971771b652c20ull);
+}
+
+TEST(SkewHash, ValuesArePinned)
+{
+    // FNV-1a digest of skewHash over 3 set counts x 16 banks x 4096
+    // lines, recorded before skewHash moved into the header.
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const uint64_t sets : {1ull, 64ull, 2048ull}) {
+        for (unsigned bank = 0; bank < 16; ++bank) {
+            for (uint64_t l = 0; l < 4096; ++l) {
+                const uint64_t v = skewHash(0x4000000 + l * 7919, bank,
+                                            sets);
+                for (int i = 0; i < 8; ++i) {
+                    hash ^= (v >> (8 * i)) & 0xff;
+                    hash *= 0x100000001b3ull;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(hash, 0xccf01b69c9de7ec0ull);
+}
+
 } // namespace
 } // namespace xmig
