@@ -92,8 +92,8 @@ class L1Filter : public RefSink
      * of instruction fetches among refs[0..ref_idx[m]] (inclusive) in
      * `ev_instr[0..m)`; returns m (<= n, at most one event per
      * reference). `*ifetch_total` receives the run's instruction-
-     * fetch count. The L1 probes run through the devirtualized cache
-     * fast path with register-tallied statistics (xmig-bolt).
+     * fetch count. The L1 probes run through the header-inline cache
+     * access with register-tallied statistics (xmig-bolt).
      *
      * Identical event stream to n access() calls: L1 state depends
      * only on the reference stream itself — downstream processing
