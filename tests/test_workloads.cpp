@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <unordered_set>
 
 #include "cache/l1_filter.hpp"
@@ -178,6 +179,79 @@ TEST(Workloads, InstructionHeavyClassMissesInIL1)
         L1Filter filter(c, null_sink);
         makeWorkload(name)->run(filter, 1'000'000);
         EXPECT_LT(filter.il1Stats().missRatio(), 0.01) << name;
+    }
+}
+
+/** FNV-1a 64 over the eight little-endian bytes of `v`. */
+uint64_t
+fnvMix(uint64_t hash, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (v >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/** Digest of a MemRef stream: address, type and pointer mark. */
+struct StreamDigest : RefSink
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    void
+    access(const MemRef &ref) override
+    {
+        hash = fnvMix(hash, ref.addr);
+        hash = fnvMix(hash, static_cast<uint64_t>(ref.type) |
+                                uint64_t{ref.pointer} << 8);
+    }
+};
+
+/* Recorded with the out-of-line CodeWalker::advance() step. */
+TEST(WorkloadGolden, StreamsArePinned)
+{
+    struct Pinned
+    {
+        const char *name;
+        uint64_t seed42;
+        uint64_t seed1009;
+    };
+    const Pinned pinned[] = {
+        {"164.gzip", 0xdf9c943b6ade4b6cull, 0x5f721ea7277dc33eull},
+        {"171.swim", 0xb9c92b0988dee057ull, 0xb9c92b0988dee057ull},
+        {"172.mgrid", 0xd367f0241ff6dee4ull, 0xd367f0241ff6dee4ull},
+        {"175.vpr", 0xe234ae3c097329a9ull, 0xa8f8b59b1f564d2cull},
+        {"176.gcc", 0x6b124f385051885cull, 0x546ddbe585a47d91ull},
+        {"179.art", 0x7c432588fa1068c8ull, 0x33e12e727ffe42a4ull},
+        {"181.mcf", 0x33dc8ffb18e20935ull, 0x2d873b2c3b6b0ec2ull},
+        {"186.crafty", 0xf5203c7d2cca1bdbull, 0x9fc3b2f206db9a5bull},
+        {"188.ammp", 0x08b85b70eaeaed52ull, 0x08b85b70eaeaed52ull},
+        {"197.parser", 0xb14804ea32fd31a7ull, 0x8c78ed711d121e0bull},
+        {"255.vortex", 0xa51fce2a8514efd1ull, 0x7997e480ad0f789full},
+        {"256.bzip2", 0x51940f287c2621e2ull, 0x51940f287c2621e2ull},
+        {"300.twolf", 0xfc2edc26bfb53bfdull, 0xdc24c99e98431c34ull},
+        {"bh", 0x327498045d8491a9ull, 0x327498045d8491a9ull},
+        {"bisort", 0xa640cd2e9fc99f11ull, 0xf5af047e6cf859eaull},
+        {"em3d", 0x7ec8366655fed3b7ull, 0x7ec8366655fed3b7ull},
+        {"health", 0x31dd293692e245c7ull, 0x090a662b214d941bull},
+        {"mst", 0x928296eebfd60a45ull, 0x761937de18549f11ull},
+        {"storm.unsplit", 0xeb364c67feafac8cull, 0xff511d3fe41b1e62ull},
+        {"storm.phase", 0xabb74ab25b7e83ddull, 0xe8357d107a8ce8f8ull},
+        {"storm.thrash", 0xb9c2dfe36d1375d9ull, 0x969a4fec71186b6bull},
+    };
+    std::vector<std::string> names = allWorkloadNames();
+    for (const std::string &n : adversarialWorkloadNames())
+        names.push_back(n);
+    ASSERT_EQ(names.size(), std::size(pinned));
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_EQ(names[i], pinned[i].name);
+        for (uint64_t seed : {42, 1009}) {
+            StreamDigest d;
+            makeWorkload(names[i])->run(d, 200'000, seed);
+            EXPECT_EQ(d.hash, seed == 42 ? pinned[i].seed42
+                                         : pinned[i].seed1009)
+                << names[i] << " seed " << seed << std::hex << " got 0x"
+                << d.hash;
+        }
     }
 }
 
