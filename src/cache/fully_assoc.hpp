@@ -47,11 +47,24 @@ class FullyAssocLru
            bool *evicted_valid = nullptr)
     {
         ++stats_.accesses;
+        return accessTallied(line, stats_.hits, evicted_line,
+                             evicted_valid);
+    }
+
+    /**
+     * access() with the accesses/hits tallies kept by the caller and
+     * folded in with settleBatchStats(), like Cache::accessTallied().
+     */
+    bool
+    accessTallied(uint64_t line, uint64_t &hits,
+                  uint64_t *evicted_line = nullptr,
+                  bool *evicted_valid = nullptr)
+    {
         if (evicted_valid)
             *evicted_valid = false;
         auto it = map_.find(line);
         if (it != map_.end()) {
-            ++stats_.hits;
+            ++hits;
             recency_.splice(recency_.begin(), recency_, it->second);
             return true;
         }
@@ -68,6 +81,14 @@ class FullyAssocLru
         recency_.push_front(line);
         map_.emplace(line, recency_.begin());
         return false;
+    }
+
+    /** Fold a batch loop's tallies into the stats. */
+    void
+    settleBatchStats(uint64_t accesses, uint64_t hits)
+    {
+        stats_.accesses += accesses;
+        stats_.hits += hits;
     }
 
     /** True if `line` is resident (no LRU update). */

@@ -119,23 +119,20 @@ MigrationMachine::accessBatch(const MemRef *refs, size_t n)
 
         // Phase 1: the whole chunk through the L1 level in one loop,
         // which also tallies the instruction-fetch count at each
-        // event. At most one event per reference, so the fixed
-        // buffers fit.
-        LineEvent events[kBatchRefs];
-        uint32_t ev_ref[kBatchRefs];
-        uint32_t ev_instr[kBatchRefs];
+        // event. At most one event per reference, so the machine's
+        // chunk buffers fit.
         uint32_t ifetches = 0;
         const size_t m =
-            l1_->filterBatch(refs, k, events, ev_ref, ev_instr,
+            l1_->filterBatch(refs, k, events_, evRef_, evInstr_,
                              &ifetches);
 
         // Phase 2: the sparse post-L1 events, in reference order,
         // with the counters set to their exact scalar values first —
         // processLine() stamps journal events with stats_.refs.
         for (size_t e = 0; e < m; ++e) {
-            stats_.refs = base_refs + ev_ref[e] + 1;
-            stats_.instructions = base_instr + ev_instr[e];
-            processLine(events[e]);
+            stats_.refs = base_refs + evRef_[e] + 1;
+            stats_.instructions = base_instr + evInstr_[e];
+            processLine(events_[e]);
         }
         stats_.refs = base_refs + k;
         stats_.instructions = base_instr + ifetches;
@@ -478,10 +475,14 @@ void
 MigrationMachine::resetStats()
 {
     stats_ = {};
+    l1_->resetStats();
     for (auto &l2 : l2s_)
         l2->resetStats();
     if (l3_)
         l3_->resetStats();
+    XMIG_AUDIT(l1_->il1Stats().accesses == 0 &&
+                   l1_->dl1Stats().accesses == 0,
+               "L1 counters survived a stats reset");
 }
 
 namespace {

@@ -31,10 +31,8 @@ CodeWalker::CodeWalker(const CodeWalkerConfig &config)
 }
 
 void
-CodeWalker::advance()
+CodeWalker::endFunction()
 {
-    if (++pos_ < funcLen_[current_])
-        return;
     pos_ = 0;
     if (loopsLeft_ > 0) {
         --loopsLeft_;
@@ -59,7 +57,9 @@ CodeWalker::pickNextFunction()
     } else {
         next = static_cast<uint32_t>(rng_.below(funcStart_.size()));
     }
-    // Maintain the recent set as a FIFO of distinct-ish entries.
+    // Overwrite a random slot of the recent set with the callee (not a
+    // FIFO: an entry may survive any number of calls, and duplicates
+    // are allowed).
     if (!recent_.empty()) {
         recent_[rng_.below(recent_.size())] = next;
     }

@@ -55,12 +55,16 @@ class CodeWalker
   public:
     explicit CodeWalker(const CodeWalkerConfig &config);
 
-    /** Emit one instruction fetch into `sink` and advance. */
+    /**
+     * Emit one instruction fetch into `sink` and advance: inline
+     * within a function, out of line at its end.
+     */
     void
     step(RefSink &sink)
     {
         sink.access(MemRef::ifetch(pc()));
-        advance();
+        if (++pos_ == funcLen_[current_])
+            endFunction();
     }
 
     /** Current fetch address. */
@@ -74,14 +78,15 @@ class CodeWalker
     uint64_t numFunctions() const { return funcStart_.size(); }
 
   private:
-    void advance();
+    /** Leave the current function: loop it or pick the next one. */
+    void endFunction();
     void pickNextFunction();
 
     CodeWalkerConfig config_;
     Rng rng_;
     std::vector<uint64_t> funcStart_; ///< in instructions
     std::vector<uint32_t> funcLen_;   ///< in instructions
-    std::vector<uint32_t> recent_;    ///< LRU list of recent functions
+    std::vector<uint32_t> recent_;    ///< recently called functions
     uint32_t current_ = 0;
     uint32_t pos_ = 0;
     uint32_t loopsLeft_ = 0;

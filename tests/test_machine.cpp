@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "multicore/machine.hpp"
 #include "obs/journal.hpp"
@@ -188,6 +189,28 @@ TEST(MigrationMachine, EightCoreMachineRuns)
     driveCircular(m, 400, 100'000);
     EXPECT_EQ(m.countMultiModifiedLines(), 0u);
     EXPECT_GT(m.stats().l2Accesses, 0u);
+}
+
+TEST(MigrationMachine, ResetStatsZeroesL1Counters)
+{
+    // A --warmup reset must restart the IL1/DL1 counters with the
+    // machine's own, through both the per-reference and batched feeds.
+    RefRecorder rec;
+    makeWorkload("179.art")->run(rec, 50'000, 42);
+    const std::vector<MemRef> &refs = rec.refs();
+    const size_t half = refs.size() / 2;
+    MigrationMachine m(MachineConfig{});
+    for (size_t i = 0; i < half; ++i)
+        m.access(refs[i]);
+    m.resetStats();
+    m.accessBatch(&refs[half], refs.size() - half);
+    const CacheStats &il1 = m.l1().il1Stats();
+    const CacheStats &dl1 = m.l1().dl1Stats();
+    EXPECT_EQ(m.stats().refs, refs.size() - half);
+    EXPECT_EQ(il1.accesses + dl1.accesses, m.stats().refs);
+    EXPECT_EQ(il1.accesses, m.stats().instructions);
+    EXPECT_EQ(il1.accesses, il1.hits + il1.misses);
+    EXPECT_EQ(dl1.accesses, dl1.hits + dl1.misses);
 }
 
 /** FNV-1a 64 over the eight little-endian bytes of `v`. */
