@@ -113,10 +113,21 @@ class FrameArray
     uint32_t
     find(uint64_t line, const Slots &s) const
     {
+        if (!skewed_) {
+            // A set is contiguous: compare every way and select, with
+            // no early exit. The hit way is unpredictable, so a
+            // select per way beats a mispredicted branch; a line is
+            // resident at most once, so at most one way matches.
+            uint32_t hit = kNoFrame;
+            for (unsigned w = 0; w < ways_; ++w) {
+                const uint32_t f = s.frame[0] + w;
+                hit = tag_[f] == line ? f : hit;
+            }
+            return hit;
+        }
         for (unsigned w = 0; w < ways_; ++w) {
-            const uint32_t f = candidate(s, w);
-            if (tag_[f] == line)
-                return f;
+            if (tag_[s.frame[w]] == line)
+                return s.frame[w];
         }
         return kNoFrame;
     }
