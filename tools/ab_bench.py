@@ -62,6 +62,8 @@ def checkout(rev, workdir, side):
         archive.stdout.close()
         if archive.wait() != 0 or untar.returncode != 0:
             die(f"could not extract {rev} into {tree}")
+        if not os.path.isfile(os.path.join(tree, "xmig-bench", "run.py")):
+            die(f"{rev} has no xmig-bench/run.py to benchmark")
     return tree, sha
 
 
