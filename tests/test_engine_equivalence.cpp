@@ -13,15 +13,21 @@
  *
  * Wide affinity widths are used so saturation (a hardware concession
  * the direct engine does not model) cannot fire.
+ *
+ * EngineGolden then pins reference() itself, saturation included,
+ * against digests of recorded runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "core/direct_engine.hpp"
 #include "core/engine.hpp"
 #include "core/oe_store.hpp"
+#include "core/soa_oe_store.hpp"
 #include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -159,6 +165,92 @@ TEST(PostponedUpdateInvariants, DeltaTracksSignHistory)
         ASSERT_EQ(std::abs(d - prev), 1);
         prev = d;
     }
+}
+
+/** FNV-1a 64 over the eight little-endian bytes of `v`. */
+uint64_t
+fnvMix(uint64_t hash, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (v >> (8 * i)) & 0xff;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/**
+ * Digest of one engine run through reference(): every reference's
+ * A_e and in-window flag, then the final Delta, A_R, sum(I_e) and
+ * reference count, the store's statistics and its sorted entries.
+ * The stream sweeps 3000 lines circularly and, one reference in
+ * three, revisits a 200-line hot set, so FIFO windows see duplicate
+ * entries, DistinctLru windows see re-references, and a 1k-entry
+ * store evicts.
+ */
+uint64_t
+engineRunDigest(const EngineConfig &ec, OeStore &store)
+{
+    AffinityEngine engine(ec, store);
+    CircularStream sweep(3000);
+    Rng rng(29);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (int t = 0; t < 60'000; ++t) {
+        const uint64_t line =
+            rng.below(3) == 0 ? 100'000 + rng.below(200) : sweep.next();
+        const RefOutcome out = engine.reference(line);
+        hash = fnvMix(hash, static_cast<uint64_t>(out.ae));
+        hash = fnvMix(hash, out.inWindow);
+    }
+    const EngineCheckpoint ckpt = engine.checkpoint();
+    const OeStoreStats &st = store.stats();
+    for (const uint64_t v :
+         {static_cast<uint64_t>(engine.delta()),
+          static_cast<uint64_t>(engine.windowAffinity()),
+          static_cast<uint64_t>(ckpt.sumIe), engine.references(),
+          st.lookups, st.misses, st.stores, st.evictions})
+        hash = fnvMix(hash, v);
+    std::vector<OeEntrySnapshot> entries;
+    store.snapshotEntries(entries);
+    for (const OeEntrySnapshot &e : entries) {
+        hash = fnvMix(hash, e.line);
+        hash = fnvMix(hash, static_cast<uint64_t>(e.oe));
+    }
+    return hash;
+}
+
+/*
+ * reference() is the engine's one per-reference path. Pinned over the
+ * FIFO/Exact configuration on the finite SoA affinity cache (the
+ * machine's default), FIFO over the unbounded store, DistinctLru
+ * windows and the Figure-2 register recurrence; recorded from the
+ * engine that still carried a separate FIFO/Exact batch loop.
+ */
+TEST(EngineGolden, ReferenceStreamsArePinned)
+{
+    AffinityCacheConfig ac;
+    ac.entries = 1024;
+    EngineConfig ec;
+    ec.windowSize = 128;
+
+    SoaAffinityStore fifo_store(ac);
+    EXPECT_EQ(engineRunDigest(ec, fifo_store), 0x7ae745441f7c7509ull)
+        << "FIFO/Exact SoA";
+
+    UnboundedOeStore unbounded(ec.affinityBits);
+    EXPECT_EQ(engineRunDigest(ec, unbounded), 0x7f08b1584576c397ull)
+        << "FIFO/Exact unbounded";
+
+    EngineConfig lru = ec;
+    lru.window = WindowKind::DistinctLru;
+    SoaAffinityStore lru_store(ac);
+    EXPECT_EQ(engineRunDigest(lru, lru_store), 0x3d247b57894760f2ull)
+        << "DistinctLru";
+
+    EngineConfig fig2 = ec;
+    fig2.ar = ArKind::Figure2;
+    SoaAffinityStore fig2_store(ac);
+    EXPECT_EQ(engineRunDigest(fig2, fig2_store), 0x61b96ea43d9ea26full)
+        << "Figure2";
 }
 
 } // namespace
