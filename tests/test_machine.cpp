@@ -213,6 +213,31 @@ TEST(MigrationMachine, ResetStatsZeroesL1Counters)
     EXPECT_EQ(dl1.accesses, dl1.hits + dl1.misses);
 }
 
+TEST(MigrationMachine, ResetStatsRestartsMigrationGaps)
+{
+    // A warm-up reset must also restart the inter-migration gap
+    // histogram: a gap measured from a pre-reset migration would be
+    // computed against the zeroed reference counter and wrap around.
+    MachineConfig cfg;
+    cfg.l2Bytes = 64 * 1024;
+    MigrationMachine m(cfg);
+    CircularStream s(3000);
+    auto feed = [&](uint64_t n) {
+        for (uint64_t i = 0; i < n; ++i) {
+            m.access(MemRef::ifetch(0x400000 + (i % 2048) * 4));
+            m.access(MemRef::load(0x1000000 + s.next() * 64));
+        }
+    };
+    feed(100'000);
+    ASSERT_GT(m.stats().migrations, 0u);
+    m.resetStats();
+    feed(100'000);
+    ASSERT_GT(m.stats().migrations, 0u);
+    const obs::Histogram &gaps = m.interMigrationGapHistogram();
+    EXPECT_EQ(gaps.count(), m.stats().migrations);
+    EXPECT_EQ(gaps.buckets().back(), 0u) << "a gap wrapped around";
+}
+
 /** FNV-1a 64 over the eight little-endian bytes of `v`. */
 uint64_t
 fnvMix(uint64_t hash, uint64_t v)
