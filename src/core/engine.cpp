@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "core/shadow_audit.hpp"
-#include "core/soa_oe_store.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/journal.hpp"
 #include "util/contracts.hpp"
@@ -40,7 +39,6 @@ AffinityEngine::AffinityEngine(const EngineConfig &config, OeStore &store)
         lru_ = std::make_unique<DistinctLruWindow>(config_.windowSize);
     if (config_.shadow == ShadowMode::Armed)
         shadow_ = std::make_unique<ShadowAudit>(config_, config_.shadowTag);
-    soaStore_ = dynamic_cast<SoaAffinityStore *>(&store_);
 }
 
 AffinityEngine::~AffinityEngine() = default;
@@ -223,83 +221,6 @@ AffinityEngine::reference(uint64_t line)
     if (shadow_)
         shadow_->onReference(line, *this, out.ae);
     return out;
-}
-
-void
-AffinityEngine::referenceBatch(const uint64_t *lines, size_t n,
-                               RefOutcome *out)
-{
-    // The fast loop is reference() with the configuration checks and
-    // the shadow's disarm ladder hoisted out of the per-reference
-    // body. Any configuration the loop below does not replicate
-    // exactly falls back to per-reference processing, so batched and
-    // unbatched runs are byte-identical by construction.
-    const bool fast = config_.window == WindowKind::Fifo &&
-                      config_.ar == ArKind::Exact &&
-                      !(shadow_ && shadow_->armed()) &&
-                      config_.faults == nullptr;
-    if (!fast) {
-        for (size_t i = 0; i < n; ++i) {
-            // xmig-lint: allow(alloc-in-hot-loop) -- exact per-ref
-            // fallback for shadow/fault/LRU configs, cold by design.
-            out[i] = reference(lines[i]);
-        }
-        return;
-    }
-
-    FifoWindow &fifo = *fifo_;
-    for (size_t i = 0; i < n; ++i) {
-        const uint64_t line = lines[i];
-        ++references_;
-        const int64_t delta = delta_.get();
-
-        // O_e fetch: devirtualized when the shared store is the SoA
-        // affinity cache (the default bounded configuration).
-        int64_t oe;
-        if (soaStore_) {
-            oe = soaStore_->lookupFast(line, delta);
-        } else {
-            // xmig-lint: allow(alloc-in-hot-loop) -- the virtual arm
-            // serves the unbounded store only; bounded devirtualizes.
-            oe = store_.lookup(line, delta);
-        }
-        out[i].ae = oe - delta;
-        out[i].inWindow = false;
-
-        const int64_t ie = saturate(oe - 2 * delta);
-        WindowSlot evicted;
-        const bool have_evicted = fifo.push(line, ie, &evicted);
-        const size_t members = fifo.size();
-        XMIG_AUDIT(members >= 1 && members <= config_.windowSize,
-                   "R-window occupancy %zu out of [1, %zu]", members,
-                   config_.windowSize);
-
-        if (have_evicted) {
-            const int64_t of = saturate(evicted.ie + 2 * delta);
-            if (soaStore_) {
-                soaStore_->storeFast(evicted.line, of);
-            } else {
-                // xmig-lint: allow(alloc-in-hot-loop) -- unbounded-
-                // store arm (see the lookup above).
-                store_.store(evicted.line, of);
-            }
-            sumIe_ += ie - evicted.ie;
-        } else {
-            sumIe_ += ie;
-        }
-
-        const int64_t arRaw =
-            sumIe_ + static_cast<int64_t>(members) * delta;
-        delta_.add(affinitySign(arRaw));
-        XMIG_AUDIT(delta_.get() - delta >= -1 &&
-                       delta_.get() - delta <= 1,
-                   "Delta stepped by %lld, not +/-1",
-                   (long long)(delta_.get() - delta));
-        const int64_t step = delta_.get() - delta;
-        windowAffinity_.set(arRaw +
-                            step * static_cast<int64_t>(members));
-        auditWindowSum(members);
-    }
 }
 
 void

@@ -36,7 +36,6 @@ namespace xmig {
 
 class FaultInjector;
 class ShadowAudit;
-class SoaAffinityStore;
 
 /** Whether an engine runs the shadow-model oracle (shadow_audit.hpp). */
 enum class ShadowMode : uint8_t
@@ -113,19 +112,12 @@ class AffinityEngine
     AffinityEngine(const EngineConfig &config, OeStore &store);
     ~AffinityEngine(); // = default; here for the ShadowAudit pimpl
 
-    /** Process a reference to `line`; returns its affinity A_e(t). */
-    RefOutcome reference(uint64_t line);
-
     /**
-     * Process a run of `n` references, filling `out[0..n)` — the
-     * xmig-bolt batch entry point. Byte-identical to n reference()
-     * calls by construction: the common configuration (FIFO window,
-     * exact A_R, no armed shadow, no armed fault plan) runs a tight
-     * loop with the store probe devirtualized through a cached
-     * concrete pointer; every other configuration falls back to
-     * per-reference processing in the same order.
+     * Process a reference to `line`; returns its affinity A_e(t).
+     * The engine's one reference path: every window kind, A_R
+     * recurrence, shadow oracle and fault hook runs through it.
      */
-    void referenceBatch(const uint64_t *lines, size_t n, RefOutcome *out);
+    RefOutcome reference(uint64_t line);
 
     /** Current Delta value. */
     int64_t delta() const { return delta_.get(); }
@@ -196,7 +188,6 @@ class AffinityEngine
 
     EngineConfig config_;
     OeStore &store_;
-    SoaAffinityStore *soaStore_ = nullptr; ///< store_, when SoA-backed
     SatInt delta_;          ///< bits[Delta] = bits[O_e] + 1
     SatInt windowAffinity_; ///< bits[A_R] = bits[O_e] + log2 |R|
     int64_t sumIe_ = 0;     ///< ArKind::Exact: sum of window I_e

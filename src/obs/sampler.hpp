@@ -59,6 +59,18 @@ class TimeSeriesSampler
      *  due. Returns true if at least one row was recorded. */
     bool tick(uint64_t n = 1);
 
+    /**
+     * Ticks until the next row comes due (>= 1): tick(n) with n up to
+     * this value records at most one row, at its last tick. UINT64_MAX
+     * when tick sampling is off.
+     */
+    uint64_t
+    ticksUntilSample() const
+    {
+        return config_.sampleEvery == 0 ? UINT64_MAX
+                                        : nextSampleAt_ - ticks_;
+    }
+
     /** Record one row now, regardless of cadence. */
     void sampleNow();
 

@@ -93,12 +93,24 @@ class RunObservatory
     void attachMachine(MigrationMachine &machine,
                        const std::string &prefix, bool sampled);
 
-    /** Advance sampling time; call once per memory reference. */
+    /**
+     * Advance sampling time by `n` memory references. A feed that
+     * stops at every refsUntilSample() instant records each row at
+     * exactly the reference its cadence names.
+     */
     void
-    onReference()
+    onReferences(uint64_t n)
     {
         if (sampling_)
-            sampler_.tick();
+            sampler_.tick(n);
+    }
+
+    /** References until the next time-series row comes due (>= 1);
+     *  UINT64_MAX when this observatory does not sample. */
+    uint64_t
+    refsUntilSample() const
+    {
+        return sampling_ ? sampler_.ticksUntilSample() : UINT64_MAX;
     }
 
     /** The attached machines' counters were just zeroed (warm-up). */
@@ -123,14 +135,6 @@ class RunObservatory
     /** The event journal (null unless --journal-out or --trace-out
      *  requested one). */
     obs::Journal *journal() { return journal_.get(); }
-
-    /**
-     * Whether per-reference time-series sampling is on. The sampler's
-     * cadence is defined in single references, so a batched feed
-     * would shift every sample instant — runQuadcore falls back to
-     * per-reference feeding while this is true (xmig-bolt).
-     */
-    bool samplingActive() const { return sampling_; }
 
   private:
     ObserveOptions options_;

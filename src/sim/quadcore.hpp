@@ -81,14 +81,16 @@ struct QuadcoreParams
  * Run Table 2 for one benchmark.
  *
  * Both machines see the reference stream in K-reference
- * accessBatch() chunks after warm-up and one reference at a time
- * during it. An optional observatory (sim/observe.hpp) is attached to
- * both machines — the baseline under `baseline.*`, the migration
- * machine under `machine.*` (also time-series sampled) — and
- * finish()ed before the machines are destroyed. While it samples time
- * series, the whole run is fed one reference at a time, because the
- * sampling cadence is defined per reference; the results (journal and
- * trace included) are identical either way.
+ * accessBatch() chunks. A chunk is cut short right after the
+ * reference that retires the warm-up budget, where both machines'
+ * counters are zeroed, and at every time-series sample instant, so
+ * the reset and each sample land on their exact reference. An
+ * optional observatory (sim/observe.hpp) is attached to both
+ * machines — the baseline under `baseline.*`, the migration machine
+ * under `machine.*` (also time-series sampled) — and finish()ed
+ * before the machines are destroyed. Sampling changes only where
+ * chunks are cut, so the results (journal and trace included) are
+ * identical with or without it.
  */
 QuadcoreRow runQuadcore(const std::string &benchmark,
                         const QuadcoreParams &params,

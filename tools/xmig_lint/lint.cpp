@@ -935,12 +935,13 @@ const std::unordered_set<std::string> kScalarEntryCalls = {
 };
 
 /**
- * Scan the bodies of *Batch functions (accessBatch, referenceBatch,
- * filterBatch, onRequestBatch, ...) — the xmig-bolt hot paths whose
- * whole point is to amortize per-reference overhead — for heap
- * allocation and for per-reference dispatch through a virtual seam.
- * Cold fallback arms (fault-armed, unbounded store) carry an explicit
- * suppression with the justification of why they are exact.
+ * Scan the bodies of *Batch functions (accessBatch, filterBatch,
+ * onRequestBatch, ...) — the xmig-bolt hot paths whose whole point is
+ * to amortize per-reference overhead — for heap allocation and for
+ * per-reference dispatch through a virtual seam. Each layer has one
+ * reference path, so no batch body keeps a per-reference fallback
+ * arm and src/ carries no suppression of this rule; a new one needs
+ * the justification of why it is exact.
  */
 void
 ruleAllocInHotLoop(const std::string &path, const LexedFile &lexed,
