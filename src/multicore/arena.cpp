@@ -202,13 +202,16 @@ class Fiber
 thread_local Fiber *Fiber::starting_ = nullptr;
 
 /**
- * Probe-side sink: offsets references straight into a machine, and
- * resets the machine's counters once `warmup_instructions` have
- * executed so the probe measures steady-state behavior (cold
- * compulsory misses would otherwise dominate a short probe and
- * misclassify every tenant as cache-hungry).
+ * Probe-side sink: offsets references into a machine in K-reference
+ * accessBatch() chunks, and resets the machine's counters once
+ * `warmup_instructions` have executed so the probe measures
+ * steady-state behavior (cold compulsory misses would otherwise
+ * dominate a short probe and misclassify every tenant as
+ * cache-hungry). The chunk is cut right after the reference that
+ * completes the warm-up, so the reset lands on it. The caller must
+ * flush() after the workload ends.
  */
-class ProbeSink : public RefSink
+class ProbeSink final : public RefSink
 {
   public:
     ProbeSink(MigrationMachine &machine, uint64_t address_offset,
@@ -222,21 +225,35 @@ class ProbeSink : public RefSink
     void
     access(const MemRef &ref) override
     {
-        MemRef shifted = ref;
+        MemRef &shifted = buf_[count_++];
+        shifted = ref;
         shifted.addr += offset_;
-        machine_.access(shifted);
-        if (!warmedUp_ &&
-            machine_.stats().instructions >= warmup_) {
+        if (ref.isIfetch())
+            ++instructions_;
+        if (!warmedUp_ && instructions_ >= warmup_) {
+            flush();
             machine_.resetStats();
             warmedUp_ = true;
+        } else if (count_ == MigrationMachine::kBatchRefs) {
+            flush();
         }
+    }
+
+    void
+    flush()
+    {
+        machine_.accessBatch(buf_, count_);
+        count_ = 0;
     }
 
   private:
     MigrationMachine &machine_;
     uint64_t offset_;
     uint64_t warmup_;
+    uint64_t instructions_ = 0;
     bool warmedUp_ = false;
+    MemRef buf_[MigrationMachine::kBatchRefs];
+    size_t count_ = 0;
 };
 
 } // namespace
@@ -394,6 +411,7 @@ TenantArena::probeTenants()
         std::unique_ptr<Workload> workload =
             makeWorkload(spec.benchmark);
         workload->run(sink, config_.probeInstructions, spec.seed);
+        sink.flush();
         const MachineStats &s = machine.stats();
         TenantProbe probe;
         probe.instructions = s.instructions;
