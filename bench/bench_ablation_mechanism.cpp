@@ -56,9 +56,8 @@ runCfg(const Case &c, const BenchOptions &opt)
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions = opt.smoke ? 1'000'000 : 10'000'000;
+    const BenchOptions opt =
+        BenchOptions::parse(argc, argv, 10'000'000, 1'000'000);
 
     const MigrationControllerConfig base =
         MachineConfig::defaultController();

@@ -47,11 +47,9 @@ constexpr size_t kNumCfgs = sizeof(kCfgs) / sizeof(kCfgs[0]);
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions =
-            opt.smoke ? 1'000'000
-                      : 10'000'000; // several configs x benchmarks
+    // Several configs x benchmarks: half the Table-2 budget.
+    const BenchOptions opt =
+        BenchOptions::parse(argc, argv, 10'000'000, 1'000'000);
 
     // Storage arithmetic of section 3.5 (20-bit tags, 16-bit
     // affinities, 2 age bits).

@@ -30,9 +30,8 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions = opt.smoke ? 1'000'000 : 12'000'000;
+    const BenchOptions opt =
+        BenchOptions::parse(argc, argv, 12'000'000, 1'000'000);
 
     const std::vector<std::string> benches =
         opt.benchmarks.empty()

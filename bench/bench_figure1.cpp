@@ -132,13 +132,12 @@ writeArtifact(const std::string &path, const std::string &text,
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    const BenchOptions opt =
+        BenchOptions::parse(argc, argv, 8'000'000, 2'000'000);
     if (!opt.samplesOut.empty())
         XMIG_FATAL("bench_figure1 supports --metrics-out, "
                    "--journal-out and --trace-out only (arena runs "
                    "have no sampler hookup)");
-    if (opt.instructions == 20'000'000)
-        opt.instructions = opt.smoke ? 2'000'000 : 8'000'000;
 
     std::vector<MixSpec> mixes;
     for (const MixSpec &mix : kMixes) {

@@ -24,9 +24,7 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions = 10'000'000;
+    const BenchOptions opt = BenchOptions::parse(argc, argv, 10'000'000);
 
     const std::vector<std::string> benches =
         opt.benchmarks.empty()

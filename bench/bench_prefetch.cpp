@@ -28,9 +28,8 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions = 12'000'000; // 4 machines per benchmark
+    // 4 machines per benchmark.
+    const BenchOptions opt = BenchOptions::parse(argc, argv, 12'000'000);
 
     const std::vector<std::string> benches =
         opt.benchmarks.empty()

@@ -133,18 +133,15 @@ openCsv(const std::string &dir, const char *name)
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    // Resilience curves, not Table 2: 8 M instructions per point.
+    const BenchOptions opt =
+        BenchOptions::parse(argc, argv, 8'000'000, 2'000'000);
     const bool smoke = opt.smoke;
     std::string csv_dir;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--csv-dir") == 0 && i + 1 < argc)
             csv_dir = argv[++i];
     }
-    if (opt.instructions == 20'000'000)
-        opt.instructions = 8'000'000; // resilience curves, not Table 2
-    if (smoke)
-        opt.instructions = std::min<uint64_t>(opt.instructions,
-                                              2'000'000);
 
     // mcf migrates every ~4500 instructions (Table 2), so both the
     // affinity state and the fabric see constant fault pressure —

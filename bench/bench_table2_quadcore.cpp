@@ -50,9 +50,8 @@ const std::vector<std::string> kSmokeBenches = {
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.smoke && opt.instructions == 20'000'000)
-        opt.instructions = 1'000'000;
+    const BenchOptions opt = BenchOptions::parse(
+        argc, argv, BenchOptions::kDefaultInstructions, 1'000'000);
     QuadcoreParams params;
     params.instructionsPerBenchmark = opt.instructions;
     params.warmupInstructions = opt.warmup;

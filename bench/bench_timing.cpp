@@ -25,9 +25,7 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions = 12'000'000;
+    const BenchOptions opt = BenchOptions::parse(argc, argv, 12'000'000);
 
     // Protocol penalty across pipeline depths.
     AsciiTable proto({"issue-to-retire", "mispredict/instr",

@@ -24,9 +24,8 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
-    if (opt.instructions == 20'000'000)
-        opt.instructions = 4'000'000; // mix measurement only
+    // Mix measurement only.
+    const BenchOptions opt = BenchOptions::parse(argc, argv, 4'000'000);
 
     UpdateBusModel paper_model;
     std::printf("Update-bus peak bandwidth (section 2.3 parameters):\n");

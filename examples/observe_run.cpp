@@ -35,7 +35,7 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv);
+    BenchOptions opt = BenchOptions::parse(argc, argv, 4'000'000);
     // Observability on by default: this example exists to produce the
     // three artifacts, so unset outputs get filenames rather than
     // being disabled.
@@ -45,8 +45,6 @@ main(int argc, char **argv)
         opt.samplesOut = "observe_samples.csv";
     if (opt.traceOut.empty())
         opt.traceOut = "observe_trace.json";
-    if (opt.instructions == 20'000'000 && argc == 1)
-        opt.instructions = 4'000'000; // quick by default
     if (opt.sampleEvery == 0)
         opt.sampleEvery = 2'000;
 

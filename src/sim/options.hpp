@@ -3,8 +3,10 @@
  * Minimal command-line handling shared by the bench binaries.
  *
  * Every harness accepts:
- *   --instr N      instruction budget per benchmark (default 2e7)
- *   --scale X      multiply the default budget by X
+ *   --instr N      instruction budget per benchmark (default: the
+ *                  harness's own budget, or its smoke budget under
+ *                  --smoke)
+ *   --scale X      multiply the budget that applies by X
  *   --bench NAME   restrict to one benchmark (repeatable)
  *   --seed S       workload seed
  *   --warmup N     unmeasured warm-up instructions (where supported)
@@ -54,7 +56,9 @@ namespace xmig {
 /** Parsed common options. */
 struct BenchOptions
 {
-    uint64_t instructions = 20'000'000;
+    static constexpr uint64_t kDefaultInstructions = 20'000'000;
+
+    uint64_t instructions = kDefaultInstructions;
     uint64_t warmup = 0;
     uint64_t seed = 42;
     std::vector<std::string> benchmarks; ///< empty = all
@@ -123,10 +127,25 @@ struct BenchOptions
         return static_cast<unsigned>(v);
     }
 
+    /** parse() for a harness whose smoke budget is its default. */
     static BenchOptions
-    parse(int argc, char **argv)
+    parse(int argc, char **argv,
+          uint64_t defaultInstr = kDefaultInstructions)
+    {
+        return parse(argc, argv, defaultInstr, defaultInstr);
+    }
+
+    /**
+     * Parse the command line of a harness whose own budget is
+     * `defaultInstr`, and `smokeInstr` under --smoke. An explicit
+     * --instr replaces both; --scale multiplies whichever applies.
+     */
+    static BenchOptions
+    parse(int argc, char **argv, uint64_t defaultInstr,
+          uint64_t smokeInstr)
     {
         BenchOptions opt;
+        bool instrGiven = false;
         double scale = 1.0;
         if (const char *env = std::getenv("XMIG_JOBS"))
             opt.jobs = parseJobs("XMIG_JOBS", env);
@@ -135,9 +154,10 @@ struct BenchOptions
             auto next = [&]() -> const char * {
                 return i + 1 < argc ? argv[++i] : "";
             };
-            if (arg == "--instr")
+            if (arg == "--instr") {
                 opt.instructions = parseCount("--instr", next());
-            else if (arg == "--warmup")
+                instrGiven = true;
+            } else if (arg == "--warmup")
                 opt.warmup = parseCount("--warmup", next());
             else if (arg == "--scale") {
                 const char *text = next();
@@ -176,6 +196,8 @@ struct BenchOptions
             else if (arg == "--smoke")
                 opt.smoke = true;
         }
+        if (!instrGiven)
+            opt.instructions = opt.smoke ? smokeInstr : defaultInstr;
         opt.instructions = static_cast<uint64_t>(
             static_cast<double>(opt.instructions) * scale);
         return opt;

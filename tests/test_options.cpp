@@ -13,11 +13,21 @@ namespace xmig {
 namespace {
 
 BenchOptions
-parse(std::vector<const char *> args)
+parse(std::vector<const char *> args,
+      uint64_t defaultInstr = BenchOptions::kDefaultInstructions,
+      uint64_t smokeInstr = BenchOptions::kDefaultInstructions)
 {
     args.insert(args.begin(), "prog");
     return BenchOptions::parse(static_cast<int>(args.size()),
-                               const_cast<char **>(args.data()));
+                               const_cast<char **>(args.data()),
+                               defaultInstr, smokeInstr);
+}
+
+/** parse() for a harness with its own 8 M budget and 2 M smoke budget. */
+BenchOptions
+parseHarness(std::vector<const char *> args)
+{
+    return parse(std::move(args), 8'000'000, 2'000'000);
 }
 
 TEST(BenchOptions, Defaults)
@@ -27,6 +37,32 @@ TEST(BenchOptions, Defaults)
     EXPECT_EQ(opt.warmup, 0u);
     EXPECT_EQ(opt.seed, 42u);
     EXPECT_TRUE(opt.benchmarks.empty());
+    // A harness's own budget replaces the 20 M default.
+    EXPECT_EQ(parseHarness({}).instructions, 8'000'000u);
+}
+
+// An explicit budget is exact, even when it equals the 20 M default:
+// `--instr 20000000` must not read as "not given".
+TEST(BenchOptions, ExplicitBudgetEqualToDefaultIsHonoured)
+{
+    EXPECT_EQ(parseHarness({"--instr", "20000000"}).instructions,
+              20'000'000u);
+    EXPECT_EQ(parseHarness({"--smoke", "--instr", "20000000"})
+                  .instructions,
+              20'000'000u);
+}
+
+TEST(BenchOptions, SmokePicksTheSmokeBudgetUnlessInstrIsGiven)
+{
+    EXPECT_EQ(parseHarness({"--smoke"}).instructions, 2'000'000u);
+    // --instr wins whichever side of --smoke it stands on.
+    EXPECT_EQ(parseHarness({"--smoke", "--instr", "5000000"})
+                  .instructions,
+              5'000'000u);
+    EXPECT_EQ(parseHarness({"--instr", "5000000", "--smoke"})
+                  .instructions,
+              5'000'000u);
+    EXPECT_TRUE(parseHarness({"--instr", "5000000", "--smoke"}).smoke);
 }
 
 TEST(BenchOptions, ParsesEveryFlag)
@@ -46,6 +82,12 @@ TEST(BenchOptions, ScaleMultipliesBudget)
 {
     const BenchOptions opt = parse({"--instr", "1000", "--scale", "2.5"});
     EXPECT_EQ(opt.instructions, 2500u);
+    // Without --instr, --scale multiplies the budget that applies.
+    EXPECT_EQ(parseHarness({"--scale", "0.5"}).instructions,
+              4'000'000u);
+    EXPECT_EQ(parseHarness({"--smoke", "--scale", "0.5"}).instructions,
+              1'000'000u);
+    EXPECT_EQ(parse({"--scale", "0.5"}).instructions, 10'000'000u);
 }
 
 TEST(BenchOptions, ParsesFaultPlan)

@@ -4,10 +4,10 @@
  *
  *   xmig_report report  [--journal J] [--metrics M] [--samples S]
  *   xmig_report explain N --journal J
- *   xmig_report diff A B [--gate G]     (also: xmig_report --diff A B)
+ *   xmig_report diff A B                (also: xmig_report --diff A B)
  *
- * Exit status: 0 pass / informational, 1 gate failed, 2 comparison
- * refused (host metadata mismatch), 3 usage or I/O error.
+ * Exit status, as diff(1): 0 identical / informational, 1 the diffed
+ * runs differ, 3 usage or I/O error.
  */
 
 #include <cstdio>
@@ -30,7 +30,7 @@ usage(std::FILE *to)
     std::fputs(
         "usage: xmig_report <mode> ...\n"
         "\n"
-        "xmig-lens run reports and A/B regression diffs.\n"
+        "xmig-lens run reports and run-to-run diffs.\n"
         "\n"
         "modes:\n"
         "  report [--journal J] [--metrics M] [--samples S]\n"
@@ -38,11 +38,10 @@ usage(std::FILE *to)
         "      headlines, histogram percentiles, time-series shape\n"
         "  explain N --journal J\n"
         "      causal chain that led to migration N\n"
-        "  diff A B [--gate G]\n"
-        "      compare two artifacts of the same kind (bench JSON,\n"
-        "      metrics JSONL, or event journal); with --gate, apply\n"
-        "      gates.json regression bounds. Exit 1 on gate failure,\n"
-        "      2 when host metadata forbids the comparison.\n",
+        "  diff A B\n"
+        "      compare two artifacts of the same kind (metrics JSONL\n"
+        "      or event journal). Exit 0 when they match, 1 when they\n"
+        "      differ.\n",
         to);
 }
 
@@ -72,20 +71,13 @@ slurpOrDie(const std::string &path)
 }
 
 int
-runDiff(const std::string &a, const std::string &b,
-        const std::string &gatePath)
+runDiff(const std::string &a, const std::string &b)
 {
-    std::string gateText;
-    if (!gatePath.empty())
-        gateText = slurpOrDie(gatePath);
-    const DiffResult result =
-        diffTexts(slurpOrDie(a), slurpOrDie(b), gateText);
+    const DiffResult result = diffTexts(slurpOrDie(a), slurpOrDie(b));
     std::fputs(result.render().c_str(), stdout);
     if (!result.error.empty())
         return 3;
-    if (result.refused)
-        return 2;
-    return result.gateFailed ? 1 : 0;
+    return result.differ() ? 1 : 0;
 }
 
 } // namespace
@@ -99,7 +91,7 @@ main(int argc, char **argv)
     }
     const std::string mode = argv[1];
     std::vector<std::string> positional;
-    std::string journalPath, metricsPath, samplesPath, gatePath;
+    std::string journalPath, metricsPath, samplesPath;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -116,8 +108,6 @@ main(int argc, char **argv)
             metricsPath = value();
         else if (arg == "--samples")
             samplesPath = value();
-        else if (arg == "--gate")
-            gatePath = value();
         else if (arg == "-h" || arg == "--help") {
             usage(stdout);
             return 0;
@@ -179,7 +169,7 @@ main(int argc, char **argv)
                          "inputs\n");
             return 3;
         }
-        return runDiff(positional[0], positional[1], gatePath);
+        return runDiff(positional[0], positional[1]);
     }
 
     std::fprintf(stderr, "xmig_report: unknown mode '%s'\n",

@@ -1,11 +1,10 @@
 #include "report.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 
 namespace xmig::report {
 
@@ -319,7 +318,6 @@ const char *
 inputKindName(InputKind kind)
 {
     switch (kind) {
-      case InputKind::Bench: return "bench";
       case InputKind::Metrics: return "metrics";
       case InputKind::Journal: return "journal";
       case InputKind::Samples: return "samples";
@@ -348,10 +346,6 @@ detectInput(const std::string &text)
         return InputKind::Journal;
     if (head.find("\"name\"") != std::string::npos)
         return InputKind::Metrics;
-    // A bench baseline is one pretty-printed document; sniff the
-    // whole text for its tag rather than the first line.
-    if (text.find("\"bench\"") != std::string::npos)
-        return InputKind::Bench;
     return InputKind::Unknown;
 }
 
@@ -446,34 +440,6 @@ parseMetrics(const std::string &text)
     doc.ok = !doc.rows.empty();
     if (!doc.ok && doc.error.empty())
         doc.error = "empty metrics dump";
-    return doc;
-}
-
-BenchDoc
-parseBench(const std::string &text)
-{
-    BenchDoc doc;
-    JValue v;
-    if (!parseJson(text, &v) || v.kind != JValue::Kind::Object) {
-        doc.error = "not a JSON object";
-        return doc;
-    }
-    doc.bench = v.stringAt("bench");
-    doc.compiler = v.stringAt("compiler");
-    doc.hostCores = v.numberAt("host_cores");
-    for (const auto &[key, val] : v.object) {
-        if (val.kind == JValue::Kind::Number) {
-            doc.numbers[key] = val.number;
-        } else if (val.kind == JValue::Kind::Object) {
-            for (const auto &[sub, subval] : val.object) {
-                if (subval.kind == JValue::Kind::Number)
-                    doc.numbers[key + "." + sub] = subval.number;
-            }
-        }
-    }
-    doc.ok = !doc.bench.empty();
-    if (!doc.ok)
-        doc.error = "missing \"bench\" tag";
     return doc;
 }
 
@@ -642,29 +608,7 @@ renderExplain(const JournalDoc &doc, uint64_t n)
     return out;
 }
 
-// ----- diff + gate -----------------------------------------------------
-
-GateSpec
-parseGate(const std::string &text)
-{
-    GateSpec gate;
-    JValue v;
-    if (!parseJson(text, &v) || v.kind != JValue::Kind::Object) {
-        gate.error = "gate file is not a JSON object";
-        return gate;
-    }
-    if (const JValue *host = v.get("require_same_host"))
-        gate.requireSameHost = host->kind == JValue::Kind::Bool &&
-                               host->boolean;
-    if (const JValue *bounds = v.get("max_regress_frac")) {
-        for (const auto &[key, val] : bounds->object) {
-            if (val.kind == JValue::Kind::Number)
-                gate.maxRegressFrac[key] = val.number;
-        }
-    }
-    gate.ok = true;
-    return gate;
-}
+// ----- diff ----------------------------------------------------------
 
 namespace {
 
@@ -731,97 +675,6 @@ diffJournals(const std::string &ta, const std::string &tb,
     }
 }
 
-/**
- * The verbatim `"key": value` fragment of `text` — shown on a
- * host-metadata refusal so the user sees exactly what the two files
- * said instead of having to open them. Works for pretty-printed and
- * single-line JSON alike: from the key's opening quote to the next
- * comma, closing brace, or newline.
- */
-std::string
-rawFragmentFor(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const size_t at = text.find(quoted);
-    if (at == std::string::npos)
-        return "(no " + quoted + " entry)";
-    size_t end = text.find_first_of(",}\n", at);
-    end = end == std::string::npos ? text.size() : end;
-    while (end > at &&
-           std::isspace(static_cast<unsigned char>(text[end - 1])))
-        --end;
-    return text.substr(at, end - at);
-}
-
-void
-diffBench(const std::string &ta, const std::string &tb,
-          const GateSpec &gate, DiffResult *out)
-{
-    const BenchDoc a = parseBench(ta);
-    const BenchDoc b = parseBench(tb);
-    if (!a.ok || !b.ok) {
-        out->error = "bench parse: " + (a.ok ? b.error : a.error);
-        return;
-    }
-    out->ok = true;
-    if (gate.requireSameHost &&
-        (a.hostCores != b.hostCores || a.compiler != b.compiler)) {
-        out->refused = true;
-        // Name the first differing key outright: "host metadata
-        // differs" alone sends the user diffing two JSON files by
-        // hand to learn it was host_cores all along.
-        const char *firstKey = a.hostCores != b.hostCores
-                                   ? "host_cores"
-                                   : "compiler";
-        out->refusal = fmt(
-            "host metadata differs (first mismatched key: %s): "
-            "A={cores %.0f, %s} vs "
-            "B={cores %.0f, %s} — wall-clock and ns/ref numbers do "
-            "not compare across hosts",
-            firstKey,
-            a.hostCores,
-            a.compiler.empty() ? "unknown compiler"
-                               : a.compiler.c_str(),
-            b.hostCores,
-            b.compiler.empty() ? "unknown compiler"
-                               : b.compiler.c_str());
-        for (const char *key : {"host_cores", "compiler"}) {
-            out->notes.push_back(
-                fmt("  A: %s", rawFragmentFor(ta, key).c_str()));
-            out->notes.push_back(
-                fmt("  B: %s", rawFragmentFor(tb, key).c_str()));
-        }
-        return;
-    }
-    diffNumberMaps(a.numbers, b.numbers, out);
-    for (const auto &[key, bound] : gate.maxRegressFrac) {
-        const auto ia = a.numbers.find(key);
-        const auto ib = b.numbers.find(key);
-        if (ia == a.numbers.end() || ib == b.numbers.end()) {
-            out->notes.push_back("gate key missing from inputs: " +
-                                 key);
-            out->gateFailed = true;
-            continue;
-        }
-        if (ia->second <= 0.0)
-            continue; // no meaningful baseline
-        const double frac = (ib->second - ia->second) / ia->second;
-        if (frac > bound) {
-            out->gateFailed = true;
-            out->notes.push_back(
-                fmt("GATE FAIL %s: %.2f -> %.2f (%+.1f%% > %+.1f%% "
-                    "allowed)",
-                    key.c_str(), ia->second, ib->second, frac * 100.0,
-                    bound * 100.0));
-        } else {
-            out->notes.push_back(
-                fmt("gate ok %s: %.2f -> %.2f (%+.1f%% <= %+.1f%%)",
-                    key.c_str(), ia->second, ib->second, frac * 100.0,
-                    bound * 100.0));
-        }
-    }
-}
-
 void
 diffMetrics(const std::string &ta, const std::string &tb,
             DiffResult *out)
@@ -855,18 +708,12 @@ DiffResult::render() const
         out += fmt("  %-45s %.4g -> %.4g\n", d.key.c_str(), d.a, d.b);
     for (const std::string &note : notes)
         out += "  " + note + "\n";
-    if (refused)
-        out += "verdict: REFUSED — " + refusal + "\n";
-    else if (gateFailed)
-        out += "verdict: FAIL\n";
-    else
-        out += "verdict: PASS\n";
+    out += differ() ? "verdict: DIFFER\n" : "verdict: PASS\n";
     return out;
 }
 
 DiffResult
-diffTexts(const std::string &a, const std::string &b,
-          const std::string &gateText)
+diffTexts(const std::string &a, const std::string &b)
 {
     DiffResult out;
     const InputKind ka = detectInput(a);
@@ -877,18 +724,7 @@ diffTexts(const std::string &a, const std::string &b,
         return out;
     }
     out.kind = ka;
-    GateSpec gate;
-    if (!gateText.empty()) {
-        gate = parseGate(gateText);
-        if (!gate.ok) {
-            out.error = gate.error;
-            return out;
-        }
-    }
     switch (ka) {
-      case InputKind::Bench:
-        diffBench(a, b, gate, &out);
-        break;
       case InputKind::Journal:
         diffJournals(a, b, &out);
         break;
@@ -899,13 +735,8 @@ diffTexts(const std::string &a, const std::string &b,
       case InputKind::Unknown:
         out.error = "cannot diff inputs of kind " +
                     std::string(inputKindName(ka));
-        return out;
+        break;
     }
-    // A gate on a non-bench diff degrades to "fail on any delta":
-    // the self-diff CI step leans on this for journals and metrics.
-    if (!gateText.empty() && out.ok && ka != InputKind::Bench &&
-        !out.deltas.empty())
-        out.gateFailed = true;
     return out;
 }
 

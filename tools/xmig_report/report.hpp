@@ -1,9 +1,8 @@
 /**
  * @file
  * xmig-lens run reports: joins the per-run artifacts (event journal
- * JSONL, metrics JSONL, time-series CSV, BENCH_swift.json) into
- * human-readable reports, causal explanations and A/B regression
- * verdicts.
+ * JSONL, metrics JSONL, time-series CSV) into human-readable reports,
+ * causal explanations and run-to-run diffs.
  *
  * The library is UI-free string-to-string transforms so
  * tests/test_report.cpp can drive it on in-memory fixtures; the CLI
@@ -11,23 +10,19 @@
  *
  *   xmig_report report  [--journal J] [--metrics M] [--samples S]
  *   xmig_report explain N --journal J
- *   xmig_report diff A B [--gate G]     (also: xmig_report --diff A B)
+ *   xmig_report diff A B                (also: xmig_report --diff A B)
  *
- * diff auto-detects what A and B are — a bench baseline
- * (BENCH_swift.json), a metrics JSONL dump, or an event journal — and
- * compares accordingly. With --gate, numeric regressions beyond the
- * gate's per-metric thresholds fail the diff, and host-metadata
- * mismatches (core count, compiler) *refuse* the comparison instead
- * of producing an apples-to-oranges verdict.
+ * diff auto-detects whether A and B are metrics JSONL dumps or event
+ * journals and compares them like diff(1): it lists every numeric
+ * delta and note, and says whether the two runs differ.
  *
- * Exit codes (CLI): 0 pass / no gate, 1 gate failed, 2 comparison
- * refused (host mismatch), 3 usage or I/O error.
+ * Exit codes (CLI): 0 identical / informational, 1 the diffed runs
+ * differ, 3 usage or I/O error.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,7 +31,6 @@ namespace xmig::report {
 /** What a text blob turned out to be. */
 enum class InputKind
 {
-    Bench,   ///< BENCH_swift.json-style single-document baseline
     Metrics, ///< metrics registry JSONL ({"name":...} per line)
     Journal, ///< xmig-lens event journal JSONL
     Samples, ///< time-series CSV ("t,interval,..." header)
@@ -101,21 +95,6 @@ struct MetricsDoc
 
 MetricsDoc parseMetrics(const std::string &text);
 
-// ----- bench baseline --------------------------------------------------
-
-/** A flattened BENCH_swift.json: numbers keyed by dotted path. */
-struct BenchDoc
-{
-    bool ok = false;
-    std::string error;
-    std::string bench;    ///< "xmig-swift"
-    std::string compiler; ///< host metadata ("" in old baselines)
-    double hostCores = 0.0;
-    std::map<std::string, double> numbers; ///< e.g. ns_per_reference.x
-};
-
-BenchDoc parseBench(const std::string &text);
-
 // ----- reports ---------------------------------------------------------
 
 /**
@@ -136,7 +115,7 @@ std::string renderReport(const std::string &journalText,
  */
 std::string renderExplain(const JournalDoc &doc, uint64_t n);
 
-// ----- diff + gate -----------------------------------------------------
+// ----- diff ----------------------------------------------------------
 
 /** One numeric difference between runs A and B. */
 struct Delta
@@ -146,37 +125,24 @@ struct Delta
     double b = 0.0;
 };
 
-/** Per-metric regression bounds parsed from gates.json. */
-struct GateSpec
-{
-    bool ok = false;
-    std::string error;
-    bool requireSameHost = false;
-    /// key -> max allowed fractional regression ((b-a)/a).
-    std::map<std::string, double> maxRegressFrac;
-};
-
-GateSpec parseGate(const std::string &text);
-
 struct DiffResult
 {
     InputKind kind = InputKind::Unknown;
-    bool ok = false;      ///< inputs parsed and were comparable
+    bool ok = false; ///< inputs parsed and were comparable
     std::string error;
-    bool refused = false; ///< host metadata mismatch under a gate
-    std::string refusal;
-    bool gateFailed = false;
     std::vector<Delta> deltas;
     std::vector<std::string> notes; ///< e.g. first journal divergence
+
+    /** Any delta or note: the two runs are not the same. */
+    bool differ() const { return !deltas.empty() || !notes.empty(); }
 
     std::string render() const;
 };
 
 /**
- * Compare two artifacts of the same kind. `gateText` may be empty
- * (informational diff). Identical inputs yield zero deltas.
+ * Compare two artifacts of the same kind. Identical inputs yield zero
+ * deltas and no notes.
  */
-DiffResult diffTexts(const std::string &a, const std::string &b,
-                     const std::string &gateText);
+DiffResult diffTexts(const std::string &a, const std::string &b);
 
 } // namespace xmig::report
