@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -134,14 +133,10 @@ int
 main(int argc, char **argv)
 {
     // Resilience curves, not Table 2: 8 M instructions per point.
-    const BenchOptions opt =
-        BenchOptions::parse(argc, argv, 8'000'000, 2'000'000);
+    const BenchOptions opt = BenchOptions::parse(
+        argc, argv, 8'000'000, 2'000'000, {"--csv-dir"});
     const bool smoke = opt.smoke;
-    std::string csv_dir;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--csv-dir") == 0 && i + 1 < argc)
-            csv_dir = argv[++i];
-    }
+    const std::string csv_dir = opt.harnessFlag("--csv-dir");
 
     // mcf migrates every ~4500 instructions (Table 2), so both the
     // affinity state and the fabric see constant fault pressure —

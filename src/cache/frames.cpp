@@ -1,6 +1,7 @@
 #include "cache/frames.hpp"
 
 #include <bit>
+#include <cstring>
 
 namespace xmig {
 
@@ -21,7 +22,10 @@ FrameArray::FrameArray(uint64_t sets, unsigned ways, bool skewed,
     XMIG_ASSERT(sets * ways < kNoFrame,
                 "%llu frames overflow the 32-bit frame index",
                 (unsigned long long)(sets * ways));
-    tag_.assign(sets * ways, kInvalidTag);
+    // Every byte of kInvalidTag is 0xff, so one memset frees every
+    // frame; a scalar fill loop's speed hangs on its code placement.
+    tag_.resize(sets * ways);
+    std::memset(tag_.data(), 0xff, tag_.size() * sizeof(uint64_t));
     stamp_.assign(sets * ways, 0);
     flags_.assign(sets * ways, 0);
 }

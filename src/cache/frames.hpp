@@ -18,6 +18,9 @@
  * straight, every other bank through skewHash). slots() computes a
  * line's candidate frames once, and every probe, touch and allocate
  * of that line reuses them.
+ *
+ * find() and the Lru/Fifo victim choice of allocate() select instead
+ * of branching on data; a free frame always carries stamp 0.
  */
 
 #pragma once
@@ -109,27 +112,23 @@ class FrameArray
         return skewed_ ? s.frame[w] : s.frame[0] + w;
     }
 
-    /** Frame holding `line`, or kNoFrame. Does not touch the stamp. */
+    /**
+     * Frame holding `line`, or kNoFrame. Does not touch the stamp.
+     * The hit way is unpredictable, so every candidate is compared and
+     * the match selected, with no early exit; a line is resident at
+     * most once (allocate runs only after a miss).
+     */
     uint32_t
     find(uint64_t line, const Slots &s) const
     {
-        if (!skewed_) {
-            // A set is contiguous: compare every way and select, with
-            // no early exit. The hit way is unpredictable, so a
-            // select per way beats a mispredicted branch; a line is
-            // resident at most once, so at most one way matches.
-            uint32_t hit = kNoFrame;
-            for (unsigned w = 0; w < ways_; ++w) {
-                const uint32_t f = s.frame[0] + w;
-                hit = tag_[f] == line ? f : hit;
-            }
-            return hit;
-        }
+        uint32_t hit = kNoFrame;
         for (unsigned w = 0; w < ways_; ++w) {
-            if (tag_[s.frame[w]] == line)
-                return s.frame[w];
+            const uint32_t f = candidate(s, w);
+            hit = tag_[f] == line ? f : hit;
         }
-        return kNoFrame;
+        XMIG_EXPECT(count(s, [&](uint32_t f) { return tag_[f] == line; }) <= 1,
+                    "line %llx is resident twice", (unsigned long long)line);
+        return hit;
     }
 
     uint32_t find(uint64_t line) const { return find(line, slots(line)); }
@@ -147,31 +146,34 @@ class FrameArray
      * Install `line` (not resident) in one of its candidate frames:
      * the first free one in way order, else the policy's victim. The
      * frame comes back clean with a fresh stamp; what it held is
-     * reported in `evicted`.
+     * reported in `evicted`. Lru and Fifo select the least stamp,
+     * first in way order, in one pass: a free frame has stamp 0 and a
+     * valid one at least 1.
      */
     uint32_t
     allocate(uint64_t line, const Slots &s, Eviction &evicted)
     {
         XMIG_ASSERT(line != kInvalidTag, "cannot install the invalid tag");
-        uint32_t victim = kNoFrame;
-        for (unsigned w = 0; w < ways_; ++w) {
-            const uint32_t f = candidate(s, w);
-            if (tag_[f] == kInvalidTag) {
-                victim = f;
-                break;
-            }
-        }
-        if (victim == kNoFrame) {
-            if (policy_ == ReplPolicy::Random) {
-                victim = candidate(
-                    s, static_cast<unsigned>(rng_.below(ways_)));
-            } else {
-                victim = candidate(s, 0);
-                for (unsigned w = 1; w < ways_; ++w) {
-                    const uint32_t f = candidate(s, w);
-                    if (stamp_[f] < stamp_[victim])
-                        victim = f;
-                }
+        uint32_t victim = candidate(s, 0);
+        if (policy_ == ReplPolicy::Random) {
+            unsigned w = 0;
+            while (w < ways_ && tag_[candidate(s, w)] != kInvalidTag)
+                ++w;
+            if (w == ways_)
+                w = static_cast<unsigned>(rng_.below(ways_));
+            victim = candidate(s, w);
+        } else {
+            XMIG_EXPECT(count(s, [&](uint32_t f) {
+                            return tag_[f] == kInvalidTag && stamp_[f] != 0;
+                        }) == 0,
+                        "a free candidate of line %llx is stamped",
+                        (unsigned long long)line);
+            uint64_t least = stamp_[victim];
+            for (unsigned w = 1; w < ways_; ++w) {
+                const uint32_t f = candidate(s, w);
+                const bool older = stamp_[f] < least;
+                victim = older ? f : victim;
+                least = older ? stamp_[f] : least;
             }
         }
         evicted.valid = tag_[victim] != kInvalidTag;
@@ -183,11 +185,12 @@ class FrameArray
         return victim;
     }
 
-    /** Free frame `f` (its contents are dropped). */
+    /** Free frame `f` (its contents are dropped; its stamp is 0). */
     void
     invalidateFrame(uint32_t f)
     {
         tag_[f] = kInvalidTag;
+        stamp_[f] = 0;
         flags_[f] = 0;
     }
 
@@ -243,6 +246,17 @@ class FrameArray
     {
         flags_[f] = static_cast<uint8_t>(on ? flags_[f] | bit
                                             : flags_[f] & ~bit);
+    }
+
+    /** Candidate frames of `s` for which `pred` holds (for audits). */
+    template <typename Pred>
+    unsigned
+    count(const Slots &s, Pred pred) const
+    {
+        unsigned n = 0;
+        for (unsigned w = 0; w < ways_; ++w)
+            n += pred(candidate(s, w)) ? 1 : 0;
+        return n;
     }
 
     uint64_t sets_;

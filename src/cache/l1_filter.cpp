@@ -28,7 +28,11 @@ L1Filter::L1Filter(const L1FilterConfig &config, LineSink &sink)
             ? WritePolicy::WriteBackAllocate
             : WritePolicy::WriteThroughNoAllocate;
         sa_[kDl1] = std::make_unique<Cache>(dl1);
+        for (unsigned l1 : {kIl1, kDl1})
+            mruMask_[l1] = sa_[l1]->config().numLines() / config_.ways - 1;
     }
+    for (unsigned l1 : {kIl1, kDl1})
+        mru_[l1].assign(mruMask_[l1] + 1, kNoLine);
 }
 
 void
@@ -55,33 +59,38 @@ L1Filter::filterBatch(const MemRef *refs, size_t n, LineEvent *events,
  * The one per-reference body: probe `line` in level `l1` (kIl1 or
  * kDl1), tally a hit in `hits`, and return whether it hit.
  *
- * A repeat of the level's last touched or filled line is a guaranteed
- * hit and skips the probe. Skipping its touch is exact: the
- * remembered frame already holds the newest stamp of its array, and
- * both arrays are private to this filter with their own clocks, so a
- * skipped touch only shifts the clock and every later LRU victim
- * compares the same way; Fifo and Random victims depend only on
- * install stamps and allocate-time draws. No L1 ever sets a modified
- * bit (only the write-through DL1 sees stores), so a hit has nothing
- * else to change. In the fully-associative arm the line already sits
- * at the front of the recency list, where a hit would splice it.
+ * A reference to its set's last touched or filled line is a
+ * guaranteed hit and skips the probe: only an allocate in that set
+ * could have displaced the line, and an allocate there becomes the
+ * set's new remembered line. Skipping its touch is exact: the
+ * remembered frame already holds the largest stamp of its set, and
+ * LRU victims compare stamps only within a set, so a skipped touch
+ * only shifts the clock and every later victim compares the same
+ * way; Fifo and Random victims depend only on install stamps and
+ * allocate-time draws. No L1 ever sets a modified bit (only the
+ * write-through DL1 sees stores), so a hit has nothing else to
+ * change. The fully-associative arm has one set, whose last line
+ * already sits at the front of the recency list, where a hit would
+ * splice it.
  */
 template <bool kFullyAssoc>
 inline bool
 L1Filter::probe(uint64_t line, unsigned l1, bool is_store, uint64_t &hits)
 {
-    if (line == lastLine_[l1]) {
+    uint64_t &mru = mru_[l1][line & mruMask_[l1]];
+    if (line == mru) {
         ++hits;
         return true;
     }
     if constexpr (kFullyAssoc) {
-        lastLine_[l1] = line;
+        mru = line;
         return fa_[l1]->accessTallied(line, hits);
     } else {
         const AccessOutcome out = sa_[l1]->accessTallied(line, is_store, hits);
-        // A write-through store miss leaves the line non-resident.
+        // A write-through store miss leaves the line non-resident and
+        // the set's MRU line where it was.
         if (out.frame != Cache::kNoFrame)
-            lastLine_[l1] = line;
+            mru = line;
         return out.hit;
     }
 }

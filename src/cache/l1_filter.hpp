@@ -15,16 +15,17 @@
  *
  * Every reference, whether it arrives through access() or
  * filterBatch(), runs through one inline body (l1_filter.cpp). The
- * IL1 and the DL1 each remember the line of their last touch or fill;
- * a reference to that line is a guaranteed hit whose LRU touch would
- * change no victim, so it costs one compare and a hit tally
- * (docs/parallelism.md, "repeat-line short-circuit").
+ * IL1 and the DL1 remember, for each of their sets, the line of the
+ * set's last touch or fill; a reference to that line is a guaranteed
+ * hit whose LRU touch would change no victim, so it costs one compare
+ * and a hit tally (docs/parallelism.md, "per-set MRU check").
  */
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/fully_assoc.hpp"
@@ -142,7 +143,8 @@ class L1Filter : public RefSink
     L1FilterConfig config_;
     LineGeometry geom_;
     LineSink *sink_;
-    uint64_t lastLine_[2] = {kNoLine, kNoLine}; ///< last touched or filled
+    std::vector<uint64_t> mru_[2]; ///< per set: last touched or filled
+    uint64_t mruMask_[2] = {0, 0}; ///< sets - 1 (0: fully associative)
 
     // Fully-associative backing (section 4.1)...
     std::unique_ptr<FullyAssocLru> fa_[2];

@@ -2,15 +2,15 @@
  * @file
  * xmig-storm CLI parsing for the xmig_fuzz tool.
  *
- * Unlike BenchOptions::parse — which warn-and-ignores unknown flags
- * so that sweep tools can share argv — the fuzz driver is the kind of
- * binary CI scripts and soak farms call with machine-built argument
- * lists, where a typo silently ignored means a nightly run fuzzing
- * the wrong thing. This parser is strict: unknown flags, missing
- * values and malformed numbers all produce a diagnostic plus usage
- * text and exit code 2 (usage error, distinct from exit 1 = failures
- * found). It is a pure function of argv — no process exit, no
- * logging — so tests drive it in-process.
+ * The fuzz driver is the kind of binary CI scripts and soak farms
+ * call with machine-built argument lists, where a typo silently
+ * ignored means a nightly run fuzzing the wrong thing. Like
+ * BenchOptions::parse, which dies on an unknown argument, this parser
+ * is strict: unknown flags, missing values and malformed numbers all
+ * produce a diagnostic plus usage text and exit code 2 (usage error,
+ * distinct from exit 1 = failures found). Unlike it, it is a pure
+ * function of argv — no process exit, no logging — so tests drive it
+ * in-process.
  */
 
 #pragma once

@@ -132,6 +132,8 @@ PlanGenerator::statementFor(FaultSite site, uint64_t &tick_io, bool hot)
         return "at=" + std::to_string(tick) + ':' + dir + '=' +
                std::to_string(core);
       }
+      case FaultSite::kCount:
+        XMIG_PANIC("kCount is not a fault site");
     }
     if (rng_.chance(hot ? 0.4 : 0.5)) {
         tick_io = hot ? rng_.below(config_.tickHorizon / 2 + 1)

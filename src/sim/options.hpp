@@ -36,15 +36,21 @@
  *
  * Numeric values are validated strictly (xmig-iron): empty, signed,
  * non-numeric, trailing-garbage, or overflowing counts are fatal
- * errors instead of silently parsing as 0 or saturating.
+ * errors instead of silently parsing as 0 or saturating. An argument
+ * that is neither a flag above nor one of the harness's own flags
+ * (passed to parse() by name) is fatal too, so a misspelt flag cannot
+ * run the default budget.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -71,6 +77,9 @@ struct BenchOptions
     uint64_t sampleEvery = 0;  ///< 0 = sampler default cadence
 
     std::string faultPlan;     ///< "" = no fault injection
+
+    /** Values of the harness's own flags, keyed by flag. */
+    std::map<std::string, std::string> harnessFlags;
 
     /**
      * Sweep workers (xmig-swift). 0 = auto: one per host core
@@ -127,6 +136,14 @@ struct BenchOptions
         return static_cast<unsigned>(v);
     }
 
+    /** Value of harness flag `flag`, or "" if it was not given. */
+    std::string
+    harnessFlag(const std::string &flag) const
+    {
+        const auto it = harnessFlags.find(flag);
+        return it == harnessFlags.end() ? std::string() : it->second;
+    }
+
     /** parse() for a harness whose smoke budget is its default. */
     static BenchOptions
     parse(int argc, char **argv,
@@ -139,10 +156,13 @@ struct BenchOptions
      * Parse the command line of a harness whose own budget is
      * `defaultInstr`, and `smokeInstr` under --smoke. An explicit
      * --instr replaces both; --scale multiplies whichever applies.
+     * `ownFlags` names the harness's own flags, each taking one value
+     * that lands in harnessFlags; any other unknown argument is fatal.
      */
     static BenchOptions
     parse(int argc, char **argv, uint64_t defaultInstr,
-          uint64_t smokeInstr)
+          uint64_t smokeInstr,
+          std::initializer_list<const char *> ownFlags = {})
     {
         BenchOptions opt;
         bool instrGiven = false;
@@ -195,6 +215,14 @@ struct BenchOptions
                 opt.jobs = parseJobs("--jobs", next());
             else if (arg == "--smoke")
                 opt.smoke = true;
+            else if (std::any_of(ownFlags.begin(), ownFlags.end(),
+                                 [&](const char *f) { return arg == f; })) {
+                const char *text = next();
+                if (*text == '\0')
+                    XMIG_FATAL("%s requires a value", arg.c_str());
+                opt.harnessFlags[arg] = text;
+            } else
+                XMIG_FATAL("unknown argument '%s'", arg.c_str());
         }
         if (!instrGiven)
             opt.instructions = opt.smoke ? smokeInstr : defaultInstr;

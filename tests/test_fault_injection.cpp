@@ -174,8 +174,9 @@ TEST(MachineFaults, BusDropsAreCountedAndScrubbed)
               machine.stats().busDrops);
     // The periodic scrubber bounds the damage: stale modified bits
     // exist transiently but repairs must have happened.
-    if (machine.stats().migrations > 0)
+    if (machine.stats().migrations > 0) {
         EXPECT_GT(machine.stats().coherenceRepairs, 0u);
+    }
 }
 
 TEST(MachineFaults, SingleCoreIgnoresThePlan)

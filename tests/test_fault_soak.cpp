@@ -81,8 +81,9 @@ TEST(FaultSoak, DensePlanOverAMillionReferences)
     EXPECT_EQ(rec.coresJoined, 1u);
     // The lossy fabric was exercised and self-healed.
     EXPECT_GT(rec.migDropped + rec.migDelayed, 0u);
-    if (rec.migDropped > 0)
+    if (rec.migDropped > 0) {
         EXPECT_GT(rec.migTimeouts, 0u);
+    }
     // Store corruption landed (oe/tag sites at 5e-5 over >1M refs).
     EXPECT_GT(rec.storeCorruptions + rec.storeDrops, 0u);
     // Through all of it the machine kept migrating usefully.

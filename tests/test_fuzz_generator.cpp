@@ -129,8 +129,9 @@ TEST(PlanGenerator, CapsCoreChurnRates)
         const FaultPlan plan = mustParse(gen.next().spec());
         for (const FaultRule &r : plan.rates) {
             if (r.site == FaultSite::CoreOff ||
-                r.site == FaultSite::CoreOn)
+                r.site == FaultSite::CoreOn) {
                 EXPECT_LE(r.rate, config.maxChurnRate);
+            }
         }
     }
 }

@@ -123,7 +123,7 @@ TEST(L1Filter, LineSizeRespected)
 }
 
 /**
- * The L1 level without the repeat-line short-circuit: a bare IL1/DL1
+ * The L1 level without the per-set MRU check: a bare IL1/DL1
  * pair probed on every reference, with the filter's write policies.
  */
 class BareL1
@@ -239,14 +239,72 @@ repeatStream()
 }
 
 /**
+ * Lines cycling over sets 0-2 of both L1s of multiSetConfig(), six
+ * lines per set (lines set + 128k), so each 4-way set evicts. Each
+ * set's line changes half the time, so a set's MRU line recurs after
+ * references to other sets; stores to non-resident lines are
+ * write-through misses between the repeats, and the hand-built start
+ * loads a line right after its store miss.
+ */
+std::vector<MemRef>
+multiSetStream()
+{
+    std::vector<MemRef> s;
+    auto L = [&](uint64_t l) { s.push_back(MemRef::load(l * 64)); };
+    auto S = [&](uint64_t l) { s.push_back(MemRef::store(l * 64)); };
+    L(0), L(1), S(128), L(0), L(128), S(129), L(1), L(129), L(129);
+    S(256), S(256), L(1), L(0), L(256), S(2), L(2), L(2), L(0);
+    Rng rng(0x5e75);
+    uint64_t current[3] = {0, 1, 2};
+    for (int i = 0; i < 400; ++i) {
+        const uint64_t set = rng.below(3);
+        if (rng.below(2) == 0)
+            current[set] = set + 128 * rng.below(6);
+        MemRef r = MemRef::load(current[set] * 64);
+        r.type = static_cast<RefType>(rng.below(3));
+        s.push_back(r);
+    }
+    return s;
+}
+
+/** Every line multiSetStream() references. */
+std::vector<uint64_t>
+multiSetLines()
+{
+    std::vector<uint64_t> lines;
+    for (uint64_t k = 0; k < 6; ++k) {
+        for (uint64_t set = 0; set < 3; ++set)
+            lines.push_back(set + 128 * k);
+    }
+    return lines;
+}
+
+/**
+ * An 8-KB IL1 (32 sets) and a 32-KB DL1 (128 sets), both 4-way: the
+ * two levels index their per-set MRU lines with different masks.
+ */
+L1FilterConfig
+multiSetConfig(bool unified)
+{
+    L1FilterConfig c;
+    c.il1Bytes = 8 * 1024;
+    c.dl1Bytes = 32 * 1024;
+    c.fullyAssociative = false;
+    c.ways = 4;
+    c.unifiedReadWrite = unified;
+    return c;
+}
+
+/**
  * The filter and a BareL1 see the same stream; after every reference
  * they must agree on the hit, the event, both L1s' stats and which of
- * the stream's lines each L1 holds (so every victim matches).
+ * `lines` each L1 holds (so every victim matches).
  */
 void
-expectSameAsBare(const L1FilterConfig &config)
+expectSameAsBare(const L1FilterConfig &config,
+                 const std::vector<MemRef> &stream,
+                 const std::vector<uint64_t> &lines)
 {
-    const std::vector<MemRef> stream = repeatStream();
     CaptureSink sink;
     L1Filter filter(config, sink);
     BareL1 bare(config);
@@ -269,7 +327,7 @@ expectSameAsBare(const L1FilterConfig &config)
             EXPECT_EQ(f.accesses, b.accesses);
             EXPECT_EQ(f.hits, b.hits);
             EXPECT_EQ(f.misses, b.misses);
-            for (uint64_t line : {0, 1, 2, 4, 6, 8}) {
+            for (uint64_t line : lines) {
                 EXPECT_EQ(residentAfter(config, stream, i + 1, ifetch, line),
                           bare.contains(ifetch, line))
                     << (ifetch ? "IL1" : "DL1") << " line " << line;
@@ -280,17 +338,32 @@ expectSameAsBare(const L1FilterConfig &config)
 
 TEST(L1Filter, RepeatLineSkipKeepsVictims)
 {
+    const std::vector<MemRef> stream = repeatStream();
+    const std::vector<uint64_t> lines = {0, 1, 2, 4, 6, 8};
     {
         SCOPED_TRACE("set-associative LRU, write-through DL1");
-        expectSameAsBare(smallConfig(false, false));
+        expectSameAsBare(smallConfig(false, false), stream, lines);
     }
     {
         SCOPED_TRACE("set-associative LRU, unified DL1");
-        expectSameAsBare(smallConfig(false, true));
+        expectSameAsBare(smallConfig(false, true), stream, lines);
     }
     {
         SCOPED_TRACE("fully-associative LRU");
-        expectSameAsBare(smallConfig(true, true));
+        expectSameAsBare(smallConfig(true, true), stream, lines);
+    }
+}
+
+TEST(L1Filter, PerSetMruCheckKeepsVictims)
+{
+    const std::vector<MemRef> stream = multiSetStream();
+    {
+        SCOPED_TRACE("write-through DL1");
+        expectSameAsBare(multiSetConfig(false), stream, multiSetLines());
+    }
+    {
+        SCOPED_TRACE("unified DL1");
+        expectSameAsBare(multiSetConfig(true), stream, multiSetLines());
     }
 }
 

@@ -15,12 +15,13 @@ namespace {
 BenchOptions
 parse(std::vector<const char *> args,
       uint64_t defaultInstr = BenchOptions::kDefaultInstructions,
-      uint64_t smokeInstr = BenchOptions::kDefaultInstructions)
+      uint64_t smokeInstr = BenchOptions::kDefaultInstructions,
+      std::initializer_list<const char *> ownFlags = {})
 {
     args.insert(args.begin(), "prog");
     return BenchOptions::parse(static_cast<int>(args.size()),
                                const_cast<char **>(args.data()),
-                               defaultInstr, smokeInstr);
+                               defaultInstr, smokeInstr, ownFlags);
 }
 
 /** parse() for a harness with its own 8 M budget and 2 M smoke budget. */
@@ -129,6 +130,17 @@ TEST(BenchOptions, TraceOutKeepsRequestedJobs)
     EXPECT_EQ(opt.jobs, 4u);
 }
 
+TEST(BenchOptions, HarnessFlagsTakeOneValue)
+{
+    const BenchOptions opt =
+        parse({"--csv-dir", "out", "--smoke"},
+              BenchOptions::kDefaultInstructions,
+              BenchOptions::kDefaultInstructions, {"--csv-dir"});
+    EXPECT_EQ(opt.harnessFlag("--csv-dir"), "out");
+    EXPECT_TRUE(opt.smoke);
+    EXPECT_EQ(parse({}).harnessFlag("--csv-dir"), "");
+}
+
 // XMIG_FATAL exits with status 1; each bad value must die with a
 // message naming the flag instead of silently parsing as 0.
 TEST(BenchOptionsDeathTest, RejectsNegativeCount)
@@ -189,6 +201,20 @@ TEST(BenchOptionsDeathTest, RejectsBadJobs)
                 ::testing::ExitedWithCode(1), "--jobs");
     EXPECT_EXIT(parse({"--jobs", "4097"}),
                 ::testing::ExitedWithCode(1), "--jobs");
+}
+
+// A misspelt flag (--instrs for --instr) must not run the default
+// budget; a harness flag is known only to the harness that names it.
+TEST(BenchOptionsDeathTest, RejectsUnknownArgument)
+{
+    EXPECT_EXIT(parse({"--smoke", "--instrs", "5000"}),
+                ::testing::ExitedWithCode(1), "unknown argument '--instrs'");
+    EXPECT_EXIT(parse({"--csv-dir", "out"}),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--csv-dir'");
+    EXPECT_EXIT(parse({"--csv-dir"}, BenchOptions::kDefaultInstructions,
+                      BenchOptions::kDefaultInstructions, {"--csv-dir"}),
+                ::testing::ExitedWithCode(1), "--csv-dir requires a value");
 }
 
 TEST(BenchOptionsDeathTest, RejectsBadJobsEnvironment)

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <vector>
 
 #include "cache/frames.hpp"
 #include "util/rng.hpp"
@@ -169,6 +170,201 @@ TEST(SkewedTags, SlotsNameOneFramePerBank)
     EXPECT_EQ(tags.candidate(s, 0), 0xabcdefu & 63);
     FrameArray sa(64, 4, false, ReplPolicy::Lru);
     EXPECT_EQ(sa.candidate(sa.slots(0xabcdef), 2), (0xabcdefu & 63) * 4 + 2);
+}
+
+/** One array shape under test: sets (per bank when skewed) x ways. */
+struct Shape
+{
+    uint64_t sets;
+    unsigned ways;
+    bool skewed;
+};
+
+/*
+ * A 4-way and a 16-way set, and 4 skewed banks of one frame each, so
+ * that every line of the test shares the same candidate frames.
+ */
+constexpr Shape kOneSetShapes[] = {{8, 4, false}, {8, 16, false}, {1, 4, true}};
+
+/** The i-th test line of set 3 (any line in the one-frame banks). */
+uint64_t
+setLine(const Shape &shape, uint64_t i)
+{
+    return 3 + i * shape.sets;
+}
+
+/*
+ * Allocate's one-pass victim choice relies on a free frame carrying
+ * stamp 0: filling a set must take its free frames in way order with
+ * no eviction, then evict the least-recently used (Lru) or oldest
+ * (Fifo) line.
+ */
+TEST(FrameVictims, FillTakesFreeFramesInWayOrder)
+{
+    for (const Shape &shape : kOneSetShapes) {
+        for (const ReplPolicy policy : {ReplPolicy::Lru, ReplPolicy::Fifo}) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.ways << "-way skewed=" << shape.skewed
+                         << " policy " << static_cast<int>(policy));
+            FrameArray tags(shape.sets, shape.ways, shape.skewed, policy);
+            const FrameArray::Slots s = tags.slots(setLine(shape, 0));
+            for (unsigned w = 0; w < shape.ways; ++w) {
+                FrameArray::Eviction ev;
+                const uint64_t line = setLine(shape, w);
+                EXPECT_EQ(tags.allocate(line, tags.slots(line), ev),
+                          tags.candidate(s, w));
+                EXPECT_FALSE(ev.valid);
+            }
+            // Touch line 0: Lru now evicts line 1, Fifo still line 0.
+            tags.touch(tags.find(setLine(shape, 0)));
+            const FrameArray::Eviction ev =
+                insert(tags, setLine(shape, shape.ways));
+            EXPECT_TRUE(ev.valid);
+            EXPECT_EQ(ev.line,
+                      setLine(shape, policy == ReplPolicy::Lru ? 1 : 0));
+        }
+    }
+}
+
+/*
+ * A freed frame must be the next victim of its set even when its
+ * stale stamp is not the set's least: invalidation resets the stamp.
+ */
+TEST(FrameVictims, InvalidatedFrameIsTakenNext)
+{
+    for (const Shape &shape : kOneSetShapes) {
+        for (const ReplPolicy policy : {ReplPolicy::Lru, ReplPolicy::Fifo}) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.ways << "-way skewed=" << shape.skewed
+                         << " policy " << static_cast<int>(policy));
+            FrameArray tags(shape.sets, shape.ways, shape.skewed, policy);
+            for (unsigned w = 0; w < shape.ways; ++w)
+                insert(tags, setLine(shape, w));
+            // Line 2 was installed after lines 0 and 1, so its stamp
+            // is not the least under either policy.
+            const uint32_t freed = tags.find(setLine(shape, 2));
+            ASSERT_TRUE(tags.invalidate(setLine(shape, 2)));
+            FrameArray::Eviction ev;
+            const uint64_t line = setLine(shape, shape.ways);
+            EXPECT_EQ(tags.allocate(line, tags.slots(line), ev), freed);
+            EXPECT_FALSE(ev.valid);
+        }
+    }
+}
+
+/**
+ * The victim rule the one-pass select replaced, on its own tag and
+ * stamp columns: the first free frame in way order, else the least
+ * stamp (strict <, way order). Invalidation leaves the stamp stale,
+ * as it did; the probe exits early, as the skewed probe did.
+ */
+class TwoPassFrames
+{
+  public:
+    TwoPassFrames(const FrameArray &shape, unsigned ways, ReplPolicy policy)
+        : shape_(shape),
+          ways_(ways),
+          policy_(policy),
+          tag_(shape.frames(), FrameArray::kInvalidTag),
+          stamp_(shape.frames(), 0)
+    {
+    }
+
+    uint32_t
+    find(uint64_t line) const
+    {
+        const FrameArray::Slots s = shape_.slots(line);
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tag_[shape_.candidate(s, w)] == line)
+                return shape_.candidate(s, w);
+        }
+        return kNoFrame;
+    }
+
+    void
+    touch(uint32_t f)
+    {
+        ++clock_;
+        if (policy_ != ReplPolicy::Fifo)
+            stamp_[f] = clock_;
+    }
+
+    uint32_t
+    allocate(uint64_t line, uint64_t &evicted)
+    {
+        const FrameArray::Slots s = shape_.slots(line);
+        uint32_t victim = kNoFrame;
+        for (unsigned w = 0; w < ways_ && victim == kNoFrame; ++w) {
+            if (tag_[shape_.candidate(s, w)] == FrameArray::kInvalidTag)
+                victim = shape_.candidate(s, w);
+        }
+        if (victim == kNoFrame) {
+            victim = shape_.candidate(s, 0);
+            for (unsigned w = 1; w < ways_; ++w) {
+                const uint32_t f = shape_.candidate(s, w);
+                if (stamp_[f] < stamp_[victim])
+                    victim = f;
+            }
+        }
+        evicted = tag_[victim];
+        tag_[victim] = line;
+        stamp_[victim] = ++clock_;
+        return victim;
+    }
+
+    void invalidate(uint32_t f) { tag_[f] = FrameArray::kInvalidTag; }
+
+  private:
+    const FrameArray &shape_;
+    unsigned ways_;
+    ReplPolicy policy_;
+    uint64_t clock_ = 0;
+    std::vector<uint64_t> tag_;
+    std::vector<uint64_t> stamp_;
+};
+
+/*
+ * Seeded alloc/touch/invalidate streams over 3x capacity: the frame
+ * array and the two-pass rule must agree on every probe, frame and
+ * victim.
+ */
+TEST(FrameVictims, OnePassMatchesTwoPassRule)
+{
+    constexpr Shape kShapes[] = {
+        {16, 4, false}, {4, 16, false}, {64, 4, true}, {8, 16, true}};
+    for (const Shape &shape : kShapes) {
+        for (const ReplPolicy policy : {ReplPolicy::Lru, ReplPolicy::Fifo}) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.sets << "x" << shape.ways
+                         << " skewed=" << shape.skewed << " policy "
+                         << static_cast<int>(policy));
+            FrameArray tags(shape.sets, shape.ways, shape.skewed, policy);
+            TwoPassFrames ref(tags, shape.ways, policy);
+            Rng rng(0xd1ff ^ shape.sets ^ shape.ways);
+            const uint64_t span = 3 * tags.frames();
+            for (int op = 0; op < 20'000; ++op) {
+                const uint64_t line = 0x100000 + rng.below(span);
+                const uint32_t f = tags.find(line);
+                ASSERT_EQ(f, ref.find(line)) << "op " << op;
+                if (rng.below(4) == 0) {
+                    if (f != kNoFrame) {
+                        tags.invalidateFrame(f);
+                        ref.invalidate(f);
+                    }
+                } else if (f != kNoFrame) {
+                    tags.touch(f);
+                    ref.touch(f);
+                } else {
+                    FrameArray::Eviction ev;
+                    uint64_t evicted = 0;
+                    ASSERT_EQ(tags.allocate(line, tags.slots(line), ev),
+                              ref.allocate(line, evicted))
+                        << "op " << op;
+                    EXPECT_EQ(ev.line, evicted);
+                }
+            }
+        }
+    }
 }
 
 /** FNV-1a 64 over the eight little-endian bytes of `v`. */
