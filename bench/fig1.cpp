@@ -5,17 +5,16 @@
  * The paper's opening comparison pits one program roaming the
  * aggregate L2 (*migration mode*) against N programs pinned to N
  * cores and contending for the shared cache (*throughput mode*).
- * bench_figure1 sweeps Table-1 workload mixes through both modes of
+ * This experiment sweeps Table-1 workload mixes through both modes of
  * the xmig-arena multi-tenant machine and emits the crossover the
  * figure plots: cache-hungry pairs finish sooner time-sharing the
  * chip in migration mode (the aggregate 2-MB L2 removes their
  * misses), while cache-light quads finish sooner space-sharing it in
  * throughput mode (4-way parallelism with nothing to fight over).
  *
- * Each (mix, mode, L3-policy) triple is one sweep cell (xmig-swift):
- * cells run on --jobs workers with fully private arenas and results
- * are collated in cell order, so stdout and the --csv file are
- * byte-identical at any job count. Throughput mode is additionally
+ * One sweep cell, with a private arena, per (mix, mode, L3-policy)
+ * triple; stdout and the --csv file are byte-identical at any --jobs.
+ * Throughput mode is additionally
  * swept under both shared-L3 policies (unpartitioned vs LFOC-style
  * way clusters), and the CSV carries the fairness metrics that
  * separate them.
@@ -29,7 +28,6 @@
  */
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +35,7 @@
 #include "multicore/arena.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
@@ -82,63 +80,11 @@ const std::vector<Arm> kArms = {
     {ArenaMode::Throughput, L3Policy::WayClustered},
 };
 
-/** Everything one cell reports (collated post-join, cell order). */
-struct CellOut
-{
-    double makespan = 0;
-    double aggregateIpc = 0;
-    double weightedSpeedup = 0;
-    double unfairness = 1;
-    double jainFairness = 1;
-    uint64_t l3Accesses = 0;
-    uint64_t l3Misses = 0;
-    uint64_t instructions = 0;
-    double maxP99 = 0;
-};
-
-std::string
-fmt1(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    return buf;
-}
-
-std::string
-fmtU(uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-/** Write `text` to `path` in one piece; an empty path writes nothing. */
-void
-writeArtifact(const std::string &path, const std::string &text,
-              const char *flag)
-{
-    if (path.empty())
-        return;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        XMIG_FATAL("cannot open %s output '%s'", flag, path.c_str());
-    flushAtomically(text, f);
-    std::fclose(f);
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperFigure1(const BenchOptions &opt)
 {
-    const BenchOptions opt =
-        BenchOptions::parse(argc, argv, 8'000'000, 2'000'000);
-    if (!opt.samplesOut.empty())
-        XMIG_FATAL("bench_figure1 supports --metrics-out, "
-                   "--journal-out and --trace-out only (arena runs "
-                   "have no sampler hookup)");
-
     std::vector<MixSpec> mixes;
     for (const MixSpec &mix : kMixes) {
         if (opt.benchmarks.empty() ||
@@ -151,14 +97,12 @@ main(int argc, char **argv)
                    "name, e.g. --bench art+mcf)");
 
     const size_t cells = mixes.size() * kArms.size();
-    std::vector<CellOut> outs(cells);
+    std::vector<ArenaResult> outs(cells); // collated post-join
     std::string firstCellMetrics;
     std::string firstCellJournal;
     std::string firstCellTrace;
 
-    SweepSpec spec;
-    spec.cells = cells;
-    spec.run = [&](size_t i) {
+    const SweepSpec spec{cells, [&](size_t i) {
         const MixSpec &mix = mixes[i / kArms.size()];
         const Arm &arm = kArms[i % kArms.size()];
         ArenaConfig cfg;
@@ -190,20 +134,8 @@ main(int argc, char **argv)
         obs::Journal journal;
         TenantArena arena(cfg);
         arena.attachJournal(&journal);
-        const ArenaResult r = arena.run();
-
-        CellOut &cell = outs[i];
-        cell.makespan = r.makespanCycles;
-        cell.aggregateIpc = r.aggregateIpc;
-        cell.weightedSpeedup = r.weightedSpeedup;
-        cell.unfairness = r.unfairness;
-        cell.jainFairness = r.jainFairness;
-        cell.l3Accesses = r.sharedL3Accesses;
-        cell.l3Misses = r.sharedL3Misses;
-        for (const TenantResult &t : r.tenants) {
-            cell.instructions += t.instructions;
-            cell.maxP99 = std::max(cell.maxP99, t.p99TurnCycles);
-        }
+        outs[i] = arena.run();
+        const ArenaResult &r = outs[i];
         if (i == 0 && (!opt.metricsOut.empty() ||
                        !opt.journalOut.empty() ||
                        !opt.traceOut.empty())) {
@@ -214,32 +146,18 @@ main(int argc, char **argv)
             firstCellTrace = journal.renderChromeTrace();
         }
 
-        RunResult res;
-        res.rows.push_back(
-            {mix.name,
-             {arenaModeName(arm.mode), l3PolicyName(arm.policy),
-              fmt1(cell.makespan / 1e6),
-              fmt1(cell.aggregateIpc),
-              fmt1(cell.weightedSpeedup), fmt1(cell.unfairness),
-              fmt1(cell.jainFairness), fmtU(cell.l3Misses)}});
-        return res;
-    };
+        return RunResult{
+            "",
+            {{mix.name,
+              {arenaModeName(arm.mode), l3PolicyName(arm.policy),
+               formatString("%.3f", r.makespanCycles / 1e6),
+               formatString("%.3f", r.aggregateIpc),
+               formatString("%.3f", r.weightedSpeedup),
+               formatString("%.3f", r.unfairness),
+               formatString("%.3f", r.jainFairness),
+               formatString("%llu", (unsigned long long)r.sharedL3Misses)}}}};
+    }};
     const std::vector<RunResult> results = runSweep(spec, opt.jobs);
-
-    // Crossover verdicts: migration's makespan vs the best
-    // throughput arm's, per mix.
-    std::string crossover;
-    for (size_t m = 0; m < mixes.size(); ++m) {
-        const double mig = outs[m * kArms.size() + 0].makespan;
-        const double thr =
-            std::min(outs[m * kArms.size() + 1].makespan,
-                     outs[m * kArms.size() + 2].makespan);
-        crossover += mixes[m].name;
-        crossover += ",";
-        crossover += mig < thr ? "migration" : "throughput";
-        crossover += "," + fmt1(mig / 1e6) + "," + fmt1(thr / 1e6);
-        crossover += "\n";
-    }
 
     std::string csv =
         "mix,mode,policy,tenants,instr_total,makespan_mcycles,"
@@ -248,34 +166,38 @@ main(int argc, char **argv)
     for (size_t i = 0; i < cells; ++i) {
         const MixSpec &mix = mixes[i / kArms.size()];
         const Arm &arm = kArms[i % kArms.size()];
-        const CellOut &cell = outs[i];
-        csv += mix.name;
-        csv += ",";
-        csv += arenaModeName(arm.mode);
-        csv += ",";
-        csv += l3PolicyName(arm.policy);
-        csv += "," + fmtU(mix.benches.size());
-        csv += "," + fmtU(cell.instructions);
-        csv += "," + fmt1(cell.makespan / 1e6);
-        csv += "," + fmt1(cell.aggregateIpc);
-        csv += "," + fmt1(cell.weightedSpeedup);
-        csv += "," + fmt1(cell.unfairness);
-        csv += "," + fmt1(cell.jainFairness);
-        csv += "," + fmtU(cell.l3Accesses);
-        csv += "," + fmtU(cell.l3Misses);
-        csv += "," + fmt1(cell.maxP99);
-        csv += "\n";
+        const ArenaResult &r = outs[i];
+        unsigned long long instructions = 0;
+        double maxP99 = 0;
+        for (const TenantResult &t : r.tenants) {
+            instructions += t.instructions;
+            maxP99 = std::max(maxP99, t.p99TurnCycles);
+        }
+        csv += formatString(
+            "%s,%s,%s,%zu,%llu,%.3f,%.3f,%.3f,%.3f,%.3f,%llu,%llu,%.3f\n",
+            mix.name, arenaModeName(arm.mode), l3PolicyName(arm.policy),
+            mix.benches.size(), instructions, r.makespanCycles / 1e6,
+            r.aggregateIpc, r.weightedSpeedup, r.unfairness,
+            r.jainFairness, (unsigned long long)r.sharedL3Accesses,
+            (unsigned long long)r.sharedL3Misses, maxP99);
     }
-    // Crossover verdicts ride along as CSV comment lines.
+
+    // Crossover verdicts: migration's makespan vs the best
+    // throughput arm's, per mix. They ride along in the CSV as
+    // comment lines.
+    std::string crossover;
     csv += "# crossover: mix,winner,migration_mcycles,"
            "best_throughput_mcycles\n";
-    size_t lineStart = 0;
-    while (lineStart < crossover.size()) {
-        const size_t lineEnd = crossover.find('\n', lineStart);
-        csv += "# " +
-               crossover.substr(lineStart, lineEnd - lineStart) +
-               "\n";
-        lineStart = lineEnd + 1;
+    for (size_t m = 0; m < mixes.size(); ++m) {
+        const double mig = outs[m * kArms.size() + 0].makespanCycles;
+        const double thr =
+            std::min(outs[m * kArms.size() + 1].makespanCycles,
+                     outs[m * kArms.size() + 2].makespanCycles);
+        const std::string line = formatString(
+            "%s,%s,%.3f,%.3f\n", mixes[m].name,
+            mig < thr ? "migration" : "throughput", mig / 1e6, thr / 1e6);
+        crossover += line;
+        csv += "# " + line;
     }
 
     AsciiTable table({"mode", "policy", "makespan(Mcyc)", "ipc",
@@ -293,11 +215,10 @@ main(int argc, char **argv)
            "space-shares it at fine quanta (makespan = max).\nStall "
            "model: 1 CPI + 20 cyc/L2 miss + 200 cyc/L3 miss + "
            "10*20 cyc/migration.\n";
-    flushAtomically(out, stdout);
 
     writeArtifact(opt.csvOut, csv, "--csv");
     writeArtifact(opt.metricsOut, firstCellMetrics, "--metrics-out");
     writeArtifact(opt.journalOut, firstCellJournal, "--journal-out");
     writeArtifact(opt.traceOut, firstCellTrace, "--trace-out");
-    return 0;
+    return out;
 }

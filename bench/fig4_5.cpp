@@ -9,14 +9,11 @@
  * some size range (paper: art, ammp, bh, health, em3d, mcf, ...);
  * non-splittable programs (gzip, vpr, parser, bisort) show p1 == p4.
  *
- * One sweep cell per benchmark (xmig-swift): each cell returns its
- * figure block plus its summary-table row, both collated in benchmark
- * order, so --jobs N output is bit-identical to the serial run.
+ * One sweep cell per benchmark: each cell returns its figure block
+ * plus its summary-table row.
  */
 
-#include <cstdio>
-
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/runner/sweep.hpp"
 #include "sim/stack_profile.hpp"
 #include "util/stats.hpp"
@@ -24,45 +21,36 @@
 
 using namespace xmig;
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperFigure45(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(argc, argv);
     StackProfileParams params;
     params.instructionsPerBenchmark = opt.instructions;
     params.seed = opt.seed;
 
-    const auto &names =
-        opt.benchmarks.empty() ? allWorkloadNames() : opt.benchmarks;
+    const std::vector<std::string> names =
+        benchmarksOr(opt, allWorkloadNames());
 
-    SweepSpec spec;
-    spec.cells = names.size();
-    spec.run = [&](size_t i) {
+    const SweepSpec spec{names.size(), [&](size_t i) {
         const StackProfileResult r = runStackProfile(names[i], params);
-
-        RunResult res;
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "\n== %s  (trans: %.4f) ==\n",
-                      r.name.c_str(), r.transitionFrequency);
-        res.text = buf;
         SeriesWriter series("size", {"normal_p1", "split_p4"});
         for (size_t s = 0; s < r.plotSizes.size(); ++s) {
             series.addPoint(sizeLabel(r.plotSizes[s]),
                             {r.p1[s], r.p4[s]});
         }
-        res.text += series.render();
-
-        char refs_m[32], gap[32];
-        std::snprintf(refs_m, sizeof(refs_m), "%.2f",
-                      static_cast<double>(r.stackAccesses) / 1e6);
-        std::snprintf(gap, sizeof(gap), "%.3f", r.maxGap());
-        res.rows.push_back({"",
-                            {r.name, refs_m,
-                             frequency(r.transitions, r.stackAccesses),
-                             sizeLabel(r.footprintLines * 64), gap,
-                             r.maxGap() > 0.15 ? "yes" : "no"}});
-        return res;
-    };
+        return RunResult{
+            formatString("\n== %s  (trans: %.4f) ==\n", r.name.c_str(),
+                         r.transitionFrequency) +
+                series.render(),
+            {{"",
+              {r.name,
+               formatString("%.2f",
+                            static_cast<double>(r.stackAccesses) / 1e6),
+               frequency(r.transitions, r.stackAccesses),
+               sizeLabel(r.footprintLines * 64),
+               formatString("%.3f", r.maxGap()),
+               r.maxGap() > 0.15 ? "yes" : "no"}}}};
+    }};
     const std::vector<RunResult> results = runSweep(spec, opt.jobs);
 
     std::string out =
@@ -77,6 +65,5 @@ main(int argc, char **argv)
                         "footprint", "max(p1-p4)", "splittable?"});
     collateRows(results, summary);
     out += summary.render("Splittability summary");
-    flushAtomically(out, stdout);
-    return 0;
+    return out;
 }

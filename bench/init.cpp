@@ -10,18 +10,13 @@
  * transition frequency never exceeded one transition every 2|R|
  * references."
  *
- * This harness reproduces exactly that sweep and checks the low-pass
- * bound. Each (initialization, |R|) point is one sweep cell
- * (xmig-swift), so --jobs N output is bit-identical to the serial
- * run.
+ * This experiment reproduces exactly that sweep and checks the
+ * low-pass bound, one sweep cell per (initialization, |R|) point.
  */
-
-#include <cstdio>
-#include <vector>
 
 #include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
 #include "workloads/synthetic.hpp"
@@ -75,55 +70,34 @@ runPoint(OeInitPolicy policy, size_t window)
         static_cast<double>(std::min(pos, kMeasure - pos)) /
         static_cast<double>(
             std::max<uint64_t>(1, std::max(pos, kMeasure - pos)));
-    char wbuf[16], bal[16], fbuf[16], bbuf[16];
-    std::snprintf(wbuf, sizeof(wbuf), "%zu", window);
-    std::snprintf(bal, sizeof(bal), "%.2f", balance);
-    std::snprintf(fbuf, sizeof(fbuf), "%.5f", freq);
-    std::snprintf(bbuf, sizeof(bbuf), "%.5f", bound);
     return {"",
-            {initName(policy), wbuf, bal, fbuf, bbuf,
+            {initName(policy), formatString("%zu", window),
+             formatString("%.2f", balance), formatString("%.5f", freq),
+             formatString("%.5f", bound),
              freq <= bound * 1.3 ? "yes" : "NO"}};
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperInit(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(argc, argv);
-    struct Point
-    {
-        OeInitPolicy policy;
-        size_t window;
-    };
-    std::vector<Point> points;
-    for (OeInitPolicy policy :
-         {OeInitPolicy::ZeroAffinity, OeInitPolicy::ConstantAffinity,
-          OeInitPolicy::RandomAffinity}) {
-        for (size_t window : {50u, 100u, 400u, 1000u})
-            points.push_back({policy, window});
-    }
-
-    SweepSpec spec;
-    spec.cells = points.size();
-    spec.run = [&](size_t i) {
-        RunResult res;
-        res.rows.push_back(
-            runPoint(points[i].policy, points[i].window));
-        return res;
-    };
-    const std::vector<RunResult> results = runSweep(spec, opt.jobs);
-
+    const OeInitPolicy policies[] = {OeInitPolicy::ZeroAffinity,
+                                     OeInitPolicy::ConstantAffinity,
+                                     OeInitPolicy::RandomAffinity};
+    const size_t windows[] = {50, 100, 400, 1000};
+    const SweepSpec spec{3 * 4, [&](size_t i) {
+                             return RunResult{"",
+                                              {runPoint(policies[i / 4],
+                                                        windows[i % 4])}};
+                         }};
     AsciiTable table({"initialization", "|R|", "balance",
                       "steady trans-freq", "bound 1/(2|R|)", "ok?"});
-    collateRows(results, table);
+    collateRows(runSweep(spec, opt.jobs), table);
 
-    std::string out =
-        "Initial-affinity ablation (section 3.3): Circular "
-        "N = 4000, 16-bit affinities.\nClaim: whatever the "
-        "initialization, the steady-state transition "
-        "frequency\nstays below 1/(2|R|).\n\n";
-    out += table.render();
-    flushAtomically(out, stdout);
-    return 0;
+    return "Initial-affinity ablation (section 3.3): Circular "
+           "N = 4000, 16-bit affinities.\nClaim: whatever the "
+           "initialization, the steady-state transition "
+           "frequency\nstays below 1/(2|R|).\n\n" +
+           table.render();
 }

@@ -4,7 +4,7 @@
  *
  * The paper counts L2 misses and treats the L3 as a uniform
  * next-level penalty. With the finite-L3 mode of the machine model
- * this harness asks two follow-up questions:
+ * this experiment asks two follow-up questions:
  *  1. how much off-chip (memory) traffic does each benchmark
  *     generate as the shared L3 shrinks, and
  *  2. does execution migration change the L3/memory picture? (It
@@ -12,24 +12,18 @@
  *     on-chip L3 traffic without touching off-chip traffic.)
  */
 
-#include <cstdio>
-
 #include "multicore/machine.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
 using namespace xmig;
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperL3(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(argc, argv, 10'000'000);
-
     const std::vector<std::string> benches =
-        opt.benchmarks.empty()
-            ? std::vector<std::string>{"179.art", "181.mcf", "171.swim"}
-            : opt.benchmarks;
+        benchmarksOr(opt, {"179.art", "181.mcf", "171.swim"});
 
     AsciiTable table({"benchmark", "L3", "machine", "instr/L3access",
                       "instr/L3miss", "instr/mem-writeback"});
@@ -58,9 +52,7 @@ main(int argc, char **argv)
             row("4-core mig", mig.stats());
         }
     }
-    std::fputs(table.render("Finite shared L3: on-chip L3 traffic vs "
-                            "off-chip memory traffic (higher "
-                            "instr/event is better)").c_str(),
-               stdout);
-    return 0;
+    return table.render("Finite shared L3: on-chip L3 traffic vs "
+                        "off-chip memory traffic (higher instr/event "
+                        "is better)");
 }

@@ -10,16 +10,13 @@
  *    on working-sets that fit one L2 (the paper credits it for bh,
  *    vortex, crafty staying quiet).
  *
- * Every (benchmark, variant) run is one sweep cell (xmig-swift);
- * rows collate per table in sweep order, so --jobs N output is
- * bit-identical to the serial run.
+ * One sweep cell per (benchmark, variant) run; rows collate per table.
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
@@ -45,20 +42,16 @@ runCfg(const Case &c, const BenchOptions &opt)
     params.seed = opt.seed;
     params.machine.controller = c.cc;
     const QuadcoreRow r = runQuadcore(c.bench, params);
-    char migs[24];
-    std::snprintf(migs, sizeof(migs), "%llu",
-                  (unsigned long long)r.migrations);
-    return {"", {r.name, c.label, ratio2(r.missRatio()), migs}};
+    return {"",
+            {r.name, c.label, ratio2(r.missRatio()),
+             formatString("%llu", (unsigned long long)r.migrations)}};
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperMechanism(const BenchOptions &opt)
 {
-    const BenchOptions opt =
-        BenchOptions::parse(argc, argv, 10'000'000, 1'000'000);
-
     const MigrationControllerConfig base =
         MachineConfig::defaultController();
 
@@ -85,37 +78,25 @@ main(int argc, char **argv)
         cases.push_back({2, b, "off", cc});
     }
 
-    SweepSpec spec;
-    spec.cells = cases.size();
-    spec.run = [&](size_t i) {
-        RunResult res;
-        res.rows.push_back(runCfg(cases[i], opt));
-        return res;
-    };
+    const SweepSpec spec{cases.size(), [&](size_t i) {
+                             return RunResult{"", {runCfg(cases[i], opt)}};
+                         }};
     const std::vector<RunResult> results = runSweep(spec, opt.jobs);
-    const auto slice = [&](size_t which, AsciiTable &table) {
+    const auto render = [&](size_t which, const char *column,
+                            const char *title) {
+        AsciiTable table({"benchmark", column, "ratio", "migrations"});
         for (size_t i = 0; i < cases.size(); ++i) {
             if (cases[i].table == which)
                 collateRows({results[i]}, table);
         }
+        return table.render(title);
     };
 
-    AsciiTable ar({"benchmark", "A_R maintenance", "ratio",
-                   "migrations"});
-    slice(0, ar);
-    std::string out = ar.render("A_R maintenance ablation");
-
-    out += "\n";
-    AsciiTable win({"benchmark", "R-window", "ratio", "migrations"});
-    slice(1, win);
-    out += win.render("R-window organization ablation");
-
-    out += "\n";
-    AsciiTable l2f({"benchmark", "L2 filtering", "ratio",
-                    "migrations"});
-    slice(2, l2f);
-    out += l2f.render("L2-filtering ablation: small-footprint "
-                      "benchmarks must stay quiet");
-    flushAtomically(out, stdout);
-    return 0;
+    return render(0, "A_R maintenance", "A_R maintenance ablation") +
+           "\n" +
+           render(1, "R-window", "R-window organization ablation") +
+           "\n" +
+           render(2, "L2 filtering",
+                  "L2-filtering ablation: small-footprint benchmarks "
+                  "must stay quiet");
 }

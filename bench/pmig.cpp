@@ -10,30 +10,24 @@
  * estimated speedups for several P_mig values.
  */
 
-#include <cstdio>
-
 #include "multicore/cost_model.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/quadcore.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
 using namespace xmig;
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperPmig(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(argc, argv);
     QuadcoreParams params;
     params.instructionsPerBenchmark = opt.instructions;
     params.seed = opt.seed;
 
     const std::vector<std::string> benches =
-        opt.benchmarks.empty()
-            ? std::vector<std::string>{"179.art", "181.mcf", "188.ammp",
-                                       "256.bzip2", "em3d", "health",
-                                       "164.gzip"}
-            : opt.benchmarks;
+        benchmarksOr(opt, {"179.art", "181.mcf", "188.ammp", "256.bzip2",
+                           "em3d", "health", "164.gzip"});
 
     const double pmigs[] = {5, 10, 20, 60, 100};
 
@@ -57,12 +51,9 @@ main(int argc, char **argv)
         }
         table.addRow(row);
     }
-    std::fputs(
-        table.render("Break-even P_mig and modeled speedups "
-                     "(baseCPI=1, L3-hit penalty=20 cycles); "
-                     "speedup > 1 means migration wins").c_str(),
-        stdout);
-    std::printf("\nPaper reference: 181.mcf removes ~60 L2 misses per "
-                "migration, so P_mig < 60 wins.\n");
-    return 0;
+    return table.render("Break-even P_mig and modeled speedups "
+                        "(baseCPI=1, L3-hit penalty=20 cycles); "
+                        "speedup > 1 means migration wins") +
+           "\nPaper reference: 181.mcf removes ~60 L2 misses per "
+           "migration, so P_mig < 60 wins.\n";
 }

@@ -6,7 +6,7 @@
  * the observed splittability comes from circular behavior that a
  * prefetcher also captures, but "prefetching into a larger cache
  * leaves more room for the unpredictable portion of the working-set".
- * This harness runs each benchmark under four machines — baseline,
+ * This experiment runs each benchmark under four machines — baseline,
  * baseline+stride-prefetch, migration, migration+prefetch — and
  * reports instructions per L2 miss for each, plus prefetch accuracy.
  *
@@ -16,27 +16,19 @@
  * neither; and migration+prefetch together cover the union.
  */
 
-#include <cstdio>
-
 #include "multicore/machine.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
 using namespace xmig;
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperPrefetch(const BenchOptions &opt)
 {
-    // 4 machines per benchmark.
-    const BenchOptions opt = BenchOptions::parse(argc, argv, 12'000'000);
-
     const std::vector<std::string> benches =
-        opt.benchmarks.empty()
-            ? std::vector<std::string>{"179.art", "171.swim", "181.mcf",
-                                       "188.ammp", "em3d", "health",
-                                       "164.gzip"}
-            : opt.benchmarks;
+        benchmarksOr(opt, {"179.art", "171.swim", "181.mcf", "188.ammp",
+                           "em3d", "health", "164.gzip"});
 
     AsciiTable table({"benchmark", "base", "base+pf", "mig", "mig+pf",
                       "pf-accuracy"});
@@ -68,10 +60,7 @@ main(int argc, char **argv)
                       perEvent(instr, migpf.stats().l2Misses),
                       ratio2(accuracy)});
     }
-    std::fputs(table.render("Instructions per L2 miss (higher is "
-                            "better): baseline, stride prefetch "
-                            "(degree 4), 4-core migration, and both")
-                   .c_str(),
-               stdout);
-    return 0;
+    return table.render("Instructions per L2 miss (higher is better): "
+                        "baseline, stride prefetch (degree 4), 4-core "
+                        "migration, and both");
 }

@@ -20,20 +20,21 @@
  *     event yields the recovery time: references until the miss rate
  *     first returns to the post-loss steady state (tail mean).
  *
- * Flags beyond the common BenchOptions set:
- *   --smoke        tiny budgets + a 2-point sweep (CI)
- *   --csv-dir DIR  write degradation.csv and recovery.csv into DIR
+ * --smoke shrinks the budget and sweeps 2 rates; --csv-dir DIR writes
+ * degradation.csv and recovery.csv into DIR. One --bench at most
+ * picks the kernel (default 181.mcf).
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
+#include "mem/trace.hpp"
 #include "multicore/machine.hpp"
 #include "multicore/timing.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/runner/sweep.hpp"
+#include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
@@ -83,17 +84,6 @@ class WindowedSink : public RefSink
     std::vector<Window> windows_;
 };
 
-/** Count the references a workload emits (for placing `at=` rules). */
-class RefCounterSink : public RefSink
-{
-  public:
-    void access(const MemRef &) override { ++refs_; }
-    uint64_t refs() const { return refs_; }
-
-  private:
-    uint64_t refs_ = 0;
-};
-
 /** The sweep's fault plan: every affinity site at r, fabric scaled. */
 std::string
 sweepPlan(double r)
@@ -103,40 +93,25 @@ sweepPlan(double r)
     // scale up with a cap; bus drops sit in between.
     const double fabric = std::min(0.25, r * 2.5e3);
     const double bus = std::min(0.01, r * 10.0);
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "seed=7;"
-                  "rate=%g:flip=ae;rate=%g:flip=delta;rate=%g:flip=ar;"
-                  "rate=%g:flip=oe;rate=%g:flip=tag;"
-                  "rate=%g:mig_drop;rate=%g:mig_delay=16;"
-                  "rate=%g:bus_drop",
-                  r, r, r, r, r, fabric, fabric, bus);
-    return buf;
-}
-
-FILE *
-openCsv(const std::string &dir, const char *name)
-{
-    if (dir.empty())
-        return nullptr;
-    const std::string path = dir + "/" + name;
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
-    return f;
+    return formatString(
+        "seed=7;"
+        "rate=%g:flip=ae;rate=%g:flip=delta;rate=%g:flip=ar;"
+        "rate=%g:flip=oe;rate=%g:flip=tag;"
+        "rate=%g:mig_drop;rate=%g:mig_delay=16;"
+        "rate=%g:bus_drop",
+        r, r, r, r, r, fabric, fabric, bus);
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperResilience(const BenchOptions &opt)
 {
-    // Resilience curves, not Table 2: 8 M instructions per point.
-    const BenchOptions opt = BenchOptions::parse(
-        argc, argv, 8'000'000, 2'000'000, {"--csv-dir"});
     const bool smoke = opt.smoke;
-    const std::string csv_dir = opt.harnessFlag("--csv-dir");
+    if (opt.benchmarks.size() > 1)
+        XMIG_FATAL("resilience runs one benchmark, not %zu (give "
+                   "--bench once)",
+                   opt.benchmarks.size());
 
     // mcf migrates every ~4500 instructions (Table 2), so both the
     // affinity state and the fabric see constant fault pressure —
@@ -147,20 +122,17 @@ main(int argc, char **argv)
         smoke ? std::vector<double>{0.0, 1e-4}
               : std::vector<double>{0.0, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4};
 
-    std::printf("xmig-iron resilience: %s, %llu instructions per "
-                "point%s\n\n",
-                bench.c_str(),
-                static_cast<unsigned long long>(opt.instructions),
-                smoke ? " (smoke)" : "");
+    std::string out = formatString(
+        "xmig-iron resilience: %s, %llu instructions per point%s\n\n",
+        bench.c_str(), static_cast<unsigned long long>(opt.instructions),
+        smoke ? " (smoke)" : "");
 
     // ----- Experiment 1: degradation sweep ---------------------------
     TimingModel timing;
-    FILE *deg_csv = openCsv(csv_dir, "degradation.csv");
-    if (deg_csv)
-        std::fprintf(deg_csv,
-                     "rate,l2_misses,miss_ratio_vs_clean,migrations,"
-                     "faults_injected,mig_timeouts,mig_retries,"
-                     "wd_livelocks,wd_suppressed,cycles,slowdown\n");
+    std::string deg_csv =
+        "rate,l2_misses,miss_ratio_vs_clean,migrations,"
+        "faults_injected,mig_timeouts,mig_retries,"
+        "wd_livelocks,wd_suppressed,cycles,slowdown\n";
 
     AsciiTable table({"fault-rate", "L2miss", "ratio", "migration",
                       "faults", "timeouts", "wd-stops", "slowdown"});
@@ -180,9 +152,7 @@ main(int argc, char **argv)
     };
     std::vector<DegPoint> points(rates.size());
 
-    SweepSpec spec;
-    spec.cells = rates.size();
-    spec.run = [&](size_t i) {
+    const SweepSpec spec{rates.size(), [&](size_t i) {
         const double r = rates[i];
         MachineConfig cfg;
         cfg.controller.watchdog.enabled = true;
@@ -200,7 +170,7 @@ main(int argc, char **argv)
             : 0;
         p.cycles = timing.cyclesWithRecovery(p.stats, p.rec);
         return RunResult{};
-    };
+    }};
     runSweep(spec, opt.jobs);
 
     uint64_t clean_misses = 0;
@@ -221,63 +191,42 @@ main(int argc, char **argv)
         const double slowdown =
             clean_cycles == 0.0 ? 1.0 : p.cycles / clean_cycles;
 
-        char rb[24], miss[24], fl[24], to[24], wds[24], sd[24];
-        std::snprintf(rb, sizeof(rb), "%g", r);
-        std::snprintf(miss, sizeof(miss), "%llu",
-                      static_cast<unsigned long long>(s.l2Misses));
-        std::snprintf(fl, sizeof(fl), "%llu",
-                      static_cast<unsigned long long>(p.faults));
-        std::snprintf(to, sizeof(to), "%llu",
-                      static_cast<unsigned long long>(
-                          p.rec.migTimeouts));
-        std::snprintf(wds, sizeof(wds), "%llu",
-                      static_cast<unsigned long long>(
-                          p.wd.suppressed));
-        std::snprintf(sd, sizeof(sd), "%.3f", slowdown);
-        table.addRow({rb, miss, ratio2(ratio),
-                      perEvent(s.instructions, s.migrations), fl, to,
-                      wds, sd});
-        if (deg_csv)
-            std::fprintf(deg_csv,
-                         "%g,%llu,%.4f,%llu,%llu,%llu,%llu,%llu,"
-                         "%llu,%.0f,%.4f\n",
-                         r,
-                         static_cast<unsigned long long>(s.l2Misses),
-                         ratio,
-                         static_cast<unsigned long long>(s.migrations),
-                         static_cast<unsigned long long>(p.faults),
-                         static_cast<unsigned long long>(
-                             p.rec.migTimeouts),
-                         static_cast<unsigned long long>(
-                             p.rec.migRetries),
-                         static_cast<unsigned long long>(
-                             p.wd.livelocks),
-                         static_cast<unsigned long long>(
-                             p.wd.suppressed),
-                         p.cycles, slowdown);
+        const auto count = [](uint64_t v) {
+            return formatString("%llu", static_cast<unsigned long long>(v));
+        };
+        table.addRow({formatString("%g", r), count(s.l2Misses),
+                      ratio2(ratio), perEvent(s.instructions, s.migrations),
+                      count(p.faults), count(p.rec.migTimeouts),
+                      count(p.wd.suppressed),
+                      formatString("%.3f", slowdown)});
+        deg_csv += formatString(
+            "%g,%llu,%.4f,%llu,%llu,%llu,%llu,%llu,%llu,%.0f,%.4f\n", r,
+            static_cast<unsigned long long>(s.l2Misses), ratio,
+            static_cast<unsigned long long>(s.migrations),
+            static_cast<unsigned long long>(p.faults),
+            static_cast<unsigned long long>(p.rec.migTimeouts),
+            static_cast<unsigned long long>(p.rec.migRetries),
+            static_cast<unsigned long long>(p.wd.livelocks),
+            static_cast<unsigned long long>(p.wd.suppressed), p.cycles,
+            slowdown);
     }
-    std::fputs(table.render("Degradation curve: affinity soft-error "
-                            "rate vs misses, migrations and estimated "
-                            "slowdown (watchdog on)").c_str(),
-               stdout);
-    if (deg_csv)
-        std::fclose(deg_csv);
+    out += table.render("Degradation curve: affinity soft-error rate vs "
+                        "misses, migrations and estimated slowdown "
+                        "(watchdog on)");
 
     // ----- Experiment 2: recovery after core loss --------------------
     // Size the scripted unplug in references: replay the workload
     // through a counting sink (deterministic streams make the count
     // exact), then fire core_off=2 at the halfway reference.
-    RefCounterSink counter;
+    RefCounter counter;
     makeWorkload(bench)->run(counter, opt.instructions, opt.seed);
-    const uint64_t fault_ref = counter.refs() / 2;
+    const uint64_t fault_ref = counter.total() / 2;
     const uint64_t window =
-        std::max<uint64_t>(counter.refs() / 100, 10'000);
+        std::max<uint64_t>(counter.total() / 100, 10'000);
 
-    char plan[64];
-    std::snprintf(plan, sizeof(plan), "seed=1;at=%llu:core_off=2",
-                  static_cast<unsigned long long>(fault_ref));
     MachineConfig cfg;
-    cfg.faultPlan = plan;
+    cfg.faultPlan = formatString("seed=1;at=%llu:core_off=2",
+                                 static_cast<unsigned long long>(fault_ref));
     MigrationMachine machine(cfg);
     WindowedSink sink(machine, window);
     makeWorkload(bench)->run(sink, opt.instructions, opt.seed);
@@ -305,40 +254,42 @@ main(int argc, char **argv)
     }
 
     const RecoveryStats &rec = machine.controller()->recovery();
-    std::printf("\nRecovery after core loss (core_off=2 at reference "
-                "%llu):\n",
-                static_cast<unsigned long long>(fault_ref));
-    std::printf("  live cores %u, split ways %u, resplits %llu, "
-                "forced migrations %llu\n",
-                machine.controller()->liveCores(),
-                machine.controller()->splitWays(),
-                static_cast<unsigned long long>(rec.resplits),
-                static_cast<unsigned long long>(rec.forcedMigrations));
-    std::printf("  dirty L2 lines lost %llu, post-loss steady state "
-                "%.0f misses/%lluk refs\n",
-                static_cast<unsigned long long>(
-                    machine.stats().dirtyLinesLost),
-                steady,
-                static_cast<unsigned long long>(window / 1000));
+    out += formatString(
+        "\nRecovery after core loss (core_off=2 at reference %llu):\n",
+        static_cast<unsigned long long>(fault_ref));
+    out += formatString(
+        "  live cores %u, split ways %u, resplits %llu, forced "
+        "migrations %llu\n",
+        machine.controller()->liveCores(),
+        machine.controller()->splitWays(),
+        static_cast<unsigned long long>(rec.resplits),
+        static_cast<unsigned long long>(rec.forcedMigrations));
+    out += formatString(
+        "  dirty L2 lines lost %llu, post-loss steady state %.0f "
+        "misses/%lluk refs\n",
+        static_cast<unsigned long long>(machine.stats().dirtyLinesLost),
+        steady, static_cast<unsigned long long>(window / 1000));
     if (recovered_at > 0)
-        std::printf("  recovered (windowed miss rate within 1.5x of "
-                    "steady state) after %llu references\n",
-                    static_cast<unsigned long long>(recovered_at -
-                                                    fault_ref));
+        out += formatString(
+            "  recovered (windowed miss rate within 1.5x of steady "
+            "state) after %llu references\n",
+            static_cast<unsigned long long>(recovered_at - fault_ref));
     else
-        std::printf("  run too short to locate the recovery point\n");
+        out += "  run too short to locate the recovery point\n";
 
-    FILE *rec_csv = openCsv(csv_dir, "recovery.csv");
-    if (rec_csv) {
-        std::fprintf(rec_csv,
-                     "end_ref,l2_misses,migrations,phase\n");
-        for (const auto &w : windows)
-            std::fprintf(rec_csv, "%llu,%llu,%llu,%s\n",
-                         static_cast<unsigned long long>(w.endRef),
-                         static_cast<unsigned long long>(w.l2Misses),
-                         static_cast<unsigned long long>(w.migrations),
-                         w.endRef <= fault_ref ? "pre" : "post");
-        std::fclose(rec_csv);
+    std::string rec_csv = "end_ref,l2_misses,migrations,phase\n";
+    for (const auto &w : windows)
+        rec_csv += formatString(
+            "%llu,%llu,%llu,%s\n",
+            static_cast<unsigned long long>(w.endRef),
+            static_cast<unsigned long long>(w.l2Misses),
+            static_cast<unsigned long long>(w.migrations),
+            w.endRef <= fault_ref ? "pre" : "post");
+    if (!opt.csvOut.empty()) {
+        writeArtifact(opt.csvOut + "/degradation.csv", deg_csv,
+                      "--csv-dir");
+        writeArtifact(opt.csvOut + "/recovery.csv", rec_csv,
+                      "--csv-dir");
     }
-    return 0;
+    return out;
 }

@@ -8,16 +8,11 @@
  * (8k entries / 38 KB). This bench reports the storage arithmetic
  * and re-runs the Table 2 experiment on representative benchmarks at
  * several sampling ratios to show the miss-reduction is preserved.
- *
- * One sweep cell per (benchmark, sampling config) pair (xmig-swift);
- * rows collate in sweep order, so --jobs N output is bit-identical
- * to the serial run.
+ * One sweep cell per (benchmark, sampling config) pair.
  */
 
-#include <cstdio>
-
 #include "core/soa_oe_store.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
@@ -44,13 +39,9 @@ constexpr size_t kNumCfgs = sizeof(kCfgs) / sizeof(kCfgs[0]);
 
 } // namespace
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperSampling(const BenchOptions &opt)
 {
-    // Several configs x benchmarks: half the Table-2 budget.
-    const BenchOptions opt =
-        BenchOptions::parse(argc, argv, 10'000'000, 1'000'000);
-
     // Storage arithmetic of section 3.5 (20-bit tags, 16-bit
     // affinities, 2 age bits).
     std::string out =
@@ -58,28 +49,18 @@ main(int argc, char **argv)
     for (unsigned entries_k : {32, 16, 8, 4}) {
         AffinityCacheConfig c;
         c.entries = uint64_t(entries_k) * 1024;
-        SoaAffinityStore store(c);
-        char buf[128];
-        std::snprintf(
-            buf, sizeof(buf),
-            "  %2uk entries: %5.1f KB (%s of 2 MB L2 data)\n",
-            entries_k,
-            static_cast<double>(store.storageBits()) / 8.0 / 1024.0,
-            ratio2(static_cast<double>(store.storageBits()) / 8.0 /
-                   (2.0 * 1024 * 1024) * 100.0)
-                .append("%")
-                .c_str());
-        out += buf;
+        const double bytes =
+            static_cast<double>(SoaAffinityStore(c).storageBits()) / 8.0;
+        out += formatString(
+            "  %2uk entries: %5.1f KB (%s%% of 2 MB L2 data)\n",
+            entries_k, bytes / 1024.0,
+            ratio2(bytes / (2.0 * 1024 * 1024) * 100.0).c_str());
     }
 
     const std::vector<std::string> benches =
-        opt.benchmarks.empty()
-            ? std::vector<std::string>{"179.art", "health", "164.gzip"}
-            : opt.benchmarks;
+        benchmarksOr(opt, {"179.art", "health", "164.gzip"});
 
-    SweepSpec spec;
-    spec.cells = benches.size() * kNumCfgs;
-    spec.run = [&](size_t i) {
+    const SweepSpec spec{benches.size() * kNumCfgs, [&](size_t i) {
         const std::string &name = benches[i / kNumCfgs];
         const Cfg &cfg = kCfgs[i % kNumCfgs];
         QuadcoreParams params;
@@ -88,24 +69,18 @@ main(int argc, char **argv)
         params.machine.controller.samplingCutoff = cfg.cutoff;
         params.machine.controller.affinityCache.entries = cfg.entries;
         const QuadcoreRow r = runQuadcore(name, params);
-        char migs[24];
-        std::snprintf(migs, sizeof(migs), "%llu",
-                      (unsigned long long)r.migrations);
-        RunResult res;
-        res.rows.push_back({"",
-                            {r.name, cfg.label, ratio2(r.missRatio()),
-                             migs,
-                             perEvent(r.instructions, r.migrations)}});
-        return res;
-    };
-    const std::vector<RunResult> results = runSweep(spec, opt.jobs);
-
+        return RunResult{"",
+                         {{"",
+                           {r.name, cfg.label, ratio2(r.missRatio()),
+                            formatString("%llu", (unsigned long long)
+                                                     r.migrations),
+                            perEvent(r.instructions, r.migrations)}}}};
+    }};
     AsciiTable table({"benchmark", "sampling", "ratio", "migrations",
                       "instr/mig"});
-    collateRows(results, table);
+    collateRows(runSweep(spec, opt.jobs), table);
     out += "\n";
     out += table.render("Table-2-style runs under different "
                         "sampling ratios");
-    flushAtomically(out, stdout);
-    return 0;
+    return out;
 }

@@ -11,46 +11,36 @@
  * light (bh, twolf, ...).
  */
 
-#include <cstdio>
-
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/table1.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
 using namespace xmig;
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperTable1(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(argc, argv);
     Table1Params params;
     params.instructionsPerBenchmark = opt.instructions;
     params.seed = opt.seed;
 
     AsciiTable table({"benchmark", "instr(M)", "IL1-miss(M)",
                       "DL1-miss(M)", "loads(M)", "stores(M)"});
+    const auto millions = [](uint64_t v) {
+        return formatString("%.2f", static_cast<double>(v) / 1e6);
+    };
     std::string suite;
-    const auto &names =
-        opt.benchmarks.empty() ? allWorkloadNames() : opt.benchmarks;
-    for (const auto &name : names) {
+    for (const auto &name : benchmarksOr(opt, allWorkloadNames())) {
         const Table1Row row = runTable1(name, params);
         if (row.suite != suite) {
             suite = row.suite;
             table.addSection(suite);
         }
-        auto millions = [](uint64_t v) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.2f",
-                          static_cast<double>(v) / 1e6);
-            return std::string(buf);
-        };
         table.addRow({row.name, millions(row.instructions),
                       millions(row.il1Misses), millions(row.dl1Misses),
                       millions(row.loads), millions(row.stores)});
     }
-    std::fputs(table.render("Table 1 reproduction: benchmarks, dynamic "
-                            "instructions, 16KB L1 misses").c_str(),
-               stdout);
-    return 0;
+    return table.render("Table 1 reproduction: benchmarks, dynamic "
+                        "instructions, 16KB L1 misses");
 }

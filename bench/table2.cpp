@@ -8,19 +8,15 @@
  * migration removed L2 misses), and migrations. The final column is
  * the paper's measured ratio for reference.
  *
- * Each benchmark is one sweep cell (xmig-swift): cells run on --jobs
- * workers with fully private machines, and the table is collated in
- * benchmark order, so the output is bit-identical at any job count.
- * --smoke selects a 6-benchmark subset at 1M instructions (CI and the
- * parallel-determinism test).
+ * One sweep cell per benchmark. --smoke selects a 6-benchmark subset
+ * at 1M instructions (CI and the parallel-determinism test).
  */
 
-#include <cstdio>
 #include <map>
 #include <memory>
 
+#include "paper.hpp"
 #include "sim/observe.hpp"
-#include "sim/options.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
@@ -47,11 +43,9 @@ const std::vector<std::string> kSmokeBenches = {
 
 } // namespace
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperTable2(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(
-        argc, argv, BenchOptions::kDefaultInstructions, 1'000'000);
     QuadcoreParams params;
     params.instructionsPerBenchmark = opt.instructions;
     params.warmupInstructions = opt.warmup;
@@ -60,9 +54,8 @@ main(int argc, char **argv)
     // baseline stays a clean reference (see runQuadcore).
     params.machine.faultPlan = opt.faultPlan;
 
-    const std::vector<std::string> names = !opt.benchmarks.empty()
-        ? opt.benchmarks
-        : opt.smoke ? kSmokeBenches : allWorkloadNames();
+    const std::vector<std::string> names =
+        benchmarksOr(opt, opt.smoke ? kSmokeBenches : allWorkloadNames());
 
     // xmig-scope outputs observe the first selected benchmark (one
     // registry per run; see sim/observe.hpp).
@@ -71,41 +64,29 @@ main(int argc, char **argv)
         observatory =
             std::make_unique<RunObservatory>(observeOptionsOf(opt));
 
-    SweepSpec spec;
-    spec.cells = names.size();
-    spec.run = [&](size_t i) {
+    const SweepSpec spec{names.size(), [&](size_t i) {
         const QuadcoreRow r =
             runQuadcore(names[i], params,
                         i == 0 ? observatory.get() : nullptr);
         const auto paper = kPaperRatio.find(r.name);
-        RunResult res;
-        res.rows.push_back({r.suite,
-                            {
-                                r.name,
-                                perEvent(r.instructions, r.l1Misses),
-                                perEvent(r.instructions,
-                                         r.l2MissesBaseline),
-                                perEvent(r.instructions, r.l2Misses4x),
-                                ratio2(r.missRatio()),
-                                perEvent(r.instructions, r.migrations),
-                                paper == kPaperRatio.end()
-                                    ? "-"
-                                    : ratio2(paper->second),
-                            }});
-        return res;
-    };
-    const std::vector<RunResult> results = runSweep(spec, opt.jobs);
-
+        return RunResult{
+            "",
+            {{r.suite,
+              {r.name, perEvent(r.instructions, r.l1Misses),
+               perEvent(r.instructions, r.l2MissesBaseline),
+               perEvent(r.instructions, r.l2Misses4x),
+               ratio2(r.missRatio()),
+               perEvent(r.instructions, r.migrations),
+               paper == kPaperRatio.end() ? "-"
+                                          : ratio2(paper->second)}}}};
+    }};
     AsciiTable table({"benchmark", "L1miss", "L2miss", "4xL2miss",
                       "ratio", "migration", "paper-ratio"});
-    collateRows(results, table);
-    std::string out =
-        table.render("Table 2 reproduction: instructions per event "
-                     "(higher is better); ratio < 1 means migration "
-                     "removed L2 misses");
-    out += "\nNotes: 16KB 4-way L1s (WT/NWA DL1), 512KB 4-way "
+    collateRows(runSweep(spec, opt.jobs), table);
+    return table.render("Table 2 reproduction: instructions per event "
+                        "(higher is better); ratio < 1 means migration "
+                        "removed L2 misses") +
+           "\nNotes: 16KB 4-way L1s (WT/NWA DL1), 512KB 4-way "
            "skewed L2 per core,\n8k-entry affinity cache, 25% "
            "sampling, 18-bit filters, L2 filtering.\n";
-    flushAtomically(out, stdout);
-    return 0;
 }

@@ -12,21 +12,17 @@
  * speedup estimates.
  */
 
-#include <cstdio>
-
 #include "multicore/timing.hpp"
-#include "sim/options.hpp"
+#include "paper.hpp"
 #include "sim/quadcore.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
 using namespace xmig;
 
-int
-main(int argc, char **argv)
+std::string
+xmig::paperTiming(const BenchOptions &opt)
 {
-    const BenchOptions opt = BenchOptions::parse(argc, argv, 12'000'000);
-
     // Protocol penalty across pipeline depths.
     AsciiTable proto({"issue-to-retire", "mispredict/instr",
                       "penalty (cycles)", "P_mig (L3-hit units)"});
@@ -37,35 +33,29 @@ main(int argc, char **argv)
             p.mispredictPerInstr = mp;
             LatencyParams l;
             TimingModel model(l, p);
-            char d[8], m[8], pen[16], pm[16];
-            std::snprintf(d, sizeof(d), "%u", depth);
-            std::snprintf(m, sizeof(m), "%.2f", mp);
-            std::snprintf(pen, sizeof(pen), "%.1f",
-                          model.migrationPenaltyCycles());
-            std::snprintf(pm, sizeof(pm), "%.2f", model.pmig());
-            proto.addRow({d, m, pen, pm});
+            proto.addRow(
+                {formatString("%u", depth), formatString("%.2f", mp),
+                 formatString("%.1f", model.migrationPenaltyCycles()),
+                 formatString("%.2f", model.pmig())});
         }
     }
-    std::fputs(proto.render("Section 2.2 protocol: migration penalty "
-                            "= T broadcast + issue-to-retire depth "
-                            "(+ drain re-steers)").c_str(),
-               stdout);
+    std::string out = proto.render("Section 2.2 protocol: migration "
+                                   "penalty = T broadcast + "
+                                   "issue-to-retire depth (+ drain "
+                                   "re-steers)");
 
     // IPC and speedup per benchmark under the stall model.
-    const std::vector<std::string> benches =
-        opt.benchmarks.empty()
-            ? std::vector<std::string>{"179.art", "188.ammp", "em3d",
-                                       "health", "181.mcf", "164.gzip",
-                                       "175.vpr"}
-            : opt.benchmarks;
     TimingModel model;
-    std::printf("\nStall model: baseCPI 1.0, L3 hit 20 cycles, "
-                "migration %.1f cycles (P_mig = %.2f)\n\n",
-                model.migrationPenaltyCycles(), model.pmig());
+    out += formatString(
+        "\nStall model: baseCPI 1.0, L3 hit 20 cycles, migration %.1f "
+        "cycles (P_mig = %.2f)\n\n",
+        model.migrationPenaltyCycles(), model.pmig());
 
     AsciiTable table({"benchmark", "IPC base", "IPC migration",
                       "speedup"});
-    for (const auto &name : benches) {
+    for (const auto &name :
+         benchmarksOr(opt, {"179.art", "188.ammp", "em3d", "health",
+                            "181.mcf", "164.gzip", "175.vpr"})) {
         QuadcoreParams params;
         params.instructionsPerBenchmark = opt.instructions;
         params.seed = opt.seed;
@@ -75,14 +65,11 @@ main(int argc, char **argv)
         base.l2Misses = r.l2MissesBaseline;
         mig.l2Misses = r.l2Misses4x;
         mig.migrations = r.migrations;
-        char bi[16], mi[16];
-        std::snprintf(bi, sizeof(bi), "%.3f", model.ipc(base));
-        std::snprintf(mi, sizeof(mi), "%.3f", model.ipc(mig));
-        table.addRow({r.name, bi, mi,
+        table.addRow({r.name, formatString("%.3f", model.ipc(base)),
+                      formatString("%.3f", model.ipc(mig)),
                       ratio2(model.speedup(base, mig))});
     }
-    std::fputs(table.render("Estimated IPC: single core vs 4-core "
-                            "execution migration").c_str(),
-               stdout);
-    return 0;
+    out += table.render("Estimated IPC: single core vs 4-core "
+                        "execution migration");
+    return out;
 }

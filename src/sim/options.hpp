@@ -1,30 +1,30 @@
 /**
  * @file
- * Minimal command-line handling shared by the bench binaries.
+ * Minimal command-line handling shared by the paper experiments
+ * (bench/paper.hpp) and the examples.
  *
- * Every harness accepts:
+ * The flags parse() knows:
  *   --instr N      instruction budget per benchmark (default: the
- *                  harness's own budget, or its smoke budget under
+ *                  reader's own budget, or its smoke budget under
  *                  --smoke)
  *   --scale X      multiply the budget that applies by X
  *   --bench NAME   restrict to one benchmark (repeatable)
  *   --seed S       workload seed
- *   --warmup N     unmeasured warm-up instructions (where supported)
+ *   --warmup N     unmeasured warm-up instructions
  *   --fault-plan P xmig-iron fault plan (fault_plan.hpp grammar),
- *                  forwarded to MachineConfig::faultPlan by harnesses
- *                  that run a MigrationMachine
+ *                  forwarded to MachineConfig::faultPlan
  *   --jobs N       xmig-swift sweep workers (default: the XMIG_JOBS
  *                  environment variable, else one per host core).
  *                  Output is bit-identical at any value
  *                  (docs/parallelism.md); N must be positive
- *   --smoke        CI-sized run: harnesses shrink budgets and sweep
- *                  ranges to finish in seconds
+ *   --smoke        CI-sized run: shrink budgets and sweep ranges to
+ *                  finish in seconds
  *   --csv F        write the machine-readable result table to F
- *                  (harnesses that emit one, e.g. bench_figure1)
+ *   --csv-dir DIR  write several CSV tables into DIR (lands in
+ *                  csvOut; not one of the common flags)
  *
- *
- * xmig-scope outputs (harnesses that run a machine; applied to the
- * first selected benchmark — see sim/observe.hpp):
+ * xmig-scope outputs (applied to the first selected benchmark — see
+ * sim/observe.hpp):
  *   --metrics-out F   dump the metrics registry as JSONL to F
  *   --samples-out F   dump the time-series sampler as CSV to F
  *   --trace-out F     render the xmig-lens event journal as a Chrome
@@ -34,23 +34,21 @@
  *                     any --jobs)
  *   --sample-every N  references between time-series samples
  *
- * Numeric values are validated strictly (xmig-iron): empty, signed,
- * non-numeric, trailing-garbage, or overflowing counts are fatal
- * errors instead of silently parsing as 0 or saturating. An argument
- * that is neither a flag above nor one of the harness's own flags
- * (passed to parse() by name) is fatal too, so a misspelt flag cannot
- * run the default budget.
+ * Each reader names the set of flags it reads; a flag outside that
+ * set is fatal and the message names the flag and the reader, so a
+ * flag the program would ignore cannot pass silently. Numeric values
+ * are validated strictly (xmig-iron): empty, signed, non-numeric,
+ * trailing-garbage, or overflowing counts are fatal errors instead of
+ * silently parsing as 0 or saturating. An unknown argument is fatal
+ * too, so a misspelt flag cannot run the default budget.
  */
 
 #pragma once
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <initializer_list>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,6 +56,56 @@
 #include "util/logging.hpp"
 
 namespace xmig {
+
+/** One bit per flag BenchOptions::parse() knows. */
+enum BenchFlag : uint32_t
+{
+    kFlagInstr = 1u << 0,
+    kFlagScale = 1u << 1,
+    kFlagBench = 1u << 2,
+    kFlagSeed = 1u << 3,
+    kFlagWarmup = 1u << 4,
+    kFlagFaultPlan = 1u << 5,
+    kFlagJobs = 1u << 6,
+    kFlagSmoke = 1u << 7,
+    kFlagCsv = 1u << 8,
+    kFlagMetricsOut = 1u << 9,
+    kFlagSamplesOut = 1u << 10,
+    kFlagTraceOut = 1u << 11,
+    kFlagJournalOut = 1u << 12,
+    kFlagSampleEvery = 1u << 13,
+    kFlagCsvDir = 1u << 14,
+};
+
+/** The common flags: every flag but --csv-dir. */
+constexpr uint32_t kCommonFlags = kFlagCsvDir - 1;
+
+/** A flag's spelling and whether it takes a value. */
+struct BenchFlagInfo
+{
+    const char *name;
+    BenchFlag bit;
+    bool takesValue;
+};
+
+/** Every flag parse() knows, in BenchFlag bit order. */
+inline constexpr BenchFlagInfo kBenchFlags[] = {
+    {"--instr", kFlagInstr, true},
+    {"--scale", kFlagScale, true},
+    {"--bench", kFlagBench, true},
+    {"--seed", kFlagSeed, true},
+    {"--warmup", kFlagWarmup, true},
+    {"--fault-plan", kFlagFaultPlan, true},
+    {"--jobs", kFlagJobs, true},
+    {"--smoke", kFlagSmoke, false},
+    {"--csv", kFlagCsv, true},
+    {"--metrics-out", kFlagMetricsOut, true},
+    {"--samples-out", kFlagSamplesOut, true},
+    {"--trace-out", kFlagTraceOut, true},
+    {"--journal-out", kFlagJournalOut, true},
+    {"--sample-every", kFlagSampleEvery, true},
+    {"--csv-dir", kFlagCsvDir, true},
+};
 
 /** Parsed common options. */
 struct BenchOptions
@@ -69,7 +117,7 @@ struct BenchOptions
     uint64_t seed = 42;
     std::vector<std::string> benchmarks; ///< empty = all
 
-    std::string csvOut;        ///< "" = no CSV dump (bench_figure1)
+    std::string csvOut;        ///< "" = no CSV (--csv file, --csv-dir dir)
     std::string metricsOut;    ///< "" = no metrics dump
     std::string samplesOut;    ///< "" = no time-series dump
     std::string traceOut;      ///< "" = no trace
@@ -78,16 +126,13 @@ struct BenchOptions
 
     std::string faultPlan;     ///< "" = no fault injection
 
-    /** Values of the harness's own flags, keyed by flag. */
-    std::map<std::string, std::string> harnessFlags;
-
     /**
      * Sweep workers (xmig-swift). 0 = auto: one per host core
      * (JobPool::defaultJobs()).
      */
     unsigned jobs = 0;
 
-    /** CI-sized run: harnesses shrink budgets and sweep ranges. */
+    /** CI-sized run: shrink budgets and sweep ranges. */
     bool smoke = false;
 
     /** True if any xmig-scope output was requested. */
@@ -96,6 +141,21 @@ struct BenchOptions
     {
         return !metricsOut.empty() || !samplesOut.empty() ||
                !traceOut.empty() || !journalOut.empty();
+    }
+
+    /** The flags in `flags`, space-separated, in kBenchFlags order. */
+    static std::string
+    flagNames(uint32_t flags)
+    {
+        std::string names;
+        for (const BenchFlagInfo &f : kBenchFlags) {
+            if ((flags & f.bit) == 0)
+                continue;
+            if (!names.empty())
+                names += ' ';
+            names += f.name;
+        }
+        return names;
     }
 
     /**
@@ -136,15 +196,7 @@ struct BenchOptions
         return static_cast<unsigned>(v);
     }
 
-    /** Value of harness flag `flag`, or "" if it was not given. */
-    std::string
-    harnessFlag(const std::string &flag) const
-    {
-        const auto it = harnessFlags.find(flag);
-        return it == harnessFlags.end() ? std::string() : it->second;
-    }
-
-    /** parse() for a harness whose smoke budget is its default. */
+    /** parse() of the common flags, smoke budget = default budget. */
     static BenchOptions
     parse(int argc, char **argv,
           uint64_t defaultInstr = kDefaultInstructions)
@@ -153,16 +205,16 @@ struct BenchOptions
     }
 
     /**
-     * Parse the command line of a harness whose own budget is
+     * Parse the command line of a reader whose own budget is
      * `defaultInstr`, and `smokeInstr` under --smoke. An explicit
      * --instr replaces both; --scale multiplies whichever applies.
-     * `ownFlags` names the harness's own flags, each taking one value
-     * that lands in harnessFlags; any other unknown argument is fatal.
+     * `reads` is the set of BenchFlag bits the reader reads; a known
+     * flag outside it is fatal, naming `reader` (argv[0] when null).
      */
     static BenchOptions
     parse(int argc, char **argv, uint64_t defaultInstr,
-          uint64_t smokeInstr,
-          std::initializer_list<const char *> ownFlags = {})
+          uint64_t smokeInstr, uint32_t reads = kCommonFlags,
+          const char *reader = nullptr)
     {
         BenchOptions opt;
         bool instrGiven = false;
@@ -171,16 +223,26 @@ struct BenchOptions
             opt.jobs = parseJobs("XMIG_JOBS", env);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto next = [&]() -> const char * {
-                return i + 1 < argc ? argv[++i] : "";
-            };
-            if (arg == "--instr") {
-                opt.instructions = parseCount("--instr", next());
+            const BenchFlagInfo *flag = nullptr;
+            for (const BenchFlagInfo &f : kBenchFlags) {
+                if (arg == f.name)
+                    flag = &f;
+            }
+            if (flag == nullptr)
+                XMIG_FATAL("unknown argument '%s'", arg.c_str());
+            if ((reads & flag->bit) == 0)
+                XMIG_FATAL("%s does not read %s (it reads: %s)",
+                           reader != nullptr ? reader : argv[0],
+                           flag->name, flagNames(reads).c_str());
+            const char *text = "";
+            if (flag->takesValue && i + 1 < argc)
+                text = argv[++i];
+            switch (flag->bit) {
+              case kFlagInstr:
+                opt.instructions = parseCount("--instr", text);
                 instrGiven = true;
-            } else if (arg == "--warmup")
-                opt.warmup = parseCount("--warmup", next());
-            else if (arg == "--scale") {
-                const char *text = next();
+                break;
+              case kFlagScale: {
                 errno = 0;
                 char *end = nullptr;
                 scale = std::strtod(text, &end);
@@ -190,39 +252,53 @@ struct BenchOptions
                                "finite number",
                                text);
                 }
-            } else if (arg == "--seed")
-                opt.seed = parseCount("--seed", next());
-            else if (arg == "--bench")
-                opt.benchmarks.emplace_back(next());
-            else if (arg == "--csv")
-                opt.csvOut = next();
-            else if (arg == "--metrics-out")
-                opt.metricsOut = next();
-            else if (arg == "--samples-out")
-                opt.samplesOut = next();
-            else if (arg == "--trace-out")
-                opt.traceOut = next();
-            else if (arg == "--journal-out")
-                opt.journalOut = next();
-            else if (arg == "--sample-every")
-                opt.sampleEvery = parseCount("--sample-every", next());
-            else if (arg == "--fault-plan") {
-                opt.faultPlan = next();
+                break;
+              }
+              case kFlagBench:
+                opt.benchmarks.emplace_back(text);
+                break;
+              case kFlagSeed:
+                opt.seed = parseCount("--seed", text);
+                break;
+              case kFlagWarmup:
+                opt.warmup = parseCount("--warmup", text);
+                break;
+              case kFlagFaultPlan:
+                opt.faultPlan = text;
                 // Validate eagerly so a typo dies at the command
                 // line, not after minutes of warm-up.
                 FaultPlan::parseOrFatal(opt.faultPlan);
-            } else if (arg == "--jobs")
-                opt.jobs = parseJobs("--jobs", next());
-            else if (arg == "--smoke")
+                break;
+              case kFlagJobs:
+                opt.jobs = parseJobs("--jobs", text);
+                break;
+              case kFlagSmoke:
                 opt.smoke = true;
-            else if (std::any_of(ownFlags.begin(), ownFlags.end(),
-                                 [&](const char *f) { return arg == f; })) {
-                const char *text = next();
+                break;
+              case kFlagCsv:
+                opt.csvOut = text;
+                break;
+              case kFlagMetricsOut:
+                opt.metricsOut = text;
+                break;
+              case kFlagSamplesOut:
+                opt.samplesOut = text;
+                break;
+              case kFlagTraceOut:
+                opt.traceOut = text;
+                break;
+              case kFlagJournalOut:
+                opt.journalOut = text;
+                break;
+              case kFlagSampleEvery:
+                opt.sampleEvery = parseCount("--sample-every", text);
+                break;
+              case kFlagCsvDir:
                 if (*text == '\0')
-                    XMIG_FATAL("%s requires a value", arg.c_str());
-                opt.harnessFlags[arg] = text;
-            } else
-                XMIG_FATAL("unknown argument '%s'", arg.c_str());
+                    XMIG_FATAL("--csv-dir requires a value");
+                opt.csvOut = text;
+                break;
+            }
         }
         if (!instrGiven)
             opt.instructions = opt.smoke ? smokeInstr : defaultInstr;

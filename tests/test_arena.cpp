@@ -3,7 +3,7 @@
  * xmig-arena: multi-tenant machine + tenant scheduler tests.
  *
  * The centerpiece is the golden-row regression for Figure 1's
- * crossover, pinned at the same configuration bench_figure1 sweeps:
+ * crossover, pinned at the same configuration the fig1 experiment sweeps:
  * migration mode must win the cache-hungry pairs (time-sharing the
  * aggregate L2 removes their misses) and throughput mode must win the
  * cache-light quads (4-way parallelism with nothing to fight over).
@@ -42,7 +42,7 @@ probeWithMpki(double mpki)
     return p;
 }
 
-/** The bench_figure1 cell configuration, pinned for golden rows. */
+/** The fig1 experiment's cell configuration, pinned for golden rows. */
 ArenaConfig
 figureConfig(ArenaMode mode, L3Policy policy,
              const std::vector<const char *> &benches, uint64_t instr)
@@ -286,7 +286,7 @@ runDigest(const ArenaConfig &cfg)
     return arenaDigest(r, journal);
 }
 
-/** bench_figure1's three (mode, policy) arms, in its cell order. */
+/** The fig1 experiment's three (mode, policy) arms, in its cell order. */
 constexpr std::pair<ArenaMode, L3Policy> kArms[] = {
     {ArenaMode::Migration, L3Policy::Unpartitioned},
     {ArenaMode::Throughput, L3Policy::Unpartitioned},

@@ -16,12 +16,12 @@ BenchOptions
 parse(std::vector<const char *> args,
       uint64_t defaultInstr = BenchOptions::kDefaultInstructions,
       uint64_t smokeInstr = BenchOptions::kDefaultInstructions,
-      std::initializer_list<const char *> ownFlags = {})
+      uint32_t reads = kCommonFlags)
 {
     args.insert(args.begin(), "prog");
     return BenchOptions::parse(static_cast<int>(args.size()),
                                const_cast<char **>(args.data()),
-                               defaultInstr, smokeInstr, ownFlags);
+                               defaultInstr, smokeInstr, reads);
 }
 
 /** parse() for a harness with its own 8 M budget and 2 M smoke budget. */
@@ -130,15 +130,16 @@ TEST(BenchOptions, TraceOutKeepsRequestedJobs)
     EXPECT_EQ(opt.jobs, 4u);
 }
 
-TEST(BenchOptions, HarnessFlagsTakeOneValue)
+TEST(BenchOptions, CsvDirTakesOneValue)
 {
     const BenchOptions opt =
         parse({"--csv-dir", "out", "--smoke"},
               BenchOptions::kDefaultInstructions,
-              BenchOptions::kDefaultInstructions, {"--csv-dir"});
-    EXPECT_EQ(opt.harnessFlag("--csv-dir"), "out");
+              BenchOptions::kDefaultInstructions,
+              kCommonFlags | kFlagCsvDir);
+    EXPECT_EQ(opt.csvOut, "out");
     EXPECT_TRUE(opt.smoke);
-    EXPECT_EQ(parse({}).harnessFlag("--csv-dir"), "");
+    EXPECT_EQ(parse({}).csvOut, "");
 }
 
 // XMIG_FATAL exits with status 1; each bad value must die with a
@@ -204,16 +205,19 @@ TEST(BenchOptionsDeathTest, RejectsBadJobs)
 }
 
 // A misspelt flag (--instrs for --instr) must not run the default
-// budget; a harness flag is known only to the harness that names it.
+// budget; a flag outside the reader's set dies naming the reader.
 TEST(BenchOptionsDeathTest, RejectsUnknownArgument)
 {
     EXPECT_EXIT(parse({"--smoke", "--instrs", "5000"}),
                 ::testing::ExitedWithCode(1), "unknown argument '--instrs'");
     EXPECT_EXIT(parse({"--csv-dir", "out"}),
+                ::testing::ExitedWithCode(1), "prog does not read --csv-dir");
+    EXPECT_EXIT(parse({"--smoke"}, BenchOptions::kDefaultInstructions,
+                      BenchOptions::kDefaultInstructions, kFlagInstr),
                 ::testing::ExitedWithCode(1),
-                "unknown argument '--csv-dir'");
+                "prog does not read --smoke \\(it reads: --instr\\)");
     EXPECT_EXIT(parse({"--csv-dir"}, BenchOptions::kDefaultInstructions,
-                      BenchOptions::kDefaultInstructions, {"--csv-dir"}),
+                      BenchOptions::kDefaultInstructions, kFlagCsvDir),
                 ::testing::ExitedWithCode(1), "--csv-dir requires a value");
 }
 

@@ -1,79 +1,82 @@
 /**
  * @file
- * End-to-end xmig-swift determinism: the flagship Table 2 harness
- * must emit *byte-identical* stdout whatever --jobs is set to, with
- * and without an armed fault plan. This is the acceptance property
- * the sweep runner promises (docs/parallelism.md) — everything the
- * serial run prints, the parallel run prints, in the same order.
+ * End-to-end xmig-swift determinism: the Table 2 and Figure 1
+ * experiments must emit *byte-identical* stdout and artifacts
+ * whatever --jobs is set to, with and without an armed fault plan.
+ * This is the acceptance property the sweep runner promises
+ * (docs/parallelism.md) — everything the serial run prints, the
+ * parallel run prints, in the same order. The experiments run in
+ * process, so a race detector follows every sweep cell.
  */
 
-#include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/json.hpp"
+#include "paper.hpp"
 
 namespace xmig {
 namespace {
 
-#ifndef XMIG_BENCH_DIR
-#define XMIG_BENCH_DIR "bench"
-#endif
-
-/** Run a shell command, capture stdout; abort the test on failure. */
+/** Run experiment args[0] with flags args[1..]; returns its stdout. */
 std::string
-capture(const std::string &cmd)
+run(std::vector<std::string> args)
 {
-    FILE *pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-        ADD_FAILURE() << "popen failed: " << cmd;
-        return "";
-    }
-    std::string out;
-    std::array<char, 4096> buf;
-    size_t n = 0;
-    while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0)
-        out.append(buf.data(), n);
-    const int rc = pclose(pipe);
-    EXPECT_EQ(rc, 0) << "non-zero exit from: " << cmd;
-    return out;
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return runExperiment(*findExperiment(args[0]),
+                         static_cast<int>(argv.size()), argv.data());
 }
 
-std::string
-table2(const std::string &extra)
+/** Append `extra` to `args`. */
+std::vector<std::string>
+with(std::vector<std::string> args, const std::vector<std::string> &extra)
 {
-    // Clear XMIG_JOBS so the environment of the ctest runner cannot
-    // leak into the comparison.
-    return capture("env -u XMIG_JOBS " XMIG_BENCH_DIR
-                   "/bench_table2_quadcore --smoke " +
-                   extra + " 2>/dev/null");
+    args.insert(args.end(), extra.begin(), extra.end());
+    return args;
+}
+
+/** The Table 2 smoke sweep at `jobs` workers, plus `extra` flags. */
+std::string
+table2(int jobs, const std::vector<std::string> &extra = {})
+{
+    // The environment of the ctest runner must not leak into the
+    // comparison.
+    unsetenv("XMIG_JOBS");
+    return run(with({"table2", "--smoke", "--jobs", std::to_string(jobs)},
+                    extra));
 }
 
 TEST(ParallelDeterminism, Table2SmokeIsByteIdenticalAcrossJobs)
 {
-    const std::string serial = table2("--jobs 1");
+    const std::string serial = table2(1);
     ASSERT_FALSE(serial.empty());
     // The smoke sweep has 6 cells; 8 workers also covers the
     // workers > cells corner.
-    EXPECT_EQ(serial, table2("--jobs 8"));
-    EXPECT_EQ(serial, table2("--jobs 3"));
+    EXPECT_EQ(serial, table2(8));
+    EXPECT_EQ(serial, table2(3));
 }
 
 TEST(ParallelDeterminism, Table2SmokeWithFaultPlanIsByteIdentical)
 {
     // Per-cell machines own their fault RNGs, so an armed plan must
     // not break the byte-identity contract either.
-    const std::string plan =
-        "--fault-plan \"seed=5;rate=2e-5:flip=oe;rate=2e-5:flip=tag;"
-        "rate=1e-3:mig_drop\"";
-    const std::string serial = table2("--jobs 1 " + plan);
+    const std::vector<std::string> plan = {
+        "--fault-plan",
+        "seed=5;rate=2e-5:flip=oe;rate=2e-5:flip=tag;rate=1e-3:mig_drop"};
+    const std::string serial = table2(1, plan);
     ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, table2("--jobs 8 " + plan));
+    EXPECT_EQ(serial, table2(8, plan));
 }
 
-/** Read and delete one artifact a harness run left behind. */
+/** Read and delete one artifact a run left behind. */
 std::string
 takeFile(const std::string &path)
 {
@@ -91,8 +94,6 @@ TEST(ParallelDeterminism, JournalIsByteIdenticalAcrossJobs)
     // process, so arming it must not force jobs=1 — and both of its
     // exports, the JSONL and the Chrome trace rendered from it, must
     // be a pure function of (seed, config, fault plan).
-    const std::string plan =
-        " --fault-plan \"at=200000:core_off=1;at=500000:core_on=1\"";
     const std::string dir = testing::TempDir();
     struct Exports
     {
@@ -101,9 +102,10 @@ TEST(ParallelDeterminism, JournalIsByteIdenticalAcrossJobs)
     auto exportsAt = [&](int jobs) {
         const std::string stem =
             dir + "xmig_pd_journal_j" + std::to_string(jobs);
-        table2("--jobs " + std::to_string(jobs) + plan +
-               " --journal-out " + stem + ".jsonl --trace-out " + stem +
-               ".json");
+        table2(jobs, {"--fault-plan", "at=200000:core_off=1;"
+                                      "at=500000:core_on=1",
+                      "--journal-out", stem + ".jsonl", "--trace-out",
+                      stem + ".json"});
         return Exports{takeFile(stem + ".jsonl"),
                        takeFile(stem + ".json")};
     };
@@ -121,20 +123,20 @@ TEST(ParallelDeterminism, JournalIsByteIdenticalAcrossJobs)
 }
 
 /**
- * bench_figure1 runs a multi-tenant arena per cell: every cell owns
- * one fiber per tenant and a shared L3, so this exercises
+ * The Figure 1 experiment runs a multi-tenant arena per cell: every
+ * cell owns one fiber per tenant and a shared L3, so this exercises
  * xmig-arena's claim that reference-interleave arbitration is
  * deterministic at any job count. A reduced mix set and budget keep
  * it CI-sized — byte-identity does not need the full crossover sweep.
  */
 std::string
-figure1(const std::string &extra)
+figure1(int jobs, const std::vector<std::string> &extra)
 {
-    return capture("env -u XMIG_JOBS " XMIG_BENCH_DIR
-                   "/bench_figure1 --instr 400000"
-                   " --bench em3d+health"
-                   " --bench bisort+mst+twolf+vortex " +
-                   extra + " 2>/dev/null");
+    unsetenv("XMIG_JOBS");
+    return run(with({"fig1", "--instr", "400000", "--bench", "em3d+health",
+                     "--bench", "bisort+mst+twolf+vortex", "--jobs",
+                     std::to_string(jobs)},
+                    extra));
 }
 
 TEST(ParallelDeterminism, Figure1IsByteIdenticalAcrossJobs)
@@ -149,12 +151,11 @@ TEST(ParallelDeterminism, Figure1IsByteIdenticalAcrossJobs)
     auto runAt = [&](int jobs) {
         const std::string path =
             dir + "xmig_pd_fig1_j" + std::to_string(jobs) + ".json";
-        Run run;
-        run.out = figure1("--jobs " + std::to_string(jobs) +
-                          " --trace-out " + path);
-        capture("python3 -m json.tool " + path + " >/dev/null");
-        run.trace = takeFile(path);
-        return run;
+        Run r;
+        r.out = figure1(jobs, {"--trace-out", path});
+        r.trace = takeFile(path);
+        EXPECT_TRUE(obs::jsonParseOk(r.trace)) << "jobs=" << jobs;
+        return r;
     };
     const Run serial = runAt(1);
     ASSERT_FALSE(serial.out.empty());
@@ -175,13 +176,8 @@ TEST(ParallelDeterminism, Figure1CsvIsByteIdenticalAcrossJobs)
     auto csvAt = [&](int jobs) {
         const std::string path =
             dir + "xmig_pd_fig1_j" + std::to_string(jobs) + ".csv";
-        figure1("--jobs " + std::to_string(jobs) + " --csv " + path);
-        std::ifstream in(path, std::ios::binary);
-        EXPECT_TRUE(in.good()) << path;
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        std::remove(path.c_str());
-        return ss.str();
+        figure1(jobs, {"--csv", path});
+        return takeFile(path);
     };
     const std::string serial = csvAt(1);
     ASSERT_FALSE(serial.empty());
@@ -192,10 +188,10 @@ TEST(ParallelDeterminism, Figure1CsvIsByteIdenticalAcrossJobs)
 
 TEST(ParallelDeterminism, JobsEnvironmentVariableIsHonored)
 {
-    const std::string serial = table2("--jobs 1");
-    const std::string env =
-        capture("env XMIG_JOBS=8 " XMIG_BENCH_DIR
-                "/bench_table2_quadcore --smoke 2>/dev/null");
+    const std::string serial = table2(1);
+    setenv("XMIG_JOBS", "8", 1);
+    const std::string env = run({"table2", "--smoke"});
+    unsetenv("XMIG_JOBS");
     EXPECT_EQ(serial, env);
 }
 
