@@ -158,17 +158,4 @@ paperMain(int argc, char **argv)
     return 0;
 }
 
-void
-writeArtifact(const std::string &path, const std::string &text,
-              const char *flag)
-{
-    if (path.empty())
-        return;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        XMIG_FATAL("cannot open %s output '%s'", flag, path.c_str());
-    flushAtomically(text, f);
-    std::fclose(f);
-}
-
 } // namespace xmig

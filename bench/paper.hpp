@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "sim/options.hpp"
+#include "util/artifact.hpp"
 #include "util/logging.hpp"
 
 namespace xmig {
@@ -61,13 +62,6 @@ std::string runExperiment(const Experiment &exp, int argc, char **argv);
 
 /** The driver's main(): dispatch on argv[0], else on argv[1]. */
 int paperMain(int argc, char **argv);
-
-/**
- * Write `text` to `path` in one piece; an empty path writes nothing.
- * A path that cannot be opened is fatal, naming `flag`.
- */
-void writeArtifact(const std::string &path, const std::string &text,
-                   const char *flag);
 
 /** printf into a std::string. */
 using detail::formatString;

@@ -35,7 +35,15 @@ using namespace xmig;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opt = BenchOptions::parse(argc, argv, 4'000'000);
+    // One run of one benchmark: --jobs, --smoke and the CSV flags
+    // would be ignored, so they are fatal.
+    constexpr uint32_t kReads =
+        kFlagInstr | kFlagScale | kFlagBench | kFlagSeed | kFlagWarmup |
+        kFlagFaultPlan | kFlagMetricsOut | kFlagSamplesOut |
+        kFlagTraceOut | kFlagJournalOut | kFlagSampleEvery;
+    BenchOptions opt = BenchOptions::parse(argc, argv, 4'000'000,
+                                           4'000'000, kReads,
+                                           "observe_run");
     // Observability on by default: this example exists to produce the
     // three artifacts, so unset outputs get filenames rather than
     // being disabled.

@@ -1,29 +1,107 @@
 #include "fuzz/campaign.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <set>
 #include <sstream>
 
+#include "fuzz/corpus.hpp"
+#include "fuzz/minimizer.hpp"
+#include "multicore/machine.hpp"
+#include "obs/journal.hpp"
 #include "sim/runner/job_pool.hpp"
+#include "util/artifact.hpp"
 #include "util/contracts.hpp"
 #include "util/logging.hpp"
-#include "util/rng.hpp"
+#include "workloads/registry.hpp"
 
 namespace xmig {
 
 namespace {
 
-/** Write `body` to `path`; fatal on I/O failure (repros must land). */
-void
-writeFile(const std::string &path, const std::string &body)
+/**
+ * Cases per round. Guided sources feed back between rounds, so this
+ * is a guidance parameter, not a parallelism one: it never depends
+ * on the pool width.
+ */
+constexpr std::ptrdiff_t kBatch = 16;
+
+/**
+ * Re-run one case with an xmig-lens journal attached and return the
+ * JSONL. The journal is an observer (PR 7), so the re-run retires
+ * the exact same stream the harness saw.
+ */
+std::string
+journalFor(const FuzzCase &c)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr)
-        XMIG_FATAL("cannot write repro file '%s'", path.c_str());
-    const size_t n = std::fwrite(body.data(), 1, body.size(), f);
-    const bool ok = n == body.size() && std::fclose(f) == 0;
-    if (!ok)
-        XMIG_FATAL("short write to repro file '%s'", path.c_str());
+    RefRecorder recorder;
+    makeWorkload(c.benchmark)
+        ->run(recorder, c.instructions, c.workloadSeed);
+
+    MachineConfig config;
+    config.faultPlan = c.plan;
+    MigrationMachine machine(config);
+    obs::Journal journal;
+    machine.attachJournal(&journal);
+    for (const MemRef &ref : recorder.refs())
+        machine.access(ref);
+    return journal.renderJsonl();
+}
+
+/**
+ * The one failure pipeline: minimize the case, write its repro, then
+ * re-run the minimized case with a journal attached.
+ */
+CampaignFailure
+processFailure(const CampaignConfig &config,
+               const PropertyHarness &harness, uint64_t case_index,
+               const FuzzCase &c, const OracleFailure &first)
+{
+    CampaignFailure f;
+    f.caseIndex = case_index;
+    f.original = c;
+    f.minimized = c;
+    f.failure = first;
+    if (config.minimize) {
+        const MinimizeResult m =
+            PlanMinimizer(harness).minimize(c, first.oracle);
+        f.probes = m.probes;
+        if (m.stillFails)
+            f.minimized = m.minimized;
+        else
+            XMIG_WARN("case %llu failure (%s) did not reproduce "
+                      "under minimization; keeping the full plan",
+                      static_cast<unsigned long long>(case_index),
+                      first.oracle.c_str());
+    }
+    if (!config.reproDir.empty()) {
+        const std::string stem = config.reproDir + "/repro_case" +
+                                 std::to_string(case_index);
+        f.reproPath = stem + ".txt";
+        f.journalPath = stem + ".journal.jsonl";
+        writeArtifact(f.reproPath, renderRepro(f), "--repro-dir");
+        writeArtifact(f.journalPath, journalFor(f.minimized),
+                      "--repro-dir");
+    }
+    return f;
+}
+
+} // namespace
+
+UniformSource::UniformSource(uint64_t seed)
+    : plans_(seed), seeder_(seed ^ 0x9e3779b97f4a7c15ULL)
+{
+}
+
+FuzzCase
+UniformSource::next(const std::string &benchmark,
+                    uint64_t instructions, const CoverageMap &)
+{
+    FuzzCase c;
+    c.plan = plans_.next().spec();
+    c.benchmark = benchmark;
+    c.workloadSeed = seeder_.next() >> 1;
+    c.instructions = instructions;
+    return c;
 }
 
 size_t
@@ -31,13 +109,9 @@ statementCount(const std::string &spec)
 {
     if (spec.empty())
         return 0;
-    size_t n = 1;
-    for (char c : spec)
-        n += c == ';' ? 1 : 0;
-    return n;
+    return 1 + static_cast<size_t>(
+                   std::count(spec.begin(), spec.end(), ';'));
 }
-
-} // namespace
 
 std::string
 renderRepro(const CampaignFailure &f)
@@ -86,14 +160,19 @@ CampaignResult::summary() const
     std::ostringstream out;
     out << "cases=" << cases << " refs=" << refs
         << " faults_injected=" << faultsInjected
-        << " failures=" << failures.size() << "\n";
+        << " failures=" << failures.size();
+    if (corpus)
+        out << " corpus_loaded=" << corpusLoaded
+            << " corpus_saved=" << corpusSaved;
+    out << "\n";
     for (const CampaignFailure &f : failures) {
         out << "FAIL case=" << f.caseIndex
             << " oracle=" << f.failure.oracle
             << " statements=" << statementCount(f.minimized.plan)
             << " plan=" << f.minimized.plan;
         if (!f.reproPath.empty())
-            out << " repro=" << f.reproPath;
+            out << " repro=" << f.reproPath
+                << " journal=" << f.journalPath;
         out << "\n";
     }
     out << "oracle_failures:";
@@ -108,128 +187,79 @@ CampaignResult::summary() const
     return out.str();
 }
 
-namespace {
-
-/**
- * Shared back half of both campaign flavors: fold refs/coverage in
- * case-index order, minimize failures serially, write repros.
- */
 CampaignResult
-collate(const CampaignConfig &config, const PropertyHarness &harness,
-        const std::vector<FuzzCase> &cases,
-        const std::vector<CaseResult> &results)
-{
-    CampaignResult out;
-    out.cases = config.plans;
-    for (size_t i = 0; i < results.size(); ++i) {
-        out.refs += results[i].refs;
-        out.faultsInjected += results[i].faultsInjected;
-        out.coverage.observe(results[i].coverage);
-        if (!results[i].failed())
-            continue;
-
-        // Minimize serially, in case order: probe runs are
-        // deterministic, so the minimized plans are too.
-        CampaignFailure f;
-        f.caseIndex = i;
-        f.original = cases[i];
-        f.minimized = cases[i];
-        f.failure = results[i].failures.front();
-        if (config.minimize) {
-            PlanMinimizer minimizer(harness, config.minimizer);
-            const MinimizeResult m =
-                minimizer.minimize(cases[i], f.failure.oracle);
-            f.probes = m.probes;
-            if (m.stillFails)
-                f.minimized = m.minimized;
-            else
-                XMIG_WARN("case %zu failure (%s) did not reproduce "
-                          "under minimization; keeping the full plan",
-                          i, f.failure.oracle.c_str());
-        }
-        if (!config.reproDir.empty()) {
-            f.reproPath = config.reproDir + "/repro_case" +
-                          std::to_string(i) + ".txt";
-            writeFile(f.reproPath, renderRepro(f));
-        }
-        out.failures.push_back(std::move(f));
-    }
-    return out;
-}
-
-} // namespace
-
-CampaignResult
-runCampaign(const CampaignConfig &config,
+runCampaign(const CampaignConfig &config, CaseSource &source,
             const PropertyHarness &harness, const JobPool &pool)
 {
     XMIG_ASSERT(config.plans > 0, "campaign needs at least one plan");
 
-    // Draw every case on the caller thread, before the fan-out: the
-    // case list (and therefore the whole campaign) depends only on
-    // the campaign seed, never on worker scheduling.
-    PlanGenerator generator(config.seed, config.generator);
-    Rng seeder(config.seed ^ 0x9e3779b97f4a7c15ULL);
-    std::vector<FuzzCase> cases;
-    cases.reserve(config.plans);
-    for (uint64_t i = 0; i < config.plans; ++i) {
-        FuzzCase c;
-        c.plan = generator.next().spec();
-        c.benchmark = config.benchmark;
-        c.workloadSeed = seeder.next() >> 1;
-        c.instructions = config.instructions;
-        cases.push_back(std::move(c));
+    if (!config.reproDir.empty())
+        ensureDir(config.reproDir);
+
+    CampaignResult out;
+    out.corpus = !config.corpusDir.empty();
+    std::vector<FuzzCase> replay;
+    std::set<std::string> saved; // entry names already on disk
+    if (out.corpus) {
+        replay = loadCorpus(config.corpusDir, &saved);
+        if (replay.size() > config.plans)
+            replay.resize(static_cast<size_t>(config.plans));
+        out.corpusLoaded = replay.size();
     }
 
-    const std::vector<CaseResult> results = runIndexed<CaseResult>(
-        pool, cases.size(),
-        [&](size_t i) { return harness.run(cases[i]); });
+    // A drawn case that lit new coverage joins the corpus, unless an
+    // entry of the same content is already on disk.
+    const auto saveNovel = [&](const FuzzCase &c) {
+        const std::string name = corpusEntryName(c);
+        if (!saved.insert(name).second)
+            return;
+        writeArtifact(config.corpusDir + "/" + name,
+                      renderCorpusEntry(c), "--corpus");
+        ++out.corpusSaved;
+    };
 
-    return collate(config, harness, cases, results);
-}
+    std::vector<FuzzCase> batch;
+    while (out.cases < config.plans) {
+        // Replayed cases come first, in batches of their own, so all
+        // of their coverage is in before the source draws a case.
+        batch.clear();
+        if (out.cases < replay.size()) {
+            const auto from = replay.begin() +
+                              static_cast<std::ptrdiff_t>(out.cases);
+            batch.assign(from, from + std::min<std::ptrdiff_t>(
+                                          kBatch, replay.end() - from));
+        } else {
+            const uint64_t n = std::min<uint64_t>(
+                kBatch, config.plans - out.cases);
+            for (uint64_t i = 0; i < n; ++i)
+                batch.push_back(source.next(config.benchmark,
+                                            config.instructions,
+                                            out.coverage));
+        }
 
-CampaignResult
-runGuidedCampaign(const CampaignConfig &config,
-                  const GuidedConfig &guided,
-                  const PropertyHarness &harness, const JobPool &pool,
-                  uint64_t batch)
-{
-    XMIG_ASSERT(config.plans > 0, "campaign needs at least one plan");
-    XMIG_ASSERT(batch > 0, "batch must be positive");
+        const std::vector<CaseResult> results = runIndexed<CaseResult>(
+            pool, batch.size(),
+            [&](size_t i) { return harness.run(batch[i]); });
 
-    // The guided generator samples from the campaign's plan shape;
-    // only the guidance knobs come from `guided`.
-    GuidedConfig g = guided;
-    g.generator = config.generator;
-    CoverageGuidedGenerator generator(config.seed, g);
-
-    // Case drawing and feedback stay on the caller thread, batch by
-    // batch in case-index order; only harness execution fans out.
-    // The batch size is independent of the pool width, so the case
-    // sequence — and the whole result — is byte-stable at any --jobs.
-    std::vector<FuzzCase> cases;
-    std::vector<CaseResult> results;
-    cases.reserve(config.plans);
-    results.reserve(config.plans);
-    while (cases.size() < config.plans) {
-        const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(batch, config.plans - cases.size()));
-        const size_t base = cases.size();
-        for (size_t i = 0; i < n; ++i)
-            cases.push_back(generator.next(config.benchmark,
-                                           config.instructions));
-        const std::vector<CaseResult> batch_results =
-            runIndexed<CaseResult>(pool, n, [&](size_t i) {
-                return harness.run(cases[base + i]);
-            });
-        for (size_t i = 0; i < n; ++i) {
-            generator.feedback(cases[base + i],
-                               batch_results[i].coverage);
-            results.push_back(batch_results[i]);
+        // Fold back on this thread, in case-index order; minimization
+        // probes are deterministic, so the failures are too.
+        for (size_t i = 0; i < batch.size(); ++i) {
+            const uint64_t index = out.cases++;
+            const CaseResult &r = results[i];
+            out.refs += r.refs;
+            out.faultsInjected += r.faultsInjected;
+            if (out.coverage.observe(r.coverage) > 0) {
+                source.admit(batch[i]);
+                if (out.corpus && index >= out.corpusLoaded)
+                    saveNovel(batch[i]);
+            }
+            if (r.failed())
+                out.failures.push_back(processFailure(
+                    config, harness, index, batch[i],
+                    r.failures.front()));
         }
     }
-
-    return collate(config, harness, cases, results);
+    return out;
 }
 
 } // namespace xmig

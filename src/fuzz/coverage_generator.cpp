@@ -1,5 +1,6 @@
 #include "fuzz/coverage_generator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -18,6 +19,23 @@ constexpr FaultSite kAllSites[] = {
 };
 
 constexpr size_t kSiteCount = sizeof(kAllSites) / sizeof(kAllSites[0]);
+
+/**
+ * Probability of composing a fresh plan instead of mutating a corpus
+ * entry (exploration vs exploitation). Corpus-empty draws are always
+ * fresh.
+ */
+constexpr double kFreshBias = 0.3;
+
+/**
+ * Probability that a guided statement uses hot value ranges
+ * (rates/ticks that reliably fire within a case) instead of the
+ * boundary-biased full ranges.
+ */
+constexpr double kHotBias = 0.8;
+
+/** Corpus capacity; oldest entries are evicted first. */
+constexpr size_t kMaxCorpus = 64;
 
 /** Last '.'-separated segment of a metric path. */
 std::string
@@ -97,42 +115,43 @@ CoverageGuidedGenerator::sitesFor(const std::string &path)
     return {};
 }
 
-CoverageGuidedGenerator::CoverageGuidedGenerator(uint64_t seed,
-                                                 GuidedConfig config)
-    : config_(std::move(config)), gen_(seed, config_.generator),
-      rng_(seed ^ 0xd1b54a32d192ed03ULL)
+CoverageGuidedGenerator::CoverageGuidedGenerator(
+    uint64_t seed, std::vector<std::string> workloadPool)
+    : workloadPool_(std::move(workloadPool)), gen_(seed),
+      rng_(seed ^ 0xd1b54a32d192ed03ULL), weights_(kSiteCount)
 {
 }
 
-FaultSite
-CoverageGuidedGenerator::pickSite()
+void
+CoverageGuidedGenerator::reweigh(const CoverageMap &coverage)
 {
     // Fold the coverage map into per-site weights. Before the first
-    // feedback the map is empty and the pick is uniform.
-    uint64_t weights[kSiteCount];
-    uint64_t total = 0;
-    for (size_t s = 0; s < kSiteCount; ++s)
-        weights[s] = 1;
-    const std::vector<std::string> &paths = map_.paths();
-    for (const std::string &path : paths) {
-        const uint64_t deficit = deficitOf(map_.maxBucketOf(path));
+    // case the map is empty and the pick is uniform.
+    std::fill(weights_.begin(), weights_.end(), 1);
+    for (const std::string &path : coverage.paths()) {
+        const uint64_t deficit = deficitOf(coverage.maxBucketOf(path));
         if (deficit == 0)
             continue;
         for (const FaultSite site : sitesFor(path)) {
             for (size_t s = 0; s < kSiteCount; ++s) {
                 if (kAllSites[s] == site)
-                    weights[s] += deficit;
+                    weights_[s] += deficit;
             }
         }
     }
-    for (size_t s = 0; s < kSiteCount; ++s)
-        total += weights[s];
+}
 
+FaultSite
+CoverageGuidedGenerator::pickSite()
+{
+    uint64_t total = 0;
+    for (const uint64_t w : weights_)
+        total += w;
     uint64_t r = rng_.below(total);
     for (size_t s = 0; s < kSiteCount; ++s) {
-        if (r < weights[s])
+        if (r < weights_[s])
             return kAllSites[s];
-        r -= weights[s];
+        r -= weights_[s];
     }
     return kAllSites[kSiteCount - 1]; // unreachable
 }
@@ -142,7 +161,7 @@ CoverageGuidedGenerator::appendGuided(std::vector<std::string> &out,
                                       uint64_t &tick)
 {
     const FaultSite site = pickSite();
-    const bool hot = rng_.chance(config_.hotBias);
+    const bool hot = rng_.chance(kHotBias);
     if ((site == FaultSite::CoreOff || site == FaultSite::CoreOn) &&
         rng_.chance(0.5)) {
         // The rejoin counters (cores_joined, resplits) need an off/on
@@ -160,7 +179,7 @@ CoverageGuidedGenerator::compose()
     plan.statements.push_back("seed=" +
                               std::to_string(rng_.next() >> 1));
     const unsigned budget = static_cast<unsigned>(
-        rng_.inRange(2, config_.generator.maxStatements));
+        rng_.inRange(2, gen_.config().maxStatements));
     uint64_t tick =
         rng_.below(gen_.config().tickHorizon / 2 + 1);
     while (plan.statements.size() - 1 < budget)
@@ -219,7 +238,7 @@ CoverageGuidedGenerator::mutate(const std::string &spec)
 
     // Keep mutated plans from growing without bound.
     const size_t cap =
-        static_cast<size_t>(config_.generator.maxStatements) + 5;
+        static_cast<size_t>(gen_.config().maxStatements) + 5;
     while (plan.statements.size() > cap)
         plan.statements.erase(plan.statements.begin() + 1);
     return plan;
@@ -228,18 +247,19 @@ CoverageGuidedGenerator::mutate(const std::string &spec)
 std::string
 CoverageGuidedGenerator::pickBenchmark(const std::string &fallback)
 {
-    if (config_.workloadPool.empty())
+    if (workloadPool_.empty())
         return fallback;
-    return config_.workloadPool[rng_.below(
-        config_.workloadPool.size())];
+    return workloadPool_[rng_.below(workloadPool_.size())];
 }
 
 FuzzCase
 CoverageGuidedGenerator::next(const std::string &benchmark,
-                              uint64_t instructions)
+                              uint64_t instructions,
+                              const CoverageMap &coverage)
 {
+    reweigh(coverage);
     FuzzPlan plan;
-    if (!corpus_.empty() && !rng_.chance(config_.freshBias)) {
+    if (!corpus_.empty() && !rng_.chance(kFreshBias)) {
         const size_t pick = rng_.below(corpus_.size());
         plan = mutate(corpus_[pick]);
     } else {
@@ -264,17 +284,12 @@ CoverageGuidedGenerator::next(const std::string &benchmark,
     return c;
 }
 
-unsigned
-CoverageGuidedGenerator::feedback(
-    const FuzzCase &c, const std::vector<CoveragePoint> &coverage)
+void
+CoverageGuidedGenerator::admit(const FuzzCase &c)
 {
-    const unsigned novel = map_.observe(coverage);
-    if (novel == 0)
-        return 0;
     corpus_.push_back(c.plan);
-    if (corpus_.size() > config_.maxCorpus)
+    if (corpus_.size() > kMaxCorpus)
         corpus_.erase(corpus_.begin());
-    return novel;
 }
 
 } // namespace xmig

@@ -9,17 +9,18 @@
  *
  *   1. draw a case — either a fresh plan composed site by site, or a
  *      mutation of a corpus entry that previously earned coverage;
- *   2. run it (PropertyHarness), read the coverage surface back
- *      (fuzz/coverage.hpp);
- *   3. feed the snapshot back: novel (counter, bucket) features admit
- *      the plan into the corpus and reshape the per-site weights.
+ *   2. run it (PropertyHarness), fold its coverage surface into the
+ *      campaign map (fuzz/coverage.hpp);
+ *   3. cases that earned novel (counter, bucket) features join the
+ *      corpus, and the map reshapes the per-site weights of the
+ *      next draw.
  *
  * The bandit is a deterministic weight table, not a learned model:
  * each actuator site's weight grows with the number of unlit or
  * low-magnitude counters it is known to influence (see sitesFor).
  * Everything draws from one seeded Rng on the caller thread, and
  * feedback is applied in case-index order, so a guided campaign is
- * byte-stable at any `--jobs` — same contract as runCampaign.
+ * byte-stable at any `--jobs` — same contract as the uniform one.
  */
 
 #pragma once
@@ -35,65 +36,54 @@
 
 namespace xmig {
 
-/** Guidance knobs on top of the base GeneratorConfig. */
-struct GuidedConfig
+/**
+ * Where a campaign's cases come from (fuzz/campaign.hpp). The
+ * campaign calls both methods on its own thread, in case-index
+ * order, and folds the coverage itself.
+ */
+class CaseSource
 {
-    GeneratorConfig generator;
+  public:
+    virtual ~CaseSource() = default;
 
     /**
-     * Workloads the generator may pair a plan with. Empty = every
-     * case keeps the benchmark passed to next(). Order matters for
-     * determinism: callers must pass a fixed order, not a hash-map
-     * iteration.
+     * Draw the next case. `benchmark` is the campaign's workload,
+     * `instructions` is copied through, and `coverage` is the
+     * campaign-wide map folded so far.
      */
-    std::vector<std::string> workloadPool;
+    virtual FuzzCase next(const std::string &benchmark,
+                          uint64_t instructions,
+                          const CoverageMap &coverage) = 0;
 
-    /**
-     * Probability of composing a fresh plan instead of mutating a
-     * corpus entry (exploration vs exploitation). Corpus-empty draws
-     * are always fresh.
-     */
-    double freshBias = 0.3;
-
-    /**
-     * Probability that a guided statement uses hot value ranges
-     * (rates/ticks that reliably fire within a case) instead of the
-     * boundary-biased full ranges.
-     */
-    double hotBias = 0.8;
-
-    /** Corpus capacity; oldest entries are evicted first. */
-    size_t maxCorpus = 64;
+    /** An executed case earned novel coverage features. */
+    virtual void admit(const FuzzCase &) {}
 };
 
 /**
- * Coverage-guided FuzzCase source. Same (seed, config, feedback
- * sequence) => same case sequence, bit for bit.
+ * Coverage-guided FuzzCase source. Same (seed, workload pool,
+ * coverage and admit sequence) => same case sequence, bit for bit.
  */
-class CoverageGuidedGenerator
+class CoverageGuidedGenerator : public CaseSource
 {
   public:
-    explicit CoverageGuidedGenerator(uint64_t seed,
-                                     GuidedConfig config = {});
+    /**
+     * `workloadPool` lists the workloads a plan may be paired with;
+     * empty = every case keeps the campaign's benchmark. Order
+     * matters for determinism: pass a fixed order, not a hash-map
+     * iteration.
+     */
+    explicit CoverageGuidedGenerator(
+        uint64_t seed, std::vector<std::string> workloadPool = {});
 
     /**
-     * Draw the next case. `benchmark` is the fallback workload when
-     * the pool is empty; `instructions` is copied through.
+     * Draw the next case: a fresh plan, or a mutation of a corpus
+     * entry, with sites weighted by what `coverage` has not lit.
      */
-    FuzzCase next(const std::string &benchmark, uint64_t instructions);
+    FuzzCase next(const std::string &benchmark, uint64_t instructions,
+                  const CoverageMap &coverage) override;
 
-    /**
-     * Fold one executed case's coverage snapshot back in. Must be
-     * called in case-index order on the thread that calls next().
-     * Returns the number of novel features the case earned.
-     */
-    unsigned feedback(const FuzzCase &c,
-                      const std::vector<CoveragePoint> &coverage);
-
-    /** The accumulated campaign coverage. */
-    const CoverageMap &coverage() const { return map_; }
-
-    size_t corpusSize() const { return corpus_.size(); }
+    /** Keep `c`'s plan in the corpus (oldest entries evicted). */
+    void admit(const FuzzCase &c) override;
 
     /**
      * Actuator sites known to influence the counter at `path` —
@@ -105,16 +95,17 @@ class CoverageGuidedGenerator
     static std::vector<FaultSite> sitesFor(const std::string &path);
 
   private:
+    void reweigh(const CoverageMap &coverage);
     FaultSite pickSite();
     FuzzPlan compose();
     FuzzPlan mutate(const std::string &spec);
     void appendGuided(std::vector<std::string> &out, uint64_t &tick);
     std::string pickBenchmark(const std::string &fallback);
 
-    GuidedConfig config_;
+    std::vector<std::string> workloadPool_;
     PlanGenerator gen_;
     Rng rng_;
-    CoverageMap map_;
+    std::vector<uint64_t> weights_; ///< per site, set by reweigh()
     std::vector<std::string> corpus_; ///< plan specs that earned coverage
 };
 

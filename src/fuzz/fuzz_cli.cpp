@@ -35,27 +35,25 @@ fuzzCliUsage()
         "\n"
         "modes (default: uniform campaign):\n"
         "  --guided              coverage-guided campaign\n"
-        "  --soak                standing soak (guided + persisted corpus)\n"
         "  --replay 'PLAN'       re-run one case, report every oracle\n"
         "  --self-test           prove the find->minimize->repro pipeline\n"
         "\n"
         "campaign options:\n"
         "  --seed N              campaign seed (default 1)\n"
-        "  --plans N             campaign case count (default 200)\n"
+        "  --plans N             case count (default 200; --smoke: 50)\n"
         "  --jobs N              worker threads (default: hardware)\n"
-        "  --instr N             instructions per case (default 150000)\n"
+        "  --instr N             instructions per case (default 150000;\n"
+        "                        --smoke: 60000)\n"
         "  --bench NAME          workload (default 181.mcf)\n"
-        "  --repro-dir DIR       write minimized repro files here\n"
+        "  --repro-dir DIR       write minimized repros + journals here\n"
         "  --no-minimize         keep failing plans unminimized\n"
-        "  --smoke               small fast configuration\n"
+        "  --smoke               small fast defaults\n"
         "  --verbose             progress to stderr\n"
         "\n"
-        "guided/soak options:\n"
-        "  --budget N            soak case budget (default 512)\n"
-        "  --batch N             cases per guidance batch (default 16)\n"
-        "  --corpus DIR          persistent soak corpus directory\n"
+        "guided options:\n"
+        "  --corpus DIR          persistent corpus: replay it first,\n"
+        "                        save every coverage-novel case to it\n"
         "  --storm-workloads     pair the adversarial workload pool in\n"
-        "  --no-journal          skip journal re-runs of soak failures\n"
         "\n"
         "replay options:\n"
         "  --workload-seed N     workload seed of the case (default 42)\n"
@@ -75,8 +73,8 @@ parseFuzzCli(int argc, const char *const *argv)
         return p;
     };
 
-    bool guided = false, soak = false, replay = false,
-         self_test = false;
+    bool guided = false, replay = false, self_test = false;
+    bool smoke = false, plans_set = false, instr_set = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -114,8 +112,6 @@ parseFuzzCli(int argc, const char *const *argv)
             return p;
         } else if (arg == "--guided") {
             guided = true;
-        } else if (arg == "--soak") {
-            soak = true;
         } else if (arg == "--self-test") {
             self_test = true;
         } else if (arg == "--replay") {
@@ -130,12 +126,7 @@ parseFuzzCli(int argc, const char *const *argv)
         } else if (arg == "--plans") {
             if (!count(&o.plans, true))
                 return p;
-        } else if (arg == "--budget") {
-            if (!count(&o.budget, true))
-                return p;
-        } else if (arg == "--batch") {
-            if (!count(&o.batch, true))
-                return p;
+            plans_set = true;
         } else if (arg == "--jobs") {
             uint64_t jobs = 0;
             if (!count(&jobs, true))
@@ -146,6 +137,7 @@ parseFuzzCli(int argc, const char *const *argv)
         } else if (arg == "--instr") {
             if (!count(&o.instructions, true))
                 return p;
+            instr_set = true;
         } else if (arg == "--workload-seed") {
             if (!count(&o.workloadSeed, false))
                 return p;
@@ -166,12 +158,10 @@ parseFuzzCli(int argc, const char *const *argv)
             o.corpusDir = token;
         } else if (arg == "--no-minimize") {
             o.minimize = false;
-        } else if (arg == "--no-journal") {
-            o.journal = false;
         } else if (arg == "--storm-workloads") {
             o.stormWorkloads = true;
         } else if (arg == "--smoke") {
-            o.smoke = true;
+            smoke = true;
         } else if (arg == "--verbose") {
             o.verbose = true;
         } else {
@@ -179,23 +169,26 @@ parseFuzzCli(int argc, const char *const *argv)
         }
     }
 
-    const int modes = (guided ? 1 : 0) + (soak ? 1 : 0) +
-                      (replay ? 1 : 0) + (self_test ? 1 : 0);
+    const int modes =
+        (guided ? 1 : 0) + (replay ? 1 : 0) + (self_test ? 1 : 0);
     if (modes > 1)
         return fail("conflicting modes: pick one of --guided, "
-                    "--soak, --replay, --self-test");
-    if (soak)
-        o.mode = FuzzCliOptions::Mode::Soak;
-    else if (guided)
+                    "--replay, --self-test");
+    if (guided)
         o.mode = FuzzCliOptions::Mode::Guided;
     else if (replay)
         o.mode = FuzzCliOptions::Mode::Replay;
     else if (self_test)
         o.mode = FuzzCliOptions::Mode::SelfTest;
 
-    if (!o.corpusDir.empty() &&
-        o.mode != FuzzCliOptions::Mode::Soak)
-        return fail("--corpus only makes sense with --soak");
+    if (!o.corpusDir.empty() && !guided)
+        return fail("--corpus only makes sense with --guided");
+
+    // --smoke changes only the defaults: an explicit value wins.
+    if (smoke && !plans_set)
+        o.plans = 50;
+    if (smoke && !instr_set)
+        o.instructions = 60'000;
 
     return p;
 }

@@ -27,24 +27,23 @@ struct FuzzCliOptions
     {
         Campaign, ///< uniform campaign (PR 5 behavior)
         Guided,   ///< coverage-guided campaign (--guided)
-        Soak,     ///< standing soak with persisted corpus (--soak)
         Replay,   ///< one case, every oracle verdict (--replay)
         SelfTest, ///< minimizer pipeline proof (--self-test)
     };
     Mode mode = Mode::Campaign;
 
     uint64_t seed = 1;
-    uint64_t plans = 200;         ///< campaign case count
-    uint64_t budget = 512;        ///< soak case budget (--budget)
-    uint64_t batch = 16;          ///< guided/soak batch size
+    uint64_t plans = 200;         ///< case count (--smoke: 50)
     unsigned jobs = 0;            ///< 0 = hardware concurrency
-    uint64_t instructions = 0;    ///< 0 = mode default
-    bool smoke = false;
+    /**
+     * Instructions per case (--smoke: 60'000). Fuzz cases are short
+     * by design: thousands of plans beat one long run.
+     */
+    uint64_t instructions = 150'000;
     std::string benchmark;        ///< empty = harness default
     std::string reproDir;
-    std::string corpusDir;        ///< soak corpus (--corpus)
+    std::string corpusDir;        ///< guided corpus (--corpus)
     bool minimize = true;
-    bool journal = true;          ///< soak journal re-runs
     bool stormWorkloads = false;  ///< pair the adversarial pool in
     bool verbose = false;
 

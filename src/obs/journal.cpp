@@ -58,7 +58,11 @@ registerJournal(Journal *journal)
     registry.journals.push_back(journal);
 }
 
-/** Write `text` to `path`, warning (as `what` output) on failure. */
+/**
+ * Write `text` to `path`, warning (as `what` output) on failure. The
+ * incident dump runs inside the panic hook, so it must not die on a
+ * bad path the way writeArtifact() does.
+ */
 bool
 writeText(const std::string &path, const std::string &text,
           const char *what)
@@ -387,12 +391,6 @@ Journal::renderJsonl() const
     return out;
 }
 
-bool
-Journal::writeJsonl(const std::string &path) const
-{
-    return writeText(path, renderJsonl(), "journal");
-}
-
 std::string
 Journal::renderChromeTrace() const
 {
@@ -460,12 +458,6 @@ Journal::renderChromeTrace() const
     out += jsonNumber(static_cast<double>(dropped()));
     out += "}}\n";
     return out;
-}
-
-bool
-Journal::writeChromeTrace(const std::string &path) const
-{
-    return writeText(path, renderChromeTrace(), "trace");
 }
 
 } // namespace xmig::obs

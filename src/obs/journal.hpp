@@ -160,9 +160,6 @@ class Journal
      */
     std::string renderJsonl() const;
 
-    /** Write renderJsonl() to `path`; false on I/O failure. */
-    bool writeJsonl(const std::string &path) const;
-
     /**
      * Render the retained events as one Chrome trace_event document
      * (chrome://tracing, ui.perfetto.dev) on the simulated-time axis:
@@ -173,9 +170,6 @@ class Journal
      * coherence_scrub. recorded/dropped land in otherData.
      */
     std::string renderChromeTrace() const;
-
-    /** Write renderChromeTrace() to `path`; false on I/O failure. */
-    bool writeChromeTrace(const std::string &path) const;
 
   private:
     size_t capacity_;

@@ -5,17 +5,20 @@
  * The exporters (metrics JSONL, Chrome trace_event files) emit JSON
  * by string concatenation — no external dependency is available in
  * this environment — so this header centralizes the two things that
- * must be exactly right: string escaping on the way out, and a
- * validating parser the tests use to prove every emitted byte stream
- * is well-formed JSON before shipping it to pandas / Perfetto.
+ * must be exactly right: string escaping on the way out, and the one
+ * parser on the way back in — a small DOM that xmig_report reads
+ * journals and metrics with, and that the tests use to prove every
+ * emitted byte stream is well-formed JSON before shipping it to
+ * pandas / Perfetto.
  */
 
 #pragma once
 
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace xmig::obs {
 
@@ -81,213 +84,40 @@ jsonNumber(double v)
     return buf;
 }
 
-namespace detail {
-
-/** Recursive-descent JSON validator (structure only, no DOM). */
-class JsonValidator
+/** One parsed JSON value: a small DOM, cold tool code. */
+struct JValue
 {
-  public:
-    explicit JsonValidator(const std::string &text)
-        : s_(text)
-    {
-    }
+    enum class Kind { Null, Bool, Number, String, Object, Array };
+    Kind kind = Kind::Null;
+    bool boolean = false;
+    double number = 0.0;
+    std::string string;
+    std::vector<std::pair<std::string, JValue>> object;
+    std::vector<JValue> array;
 
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
+    /** Member `key` of an object, or null when absent. */
+    const JValue *get(const std::string &key) const;
 
-  private:
-    bool
-    value()
-    {
-        if (depth_ > 256 || pos_ >= s_.size())
-            return false;
-        const char c = s_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string();
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return number();
-        return literal("true") || literal("false") || literal("null");
-    }
+    /** Member `key` as a number; `fallback` when absent or not one. */
+    double numberAt(const std::string &key, double fallback = 0.0) const;
 
-    bool
-    object()
-    {
-        ++depth_;
-        ++pos_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            --depth_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (peek() != '"' || !string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                --depth_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++depth_;
-        ++pos_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            --depth_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                --depth_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        ++pos_; // opening quote
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_];
-            if (static_cast<unsigned char>(c) < 0x20)
-                return false; // raw control char inside a string
-            if (c == '\\') {
-                if (pos_ + 1 >= s_.size())
-                    return false;
-                const char e = s_[pos_ + 1];
-                if (e == 'u') {
-                    if (pos_ + 5 >= s_.size())
-                        return false;
-                    for (size_t i = pos_ + 2; i < pos_ + 6; ++i) {
-                        if (!std::isxdigit(
-                                static_cast<unsigned char>(s_[i])))
-                            return false;
-                    }
-                    pos_ += 6;
-                    continue;
-                }
-                if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                    e != 'f' && e != 'n' && e != 'r' && e != 't')
-                    return false;
-                pos_ += 2;
-                continue;
-            }
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            ++pos_;
-        }
-        return false; // unterminated
-    }
-
-    bool
-    number()
-    {
-        const size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        if (!digits())
-            return false;
-        if (peek() == '.') {
-            ++pos_;
-            if (!digits())
-                return false;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-')
-                ++pos_;
-            if (!digits())
-                return false;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    digits()
-    {
-        const size_t start = pos_;
-        while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-            ++pos_;
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const size_t len = std::char_traits<char>::length(word);
-        if (s_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-    const std::string &s_;
-    size_t pos_ = 0;
-    int depth_ = 0;
+    /** Member `key` as a string; empty when absent or not one. */
+    std::string stringAt(const std::string &key) const;
 };
 
-} // namespace detail
+/**
+ * Parse `text` as one complete JSON value (arrays and objects nested
+ * at most 64 deep, surrounding whitespace allowed) into `out`.
+ * Returns false on any malformed or trailing input.
+ */
+bool parseJson(const std::string &text, JValue *out);
 
-/** True if `text` is one complete, well-formed JSON value. */
+/** True if `text` parses to the end as one JSON value. */
 inline bool
 jsonParseOk(const std::string &text)
 {
-    return detail::JsonValidator(text).valid();
+    JValue v;
+    return parseJson(text, &v);
 }
 
 } // namespace xmig::obs

@@ -223,65 +223,4 @@ MetricsRegistry::renderJsonl() const
     return out;
 }
 
-std::string
-MetricsRegistry::renderCsv() const
-{
-    std::string out = "name,kind,value\n";
-    for (const size_t i : sortedOrder()) {
-        const Entry &e = entries_[i];
-        out += csvQuote(e.name) + "," + kindName(e.kind) + "," +
-               jsonNumber(read(e)) + "\n";
-    }
-    return out;
-}
-
-std::string
-MetricsRegistry::renderTable(const std::string &title) const
-{
-    AsciiTable table({"metric", "kind", "value", "p50", "p95", "p99"});
-    for (const size_t i : sortedOrder()) {
-        const Entry &e = entries_[i];
-        if (e.kind == MetricKind::Histogram) {
-            table.addRow({e.name, kindName(e.kind), jsonNumber(read(e)),
-                          jsonNumber(e.hist->percentile(50)),
-                          jsonNumber(e.hist->percentile(95)),
-                          jsonNumber(e.hist->percentile(99))});
-        } else {
-            table.addRow({e.name, kindName(e.kind), jsonNumber(read(e)),
-                          "", "", ""});
-        }
-    }
-    return table.render(title);
-}
-
-namespace {
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        XMIG_WARN("cannot open '%s' for writing", path.c_str());
-        return false;
-    }
-    const size_t written =
-        std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return written == content.size();
-}
-
-} // namespace
-
-bool
-MetricsRegistry::writeJsonl(const std::string &path) const
-{
-    return writeFile(path, renderJsonl());
-}
-
-bool
-MetricsRegistry::writeCsv(const std::string &path) const
-{
-    return writeFile(path, renderCsv());
-}
-
 } // namespace xmig::obs

@@ -165,16 +165,6 @@ class MetricsRegistry
      */
     std::string renderJsonl() const;
 
-    /** CSV with a `name,kind,value` header, cells quoted as needed. */
-    std::string renderCsv() const;
-
-    /** Human-readable dump in the repo's AsciiTable format. */
-    std::string renderTable(const std::string &title = "") const;
-
-    /** Write renderJsonl() / renderCsv() to a file; false on error. */
-    bool writeJsonl(const std::string &path) const;
-    bool writeCsv(const std::string &path) const;
-
   private:
     struct Entry
     {

@@ -137,8 +137,10 @@ std::string
 TimeSeriesSampler::renderCsv() const
 {
     std::string out = "t,interval";
-    for (const auto &name : names_)
-        out += "," + csvQuote(name);
+    for (const auto &name : names_) {
+        out += ',';
+        out += csvQuote(name);
+    }
     out += "\n";
     char buf[32];
     for (size_t i = 0; i < samples(); ++i) {
@@ -152,21 +154,6 @@ TimeSeriesSampler::renderCsv() const
         out += "\n";
     }
     return out;
-}
-
-bool
-TimeSeriesSampler::writeCsv(const std::string &path) const
-{
-    const std::string content = renderCsv();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        XMIG_WARN("cannot open '%s' for writing", path.c_str());
-        return false;
-    }
-    const size_t written =
-        std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return written == content.size();
 }
 
 } // namespace xmig::obs

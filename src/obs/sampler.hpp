@@ -111,9 +111,6 @@ class TimeSeriesSampler
      */
     std::string renderCsv() const;
 
-    /** Write renderCsv() to a file; false on I/O error. */
-    bool writeCsv(const std::string &path) const;
-
   private:
     size_t stride() const { return 2 + names_.size(); }
     size_t physicalRow(size_t i) const;

@@ -5,6 +5,7 @@
 #include "multicore/machine.hpp"
 #include "obs/journal.hpp"
 #include "sim/options.hpp"
+#include "util/artifact.hpp"
 #include "util/contracts.hpp"
 
 namespace xmig {
@@ -132,15 +133,19 @@ RunObservatory::finish()
         return;
     finished_ = true;
 
-    // writeJsonl/writeCsv warn on failure themselves.
+    // An output the user asked for and did not get is fatal.
     if (!options_.metricsOut.empty())
-        registry_.writeJsonl(options_.metricsOut);
+        writeArtifact(options_.metricsOut, registry_.renderJsonl(),
+                      "--metrics-out");
     if (sampling_ && !options_.samplesOut.empty())
-        sampler_.writeCsv(options_.samplesOut);
+        writeArtifact(options_.samplesOut, sampler_.renderCsv(),
+                      "--samples-out");
     if (!options_.journalOut.empty())
-        journal_->writeJsonl(options_.journalOut);
+        writeArtifact(options_.journalOut, journal_->renderJsonl(),
+                      "--journal-out");
     if (!options_.traceOut.empty())
-        journal_->writeChromeTrace(options_.traceOut);
+        writeArtifact(options_.traceOut, journal_->renderChromeTrace(),
+                      "--trace-out");
 }
 
 } // namespace xmig

@@ -246,8 +246,10 @@ SeriesWriter::renderCsv() const
 {
     std::string out;
     out += csvQuote(xName_);
-    for (const auto &name : seriesNames_)
-        out += "," + csvQuote(name);
+    for (const auto &name : seriesNames_) {
+        out += ',';
+        out += csvQuote(name);
+    }
     out += "\n";
     char buf[32];
     for (const auto &p : points_) {

@@ -17,13 +17,21 @@ using namespace xmig;
 namespace {
 
 CampaignConfig
-smallCampaign(uint64_t seed, uint64_t plans)
+smallCampaign(uint64_t plans)
 {
     CampaignConfig config;
-    config.seed = seed;
     config.plans = plans;
     config.instructions = 25'000;
     return config;
+}
+
+/** A uniform campaign drawn from `seed`. */
+CampaignResult
+runUniform(uint64_t seed, const CampaignConfig &config,
+           const PropertyHarness &harness, unsigned jobs)
+{
+    UniformSource source(seed);
+    return runCampaign(config, source, harness, JobPool(jobs));
 }
 
 std::string
@@ -47,14 +55,14 @@ constexpr uint64_t kBrokenSeed = 3;
 
 TEST(Campaign, SummaryIsByteIdenticalAcrossJobs)
 {
-    const CampaignConfig config = smallCampaign(2026, 16);
+    const CampaignConfig config = smallCampaign(16);
     const PropertyHarness harness;
     const std::string s1 =
-        runCampaign(config, harness, JobPool(1)).summary();
+        runUniform(2026, config, harness, 1).summary();
     const std::string s2 =
-        runCampaign(config, harness, JobPool(2)).summary();
+        runUniform(2026, config, harness, 2).summary();
     const std::string s4 =
-        runCampaign(config, harness, JobPool(4)).summary();
+        runUniform(2026, config, harness, 4).summary();
     EXPECT_EQ(s1, s2);
     EXPECT_EQ(s1, s4);
     EXPECT_NE(s1.find("cases=16"), std::string::npos);
@@ -62,9 +70,9 @@ TEST(Campaign, SummaryIsByteIdenticalAcrossJobs)
 
 TEST(Campaign, CleanCampaignHasNoFailures)
 {
-    const CampaignConfig config = smallCampaign(7, 12);
+    const CampaignConfig config = smallCampaign(12);
     const PropertyHarness harness;
-    const CampaignResult r = runCampaign(config, harness, JobPool(2));
+    const CampaignResult r = runUniform(7, config, harness, 2);
     EXPECT_EQ(r.cases, 12u);
     EXPECT_TRUE(r.failures.empty()) << r.summary();
     EXPECT_GT(r.refs, 0u);
@@ -74,13 +82,13 @@ TEST(Campaign, BrokenOracleCampaignMinimizesAndWritesRepro)
 {
     // kBrokenSeed samples a batch with several plans targeting both
     // core_off and bus_drop — the broken oracle's trigger.
-    CampaignConfig config = smallCampaign(kBrokenSeed, 20);
+    CampaignConfig config = smallCampaign(20);
     config.reproDir = ::testing::TempDir();
 
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
-    const CampaignResult r = runCampaign(config, harness, JobPool(2));
+    const CampaignResult r = runUniform(kBrokenSeed, config, harness, 2);
     ASSERT_FALSE(r.failures.empty())
         << "seed no longer samples a core_off+bus_drop plan; pick a "
            "new kBrokenSeed";
@@ -105,13 +113,13 @@ TEST(Campaign, BrokenOracleCampaignMinimizesAndWritesRepro)
 
 TEST(Campaign, MinimizationCanBeDisabled)
 {
-    CampaignConfig config = smallCampaign(kBrokenSeed, 20);
+    CampaignConfig config = smallCampaign(20);
     config.minimize = false;
 
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
-    const CampaignResult r = runCampaign(config, harness, JobPool(2));
+    const CampaignResult r = runUniform(kBrokenSeed, config, harness, 2);
     ASSERT_FALSE(r.failures.empty());
     EXPECT_EQ(r.failures.front().minimized.plan,
               r.failures.front().original.plan);
@@ -124,13 +132,36 @@ TEST(Campaign, ReproFilesAreDeterministic)
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
 
-    CampaignConfig config = smallCampaign(kBrokenSeed, 20);
+    CampaignConfig config = smallCampaign(20);
     config.reproDir = ::testing::TempDir();
-    const CampaignResult r1 = runCampaign(config, harness, JobPool(1));
-    const CampaignResult r2 = runCampaign(config, harness, JobPool(4));
+    const CampaignResult r1 = runUniform(kBrokenSeed, config, harness, 1);
+    const CampaignResult r2 = runUniform(kBrokenSeed, config, harness, 4);
     ASSERT_FALSE(r1.failures.empty());
     ASSERT_EQ(r1.failures.size(), r2.failures.size());
     EXPECT_EQ(slurp(r1.failures.front().reproPath),
               slurp(r2.failures.front().reproPath));
     EXPECT_EQ(r1.summary(), r2.summary());
+
+    // The repro body is a stable format: case 0's, byte for byte.
+    ASSERT_EQ(r1.failures.front().caseIndex, 0u);
+    EXPECT_EQ(slurp(r1.failures.front().reproPath),
+              "# xmig-forge minimized repro (case 0)\n"
+              "# replay: xmig_fuzz --replay "
+              "'at=0:bus_drop;at=0:core_off=1' "
+              "--workload-seed 9000725922818581354 "
+              "--bench 181.mcf --instr 25000\n"
+              "plan=at=0:bus_drop;at=0:core_off=1\n"
+              "benchmark=181.mcf\n"
+              "workload_seed=9000725922818581354\n"
+              "instructions=25000\n"
+              "statements=2\n"
+              "oracle=broken_self_test\n"
+              "original_plan=seed=6370013938770462304;"
+              "at=376914:flip=delta;"
+              "rate=1.9930587363219417e-05:mig_drop;"
+              "at=376914:flip=delta;rate=1e-18:flip=ar;"
+              "at=4816:bus_drop;"
+              "rate=3.359875109266261e-05:flip=tag;"
+              "at=152746:core_off=1;at=179208:core_on=1\n"
+              "detail=plan targets both core_off and bus_drop\n");
 }

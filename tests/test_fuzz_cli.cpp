@@ -32,32 +32,44 @@ TEST(FuzzCli, DefaultsAreUniformCampaign)
     EXPECT_EQ(p.options.mode, FuzzCliOptions::Mode::Campaign);
     EXPECT_EQ(p.options.seed, 1u);
     EXPECT_EQ(p.options.plans, 200u);
-    EXPECT_EQ(p.options.budget, 512u);
-    EXPECT_EQ(p.options.batch, 16u);
+    EXPECT_EQ(p.options.instructions, 150'000u);
     EXPECT_TRUE(p.options.minimize);
-    EXPECT_TRUE(p.options.journal);
     EXPECT_FALSE(p.options.stormWorkloads);
+}
+
+TEST(FuzzCli, SmokeChangesOnlyTheDefaults)
+{
+    const FuzzCliParse smoke = parse({"--smoke"});
+    ASSERT_EQ(smoke.exitCode, -1) << smoke.error;
+    EXPECT_EQ(smoke.options.plans, 50u);
+    EXPECT_EQ(smoke.options.instructions, 60'000u);
+
+    // An explicit value wins, even one equal to the plain default.
+    const FuzzCliParse p = parse(
+        {"--smoke", "--plans", "200", "--instr", "150000"});
+    ASSERT_EQ(p.exitCode, -1) << p.error;
+    EXPECT_EQ(p.options.plans, 200u);
+    EXPECT_EQ(p.options.instructions, 150'000u);
+    EXPECT_EQ(parse({"--plans", "200", "--smoke"}).options.plans, 200u);
 }
 
 TEST(FuzzCli, ParsesAFullSoakInvocation)
 {
     const FuzzCliParse p = parse(
-        {"--soak", "--seed", "7", "--budget", "128", "--batch", "8",
-         "--jobs", "4", "--instr", "50000", "--bench", "179.art",
-         "--corpus", "/tmp/corpus", "--repro-dir", "/tmp/repros",
-         "--storm-workloads", "--no-journal", "--no-minimize"});
+        {"--guided", "--seed", "7", "--plans", "128", "--jobs", "4",
+         "--instr", "50000", "--bench", "179.art", "--corpus",
+         "/tmp/corpus", "--repro-dir", "/tmp/repros",
+         "--storm-workloads", "--no-minimize"});
     ASSERT_EQ(p.exitCode, -1) << p.error;
-    EXPECT_EQ(p.options.mode, FuzzCliOptions::Mode::Soak);
+    EXPECT_EQ(p.options.mode, FuzzCliOptions::Mode::Guided);
     EXPECT_EQ(p.options.seed, 7u);
-    EXPECT_EQ(p.options.budget, 128u);
-    EXPECT_EQ(p.options.batch, 8u);
+    EXPECT_EQ(p.options.plans, 128u);
     EXPECT_EQ(p.options.jobs, 4u);
     EXPECT_EQ(p.options.instructions, 50'000u);
     EXPECT_EQ(p.options.benchmark, "179.art");
     EXPECT_EQ(p.options.corpusDir, "/tmp/corpus");
     EXPECT_EQ(p.options.reproDir, "/tmp/repros");
     EXPECT_TRUE(p.options.stormWorkloads);
-    EXPECT_FALSE(p.options.journal);
     EXPECT_FALSE(p.options.minimize);
 }
 
@@ -88,14 +100,21 @@ TEST(FuzzCli, UnknownFlagIsUsageError)
               std::string::npos);
     // Typoed known flags too.
     EXPECT_EQ(parse({"--sead", "3"}).exitCode, 2);
+    // Retired flags: a soak is --guided --corpus, its budget --plans.
+    for (const char *retired :
+         {"--soak", "--budget", "--batch", "--no-journal"}) {
+        const FuzzCliParse r = parse({retired, "8"});
+        EXPECT_EQ(r.exitCode, 2) << retired;
+        EXPECT_NE(r.error.find("unknown flag"), std::string::npos);
+    }
 }
 
 TEST(FuzzCli, MalformedNumbersAreUsageErrors)
 {
     for (const auto &args : std::vector<std::vector<const char *>>{
-             {"--budget", "12x"},
-             {"--budget", "-5"},
-             {"--budget", ""},
+             {"--plans", "12x"},
+             {"--plans", "-5"},
+             {"--plans", ""},
              {"--plans", "two hundred"},
              {"--seed", "0x10"},
              {"--jobs", "4.5"},
@@ -109,13 +128,11 @@ TEST(FuzzCli, MalformedNumbersAreUsageErrors)
 
 TEST(FuzzCli, MissingAndZeroValuesAreUsageErrors)
 {
-    EXPECT_EQ(parse({"--budget"}).exitCode, 2);
+    EXPECT_EQ(parse({"--plans"}).exitCode, 2);
     EXPECT_EQ(parse({"--bench"}).exitCode, 2);
     EXPECT_EQ(parse({"--replay"}).exitCode, 2);
     // Counts that must be positive.
     EXPECT_EQ(parse({"--plans", "0"}).exitCode, 2);
-    EXPECT_EQ(parse({"--budget", "0"}).exitCode, 2);
-    EXPECT_EQ(parse({"--batch", "0"}).exitCode, 2);
     EXPECT_EQ(parse({"--jobs", "0"}).exitCode, 2);
     EXPECT_EQ(parse({"--instr", "0"}).exitCode, 2);
     EXPECT_EQ(parse({"--jobs", "4096"}).exitCode, 2);
@@ -126,13 +143,16 @@ TEST(FuzzCli, MissingAndZeroValuesAreUsageErrors)
 
 TEST(FuzzCli, ConflictingModesAreUsageErrors)
 {
-    EXPECT_EQ(parse({"--guided", "--soak"}).exitCode, 2);
-    EXPECT_EQ(parse({"--soak", "--self-test"}).exitCode, 2);
+    EXPECT_EQ(parse({"--guided", "--self-test"}).exitCode, 2);
+    EXPECT_EQ(
+        parse({"--self-test", "--replay", "seed=1"}).exitCode, 2);
     EXPECT_EQ(
         parse({"--guided", "--replay", "seed=1"}).exitCode, 2);
+    // A corpus feeds the guided source only.
     const FuzzCliParse p = parse({"--corpus", "/tmp/c"});
     EXPECT_EQ(p.exitCode, 2);
     EXPECT_NE(p.error.find("--corpus"), std::string::npos);
+    EXPECT_EQ(parse({"--self-test", "--corpus", "/tmp/c"}).exitCode, 2);
 }
 
 #ifdef XMIG_TOOLS_DIR
@@ -163,11 +183,17 @@ TEST(FuzzCliBinary, UsageErrorsExitTwoWithUsageText)
               std::string::npos);
     EXPECT_NE(out.find("usage: xmig_fuzz"), std::string::npos);
 
-    EXPECT_EQ(runTool("--budget 12x", &out), 2);
-    EXPECT_NE(out.find("malformed value for --budget"),
+    EXPECT_EQ(runTool("--plans 12x", &out), 2);
+    EXPECT_NE(out.find("malformed value for --plans"),
               std::string::npos);
 
-    EXPECT_EQ(runTool("--guided --soak", &out), 2);
+    EXPECT_EQ(runTool("--soak --corpus c --budget 8", &out), 2);
+    EXPECT_NE(out.find("unknown flag '--soak'"), std::string::npos);
+    EXPECT_EQ(runTool("--corpus c", &out), 2);
+    EXPECT_NE(out.find("--corpus only makes sense with --guided"),
+              std::string::npos);
+
+    EXPECT_EQ(runTool("--guided --replay seed=1", &out), 2);
     EXPECT_NE(out.find("conflicting modes"), std::string::npos);
 }
 

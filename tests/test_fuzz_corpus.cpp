@@ -1,8 +1,9 @@
 /**
  * @file
- * xmig-storm soak mode: corpus round-trips, persistence across runs,
- * determinism at any jobs count, and the failure path — minimized
- * repro plus attached journal, replayable to the same oracle.
+ * xmig-storm soak: a guided campaign with a persistent corpus —
+ * corpus round-trips, persistence across runs, determinism at any
+ * jobs count, and the failure path — minimized repro plus attached
+ * journal, replayable to the same oracle.
  */
 
 #include <filesystem>
@@ -13,7 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "fuzz/soak.hpp"
+#include "fuzz/campaign.hpp"
+#include "fuzz/corpus.hpp"
 #include "sim/runner/job_pool.hpp"
 
 namespace xmig {
@@ -30,15 +32,22 @@ slurp(const std::string &path)
 }
 
 /** A small deterministic soak configuration. */
-SoakConfig
-smallSoak(uint64_t seed, uint64_t budget)
+CampaignConfig
+smallSoak(uint64_t plans)
 {
-    SoakConfig config;
-    config.campaign.seed = seed;
-    config.campaign.instructions = 25'000;
-    config.budget = budget;
-    config.batch = 8;
+    CampaignConfig config;
+    config.instructions = 25'000;
+    config.plans = plans;
     return config;
+}
+
+/** A guided campaign drawn from `seed`: a soak when given a corpus. */
+CampaignResult
+soak(uint64_t seed, const CampaignConfig &config,
+     const PropertyHarness &harness, unsigned jobs)
+{
+    CoverageGuidedGenerator source(seed);
+    return runCampaign(config, source, harness, JobPool(jobs));
 }
 
 TEST(SoakCorpus, EntryRoundTripsAndIsContentAddressed)
@@ -95,11 +104,10 @@ TEST(Soak, PersistsNovelCasesAndReplaysThemNextRun)
         ::testing::TempDir() + "soak_corpus_persist";
     std::filesystem::remove_all(corpus);
     const PropertyHarness harness;
-    const JobPool pool(2);
 
-    SoakConfig config = smallSoak(11, 24);
+    CampaignConfig config = smallSoak(24);
     config.corpusDir = corpus;
-    const SoakResult first = runSoak(config, harness, pool);
+    const CampaignResult first = soak(11, config, harness, 2);
     EXPECT_EQ(first.cases, 24u);
     EXPECT_EQ(first.corpusLoaded, 0u);
     EXPECT_GT(first.corpusSaved, 0u);
@@ -107,7 +115,7 @@ TEST(Soak, PersistsNovelCasesAndReplaysThemNextRun)
 
     // A second run over the same directory warms up from the saved
     // corpus and, having seen those cases, saves nothing for them.
-    const SoakResult second = runSoak(config, harness, pool);
+    const CampaignResult second = soak(11, config, harness, 2);
     EXPECT_EQ(second.corpusLoaded, first.corpusSaved);
     EXPECT_GT(second.coverage.countersHit(), 0u);
 }
@@ -122,9 +130,9 @@ TEST(Soak, SummaryIsByteIdenticalAcrossJobs)
     std::filesystem::remove_all(seedDir);
     const PropertyHarness harness;
 
-    SoakConfig config = smallSoak(13, 16);
+    CampaignConfig config = smallSoak(16);
     config.corpusDir = seedDir;
-    runSoak(config, harness, JobPool(2));
+    soak(13, config, harness, 2);
 
     std::vector<std::string> summaries;
     for (const unsigned jobs : {1u, 2u, 4u}) {
@@ -133,16 +141,15 @@ TEST(Soak, SummaryIsByteIdenticalAcrossJobs)
                                 std::to_string(jobs);
         std::filesystem::remove_all(dir);
         std::filesystem::copy(seedDir, dir);
-        SoakConfig run = config;
+        CampaignConfig run = config;
         run.corpusDir = dir;
-        summaries.push_back(
-            runSoak(run, harness, JobPool(jobs)).summary());
+        summaries.push_back(soak(13, run, harness, jobs).summary());
     }
     EXPECT_EQ(summaries[0], summaries[1]);
     EXPECT_EQ(summaries[0], summaries[2]);
-    EXPECT_NE(summaries[0].find("soak: cases=16"), std::string::npos);
-    EXPECT_GT(
-        runSoak(config, harness, JobPool(2)).corpusLoaded, 0u);
+    EXPECT_EQ(summaries[0].find("cases=16 "), 0u);
+    EXPECT_NE(summaries[0].find(" corpus_loaded="), std::string::npos);
+    EXPECT_GT(soak(13, config, harness, 2).corpusLoaded, 0u);
     EXPECT_NE(summaries[0].find("coverage: counters_hit="),
               std::string::npos);
 }
@@ -154,17 +161,18 @@ TEST(Soak, FailuresArriveMinimizedWithJournalAndReplay)
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
-    const JobPool pool(2);
 
     // Seed 3 samples plans targeting both core_off and bus_drop
     // within a small budget (same property test_fuzz_campaign's
     // pipeline test leans on), so the broken oracle fires.
-    SoakConfig config = smallSoak(3, 32);
-    config.campaign.reproDir = repros;
-    const SoakResult r = runSoak(config, harness, pool);
+    CampaignConfig config = smallSoak(32);
+    config.reproDir = repros;
+    config.corpusDir = ::testing::TempDir() + "soak_corpus_failures";
+    std::filesystem::remove_all(config.corpusDir);
+    const CampaignResult r = soak(3, config, harness, 2);
     ASSERT_FALSE(r.failures.empty());
 
-    const SoakFailure &f = r.failures.front();
+    const CampaignFailure &f = r.failures.front();
     EXPECT_EQ(f.failure.oracle, "broken_self_test");
 
     // Pre-minimized: the written repro holds the ddmin'd plan, which
@@ -175,8 +183,11 @@ TEST(Soak, FailuresArriveMinimizedWithJournalAndReplay)
     EXPECT_NE(repro.find(f.minimized.plan), std::string::npos);
     EXPECT_NE(repro.find("--replay"), std::string::npos);
 
-    // The journal ships next to the repro.
-    ASSERT_FALSE(f.journalPath.empty());
+    // The journal ships next to the repro, under the one repro name.
+    const std::string stem =
+        repros + "/repro_case" + std::to_string(f.caseIndex);
+    EXPECT_EQ(f.reproPath, stem + ".txt");
+    EXPECT_EQ(f.journalPath, stem + ".journal.jsonl");
     const std::string journal = slurp(f.journalPath);
     EXPECT_FALSE(journal.empty());
     EXPECT_EQ(journal[0], '{');
@@ -186,8 +197,10 @@ TEST(Soak, FailuresArriveMinimizedWithJournalAndReplay)
     ASSERT_TRUE(replay.failed());
     EXPECT_EQ(replay.failures.front().oracle, "broken_self_test");
 
-    // Bit-identical reruns: same seed, same failures, same bytes.
-    const SoakResult again = runSoak(config, harness, pool);
+    // Bit-identical reruns: same seed and corpus, same failures,
+    // same bytes.
+    std::filesystem::remove_all(config.corpusDir);
+    const CampaignResult again = soak(3, config, harness, 2);
     EXPECT_EQ(again.summary(), r.summary());
     EXPECT_EQ(slurp(again.failures.front().reproPath), repro);
 }

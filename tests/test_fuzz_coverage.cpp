@@ -6,6 +6,7 @@
  */
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,15 +30,34 @@ namespace {
  * when someone changes the generators, which is exactly when it
  * should speak up.
  */
+constexpr uint64_t kAbSeed = 3;
+
 CampaignConfig
 abConfig()
 {
     CampaignConfig config;
-    config.seed = 3;
     config.plans = 16;
     config.instructions = 40'000;
     config.minimize = false;
     return config;
+}
+
+/** A guided campaign drawn from `seed` over `workloadPool`. */
+CampaignResult
+runGuided(const CampaignConfig &config, const PropertyHarness &harness,
+          unsigned jobs, std::vector<std::string> workloadPool = {})
+{
+    CoverageGuidedGenerator source(kAbSeed, std::move(workloadPool));
+    return runCampaign(config, source, harness, JobPool(jobs));
+}
+
+/** The uniform reference campaign at the same seed. */
+CampaignResult
+runUniform(const CampaignConfig &config, const PropertyHarness &harness,
+           unsigned jobs)
+{
+    UniformSource source(kAbSeed);
+    return runCampaign(config, source, harness, JobPool(jobs));
 }
 
 } // namespace
@@ -153,37 +173,32 @@ TEST(CoverageGenerator, SiteTableMapsCountersToActuators)
 
 TEST(CoverageGenerator, SameSeedSameCaseSequence)
 {
-    GuidedConfig config;
-    config.workloadPool = {"storm.phase", "181.mcf"};
-    CoverageGuidedGenerator g1(99, config);
-    CoverageGuidedGenerator g2(99, config);
+    const std::vector<std::string> pool = {"storm.phase", "181.mcf"};
+    CoverageGuidedGenerator g1(99, pool);
+    CoverageGuidedGenerator g2(99, pool);
+    CoverageMap coverage;
     for (int i = 0; i < 20; ++i) {
-        const FuzzCase c1 = g1.next("181.mcf", 10'000);
-        const FuzzCase c2 = g2.next("181.mcf", 10'000);
+        const FuzzCase c1 = g1.next("181.mcf", 10'000, coverage);
+        const FuzzCase c2 = g2.next("181.mcf", 10'000, coverage);
         EXPECT_EQ(c1.plan, c2.plan);
         EXPECT_EQ(c1.benchmark, c2.benchmark);
         EXPECT_EQ(c1.workloadSeed, c2.workloadSeed);
         // Identical feedback keeps them in lockstep.
-        g1.feedback(c1, {{"machine.bus_drops", uint64_t(i)}});
-        g2.feedback(c2, {{"machine.bus_drops", uint64_t(i)}});
+        if (coverage.observe({{"machine.bus_drops", uint64_t(i)}}) > 0) {
+            g1.admit(c1);
+            g2.admit(c2);
+        }
     }
 }
 
 TEST(GuidedCampaign, ByteIdenticalAcrossJobs)
 {
     const CampaignConfig config = abConfig();
-    GuidedConfig guided;
-    guided.workloadPool = {"storm.unsplit", "181.mcf"};
+    const std::vector<std::string> pool = {"storm.unsplit", "181.mcf"};
     const PropertyHarness harness;
-    const std::string s1 =
-        runGuidedCampaign(config, guided, harness, JobPool(1))
-            .summary();
-    const std::string s2 =
-        runGuidedCampaign(config, guided, harness, JobPool(2))
-            .summary();
-    const std::string s4 =
-        runGuidedCampaign(config, guided, harness, JobPool(4))
-            .summary();
+    const std::string s1 = runGuided(config, harness, 1, pool).summary();
+    const std::string s2 = runGuided(config, harness, 2, pool).summary();
+    const std::string s4 = runGuided(config, harness, 4, pool).summary();
     EXPECT_EQ(s1, s2);
     EXPECT_EQ(s1, s4);
     EXPECT_NE(s1.find("coverage: counters_hit="), std::string::npos);
@@ -200,19 +215,15 @@ TEST(GuidedCampaign, BeatsUniformCoverageAtEqualBudget)
 {
     const CampaignConfig config = abConfig();
     const PropertyHarness harness;
-    const JobPool pool(4);
 
-    const CampaignResult uniform = runCampaign(config, harness, pool);
+    const CampaignResult uniform = runUniform(config, harness, 4);
 
-    const GuidedConfig pure; // no workload pool: guidance alone
-    const CampaignResult guided =
-        runGuidedCampaign(config, pure, harness, pool);
+    // No workload pool: guidance alone.
+    const CampaignResult guided = runGuided(config, harness, 4);
 
-    GuidedConfig storm;
-    storm.workloadPool = adversarialWorkloadNames();
-    storm.workloadPool.push_back(config.benchmark);
-    const CampaignResult stormed =
-        runGuidedCampaign(config, storm, harness, pool);
+    std::vector<std::string> storm = adversarialWorkloadNames();
+    storm.push_back(config.benchmark);
+    const CampaignResult stormed = runGuided(config, harness, 4, storm);
 
     // Both campaigns observed the same counter universe.
     ASSERT_EQ(uniform.coverage.countersTotal(),
@@ -235,7 +246,6 @@ TEST(Campaign, SummaryReportsOracleCountsAndCoverage)
     // The broken test-only oracle gives deterministic failures to
     // count (same seed as test_fuzz_campaign's pipeline test).
     CampaignConfig config;
-    config.seed = 3;
     config.plans = 20;
     config.instructions = 25'000;
     config.minimize = false;
@@ -243,7 +253,7 @@ TEST(Campaign, SummaryReportsOracleCountsAndCoverage)
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
-    const CampaignResult r = runCampaign(config, harness, JobPool(2));
+    const CampaignResult r = runUniform(config, harness, 2);
     ASSERT_FALSE(r.failures.empty());
 
     const auto counts = r.oracleCounts();
@@ -260,7 +270,6 @@ TEST(Campaign, SummaryReportsOracleCountsAndCoverage)
 
     // A clean campaign says so.
     const PropertyHarness clean;
-    const std::string ok =
-        runCampaign(config, clean, JobPool(2)).summary();
+    const std::string ok = runUniform(config, clean, 2).summary();
     EXPECT_NE(ok.find("oracle_failures: none"), std::string::npos);
 }

@@ -302,7 +302,7 @@ TEST(JournalInHotLoop, OnlyGatedMethodsAreBanned)
 {
     // Lifecycle calls (export, arming) are not event emission.
     EXPECT_TRUE(rulesIn("src/sim/observe.cpp",
-                        "void f() { journal_->writeJsonl(path); "
+                        "void f() { journal_->renderJsonl(); "
                         "journal_->setDumpPath(p); }\n")
                     .empty());
     // record() on a non-journal receiver is fine.

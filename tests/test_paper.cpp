@@ -286,6 +286,24 @@ TEST(PaperDriverDeathTest, ResilienceDiesOnAnUnwritableCsvDir)
                 "'/nonexistent/dir/degradation.csv'");
 }
 
+TEST(PaperDriverDeathTest, Table2DiesOnAnUnwritableMetricsOut)
+{
+    EXPECT_EXIT(run({"table2", "--bench", "179.art", "--instr", "20000",
+                     "--jobs", "1", "--metrics-out",
+                     "/nonexistent/m.jsonl"}),
+                ::testing::ExitedWithCode(1),
+                "cannot open --metrics-out output '/nonexistent/m.jsonl'");
+}
+
+TEST(PaperDriverDeathTest, Table2DiesOnAnUnwritableSamplesOut)
+{
+    EXPECT_EXIT(run({"table2", "--bench", "179.art", "--instr", "20000",
+                     "--jobs", "1", "--sample-every", "1000",
+                     "--samples-out", "/nonexistent/s.csv"}),
+                ::testing::ExitedWithCode(1),
+                "cannot open --samples-out output '/nonexistent/s.csv'");
+}
+
 TEST(PaperDriverDeathTest, ResilienceRejectsASecondBench)
 {
     EXPECT_EXIT(run({"resilience", "--bench", "179.art", "--bench",

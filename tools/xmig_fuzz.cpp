@@ -8,22 +8,21 @@
  *   campaign (default)
  *     xmig_fuzz --seed S --plans N --jobs J [--repro-dir DIR]
  *               [--no-minimize] [--bench NAME] [--instr I]
- *     Runs an N-plan uniform campaign. The summary on stdout and any
- *     repro files are byte-identical for fixed (S, N) at any J.
+ *     Runs an N-case uniform campaign. The summary on stdout and any
+ *     repro files are byte-identical for fixed (S, N) at any J. Every
+ *     failure is minimized, and with --repro-dir its repro and an
+ *     xmig-lens journal of the minimized case land in DIR as
+ *     repro_case<N>.txt and repro_case<N>.journal.jsonl.
  *     Exit 1 if any failure survives.
  *
  *   guided
- *     xmig_fuzz --guided [--storm-workloads] [--batch B] [...]
+ *     xmig_fuzz --guided [--storm-workloads] [--corpus DIR] [...]
  *     Same, but the cases come from the coverage-guided generator:
  *     each batch's recovery/injection counters bias the next batch
- *     toward unlit counters. Still byte-stable at any --jobs.
- *
- *   soak
- *     xmig_fuzz --soak --corpus DIR --budget N [--repro-dir DIR]
- *     Standing guided campaign: replays the persisted corpus, spends
- *     the rest of the budget on guided batches, persists every
- *     coverage-novel case content-addressed, minimizes every failure
- *     and attaches an xmig-lens journal to its repro.
+ *     toward unlit counters. With --corpus this is the standing
+ *     soak: the persisted corpus is replayed first, and every
+ *     coverage-novel case is saved to it, content-addressed. Still
+ *     byte-stable at any --jobs.
  *
  *   replay
  *     xmig_fuzz --replay 'PLAN' [--workload-seed W] [--bench NAME]
@@ -42,14 +41,16 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/fuzz_cli.hpp"
-#include "fuzz/soak.hpp"
+#include "fuzz/minimizer.hpp"
 #include "sim/runner/job_pool.hpp"
 #include "sim/runner/sweep.hpp"
+#include "util/artifact.hpp"
 #include "workloads/registry.hpp"
 
 using namespace xmig;
@@ -69,14 +70,14 @@ stormPool(const std::string &benchmark)
 }
 
 int
-replayMode(const FuzzCliOptions &cli, uint64_t instructions)
+replayMode(const FuzzCliOptions &cli)
 {
     FuzzCase c;
     c.plan = cli.replayPlan;
     if (!cli.benchmark.empty())
         c.benchmark = cli.benchmark;
     c.workloadSeed = cli.workloadSeed;
-    c.instructions = instructions;
+    c.instructions = cli.instructions;
 
     const PropertyHarness harness;
     const CaseResult r = harness.run(c);
@@ -95,7 +96,7 @@ replayMode(const FuzzCliOptions &cli, uint64_t instructions)
 }
 
 int
-selfTestMode(const FuzzCliOptions &cli, uint64_t instructions)
+selfTestMode(const FuzzCliOptions &cli)
 {
     // A known-bad plan for the broken oracle (it targets both
     // core_off and bus_drop), padded with statements the minimizer
@@ -104,7 +105,7 @@ selfTestMode(const FuzzCliOptions &cli, uint64_t instructions)
     bad.plan = "seed=9;at=120000:core_off=1;rate=0.001:flip=ae;"
                "at=60000:mig_delay=8;rate=0.0002:bus_drop;"
                "at=200000:core_on=1;rate=0.0001:mig_drop;at=1:flip=tag";
-    bad.instructions = instructions;
+    bad.instructions = cli.instructions;
 
     HarnessConfig hc;
     hc.brokenOracle = true;
@@ -130,20 +131,14 @@ selfTestMode(const FuzzCliOptions &cli, uint64_t instructions)
     out += "minimized: " + m1.minimized.plan + " (probes=" +
            std::to_string(m1.probes) + ")\n";
 
-    const auto stmtCount = [](const std::string &spec) {
-        size_t n = spec.empty() ? 0 : 1;
-        for (char ch : spec)
-            n += ch == ';' ? 1 : 0;
-        return n;
-    };
     bool ok = m1.stillFails;
     if (!m1.stillFails)
         out += "self-test FAILED: failure did not reproduce under "
                "minimization\n";
-    if (stmtCount(m1.minimized.plan) > 3) {
+    if (statementCount(m1.minimized.plan) > 3) {
         ok = false;
         out += "self-test FAILED: minimized plan still has " +
-               std::to_string(stmtCount(m1.minimized.plan)) +
+               std::to_string(statementCount(m1.minimized.plan)) +
                " statements (want <= 3)\n";
     }
     if (m1.minimized.plan != m2.minimized.plan ||
@@ -164,16 +159,8 @@ selfTestMode(const FuzzCliOptions &cli, uint64_t instructions)
         f.probes = m1.probes;
         const std::string path =
             cli.reproDir + "/repro_selftest.txt";
-        std::FILE *file = std::fopen(path.c_str(), "wb");
-        if (file == nullptr) {
-            out += "self-test FAILED: cannot write " + path + "\n";
-            ok = false;
-        } else {
-            const std::string body = renderRepro(f);
-            std::fwrite(body.data(), 1, body.size(), file);
-            std::fclose(file);
-            out += "repro written: " + path + "\n";
-        }
+        writeArtifact(path, renderRepro(f), "--repro-dir");
+        out += "repro written: " + path + "\n";
     }
 
     out += ok ? "self-test ok: find -> minimize -> repro pipeline "
@@ -200,23 +187,17 @@ main(int argc, char **argv)
     }
     const FuzzCliOptions &cli = parse.options;
 
-    // Fuzz cases are short by design (thousands of plans beat one
-    // long run); default to 150k instructions unless --instr given.
-    const uint64_t instructions =
-        cli.instructions != 0 ? cli.instructions
-                              : (cli.smoke ? 60'000 : 150'000);
-
     if (cli.mode == FuzzCliOptions::Mode::Replay)
-        return replayMode(cli, instructions);
+        return replayMode(cli);
     if (cli.mode == FuzzCliOptions::Mode::SelfTest)
-        return selfTestMode(cli, instructions);
+        return selfTestMode(cli);
 
     CampaignConfig config;
-    config.seed = cli.seed;
-    config.plans = cli.smoke && cli.plans == 200 ? 50 : cli.plans;
-    config.instructions = instructions;
+    config.plans = cli.plans;
+    config.instructions = cli.instructions;
     config.minimize = cli.minimize;
     config.reproDir = cli.reproDir;
+    config.corpusDir = cli.corpusDir;
     if (!cli.benchmark.empty())
         config.benchmark = cli.benchmark;
 
@@ -226,34 +207,19 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "xmig_fuzz: seed=%llu plans=%llu jobs=%u "
                      "instr=%llu\n",
-                     (unsigned long long)config.seed,
+                     (unsigned long long)cli.seed,
                      (unsigned long long)config.plans, pool.jobs(),
                      (unsigned long long)config.instructions);
 
-    if (cli.mode == FuzzCliOptions::Mode::Soak) {
-        SoakConfig sc;
-        sc.campaign = config;
-        sc.budget = cli.smoke && cli.budget == 512 ? 64 : cli.budget;
-        sc.batch = cli.batch;
-        sc.corpusDir = cli.corpusDir;
-        sc.journal = cli.journal;
-        if (cli.stormWorkloads)
-            sc.guided.workloadPool = stormPool(config.benchmark);
-        const SoakResult result = runSoak(sc, harness, pool);
-        flushAtomically(result.summary(), stdout);
-        return result.failures.empty() ? 0 : 1;
-    }
-
-    CampaignResult result;
-    if (cli.mode == FuzzCliOptions::Mode::Guided) {
-        GuidedConfig guided;
-        if (cli.stormWorkloads)
-            guided.workloadPool = stormPool(config.benchmark);
-        result = runGuidedCampaign(config, guided, harness, pool,
-                                   cli.batch);
-    } else {
-        result = runCampaign(config, harness, pool);
-    }
+    std::unique_ptr<CaseSource> source;
+    if (cli.mode == FuzzCliOptions::Mode::Guided)
+        source = std::make_unique<CoverageGuidedGenerator>(
+            cli.seed, cli.stormWorkloads ? stormPool(config.benchmark)
+                                         : std::vector<std::string>());
+    else
+        source = std::make_unique<UniformSource>(cli.seed);
+    const CampaignResult result =
+        runCampaign(config, *source, harness, pool);
     flushAtomically(result.summary(), stdout);
     return result.failures.empty() ? 0 : 1;
 }
