@@ -112,20 +112,24 @@ BM_LruStack(benchmark::State &state)
 BENCHMARK(BM_LruStack);
 
 static void
-BM_MigrationMachineRef(benchmark::State &state)
+BM_MigrationMachineBatch(benchmark::State &state)
 {
     MachineConfig mc;
     MigrationMachine machine(mc);
     auto workload = makeWorkload("179.art");
     RefRecorder recorder;
     workload->run(recorder, 200'000, 42);
+    const std::vector<MemRef> &refs = recorder.refs();
+    constexpr size_t kChunk = MigrationMachine::kBatchRefs;
+    const size_t chunks = refs.size() / kChunk;
     size_t i = 0;
     for (auto _ : state) {
-        machine.access(recorder.refs()[i]);
-        i = (i + 1) % recorder.refs().size();
+        machine.accessBatch(refs.data() + i * kChunk, kChunk);
+        i = (i + 1) % chunks;
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kChunk));
 }
-BENCHMARK(BM_MigrationMachineRef);
+BENCHMARK(BM_MigrationMachineBatch);
 
 BENCHMARK_MAIN();

@@ -16,6 +16,7 @@
  * one workload stream.
  */
 
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "paper.hpp"
 #include "sim/runner/sweep.hpp"
@@ -45,9 +46,9 @@ xmig::paperCoreCount(const BenchOptions &opt)
         c4.controller.affinityCache.entries = 8 * 1024;
         c8.controller.affinityCache.entries = 16 * 1024;
         MigrationMachine m1(c1), m2(c2), m4(c4), m8(c8);
-        TeeSink t12(m1, m2), t48(m4, m8), all(t12, t48);
         auto workload = makeWorkload(name);
-        workload->run(all, opt.instructions, opt.seed);
+        ChunkFeed({&m1, &m2, &m4, &m8})
+            .run(*workload, opt.instructions, opt.seed);
 
         RunResult res;
         const MigrationMachine *machines[] = {&m1, &m2, &m4, &m8};

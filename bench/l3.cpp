@@ -12,6 +12,7 @@
  *     on-chip L3 traffic without touching off-chip traffic.)
  */
 
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "paper.hpp"
 #include "util/stats.hpp"
@@ -36,9 +37,9 @@ xmig::paperL3(const BenchOptions &opt)
             mig_cfg.l3Bytes = base_cfg.l3Bytes;
 
             MigrationMachine base(base_cfg), mig(mig_cfg);
-            TeeSink tee(base, mig);
             auto workload = makeWorkload(name);
-            workload->run(tee, opt.instructions, opt.seed);
+            ChunkFeed({&base, &mig})
+                .run(*workload, opt.instructions, opt.seed);
 
             auto row = [&](const char *label, const MachineStats &s) {
                 table.addRow({workload->info().name,

@@ -16,6 +16,7 @@
  * neither; and migration+prefetch together cover the union.
  */
 
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "paper.hpp"
 #include "util/stats.hpp"
@@ -44,9 +45,9 @@ xmig::paperPrefetch(const BenchOptions &opt)
 
         MigrationMachine base(base_cfg), pf(pf_cfg), mig(mig_cfg),
             migpf(migpf_cfg);
-        TeeSink t1(base, pf), t2(mig, migpf), all(t1, t2);
         auto workload = makeWorkload(name);
-        workload->run(all, opt.instructions, opt.seed);
+        ChunkFeed({&base, &pf, &mig, &migpf})
+            .run(*workload, opt.instructions, opt.seed);
 
         const uint64_t instr = base.stats().instructions;
         const double accuracy = pf.stats().prefetchFills == 0

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "fault/fault_injector.hpp"
-#include "mem/trace.hpp"
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "multicore/timing.hpp"
 #include "paper.hpp"
@@ -42,8 +42,9 @@ using namespace xmig;
 
 namespace {
 
-/** Forward refs into a machine, recording per-window event deltas. */
-class WindowedSink : public RefSink
+/** Owner of a machine's feed: records its event deltas per window of
+ *  `every` references. */
+class WindowRecorder final : public FeedOwner
 {
   public:
     struct Window
@@ -53,17 +54,23 @@ class WindowedSink : public RefSink
         uint64_t migrations = 0;
     };
 
-    WindowedSink(MigrationMachine &machine, uint64_t every)
+    WindowRecorder(const MigrationMachine &machine, uint64_t every)
         : machine_(machine),
           every_(every)
     {
     }
 
-    void
-    access(const MemRef &ref) override
+    uint64_t
+    refsUntilEvent() const override
     {
-        machine_.access(ref);
-        if (++refs_ % every_ != 0)
+        return every_ - refs_ % every_;
+    }
+
+    void
+    onChunk(size_t n) override
+    {
+        refs_ += n;
+        if (refs_ % every_ != 0)
             return;
         const MachineStats &s = machine_.stats();
         windows_.push_back({refs_, s.l2Misses - lastMisses_,
@@ -72,11 +79,10 @@ class WindowedSink : public RefSink
         lastMigrations_ = s.migrations;
     }
 
-    uint64_t refs() const { return refs_; }
     const std::vector<Window> &windows() const { return windows_; }
 
   private:
-    MigrationMachine &machine_;
+    const MigrationMachine &machine_;
     uint64_t every_;
     uint64_t refs_ = 0;
     uint64_t lastMisses_ = 0;
@@ -159,7 +165,8 @@ xmig::paperResilience(const BenchOptions &opt)
         if (r > 0.0)
             cfg.faultPlan = sweepPlan(r);
         MigrationMachine machine(cfg);
-        makeWorkload(bench)->run(machine, opt.instructions, opt.seed);
+        ChunkFeed({&machine})
+            .run(*makeWorkload(bench), opt.instructions, opt.seed);
 
         DegPoint &p = points[i];
         p.stats = machine.stats();
@@ -215,26 +222,27 @@ xmig::paperResilience(const BenchOptions &opt)
                         "(watchdog on)");
 
     // ----- Experiment 2: recovery after core loss --------------------
-    // Size the scripted unplug in references: replay the workload
-    // through a counting sink (deterministic streams make the count
+    // Size the scripted unplug in references: run the workload into
+    // a feed with no target (deterministic streams make its count
     // exact), then fire core_off=2 at the halfway reference.
-    RefCounter counter;
-    makeWorkload(bench)->run(counter, opt.instructions, opt.seed);
-    const uint64_t fault_ref = counter.total() / 2;
+    ChunkFeed counter;
+    counter.run(*makeWorkload(bench), opt.instructions, opt.seed);
+    const uint64_t fault_ref = counter.refs() / 2;
     const uint64_t window =
-        std::max<uint64_t>(counter.total() / 100, 10'000);
+        std::max<uint64_t>(counter.refs() / 100, 10'000);
 
     MachineConfig cfg;
     cfg.faultPlan = formatString("seed=1;at=%llu:core_off=2",
                                  static_cast<unsigned long long>(fault_ref));
     MigrationMachine machine(cfg);
-    WindowedSink sink(machine, window);
-    makeWorkload(bench)->run(sink, opt.instructions, opt.seed);
+    WindowRecorder recorder(machine, window);
+    ChunkFeed({&machine}, {}, 0, &recorder)
+        .run(*makeWorkload(bench), opt.instructions, opt.seed);
 
-    const auto &windows = sink.windows();
+    const auto &windows = recorder.windows();
     // Post-loss steady state: mean windowed miss count over the tail
     // quarter; recovery = first post-fault window back within 1.5x.
-    std::vector<WindowedSink::Window> post;
+    std::vector<WindowRecorder::Window> post;
     for (const auto &w : windows)
         if (w.endRef > fault_ref)
             post.push_back(w);

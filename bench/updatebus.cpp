@@ -9,7 +9,7 @@
  * demand.
  */
 
-#include "mem/trace.hpp"
+#include "multicore/feed.hpp"
 #include "multicore/regcache.hpp"
 #include "multicore/update_bus.hpp"
 #include "paper.hpp"
@@ -48,9 +48,8 @@ xmig::paperUpdateBus(const BenchOptions &opt)
     out += "\n";
     AsciiTable mix({"benchmark", "stores/instr", "bytes/instr(avg)"});
     for (const auto &name : allWorkloadNames()) {
-        auto w = makeWorkload(name);
-        RefCounter counter;
-        w->run(counter, opt.instructions, opt.seed);
+        ChunkFeed counter;
+        counter.run(*makeWorkload(name), opt.instructions, opt.seed);
         const double store_frac =
             static_cast<double>(counter.stores()) /
             static_cast<double>(counter.instructions());

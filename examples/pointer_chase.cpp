@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "multicore/cost_model.hpp"
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/workload.hpp"
 
@@ -96,8 +97,7 @@ main()
                 "4-core machines...\n",
                 workload.info().name.c_str(),
                 (unsigned long long)(kInstructions / 1'000'000));
-    TeeSink tee(baseline, migration);
-    workload.run(tee, kInstructions);
+    ChunkFeed({&baseline, &migration}).run(workload, kInstructions);
 
     const auto &b = baseline.stats();
     const auto &m = migration.stats();

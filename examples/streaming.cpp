@@ -18,6 +18,7 @@
 
 #include <cstdio>
 
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/workload.hpp"
 
@@ -94,9 +95,8 @@ main()
     std::printf("running %s for %lluM instructions...\n",
                 workload.info().name.c_str(),
                 (unsigned long long)(kInstructions / 1'000'000));
-    TeeSink pair(baseline, with_valves);
-    TeeSink all(pair, without_valves);
-    workload.run(all, kInstructions);
+    ChunkFeed({&baseline, &with_valves, &without_valves})
+        .run(workload, kInstructions);
 
     auto report = [&](const char *label, const MachineStats &s) {
         std::printf("%-26s L2 misses %9llu   migrations %7llu\n",

@@ -125,6 +125,9 @@ class L1Filter : public RefSink
     /** Replace the downstream sink (for staged experiments). */
     void setSink(LineSink &sink) { sink_ = &sink; }
 
+    /** The downstream consumer of this level's post-L1 events. */
+    LineSink &sink() const { return *sink_; }
+
   private:
     /** Index of the IL1 and the DL1 in the per-level arrays. */
     static constexpr unsigned kIl1 = 0, kDl1 = 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "core/soa_oe_store.hpp"
 #include "fault/fault_injector.hpp"
@@ -168,12 +169,15 @@ void
 MigrationController::setCoreOffline(unsigned core)
 {
     if (core >= config_.numCores || !(liveMask_ >> core & 1)) {
-        XMIG_WARN("core_off for core %u ignored (unknown or already "
-                  "offline)", core);
+        if (!std::exchange(warnedOffIgnored_, true))
+            XMIG_WARN("core_off for core %u ignored (unknown or already "
+                      "offline); later ones are not reported", core);
         return;
     }
     if (std::popcount(liveMask_) == 1) {
-        XMIG_WARN("refusing to take the last live core %u offline", core);
+        if (!std::exchange(warnedLastCore_, true))
+            XMIG_WARN("refusing to take the last live core %u offline; "
+                      "later refusals are not reported", core);
         return;
     }
     liveMask_ &= ~(uint64_t{1} << core);
@@ -202,8 +206,9 @@ void
 MigrationController::setCoreOnline(unsigned core)
 {
     if (core >= config_.numCores || (liveMask_ >> core & 1)) {
-        XMIG_WARN("core_on for core %u ignored (unknown or already "
-                  "online)", core);
+        if (!std::exchange(warnedOnIgnored_, true))
+            XMIG_WARN("core_on for core %u ignored (unknown or already "
+                      "online); later ones are not reported", core);
         return;
     }
     liveMask_ |= uint64_t{1} << core;

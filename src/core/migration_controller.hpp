@@ -345,6 +345,11 @@ class MigrationController
     std::vector<unsigned> subsetToCore_;
     RecoveryStats recovery_;
     Watchdog watchdog_;
+    // A fault plan may repeat an ignored core event on every firing,
+    // so each kind of ignored event warns once per controller.
+    bool warnedOffIgnored_ = false;
+    bool warnedLastCore_ = false;
+    bool warnedOnIgnored_ = false;
     /** stats_.transitions at the last splitter rebuild; keeps the
      *  transitions==splitterTransitions() audit exact across
      *  resplits and restores. */

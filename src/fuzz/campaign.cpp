@@ -42,8 +42,7 @@ journalFor(const FuzzCase &c)
     MigrationMachine machine(config);
     obs::Journal journal;
     machine.attachJournal(&journal);
-    for (const MemRef &ref : recorder.refs())
-        machine.access(ref);
+    machine.accessBatch(recorder.refs().data(), recorder.refs().size());
     return journal.renderJsonl();
 }
 

@@ -64,8 +64,7 @@ void
 feed(MigrationMachine &m, const std::vector<MemRef> &refs,
      size_t begin, size_t end)
 {
-    for (size_t i = begin; i < end; ++i)
-        m.access(refs[i]);
+    m.accessBatch(refs.data() + begin, end - begin);
 }
 
 bool

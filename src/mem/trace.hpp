@@ -1,6 +1,8 @@
 /**
  * @file
- * Reference-stream plumbing: sinks, recorders, and composition.
+ * Reference-stream sinks: the interface every workload emits into,
+ * and the small sinks tests record and count with. Machines and L1
+ * filters are driven through the chunked feed (multicore/feed.hpp).
  */
 
 #pragma once
@@ -13,11 +15,9 @@
 namespace xmig {
 
 /**
- * Consumer of a dynamic reference stream.
- *
- * Cache models, LRU-stack profilers, the migration controller, and
- * whole machines all implement RefSink so that any workload can drive
- * any of them.
+ * Consumer of a dynamic reference stream: what a workload emits into.
+ * The chunked feed, the L1 filter and the recording sinks below
+ * implement it.
  */
 class RefSink
 {
@@ -54,27 +54,6 @@ class RefRecorder : public RefSink
 
   private:
     std::vector<MemRef> refs_;
-};
-
-/** Sink that forwards each reference to two downstream sinks. */
-class TeeSink : public RefSink
-{
-  public:
-    TeeSink(RefSink &first, RefSink &second)
-        : first_(first), second_(second)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        first_.access(ref);
-        second_.access(ref);
-    }
-
-  private:
-    RefSink &first_;
-    RefSink &second_;
 };
 
 /** Sink that counts references by type. */

@@ -5,11 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <exception>
 #include <utility>
 
-#include "mem/trace.hpp"
+#include "multicore/feed.hpp"
 #include "util/contracts.hpp"
 #include "workloads/registry.hpp"
 
@@ -201,61 +200,6 @@ class Fiber
 
 thread_local Fiber *Fiber::starting_ = nullptr;
 
-/**
- * Probe-side sink: offsets references into a machine in K-reference
- * accessBatch() chunks, and resets the machine's counters once
- * `warmup_instructions` have executed so the probe measures
- * steady-state behavior (cold compulsory misses would otherwise
- * dominate a short probe and misclassify every tenant as
- * cache-hungry). The chunk is cut right after the reference that
- * completes the warm-up, so the reset lands on it. The caller must
- * flush() after the workload ends.
- */
-class ProbeSink final : public RefSink
-{
-  public:
-    ProbeSink(MigrationMachine &machine, uint64_t address_offset,
-              uint64_t warmup_instructions)
-        : machine_(machine),
-          offset_(address_offset),
-          warmup_(warmup_instructions)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        MemRef &shifted = buf_[count_++];
-        shifted = ref;
-        shifted.addr += offset_;
-        if (ref.isIfetch())
-            ++instructions_;
-        if (!warmedUp_ && instructions_ >= warmup_) {
-            flush();
-            machine_.resetStats();
-            warmedUp_ = true;
-        } else if (count_ == MigrationMachine::kBatchRefs) {
-            flush();
-        }
-    }
-
-    void
-    flush()
-    {
-        machine_.accessBatch(buf_, count_);
-        count_ = 0;
-    }
-
-  private:
-    MigrationMachine &machine_;
-    uint64_t offset_;
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    bool warmedUp_ = false;
-    MemRef buf_[MigrationMachine::kBatchRefs];
-    size_t count_ = 0;
-};
-
 } // namespace
 
 const char *
@@ -272,23 +216,18 @@ arenaModeName(ArenaMode mode)
 
 /**
  * One tenant: its machine, and its push-model workload running on a
- * fiber. The session is the workload's sink: it offsets each
- * reference into the tenant's address range, buffers 64-ref chunks
- * and feeds each full chunk to the machine, suspending the fiber the
- * moment the turn's budget runs out.
+ * fiber into a ChunkFeed that offsets each reference into the
+ * tenant's address range. The session is that feed's FeedOwner: its
+ * next event is the end of the turn's budget, where the fiber suspends.
  */
-struct TenantArena::Session : RefSink
+struct TenantArena::Session final : FeedOwner
 {
-    static constexpr size_t kChunkRefs = MigrationMachine::kBatchRefs;
-
     unsigned tenant = 0;
     TenantSpec spec;
     unsigned cluster = 0;
     uint64_t addressOffset = 0; ///< tenant * kTenantAddressStride
     std::unique_ptr<MigrationMachine> machine;
     Fiber fiber{&Session::runStream, this};
-    std::array<MemRef, kChunkRefs> chunk;
-    uint32_t chunkCount = 0;
     uint64_t budget = 0;    ///< refs left in the current turn
     bool cancelled = false; ///< arena abandoned the stream
     bool admitted = false;
@@ -300,39 +239,23 @@ struct TenantArena::Session : RefSink
     /** All references consumed (the workload returned). */
     bool drained() const { return fiber.finished(); }
 
-    void
-    access(const MemRef &ref) override
-    {
-        MemRef &slot = chunk[chunkCount++];
-        slot = ref;
-        slot.addr += addressOffset;
-        if (chunkCount == kChunkRefs)
-            feedChunk();
-    }
+    uint64_t refsUntilEvent() const override { return budget; }
 
     /**
-     * Feed the buffered chunk, split at every point the budget runs
-     * out. The fiber suspends as soon as the budget reaches 0, even
-     * on the chunk's last reference, so a stream ending exactly on a
-     * quantum boundary is only seen to end on the next turn.
+     * Spend the chunk from the budget. The fiber suspends as soon as
+     * the budget reaches 0, even on the stream's last reference, so
+     * a stream ending exactly on a quantum boundary is only seen to
+     * end on the next turn.
      */
     void
-    feedChunk()
+    onChunk(size_t n) override
     {
-        uint32_t pos = 0;
-        while (pos < chunkCount) {
-            const uint64_t n =
-                std::min<uint64_t>(chunkCount - pos, budget);
-            machine->accessBatch(&chunk[pos], static_cast<size_t>(n));
-            pos += static_cast<uint32_t>(n);
-            budget -= n;
-            if (budget == 0) {
-                fiber.suspend();
-                if (cancelled)
-                    throw StreamCancelled{};
-            }
+        budget -= n;
+        if (budget == 0) {
+            fiber.suspend();
+            if (cancelled)
+                throw StreamCancelled{};
         }
-        chunkCount = 0;
     }
 
     /** Fiber body: the tenant's whole reference stream. */
@@ -341,11 +264,10 @@ struct TenantArena::Session : RefSink
     {
         Session &session = *static_cast<Session *>(arg);
         try {
-            std::unique_ptr<Workload> workload =
-                makeWorkload(session.spec.benchmark);
-            workload->run(session, session.spec.instructions,
-                          session.spec.seed);
-            session.feedChunk();
+            ChunkFeed feed({session.machine.get()}, {}, 0, &session,
+                           session.addressOffset);
+            feed.run(*makeWorkload(session.spec.benchmark),
+                     session.spec.instructions, session.spec.seed);
         } catch (const StreamCancelled &) {
             // Arena teardown unwound the workload; nothing to report.
         }
@@ -404,14 +326,14 @@ TenantArena::probeTenants()
         mc.l3Bytes = config_.sharedL3Bytes;
         mc.l3Ways = config_.sharedL3Ways;
         MigrationMachine machine(mc);
-        ProbeSink sink(machine,
-                       static_cast<uint64_t>(i) *
-                           kTenantAddressStride,
-                       config_.probeInstructions / 2);
-        std::unique_ptr<Workload> workload =
-            makeWorkload(spec.benchmark);
-        workload->run(sink, config_.probeInstructions, spec.seed);
-        sink.flush();
+        // Counters restart halfway, so the probe measures steady
+        // state: cold compulsory misses would otherwise dominate a
+        // short probe and misclassify every tenant as cache-hungry.
+        ChunkFeed feed({&machine}, {}, config_.probeInstructions / 2,
+                       nullptr,
+                       static_cast<uint64_t>(i) * kTenantAddressStride);
+        feed.run(*makeWorkload(spec.benchmark), config_.probeInstructions,
+                 spec.seed);
         const MachineStats &s = machine.stats();
         TenantProbe probe;
         probe.instructions = s.instructions;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/journal.hpp"
 #include "util/contracts.hpp"
@@ -80,12 +81,6 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
 }
 
 void
-MigrationMachine::access(const MemRef &ref)
-{
-    accessBatch(&ref, 1);
-}
-
-void
 MigrationMachine::accessBatch(const MemRef *refs, size_t n)
 {
     // Injector ticks, fault draws and core hot-(un)plug events are
@@ -147,8 +142,10 @@ MigrationMachine::applyCoreEvents()
     injector_->drainCoreEvents(coreEventScratch_);
     for (const CoreFaultEvent &ev : coreEventScratch_) {
         if (ev.core >= config_.numCores) {
-            XMIG_WARN("fault plan names core %u of a %u-core machine; "
-                      "ignored", ev.core, config_.numCores);
+            if (!std::exchange(warnedUnknownCore_, true))
+                XMIG_WARN("fault plan names core %u of a %u-core "
+                          "machine; ignored, and later ones are not "
+                          "reported", ev.core, config_.numCores);
             continue;
         }
         const uint64_t live_before = controller_->liveMask();

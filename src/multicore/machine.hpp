@@ -34,7 +34,7 @@
 #include "cache/prefetcher.hpp"
 #include "core/migration_controller.hpp"
 #include "fault/fault_injector.hpp"
-#include "mem/trace.hpp"
+#include "mem/ref.hpp"
 
 namespace xmig {
 
@@ -169,19 +169,20 @@ struct MachineCheckpoint
 /**
  * Trace-driven migration-mode machine.
  *
- * Feed it MemRefs; it filters them through the (mirrored) L1 level,
- * consults the migration controller on every L1 miss, migrates the
- * active core when told to, and maintains the per-core L2s under the
- * migration-mode coherence rules. L3 is modeled as a backing store
+ * Feed it MemRefs through accessBatch() (a workload drives it through
+ * a ChunkFeed, multicore/feed.hpp); it filters them through the
+ * (mirrored) L1 level, consults the migration controller on every L1
+ * miss, migrates the active core when told to, and maintains the
+ * per-core L2s under the migration-mode coherence rules. L3 is modeled as a backing store
  * that always hits (the paper counts L2 misses and never sizes L3).
  */
-class MigrationMachine : public RefSink
+class MigrationMachine
 {
   public:
     explicit MigrationMachine(const MachineConfig &config);
 
     /** Process one reference: accessBatch() over a run of one. */
-    void access(const MemRef &ref) override;
+    void access(const MemRef &ref) { accessBatch(&ref, 1); }
 
     /**
      * Batch granularity of accessBatch(): long enough to amortize the
@@ -342,6 +343,7 @@ class MigrationMachine : public RefSink
     uint64_t auditTick_ = 0; ///< paranoid coherence-sweep cadence
     uint64_t scrubTick_ = 0; ///< bus-drop coherence-scrub cadence
     bool busFaulty_ = false; ///< plan targets the update bus
+    bool warnedUnknownCore_ = false; ///< a plan named a missing core
     obs::Journal *journal_ = nullptr; ///< xmig-lens hook (may be null)
     obs::Histogram interMigrationGap_; ///< refs between migrations
     uint64_t lastMigrationRef_ = 0;

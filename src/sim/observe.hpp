@@ -28,6 +28,7 @@
 #include <memory>
 #include <string>
 
+#include "multicore/feed.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 
@@ -37,7 +38,6 @@ class Journal;
 
 namespace xmig {
 
-class MigrationMachine;
 struct BenchOptions;
 
 /** What to observe and where to write it ("" = that output is off). */
@@ -70,13 +70,14 @@ struct ObserveOptions
 ObserveOptions observeOptionsOf(const BenchOptions &opt);
 
 /**
- * All observability state for one simulation run.
+ * All observability state for one simulation run. It is the FeedOwner
+ * of the run's ChunkFeed, which cuts a chunk at every sample instant.
  */
-class RunObservatory
+class RunObservatory final : public FeedOwner
 {
   public:
     explicit RunObservatory(const ObserveOptions &options);
-    ~RunObservatory();
+    ~RunObservatory() override;
 
     RunObservatory(const RunObservatory &) = delete;
     RunObservatory &operator=(const RunObservatory &) = delete;
@@ -93,32 +94,30 @@ class RunObservatory
     void attachMachine(MigrationMachine &machine,
                        const std::string &prefix, bool sampled);
 
-    /**
-     * Advance sampling time by `n` memory references. A feed that
-     * stops at every refsUntilSample() instant records each row at
-     * exactly the reference its cadence names.
-     */
-    void
-    onReferences(uint64_t n)
-    {
-        if (sampling_)
-            sampler_.tick(n);
-    }
-
     /** References until the next time-series row comes due (>= 1);
-     *  UINT64_MAX when this observatory does not sample. */
+     *  UINT64_MAX when this observatory does not sample. The feed
+     *  cuts its chunk there, so each row lands on exactly the
+     *  reference its cadence names. */
     uint64_t
-    refsUntilSample() const
+    refsUntilEvent() const override
     {
         return sampling_ ? sampler_.ticksUntilSample() : UINT64_MAX;
     }
 
     /** The attached machines' counters were just zeroed (warm-up). */
     void
-    onStatsReset()
+    onStatsReset() override
     {
         if (sampling_)
             sampler_.rebaseDeltas();
+    }
+
+    /** Advance sampling time by `n` memory references. */
+    void
+    onChunk(size_t n) override
+    {
+        if (sampling_)
+            sampler_.tick(n);
     }
 
     /**

@@ -1,120 +1,11 @@
 #include "sim/quadcore.hpp"
 
+#include "multicore/feed.hpp"
 #include "obs/prof.hpp"
 #include "sim/observe.hpp"
 #include "workloads/registry.hpp"
 
 namespace xmig {
-
-namespace {
-
-/**
- * Feeds both machines in K-reference accessBatch() chunks and zeroes
- * their counters once the warm-up instruction budget has retired.
- * Buffering stops early at every time-series sample instant, and a
- * flush splits its chunk right after the instruction fetch that
- * retires the budget, so the reset and each row land on their exact
- * reference: accessBatch() leaves the counters, the L1 state and the
- * journal clock at their per-reference values at chunk end. The
- * observatory may be null. The caller must flush() after the
- * workload ends.
- */
-class BatchFeedTee final : public RefSink
-{
-  public:
-    BatchFeedTee(MigrationMachine &baseline, MigrationMachine &migration,
-                 uint64_t warmup_instructions,
-                 RunObservatory *observatory)
-        : baseline_(baseline),
-          migration_(migration),
-          observatory_(observatory),
-          warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
-    {
-        cutAt_ = chunkLimit();
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        buf_[count_++] = ref;
-        if (count_ == cutAt_)
-            flush();
-    }
-
-    /**
-     * Drive the buffered references through both machines — zeroing
-     * their counters right after the fetch that retires the warm-up
-     * budget, if it is among them — then advance the sampling clock.
-     */
-    void
-    flush()
-    {
-        if (count_ == 0)
-            return;
-        const size_t warm = done_ ? 0 : warmupRefs();
-        if (warm > 0) {
-            drive(buf_, warm);
-            baseline_.resetStats();
-            migration_.resetStats();
-            if (observatory_)
-                observatory_->onStatsReset();
-        }
-        drive(buf_ + warm, count_ - warm);
-        if (observatory_)
-            observatory_->onReferences(count_);
-        count_ = 0;
-        cutAt_ = chunkLimit();
-    }
-
-  private:
-    void
-    drive(const MemRef *refs, size_t n)
-    {
-        baseline_.accessBatch(refs, n);
-        migration_.accessBatch(refs, n);
-    }
-
-    /**
-     * Count the buffer's instruction fetches against the warm-up
-     * budget. Returns the number of references up to and including
-     * the fetch that retires it, or 0 while it has not retired.
-     */
-    size_t
-    warmupRefs()
-    {
-        for (size_t i = 0; i < count_; ++i) {
-            if (buf_[i].isIfetch() && ++instructions_ >= warmup_) {
-                done_ = true;
-                return i + 1;
-            }
-        }
-        return 0;
-    }
-
-    /** Buffered references at which the next chunk is cut. */
-    size_t
-    chunkLimit() const
-    {
-        const uint64_t until_sample =
-            observatory_ ? observatory_->refsUntilSample() : UINT64_MAX;
-        return until_sample < MigrationMachine::kBatchRefs
-            ? static_cast<size_t>(until_sample)
-            : MigrationMachine::kBatchRefs;
-    }
-
-    MigrationMachine &baseline_;
-    MigrationMachine &migration_;
-    RunObservatory *observatory_;
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    bool done_;
-    MemRef buf_[MigrationMachine::kBatchRefs];
-    size_t count_ = 0;
-    size_t cutAt_;
-};
-
-} // namespace
 
 QuadcoreRow
 runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
@@ -145,10 +36,12 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
         XMIG_PROF_SCOPE("feed");
         const uint64_t total = params.warmupInstructions +
                                params.instructionsPerBenchmark;
-        BatchFeedTee tee(baseline, migration, params.warmupInstructions,
-                         observatory);
-        workload->run(tee, total, params.seed);
-        tee.flush();
+        // One stream drives both machines; their counters restart at
+        // the fetch that retires the warm-up, and the observatory
+        // reads a sample row at every instant its cadence names.
+        ChunkFeed feed({&baseline, &migration}, {},
+                       params.warmupInstructions, observatory);
+        feed.run(*workload, total, params.seed);
     }
 
     // Registered pointers reach into the two machines above, so every

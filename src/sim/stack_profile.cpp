@@ -5,6 +5,7 @@
 #include "cache/l1_filter.hpp"
 #include "cache/lru_stack.hpp"
 #include "core/oe_store.hpp"
+#include "multicore/feed.hpp"
 #include "util/contracts.hpp"
 #include "workloads/registry.hpp"
 
@@ -73,14 +74,13 @@ runStackProfile(const std::string &benchmark,
     l1c.unifiedReadWrite = true;
     L1Filter filter(l1c, sink);
 
-    RefCounter counter;
-    TeeSink tee(counter, filter);
-    workload->run(tee, params.instructionsPerBenchmark, params.seed);
+    ChunkFeed feed({}, {&filter});
+    feed.run(*workload, params.instructionsPerBenchmark, params.seed);
 
     StackProfileResult result;
     result.name = workload->info().name;
     result.suite = workload->info().suite;
-    result.instructions = counter.instructions();
+    result.instructions = feed.instructions();
     result.stackAccesses = sink.accesses();
     result.transitions = splitter.transitions();
     result.transitionFrequency = sink.accesses() == 0

@@ -1,6 +1,7 @@
 #include "sim/table1.hpp"
 
 #include "cache/l1_filter.hpp"
+#include "multicore/feed.hpp"
 #include "workloads/registry.hpp"
 
 namespace xmig {
@@ -19,17 +20,15 @@ runTable1(const std::string &benchmark, const Table1Params &params)
 
     NullLineSink null_sink;
     L1Filter filter(l1c, null_sink);
-    RefCounter counter;
-    TeeSink tee(counter, filter);
-
-    workload->run(tee, params.instructionsPerBenchmark, params.seed);
+    ChunkFeed feed({}, {&filter});
+    feed.run(*workload, params.instructionsPerBenchmark, params.seed);
 
     Table1Row row;
     row.name = workload->info().name;
     row.suite = workload->info().suite;
-    row.instructions = counter.instructions();
-    row.loads = counter.loads();
-    row.stores = counter.stores();
+    row.instructions = feed.instructions();
+    row.loads = feed.loads();
+    row.stores = feed.stores();
     row.il1Misses = filter.il1Stats().misses;
     row.dl1Misses = filter.dl1Stats().misses;
     return row;

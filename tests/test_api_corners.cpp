@@ -10,6 +10,7 @@
 #include "cache/cache.hpp"
 #include "cache/l1_filter.hpp"
 #include "core/kway_splitter.hpp"
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -111,14 +112,18 @@ TEST(ApiCorners, MachineResetStatsKeepsTraining)
     EXPECT_LT(m.stats().l2Misses, m.stats().l2Accesses / 2);
 }
 
-TEST(ApiCorners, RefSinkPolymorphismAcceptsMachine)
+TEST(ApiCorners, ChunkFeedIsTheMachinesRefSink)
 {
-    // A MigrationMachine is a RefSink like any other consumer.
+    // A workload drives a machine through a ChunkFeed, a RefSink like
+    // any other consumer; flush() delivers a partial chunk.
     MachineConfig cfg;
     cfg.numCores = 1;
     MigrationMachine m(cfg);
-    RefSink &sink = m;
+    ChunkFeed feed({&m});
+    RefSink &sink = feed;
     sink.access(MemRef::ifetch(0x400000));
+    EXPECT_EQ(m.stats().instructions, 0u);
+    feed.flush();
     EXPECT_EQ(m.stats().instructions, 1u);
 }
 

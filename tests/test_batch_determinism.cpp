@@ -7,7 +7,12 @@
  * observable — Table-2 rows, machine counters, journal JSONL bytes,
  * sweep text at any --jobs — with and without an armed fault plan,
  * and the sampled artifacts must match the ones recorded from the
- * per-reference feed the chunked one replaced. Checkpoints must
+ * per-reference feed the chunked one replaced. One ChunkFeed driving
+ * machines of three configurations and a bare L1 must equal feeding
+ * each reference by reference — every counter, the L1 event sequence,
+ * the warm-up reset point and every owner snapshot — on every
+ * workload, with a warm-up, an address offset, an armed fault plan
+ * and an owner cut at every chunk position. Checkpoints must
  * round-trip mid-stream, and the affinity cache must keep deciding as
  * recorded. These are the acceptance properties of
  * docs/parallelism.md, "batching".
@@ -15,6 +20,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +30,8 @@
 #include "core/engine.hpp"
 #include "core/oe_store.hpp"
 #include "core/soa_oe_store.hpp"
+#include "multicore/arena.hpp"
+#include "multicore/feed.hpp"
 #include "sim/observe.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
@@ -185,33 +193,237 @@ withoutMigrationGaps(const std::string &jsonl)
     return out;
 }
 
-/** References up to and including the `warmup`-th instruction fetch. */
-class WarmupRefCounter final : public RefSink
+/** The reference stream of `bench` at seed 42. */
+std::vector<MemRef>
+recordStream(const std::string &bench, uint64_t instructions)
+{
+    RefRecorder recorder;
+    makeWorkload(bench)->run(recorder, instructions, 42);
+    return recorder.refs();
+}
+
+/** References up to and including the `warmup`-th instruction fetch
+ *  of `stream`. */
+uint64_t
+warmupRefsOf(const std::vector<MemRef> &stream, uint64_t warmup)
+{
+    uint64_t instructions = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        if (stream[i].isIfetch() && ++instructions == warmup)
+            return i + 1;
+    }
+    return 0;
+}
+
+/** Every counter a machine exposes, its active core last. */
+std::vector<uint64_t>
+machineCounters(const MigrationMachine &m)
+{
+    const MachineStats &s = m.stats();
+    std::vector<uint64_t> v = {
+        s.instructions, s.refs, s.l1Misses, s.l2Accesses, s.l2Misses,
+        s.l2ToL2Forwards, s.l3Writebacks, s.migrations,
+        s.updateBusStores, s.prefetchFills, s.prefetchUseful,
+        s.l3Accesses, s.l3Misses, s.memoryWritebacks, s.coreOffEvents,
+        s.coreOnEvents, s.dirtyLinesLost, s.busDrops,
+        s.coherenceRepairs};
+    const auto level = [&](const CacheStats &c) {
+        v.insert(v.end(), {c.accesses, c.hits, c.misses, c.writebacks});
+    };
+    level(m.l1().il1Stats());
+    level(m.l1().dl1Stats());
+    for (unsigned c = 0; c < m.config().numCores; ++c)
+        level(m.l2(c).stats());
+    if (m.l3() != nullptr)
+        level(m.l3()->stats());
+    v.push_back(m.activeCore());
+    return v;
+}
+
+/**
+ * Machines of different configurations that one feed drives side by
+ * side: the 1-core baseline, the paper's 4-core machine (armed with
+ * `plan`), and an 8-core machine with a finite L3 and a prefetcher.
+ */
+std::vector<std::unique_ptr<MigrationMachine>>
+feedMachines(const std::string &plan)
+{
+    MachineConfig base;
+    base.numCores = 1;
+    MachineConfig quad;
+    quad.faultPlan = plan;
+    MachineConfig wide;
+    wide.numCores = 8;
+    wide.controller.affinityCache.entries = 16 * 1024;
+    wide.l3Bytes = 1024 * 1024;
+    wide.prefetch.kind = PrefetchKind::Stride;
+    std::vector<std::unique_ptr<MigrationMachine>> machines;
+    for (const MachineConfig &c : {base, quad, wide})
+        machines.push_back(std::make_unique<MigrationMachine>(c));
+    return machines;
+}
+
+/** Records a bare L1's post-L1 events. */
+class LineLog final : public LineSink
 {
   public:
-    explicit WarmupRefCounter(uint64_t warmup)
-        : warmup_(warmup)
-    {
-    }
+    void onLine(const LineEvent &event) override { events.push_back(event); }
 
-    void
-    access(const MemRef &ref) override
-    {
-        if (instructions_ == warmup_)
-            return;
-        ++refs_;
-        if (ref.isIfetch())
-            ++instructions_;
-    }
-
-    uint64_t refs() const { return refs_; }
-
-  private:
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    uint64_t refs_ = 0;
+    std::vector<LineEvent> events;
 };
 
+bool
+sameEvents(const std::vector<LineEvent> &a, const std::vector<LineEvent> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].line != b[i].line || a[i].type != b[i].type ||
+            a[i].l1Miss != b[i].l1Miss || a[i].pointer != b[i].pointer)
+            return false;
+    }
+    return true;
+}
+
+/** How a feed under test is driven. */
+struct FeedCase
+{
+    uint64_t warmup = 0;
+    uint64_t offset = 0;
+    std::string plan;        ///< armed on the 4-core machine
+    uint64_t firstEvent = 0; ///< the owner's first event; 0: no owner
+    uint64_t every = 1'000;  ///< then one every this many references
+};
+
+/** What the feed's owner saw, for checks beyond per-ref equality. */
+struct FeedSeen
+{
+    uint64_t resetAt = 0; ///< references fed when the reset landed
+    std::vector<std::vector<uint64_t>> snapshots; ///< 4-core, per event
+    std::vector<LineEvent> l1Events;
+};
+
+/**
+ * Owner with events at `first` and then every `every` references. At
+ * each it snapshots the watched machine, and it notes where the
+ * warm-up reset landed.
+ */
+class CutOwner final : public FeedOwner
+{
+  public:
+    CutOwner(const MigrationMachine &watched, uint64_t first,
+             uint64_t every, FeedSeen &seen)
+        : watched_(watched), next_(first), every_(every), seen_(seen)
+    {
+    }
+
+    uint64_t refsUntilEvent() const override { return next_ - refs_; }
+
+    void onStatsReset() override { resetPending_ = true; }
+
+    void
+    onChunk(size_t n) override
+    {
+        EXPECT_LE(n, MigrationMachine::kBatchRefs);
+        refs_ += n;
+        if (resetPending_) {
+            seen_.resetAt = refs_;
+            resetPending_ = false;
+        }
+        if (refs_ == next_) {
+            seen_.snapshots.push_back(machineCounters(watched_));
+            next_ += every_;
+        }
+    }
+
+  private:
+    const MigrationMachine &watched_;
+    uint64_t next_;
+    uint64_t every_;
+    FeedSeen &seen_;
+    uint64_t refs_ = 0;
+    bool resetPending_ = false;
+};
+
+/**
+ * Drive `stream` through one ChunkFeed into three machines and a bare
+ * L1, and reference by reference into a twin of each, and expect every
+ * counter, the L1 stats and event sequence, the reset point and every
+ * owner snapshot to agree; a feed with no target must tally the
+ * stream. Returns what the feed's owner saw.
+ */
+FeedSeen
+expectFeedMatchesPerRef(const std::vector<MemRef> &stream,
+                        const FeedCase &c, const std::string &what)
+{
+    const L1FilterConfig l1c; // Table 1's fully-associative L1s
+    FeedSeen seen;
+    auto fed = feedMachines(c.plan);
+    LineLog fedLog;
+    L1Filter fedL1(l1c, fedLog);
+    {
+        CutOwner owner(*fed[1], c.firstEvent, c.every, seen);
+        ChunkFeed feed({fed[0].get(), fed[1].get(), fed[2].get()},
+                       {&fedL1}, c.warmup,
+                       c.firstEvent != 0 ? &owner : nullptr, c.offset);
+        ChunkFeed tallies({}, {}, c.warmup, nullptr, c.offset);
+        uint64_t instructions = 0, loads = 0;
+        for (const MemRef &ref : stream) {
+            feed.access(ref);
+            tallies.access(ref);
+            instructions += ref.isIfetch() ? 1 : 0;
+            loads += ref.type == RefType::Load ? 1 : 0;
+        }
+        feed.flush();
+        tallies.flush();
+        EXPECT_EQ(tallies.instructions(), instructions) << what;
+        EXPECT_EQ(tallies.loads(), loads) << what;
+        EXPECT_EQ(tallies.refs(), stream.size()) << what;
+    }
+    seen.l1Events = fedLog.events;
+
+    auto twins = feedMachines(c.plan);
+    LineLog twinLog;
+    L1Filter twinL1(l1c, twinLog);
+    uint64_t instructions = 0, refs = 0, resetAt = 0;
+    uint64_t next = c.firstEvent;
+    std::vector<std::vector<uint64_t>> snapshots;
+    for (MemRef ref : stream) {
+        ref.addr += c.offset;
+        for (auto &m : twins)
+            m->access(ref);
+        twinL1.access(ref);
+        ++refs;
+        if (ref.isIfetch() && ++instructions == c.warmup) {
+            for (auto &m : twins)
+                m->resetStats();
+            twinL1.resetStats();
+            resetAt = refs;
+        }
+        if (c.firstEvent != 0 && refs == next) {
+            snapshots.push_back(machineCounters(*twins[1]));
+            next += c.every;
+        }
+    }
+
+    for (size_t i = 0; i < twins.size(); ++i) {
+        EXPECT_EQ(machineCounters(*fed[i]), machineCounters(*twins[i]))
+            << what << " machine " << i;
+    }
+    for (const bool il1 : {true, false}) {
+        const CacheStats &a = il1 ? fedL1.il1Stats() : fedL1.dl1Stats();
+        const CacheStats &b = il1 ? twinL1.il1Stats() : twinL1.dl1Stats();
+        EXPECT_EQ(a.accesses, b.accesses) << what;
+        EXPECT_EQ(a.hits, b.hits) << what;
+        EXPECT_EQ(a.misses, b.misses) << what;
+    }
+    EXPECT_TRUE(sameEvents(fedLog.events, twinLog.events)) << what;
+    EXPECT_EQ(seen.snapshots, snapshots) << what;
+    if (c.firstEvent != 0) {
+        EXPECT_EQ(seen.resetAt, resetAt) << what;
+    }
+    return seen;
+}
 } // namespace
 
 TEST(BatchDeterminism, EveryTable1WorkloadAgreesBatchedAndPerRef)
@@ -219,6 +431,8 @@ TEST(BatchDeterminism, EveryTable1WorkloadAgreesBatchedAndPerRef)
     for (const std::string &name : allWorkloadNames()) {
         expectRowsEqual(runWith(name, "table1_" + name),
                         runWith(name, ""), name);
+        expectFeedMatchesPerRef(recordStream(name, 20'000), {},
+                                "feed " + name);
     }
 }
 
@@ -227,6 +441,8 @@ TEST(BatchDeterminism, AdversarialWorkloadsAgreeBatchedAndPerRef)
     for (const std::string &name : adversarialWorkloadNames()) {
         expectRowsEqual(runWith(name, "adversarial_" + name),
                         runWith(name, ""), name);
+        expectFeedMatchesPerRef(recordStream(name, 20'000), {},
+                                "feed " + name);
     }
 }
 
@@ -241,6 +457,15 @@ TEST(BatchDeterminism, WarmupResetLandsMidChunkExactly)
     expectRowsEqual(sampled, runWith("179.art", "", 37'777), "warmup");
     expectRowsEqual({"", "", 120'623, 7'549, 7'549, 7'549, 0, 0},
                     sampled, "pinned warmup row");
+
+    // Every feed target restarts on the same mid-chunk reference.
+    const std::vector<MemRef> stream = recordStream("181.mcf", 20'000);
+    FeedCase c;
+    c.warmup = 7'777;
+    c.firstEvent = 1'000;
+    const FeedSeen seen = expectFeedMatchesPerRef(stream, c, "feed warmup");
+    EXPECT_EQ(seen.resetAt, warmupRefsOf(stream, c.warmup));
+    EXPECT_NE(seen.resetAt % MigrationMachine::kBatchRefs, 0u);
 }
 
 TEST(BatchDeterminism, ArmedFaultPlanAgreesBatchedAndPerRef)
@@ -253,6 +478,16 @@ TEST(BatchDeterminism, ArmedFaultPlanAgreesBatchedAndPerRef)
         "at=90000:core_on=1";
     expectRowsEqual(runWith("179.art", "fault", 0, plan),
                     runWith("179.art", "", 0, plan), "fault");
+
+    // A feed keeps the armed machine's timeline beside clean ones.
+    FeedCase c;
+    c.plan = "seed=5;rate=0.001:bus_drop;at=6000:core_off=1;"
+             "at=9000:core_on=1";
+    c.firstEvent = 777;
+    c.every = 777;
+    const FeedSeen seen = expectFeedMatchesPerRef(
+        recordStream("storm.thrash", 20'000), c, "feed fault");
+    ASSERT_FALSE(seen.snapshots.empty());
 }
 
 TEST(BatchDeterminism, JournalJsonlBytesAgreeBatchedAndPerRef)
@@ -329,9 +564,8 @@ TEST(BatchDeterminism, SampleCutOnWarmupReference)
     // ring keeps every row (each row scans all four L2s); cadence 0
     // turns tick sampling off.
     const uint64_t warmup = 37'777;
-    WarmupRefCounter counter(warmup);
-    makeWorkload("179.art")->run(counter, warmup, 42);
-    const uint64_t warmup_refs = counter.refs();
+    const uint64_t warmup_refs =
+        warmupRefsOf(recordStream("179.art", warmup), warmup);
     ASSERT_GT(warmup_refs, warmup);
 
     struct Case
@@ -356,6 +590,38 @@ TEST(BatchDeterminism, SampleCutOnWarmupReference)
         EXPECT_EQ(plain.journal, a.journal) << tag;
         EXPECT_EQ(fnvBytes(0xcbf29ce484222325ull, a.samples), c.csvDigest)
             << tag;
+    }
+
+    // A feed owner's first event on the warm-up reference reads every
+    // target after the reset.
+    const std::vector<MemRef> stream = recordStream("181.mcf", 20'000);
+    FeedCase c;
+    c.warmup = 7'777;
+    c.firstEvent = warmupRefsOf(stream, c.warmup);
+    const FeedSeen seen = expectFeedMatchesPerRef(stream, c, "feed cut");
+    EXPECT_EQ(seen.resetAt, c.firstEvent);
+    ASSERT_FALSE(seen.snapshots.empty());
+    EXPECT_EQ(seen.snapshots.front()[1], 0u) << "refs since the reset";
+}
+
+TEST(BatchDeterminism, FeedOwnerCutsAtEveryChunkPosition)
+{
+    // The owner's first event lands p references into the second
+    // chunk, for every p in 0..K, and the stream is offset into a
+    // tenant's address range.
+    const std::vector<MemRef> stream = recordStream("181.mcf", 3'000);
+    const size_t k = MigrationMachine::kBatchRefs;
+    for (size_t p = 0; p <= k; ++p) {
+        FeedCase c;
+        c.offset = TenantArena::kTenantAddressStride * 3;
+        c.firstEvent = k + p;
+        c.every = 97;
+        const FeedSeen seen = expectFeedMatchesPerRef(
+            stream, c, "cut at " + std::to_string(p));
+        EXPECT_EQ(seen.snapshots.size(),
+                  (stream.size() - k - p) / c.every + 1);
+        ASSERT_FALSE(seen.l1Events.empty());
+        EXPECT_GE(seen.l1Events.front().line, c.offset / 64);
     }
 }
 

@@ -68,15 +68,6 @@ TEST(RefRecorder, RecordsAndReplays)
     EXPECT_TRUE(rec.refs().empty());
 }
 
-TEST(TeeSink, ForwardsToBoth)
-{
-    RefRecorder a, b;
-    TeeSink tee(a, b);
-    tee.access(MemRef::ifetch(0x1000));
-    EXPECT_EQ(a.refs().size(), 1u);
-    EXPECT_EQ(b.refs().size(), 1u);
-}
-
 TEST(RefCounter, CountsByType)
 {
     RefCounter c;

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/migration_controller.hpp"
 #include "mem/ref.hpp"
@@ -323,6 +324,40 @@ TEST(Recovery, MachineSurvivesChurnAndRejoin)
     // 3 -> 2 live and the rejoin to 3 keep it at 2 ways.
     EXPECT_EQ(machine.controller()->recovery().resplits, 1u);
     EXPECT_EQ(machine.controller()->splitWays(), 2u);
+}
+
+TEST(Recovery, RepeatedIgnoredCoreEventsWarnOncePerMachine)
+{
+    // Generated fault plans repeat redundant churn and name missing
+    // cores on purpose: each kind of ignored event warns once per
+    // machine, however often it fires, and only applied events count.
+    MachineConfig cfg;
+    cfg.numCores = 4;
+    cfg.faultPlan =
+        "seed=3;at=1000:core_off=1;at=2000:core_off=1;"
+        "at=3000:core_off=1;at=4000:core_on=2;at=5000:core_on=2;"
+        "at=6000:core_off=9;at=7000:core_off=9";
+    testing::internal::CaptureStderr();
+    MigrationMachine machine(cfg);
+    CircularStream stream(2'000);
+    for (uint64_t i = 0; i < 5'000; ++i) {
+        machine.access(MemRef::ifetch(0x400000 + (i % 4096) * 4));
+        machine.access(MemRef::load(stream.next() * 64));
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    const auto count = [&](const std::string &needle) {
+        size_t n = 0;
+        for (size_t at = err.find(needle); at != std::string::npos;
+             at = err.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("warn:"), 3u) << err;
+    EXPECT_EQ(count("core_off for core 1 ignored"), 1u) << err;
+    EXPECT_EQ(count("core_on for core 2 ignored"), 1u) << err;
+    EXPECT_EQ(count("names core 9"), 1u) << err;
+    EXPECT_EQ(machine.stats().coreOffEvents, 1u);
+    EXPECT_EQ(machine.stats().coreOnEvents, 0u);
 }
 
 } // namespace

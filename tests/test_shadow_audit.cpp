@@ -24,6 +24,7 @@
 #include "core/soa_oe_store.hpp"
 #include "core/kway_splitter.hpp"
 #include "mem/trace.hpp"
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/synthetic.hpp"
@@ -365,7 +366,7 @@ TEST(ShadowAuditMachine, CleanRunOverOldenTraffic)
     cfg.numCores = 2;
     cfg.controller = wideController(2);
     MigrationMachine machine(cfg);
-    makeWorkload("mst")->run(machine, 60'000);
+    ChunkFeed({&machine}).run(*makeWorkload("mst"), 60'000);
     ASSERT_NE(machine.controller(), nullptr);
     ASSERT_NE(machine.controller()->shadowAudit(), nullptr);
     EXPECT_GT(machine.controller()->shadowAudit()->comparisons(), 0u);

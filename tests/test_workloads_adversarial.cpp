@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/registry.hpp"
 
@@ -23,7 +24,7 @@ runOn(const std::string &name, uint64_t instructions, uint64_t seed)
 {
     MachineConfig config;
     MigrationMachine machine(config);
-    makeWorkload(name)->run(machine, instructions, seed);
+    ChunkFeed({&machine}).run(*makeWorkload(name), instructions, seed);
     return machine.stats();
 }
 
