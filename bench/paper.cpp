@@ -14,15 +14,16 @@ namespace xmig {
 
 namespace {
 
-/** Budget flags: the experiment runs workloads for --instr each. */
-constexpr uint32_t kBudget = kFlagInstr | kFlagScale | kFlagSeed;
+/** Budget flags: the experiment runs workloads for --instr each, its
+ *  cells on --jobs workers. */
+constexpr uint32_t kBudget = kFlagInstr | kFlagScale | kFlagSeed | kFlagJobs;
 
-/** A budget experiment that sweeps named workloads on --jobs workers. */
-constexpr uint32_t kSweep = kBudget | kFlagBench | kFlagJobs;
+/** A budget experiment over the workloads --bench names. */
+constexpr uint32_t kSweep = kBudget | kFlagBench;
 
 const Experiment kExperiments[] = {
     {"table1", "Table 1: benchmark inventory and 16-KB L1 misses",
-     20'000'000, 0, kBudget | kFlagBench, paperTable1},
+     20'000'000, 0, kSweep, paperTable1},
     {"table2", "Table 2: L2 misses, 1 core vs 4 cores with migration",
      20'000'000, 1'000'000, kCommonFlags & ~kFlagCsv, paperTable2},
     {"fig1", "Figure 1: migration mode vs throughput mode",
@@ -45,22 +46,21 @@ const Experiment kExperiments[] = {
     {"linesize", "Section 4.1: cache-line-size ablation", 10'000'000,
      1'000'000, kSweep | kFlagSmoke, paperLineSize},
     {"mechanism", "A_R, R-window and L2-filtering mechanism ablations",
-     10'000'000, 1'000'000, kBudget | kFlagJobs | kFlagSmoke,
-     paperMechanism},
+     10'000'000, 1'000'000, kBudget | kFlagSmoke, paperMechanism},
     {"updatebus", "Section 2.3: update-bus bandwidth", 4'000'000, 0,
      kBudget, paperUpdateBus},
     {"timing", "Sections 2.2 and 2.4: migration penalty and IPC",
-     12'000'000, 0, kBudget | kFlagBench, paperTiming},
+     12'000'000, 0, kSweep, paperTiming},
     {"pmig", "Sections 2.4 and 4.2: migration-penalty break-even",
-     20'000'000, 0, kBudget | kFlagBench, paperPmig},
+     20'000'000, 0, kSweep, paperPmig},
     {"prefetch", "Section 6: stride prefetching vs migration",
-     12'000'000, 0, kBudget | kFlagBench, paperPrefetch},
+     12'000'000, 0, kSweep, paperPrefetch},
     {"corecount", "Section 6: core-count scaling", 12'000'000,
      1'000'000, kSweep | kFlagSmoke, paperCoreCount},
     {"ptrfilter", "Section 6: pointer-load transition filtering",
-     10'000'000, 0, kBudget | kFlagBench, paperPtrFilter},
+     10'000'000, 0, kSweep, paperPtrFilter},
     {"l3", "Finite shared L3: on-chip vs off-chip traffic", 10'000'000,
-     0, kBudget | kFlagBench, paperL3},
+     0, kSweep, paperL3},
     {"resilience", "Fault resilience: degradation and core-loss "
                    "recovery",
      8'000'000, 2'000'000, kSweep | kFlagSmoke | kFlagCsvDir,

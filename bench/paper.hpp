@@ -9,7 +9,7 @@
  * the experiment would ignore is fatal and named. An experiment's run
  * function returns its stdout text and writes its file artifacts
  * through writeArtifact(); the driver flushes the text in one piece.
- * An experiment that reads --jobs runs its cells through runSweep()
+ * Every experiment reads --jobs and runs its cells through runSweep()
  * (sim/runner/sweep.hpp): each cell builds its own machines, streams
  * and RNGs, and results are collated in cell order, so the output is
  * byte-identical at any --jobs (docs/parallelism.md).

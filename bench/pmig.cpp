@@ -7,14 +7,15 @@
  * wins whenever P_mig (the migration penalty in L2-miss/L3-hit
  * units) is below that number. The paper works this out for 181.mcf
  * (~60). A stall-cycle model then translates the trade into
- * estimated speedups for several P_mig values.
+ * estimated speedups for several P_mig values. One sweep cell per
+ * benchmark.
  */
 
 #include "multicore/cost_model.hpp"
 #include "paper.hpp"
 #include "sim/quadcore.hpp"
+#include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
-#include "workloads/registry.hpp"
 
 using namespace xmig;
 
@@ -31,26 +32,27 @@ xmig::paperPmig(const BenchOptions &opt)
 
     const double pmigs[] = {5, 10, 20, 60, 100};
 
-    AsciiTable table({"benchmark", "ratio", "breakeven-Pmig",
-                      "speedup@5", "speedup@10", "speedup@20",
-                      "speedup@60", "speedup@100"});
-    for (const auto &name : benches) {
-        const QuadcoreRow r = runQuadcore(name, params);
+    const SweepSpec spec{benches.size(), [&](size_t i) {
+        const QuadcoreRow r = runQuadcore(benches[i], params);
         MigrationTradeoff t;
         t.instructions = r.instructions;
         t.l2MissesBaseline = r.l2MissesBaseline;
         t.l2MissesMigration = r.l2Misses4x;
         t.migrations = r.migrations;
 
-        std::vector<std::string> row{r.name, ratio2(r.missRatio()),
-                                     ratio2(breakEvenPmig(t))};
+        SweepRow row{"", {r.name, ratio2(r.missRatio()),
+                          ratio2(breakEvenPmig(t))}};
         for (double pmig : pmigs) {
             TimingParams tp;
             tp.pmig = pmig;
-            row.push_back(ratio2(estimatedSpeedup(t, tp)));
+            row.cells.push_back(ratio2(estimatedSpeedup(t, tp)));
         }
-        table.addRow(row);
-    }
+        return RunResult{"", {row}};
+    }};
+    AsciiTable table({"benchmark", "ratio", "breakeven-Pmig",
+                      "speedup@5", "speedup@10", "speedup@20",
+                      "speedup@60", "speedup@100"});
+    collateRows(runSweep(spec, opt.jobs), table);
     return table.render("Break-even P_mig and modeled speedups "
                         "(baseCPI=1, L3-hit penalty=20 cycles); "
                         "speedup > 1 means migration wins") +

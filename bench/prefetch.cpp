@@ -14,11 +14,15 @@
  * technique; pointer chasers (health, em3d, mcf) defeat the
  * prefetcher but still split; random programs (gzip) gain from
  * neither; and migration+prefetch together cover the union.
+ *
+ * One sweep cell per benchmark: all four machines share the cell's
+ * one workload stream.
  */
 
 #include "multicore/feed.hpp"
 #include "multicore/machine.hpp"
 #include "paper.hpp"
+#include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
 
@@ -31,9 +35,7 @@ xmig::paperPrefetch(const BenchOptions &opt)
         benchmarksOr(opt, {"179.art", "171.swim", "181.mcf", "188.ammp",
                            "em3d", "health", "164.gzip"});
 
-    AsciiTable table({"benchmark", "base", "base+pf", "mig", "mig+pf",
-                      "pf-accuracy"});
-    for (const auto &name : benches) {
+    const SweepSpec spec{benches.size(), [&](size_t i) {
         MachineConfig base_cfg;
         base_cfg.numCores = 1;
         MachineConfig pf_cfg = base_cfg;
@@ -45,7 +47,7 @@ xmig::paperPrefetch(const BenchOptions &opt)
 
         MigrationMachine base(base_cfg), pf(pf_cfg), mig(mig_cfg),
             migpf(migpf_cfg);
-        auto workload = makeWorkload(name);
+        auto workload = makeWorkload(benches[i]);
         ChunkFeed({&base, &pf, &mig, &migpf})
             .run(*workload, opt.instructions, opt.seed);
 
@@ -54,13 +56,18 @@ xmig::paperPrefetch(const BenchOptions &opt)
             ? 0.0
             : static_cast<double>(pf.stats().prefetchUseful) /
               static_cast<double>(pf.stats().prefetchFills);
-        table.addRow({workload->info().name,
-                      perEvent(instr, base.stats().l2Misses),
-                      perEvent(instr, pf.stats().l2Misses),
-                      perEvent(instr, mig.stats().l2Misses),
-                      perEvent(instr, migpf.stats().l2Misses),
-                      ratio2(accuracy)});
-    }
+        return RunResult{"",
+                         {{"",
+                           {workload->info().name,
+                            perEvent(instr, base.stats().l2Misses),
+                            perEvent(instr, pf.stats().l2Misses),
+                            perEvent(instr, mig.stats().l2Misses),
+                            perEvent(instr, migpf.stats().l2Misses),
+                            ratio2(accuracy)}}}};
+    }};
+    AsciiTable table({"benchmark", "base", "base+pf", "mig", "mig+pf",
+                      "pf-accuracy"});
+    collateRows(runSweep(spec, opt.jobs), table);
     return table.render("Instructions per L2 miss (higher is better): "
                         "baseline, stride prefetch (degree 4), 4-core "
                         "migration, and both");

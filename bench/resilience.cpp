@@ -34,6 +34,7 @@
 #include "multicore/timing.hpp"
 #include "paper.hpp"
 #include "sim/runner/sweep.hpp"
+#include "util/contracts.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
@@ -134,7 +135,7 @@ xmig::paperResilience(const BenchOptions &opt)
         smoke ? " (smoke)" : "");
 
     // ----- Experiment 1: degradation sweep ---------------------------
-    TimingModel timing;
+    const TimingModel timing; // read-only: shared by the sweep cells
     std::string deg_csv =
         "rate,l2_misses,miss_ratio_vs_clean,migrations,"
         "faults_injected,mig_timeouts,mig_retries,"
@@ -222,14 +223,13 @@ xmig::paperResilience(const BenchOptions &opt)
                         "(watchdog on)");
 
     // ----- Experiment 2: recovery after core loss --------------------
-    // Size the scripted unplug in references: run the workload into
-    // a feed with no target (deterministic streams make its count
-    // exact), then fire core_off=2 at the halfway reference.
-    ChunkFeed counter;
-    counter.run(*makeWorkload(bench), opt.instructions, opt.seed);
-    const uint64_t fault_ref = counter.refs() / 2;
-    const uint64_t window =
-        std::max<uint64_t>(counter.refs() / 100, 10'000);
+    // Size the scripted unplug in references: the clean degradation
+    // point ran the same stream (deterministic streams make its count
+    // exact), so fire core_off=2 at its halfway reference.
+    XMIG_ASSERT(rates[0] == 0.0, "the first sweep point must be clean");
+    const uint64_t refs = points[0].stats.refs;
+    const uint64_t fault_ref = refs / 2;
+    const uint64_t window = std::max<uint64_t>(refs / 100, 10'000);
 
     MachineConfig cfg;
     cfg.faultPlan = formatString("seed=1;at=%llu:core_off=2",

@@ -9,9 +9,12 @@
  * comparison point is each benchmark's *class*: instruction-miss
  * heavy (gcc, crafty, vortex), data-miss heavy (art, mcf, ammp), or
  * light (bh, twolf, ...).
+ *
+ * One sweep cell per benchmark; rows are sectioned by suite.
  */
 
 #include "paper.hpp"
+#include "sim/runner/sweep.hpp"
 #include "sim/table1.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
@@ -25,22 +28,23 @@ xmig::paperTable1(const BenchOptions &opt)
     params.instructionsPerBenchmark = opt.instructions;
     params.seed = opt.seed;
 
-    AsciiTable table({"benchmark", "instr(M)", "IL1-miss(M)",
-                      "DL1-miss(M)", "loads(M)", "stores(M)"});
+    const std::vector<std::string> names =
+        benchmarksOr(opt, allWorkloadNames());
     const auto millions = [](uint64_t v) {
         return formatString("%.2f", static_cast<double>(v) / 1e6);
     };
-    std::string suite;
-    for (const auto &name : benchmarksOr(opt, allWorkloadNames())) {
-        const Table1Row row = runTable1(name, params);
-        if (row.suite != suite) {
-            suite = row.suite;
-            table.addSection(suite);
-        }
-        table.addRow({row.name, millions(row.instructions),
-                      millions(row.il1Misses), millions(row.dl1Misses),
-                      millions(row.loads), millions(row.stores)});
-    }
+    const SweepSpec spec{names.size(), [&](size_t i) {
+        const Table1Row r = runTable1(names[i], params);
+        return RunResult{
+            "",
+            {{r.suite,
+              {r.name, millions(r.instructions), millions(r.il1Misses),
+               millions(r.dl1Misses), millions(r.loads),
+               millions(r.stores)}}}};
+    }};
+    AsciiTable table({"benchmark", "instr(M)", "IL1-miss(M)",
+                      "DL1-miss(M)", "loads(M)", "stores(M)"});
+    collateRows(runSweep(spec, opt.jobs), table);
     return table.render("Table 1 reproduction: benchmarks, dynamic "
                         "instructions, 16KB L1 misses");
 }

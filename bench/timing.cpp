@@ -15,8 +15,8 @@
 #include "multicore/timing.hpp"
 #include "paper.hpp"
 #include "sim/quadcore.hpp"
+#include "sim/runner/sweep.hpp"
 #include "util/stats.hpp"
-#include "workloads/registry.hpp"
 
 using namespace xmig;
 
@@ -44,31 +44,36 @@ xmig::paperTiming(const BenchOptions &opt)
                                    "issue-to-retire depth (+ drain "
                                    "re-steers)");
 
-    // IPC and speedup per benchmark under the stall model.
-    TimingModel model;
+    // IPC and speedup per benchmark under the stall model, one sweep
+    // cell per benchmark; the cells share the read-only model.
+    const TimingModel model;
     out += formatString(
         "\nStall model: baseCPI 1.0, L3 hit 20 cycles, migration %.1f "
         "cycles (P_mig = %.2f)\n\n",
         model.migrationPenaltyCycles(), model.pmig());
 
-    AsciiTable table({"benchmark", "IPC base", "IPC migration",
-                      "speedup"});
-    for (const auto &name :
-         benchmarksOr(opt, {"179.art", "188.ammp", "em3d", "health",
-                            "181.mcf", "164.gzip", "175.vpr"})) {
-        QuadcoreParams params;
-        params.instructionsPerBenchmark = opt.instructions;
-        params.seed = opt.seed;
-        const QuadcoreRow r = runQuadcore(name, params);
+    QuadcoreParams params;
+    params.instructionsPerBenchmark = opt.instructions;
+    params.seed = opt.seed;
+    const std::vector<std::string> benches =
+        benchmarksOr(opt, {"179.art", "188.ammp", "em3d", "health",
+                           "181.mcf", "164.gzip", "175.vpr"});
+    const SweepSpec spec{benches.size(), [&](size_t i) {
+        const QuadcoreRow r = runQuadcore(benches[i], params);
         MachineStats base, mig;
         base.instructions = mig.instructions = r.instructions;
         base.l2Misses = r.l2MissesBaseline;
         mig.l2Misses = r.l2Misses4x;
         mig.migrations = r.migrations;
-        table.addRow({r.name, formatString("%.3f", model.ipc(base)),
-                      formatString("%.3f", model.ipc(mig)),
-                      ratio2(model.speedup(base, mig))});
-    }
+        return RunResult{"",
+                         {{"",
+                           {r.name, formatString("%.3f", model.ipc(base)),
+                            formatString("%.3f", model.ipc(mig)),
+                            ratio2(model.speedup(base, mig))}}}};
+    }};
+    AsciiTable table({"benchmark", "IPC base", "IPC migration",
+                      "speedup"});
+    collateRows(runSweep(spec, opt.jobs), table);
     out += table.render("Estimated IPC: single core vs 4-core "
                         "execution migration");
     return out;

@@ -6,13 +6,14 @@
  * (4 register updates + 1 store + 1 branch per cycle), sweeps the
  * retirement width, and reports the measured per-instruction store
  * mix of each benchmark to translate the peak figure into an average
- * demand.
+ * demand. One sweep cell per benchmark.
  */
 
 #include "multicore/feed.hpp"
 #include "multicore/regcache.hpp"
 #include "multicore/update_bus.hpp"
 #include "paper.hpp"
+#include "sim/runner/sweep.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workloads/registry.hpp"
@@ -46,10 +47,10 @@ xmig::paperUpdateBus(const BenchOptions &opt)
     out += sweep.render("Peak requirement vs retirement width");
 
     out += "\n";
-    AsciiTable mix({"benchmark", "stores/instr", "bytes/instr(avg)"});
-    for (const auto &name : allWorkloadNames()) {
+    const std::vector<std::string> names = allWorkloadNames();
+    const SweepSpec spec{names.size(), [&](size_t i) {
         ChunkFeed counter;
-        counter.run(*makeWorkload(name), opt.instructions, opt.seed);
+        counter.run(*makeWorkload(names[i]), opt.instructions, opt.seed);
         const double store_frac =
             static_cast<double>(counter.stores()) /
             static_cast<double>(counter.instructions());
@@ -57,9 +58,13 @@ xmig::paperUpdateBus(const BenchOptions &opt)
         // classic ~1-in-5 integer-code rule of thumb.
         const double bytes = paper_model.bytesPerInstruction(
             store_frac, 0.2, 0.7);
-        mix.addRow({name, formatString("%.3f", store_frac),
-                    formatString("%.1f", bytes)});
-    }
+        return RunResult{"",
+                         {{"",
+                           {names[i], formatString("%.3f", store_frac),
+                            formatString("%.1f", bytes)}}}};
+    }};
+    AsciiTable mix({"benchmark", "stores/instr", "bytes/instr(avg)"});
+    collateRows(runSweep(spec, opt.jobs), mix);
     out += mix.render("Average per-instruction broadcast demand by "
                       "benchmark mix");
 

@@ -1,13 +1,12 @@
 /**
  * @file
  * Reference-stream sinks: the interface every workload emits into,
- * and the small sinks tests record and count with. Machines and L1
- * filters are driven through the chunked feed (multicore/feed.hpp).
+ * and the small sinks that discard or record a stream. Machines and
+ * L1 filters are driven through the chunked feed (multicore/feed.hpp).
  */
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "mem/ref.hpp"
@@ -16,8 +15,7 @@ namespace xmig {
 
 /**
  * Consumer of a dynamic reference stream: what a workload emits into.
- * The chunked feed, the L1 filter and the recording sinks below
- * implement it.
+ * The chunked feed, the L1 filter and the sinks below implement it.
  */
 class RefSink
 {
@@ -54,40 +52,6 @@ class RefRecorder : public RefSink
 
   private:
     std::vector<MemRef> refs_;
-};
-
-/** Sink that counts references by type. */
-class RefCounter : public RefSink
-{
-  public:
-    void
-    access(const MemRef &ref) override
-    {
-        switch (ref.type) {
-          case RefType::Ifetch:
-            ++ifetches_;
-            break;
-          case RefType::Load:
-            ++loads_;
-            break;
-          case RefType::Store:
-            ++stores_;
-            break;
-        }
-    }
-
-    uint64_t ifetches() const { return ifetches_; }
-    uint64_t loads() const { return loads_; }
-    uint64_t stores() const { return stores_; }
-    uint64_t total() const { return ifetches_ + loads_ + stores_; }
-
-    /** One dynamic instruction per instruction fetch. */
-    uint64_t instructions() const { return ifetches_; }
-
-  private:
-    uint64_t ifetches_ = 0;
-    uint64_t loads_ = 0;
-    uint64_t stores_ = 0;
 };
 
 } // namespace xmig

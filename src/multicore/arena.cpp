@@ -450,10 +450,7 @@ TenantArena::run()
                      static_cast<int64_t>(
                          sched.colocationScore(t) * 1000.0));
     }
-    const double makespan =
-        config_.mode == ArenaMode::Migration
-            ? runMigrationSchedule(sched)
-            : runThroughputSchedule(sched);
+    const double makespan = runSchedule(sched);
     XMIG_ASSERT(sched.allFinished(),
                 "arena schedule ended with tenants outstanding");
 
@@ -572,33 +569,21 @@ TenantArena::runTurn(TenantScheduler &sched, unsigned tenant,
 }
 
 double
-TenantArena::runMigrationSchedule(TenantScheduler &sched)
+TenantArena::runSchedule(TenantScheduler &sched)
 {
     // Migration mode: exactly one tenant runs at a time, roaming the
-    // aggregate L2 with its own affinity controller.
+    // aggregate L2 with its own affinity controller. Throughput mode:
+    // residents advance concurrently in simulated time on pinned
+    // cores. The round-robin quantum interleave is what arbitrates
+    // shared-L3 contention — a pure function of the schedule, hence
+    // deterministic at any --jobs.
+    const bool serial_time = config_.mode == ArenaMode::Migration;
     double makespan = 0.0;
     while (!sched.allFinished()) {
         const unsigned t = sched.nextTurn();
         XMIG_ASSERT(t != TenantScheduler::kNone,
                     "unfinished schedule granted no turn");
-        runTurn(sched, t, &makespan, /*serial_time=*/true);
-    }
-    return makespan;
-}
-
-double
-TenantArena::runThroughputSchedule(TenantScheduler &sched)
-{
-    // Throughput mode: residents advance concurrently in simulated
-    // time on pinned cores. The round-robin quantum interleave is
-    // what arbitrates shared-L3 contention — a pure function of the
-    // schedule, hence deterministic at any --jobs.
-    double makespan = 0.0;
-    while (!sched.allFinished()) {
-        const unsigned t = sched.nextTurn();
-        XMIG_ASSERT(t != TenantScheduler::kNone,
-                    "unfinished schedule granted no turn");
-        runTurn(sched, t, &makespan, /*serial_time=*/false);
+        runTurn(sched, t, &makespan, serial_time);
     }
     return makespan;
 }

@@ -184,8 +184,7 @@ class TenantArena
     void probeTenants();
     void buildSharedL3();
     void buildSessions();
-    double runMigrationSchedule(TenantScheduler &sched);
-    double runThroughputSchedule(TenantScheduler &sched);
+    double runSchedule(TenantScheduler &sched);
     uint64_t feedQuantum(Session &session, uint64_t budget);
     void runTurn(TenantScheduler &sched, unsigned tenant,
                  double *makespan, bool serial_time);

@@ -119,19 +119,13 @@ class TimingModel
     TimingModel(const LatencyParams &latency = {},
                 const PipelineParams &pipeline = {})
         : latency_(latency),
-          protocol_(pipeline)
+          protocol_(pipeline),
+          penaltyCycles_(protocol_.expectedPenaltyCycles())
     {
     }
 
     /** Migration penalty in cycles (expected, with mispredicts). */
-    double
-    migrationPenaltyCycles() const
-    {
-        if (penaltyCycles_ < 0) {
-            penaltyCycles_ = protocol_.expectedPenaltyCycles();
-        }
-        return penaltyCycles_;
-    }
+    double migrationPenaltyCycles() const { return penaltyCycles_; }
 
     /** The protocol's penalty expressed in P_mig units (L3 hits). */
     double
@@ -200,7 +194,8 @@ class TimingModel
   private:
     LatencyParams latency_;
     MigrationProtocolModel protocol_;
-    mutable double penaltyCycles_ = -1.0;
+    /** Computed once, so a model shared across threads is read-only. */
+    double penaltyCycles_;
 };
 
 } // namespace xmig

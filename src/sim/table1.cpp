@@ -34,13 +34,4 @@ runTable1(const std::string &benchmark, const Table1Params &params)
     return row;
 }
 
-std::vector<Table1Row>
-runTable1All(const Table1Params &params)
-{
-    std::vector<Table1Row> rows;
-    for (const auto &name : allWorkloadNames())
-        rows.push_back(runTable1(name, params));
-    return rows;
-}
-
 } // namespace xmig

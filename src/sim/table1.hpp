@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace xmig {
 
@@ -40,8 +39,5 @@ struct Table1Params
 /** Run the inventory for one benchmark. */
 Table1Row runTable1(const std::string &benchmark,
                     const Table1Params &params);
-
-/** Run the inventory for every benchmark in Table 1 order. */
-std::vector<Table1Row> runTable1All(const Table1Params &params);
 
 } // namespace xmig

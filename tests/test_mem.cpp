@@ -68,20 +68,6 @@ TEST(RefRecorder, RecordsAndReplays)
     EXPECT_TRUE(rec.refs().empty());
 }
 
-TEST(RefCounter, CountsByType)
-{
-    RefCounter c;
-    c.access(MemRef::ifetch(0));
-    c.access(MemRef::ifetch(4));
-    c.access(MemRef::load(64));
-    c.access(MemRef::store(128));
-    EXPECT_EQ(c.ifetches(), 2u);
-    EXPECT_EQ(c.loads(), 1u);
-    EXPECT_EQ(c.stores(), 1u);
-    EXPECT_EQ(c.total(), 4u);
-    EXPECT_EQ(c.instructions(), 2u);
-}
-
 TEST(NullSink, AcceptsEverything)
 {
     NullSink sink;

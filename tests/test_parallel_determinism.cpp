@@ -1,8 +1,8 @@
 /**
  * @file
- * End-to-end xmig-swift determinism: the Table 2 and Figure 1
- * experiments must emit *byte-identical* stdout and artifacts
- * whatever --jobs is set to, with and without an armed fault plan.
+ * End-to-end xmig-swift determinism: the paper experiments must emit
+ * *byte-identical* stdout and artifacts whatever --jobs is set to,
+ * with and without an armed fault plan.
  * This is the acceptance property the sweep runner promises
  * (docs/parallelism.md) — everything the serial run prints, the
  * parallel run prints, in the same order. The experiments run in
@@ -184,6 +184,39 @@ TEST(ParallelDeterminism, Figure1CsvIsByteIdenticalAcrossJobs)
     EXPECT_NE(serial.find("# crossover:"), std::string::npos);
     EXPECT_EQ(serial, csvAt(3));
     EXPECT_EQ(serial, csvAt(8));
+}
+
+/**
+ * More experiments on the same sweep: at a tiny budget, with several
+ * cells each, stdout at --jobs 4 must equal stdout at --jobs 1. Under
+ * a race detector this also checks that what the cells share (a
+ * timing model, parameters) is read-only. table1's benchmarks cross
+ * suites, so its section headers come out of the collation.
+ */
+TEST(ParallelDeterminism, SweptExperimentsAreByteIdenticalAcrossJobs)
+{
+    unsetenv("XMIG_JOBS");
+    const std::vector<std::vector<std::string>> cases = {
+        {"table1", "--bench", "179.art", "--bench", "em3d", "--bench",
+         "164.gzip"},
+        {"updatebus"},
+        {"timing", "--bench", "179.art", "--bench", "181.mcf"},
+        {"pmig", "--bench", "179.art", "--bench", "181.mcf"},
+        {"prefetch", "--bench", "171.swim", "--bench", "health"},
+        {"ptrfilter", "--bench", "181.mcf", "--bench", "164.gzip"},
+        {"l3", "--bench", "179.art", "--bench", "181.mcf"},
+        {"resilience", "--smoke"},
+    };
+    for (const std::vector<std::string> &args : cases) {
+        SCOPED_TRACE(args[0]);
+        const auto at = [&](int jobs) {
+            return run(with(args, {"--instr", "200000", "--jobs",
+                                   std::to_string(jobs)}));
+        };
+        const std::string serial = at(1);
+        ASSERT_FALSE(serial.empty());
+        EXPECT_EQ(serial, at(4));
+    }
 }
 
 TEST(ParallelDeterminism, JobsEnvironmentVariableIsHonored)

@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "cache/l1_filter.hpp"
+#include "multicore/feed.hpp"
 #include "workloads/code_walker.hpp"
 #include "workloads/registry.hpp"
 
@@ -92,9 +93,9 @@ TEST(Workloads, BudgetRespectedWithinSlack)
 {
     for (const auto &name : allWorkloadNames()) {
         auto w = makeWorkload(name);
-        RefCounter c;
+        ChunkFeed c;
         const uint64_t budget = 300'000;
-        w->run(c, budget);
+        c.run(*w, budget);
         EXPECT_GE(c.instructions(), budget) << name;
         // Kernels may overshoot by at most one inner phase.
         EXPECT_LT(c.instructions(), budget * 3 / 2) << name;
@@ -105,11 +106,11 @@ TEST(Workloads, EmitBothInstructionAndDataRefs)
 {
     for (const auto &name : allWorkloadNames()) {
         auto w = makeWorkload(name);
-        RefCounter c;
+        ChunkFeed c;
         // art's store-free recognition phase alone covers ~150k
         // instructions; use a budget that reaches every phase.
-        w->run(c, 400'000);
-        EXPECT_GT(c.ifetches(), 0u) << name;
+        c.run(*w, 400'000);
+        EXPECT_GT(c.instructions(), 0u) << name;
         EXPECT_GT(c.loads(), 0u) << name;
         EXPECT_GT(c.stores(), 0u) << name;
         // Data refs should not outnumber instructions.
