@@ -203,7 +203,6 @@ BM_ControllerRequestBatch(benchmark::State &state)
     l2c.lineBytes = mc.lineBytes;
     l2c.write = WritePolicy::WriteBackAllocate;
     l2c.skewed = mc.l2Skewed;
-    l2c.seed = 11;
     Cache l2(l2c);
 
     constexpr size_t kChunk = MigrationMachine::kBatchRefs;

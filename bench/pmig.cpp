@@ -53,9 +53,11 @@ xmig::paperPmig(const BenchOptions &opt)
                       "speedup@5", "speedup@10", "speedup@20",
                       "speedup@60", "speedup@100"});
     collateRows(runSweep(spec, opt.jobs), table);
-    return table.render("Break-even P_mig and modeled speedups "
-                        "(baseCPI=1, L3-hit penalty=20 cycles); "
-                        "speedup > 1 means migration wins") +
+    return table.render(formatString(
+               "Break-even P_mig and modeled speedups (baseCPI=%.0f, "
+               "L3-hit penalty=%.0f cycles); speedup > 1 means migration "
+               "wins",
+               kBaseCpi, kL3HitCycles)) +
            "\nPaper reference: 181.mcf removes ~60 L2 misses per "
            "migration, so P_mig < 60 wins.\n";
 }

@@ -31,8 +31,7 @@ xmig::paperTiming(const BenchOptions &opt)
             PipelineParams p;
             p.issueToRetireStages = depth;
             p.mispredictPerInstr = mp;
-            LatencyParams l;
-            TimingModel model(l, p);
+            TimingModel model(p);
             proto.addRow(
                 {formatString("%u", depth), formatString("%.2f", mp),
                  formatString("%.1f", model.migrationPenaltyCycles()),
@@ -48,9 +47,10 @@ xmig::paperTiming(const BenchOptions &opt)
     // cell per benchmark; the cells share the read-only model.
     const TimingModel model;
     out += formatString(
-        "\nStall model: baseCPI 1.0, L3 hit 20 cycles, migration %.1f "
+        "\nStall model: baseCPI %.1f, L3 hit %.0f cycles, migration %.1f "
         "cycles (P_mig = %.2f)\n\n",
-        model.migrationPenaltyCycles(), model.pmig());
+        kBaseCpi, kL3HitCycles, model.migrationPenaltyCycles(),
+        model.pmig());
 
     QuadcoreParams params;
     params.instructionsPerBenchmark = opt.instructions;

@@ -13,8 +13,7 @@ makeFrames(const CacheConfig &config)
     XMIG_ASSERT(lines >= config.ways && lines % config.ways == 0,
                 "capacity %llu lines not divisible by %u ways",
                 (unsigned long long)lines, config.ways);
-    return FrameArray(lines / config.ways, config.ways, config.skewed,
-                      config.repl, config.seed);
+    return FrameArray(lines / config.ways, config.ways, config.skewed);
 }
 
 } // namespace

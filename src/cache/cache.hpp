@@ -30,8 +30,12 @@ struct CacheConfig
     unsigned ways = 4;
     uint64_t lineBytes = 64;
     WritePolicy write = WritePolicy::WriteBackAllocate;
-    ReplPolicy repl = ReplPolicy::Lru;
     bool skewed = false; ///< skewed-associative instead of set-assoc
+    /**
+     * No effect: replacement is always LRU, so nothing is random. The
+     * field stays because xmig-bench/main.cpp, the fixed benchmark
+     * harness, still assigns it.
+     */
     uint64_t seed = 1;
 
     uint64_t numLines() const { return capacityBytes / lineBytes; }

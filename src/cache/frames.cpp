@@ -5,13 +5,10 @@
 
 namespace xmig {
 
-FrameArray::FrameArray(uint64_t sets, unsigned ways, bool skewed,
-                       ReplPolicy policy, uint64_t seed)
+FrameArray::FrameArray(uint64_t sets, unsigned ways, bool skewed)
     : sets_(sets),
       ways_(ways),
-      skewed_(skewed),
-      policy_(policy),
-      rng_(seed)
+      skewed_(skewed)
 {
     XMIG_ASSERT(sets >= 1 && std::has_single_bit(sets),
                 "set count must be a power of two");

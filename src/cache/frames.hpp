@@ -6,8 +6,7 @@
  * L2s and the L3 (cache.hpp), and the affinity cache of section 3.5
  * (core/soa_oe_store.hpp). Each frame is three columns:
  *  - `tag`: the full line address, or kInvalidTag for a free frame;
- *  - `stamp`: the replacement clock at the last touch (Lru) or the
- *    install (Fifo);
+ *  - `stamp`: the replacement clock at the last touch or install;
  *  - one flags byte: the paper's modified bit and the prefetched mark.
  * A probe reads 8 bytes per candidate way.
  *
@@ -19,8 +18,12 @@
  * line's candidate frames once, and every probe, touch and allocate
  * of that line reuses them.
  *
- * find() and the Lru/Fifo victim choice of allocate() select instead
- * of branching on data; a free frame always carries stamp 0.
+ * Replacement is LRU, the policy of every cache in the paper. The
+ * affinity cache's 2-bit age-based replacement (section 3.5) evicts
+ * the same victim: an age is a monotone function of the time since
+ * the last touch, and ties go to the LRU stamp. find() and the victim
+ * choice of allocate() select instead of branching on data; a free
+ * frame always carries stamp 0.
  */
 
 #pragma once
@@ -30,27 +33,10 @@
 
 #include "util/contracts.hpp"
 #include "util/hashing.hpp"
-#include "util/rng.hpp"
 
 namespace xmig {
 
-/** Replacement policy of a frame array. */
-enum class ReplPolicy : uint8_t
-{
-    Lru,    ///< least-recently used (global timestamps)
-    Fifo,   ///< oldest inserted
-    Random, ///< uniform random victim
-    /**
-     * The paper's 2-bit age-based replacement (section 3.5). An age
-     * is a monotone function of the time since the last touch and
-     * ties go to the LRU stamp, so it always evicts the LRU victim;
-     * the AgeEqualsLru golden tests (tests/test_tags.cpp,
-     * tests/test_oe_store.cpp) prove it on every golden stream.
-     */
-    Age = Lru,
-};
-
-/** Sets x ways of tagged frames with one replacement policy. */
+/** Sets x ways of tagged frames under LRU replacement. */
 class FrameArray
 {
   public:
@@ -82,11 +68,8 @@ class FrameArray
      * @param sets power-of-two set count (sets per bank when skewed)
      * @param ways associativity (banks when skewed)
      * @param skewed skewed-associative instead of set-associative
-     * @param policy replacement policy
-     * @param seed RNG seed for ReplPolicy::Random
      */
-    FrameArray(uint64_t sets, unsigned ways, bool skewed, ReplPolicy policy,
-               uint64_t seed = 1);
+    FrameArray(uint64_t sets, unsigned ways, bool skewed);
 
     Slots
     slots(uint64_t line) const
@@ -133,48 +116,32 @@ class FrameArray
 
     uint32_t find(uint64_t line) const { return find(line, slots(line)); }
 
-    /** Record a use of resident frame `f`; the clock always advances. */
-    void
-    touch(uint32_t f)
-    {
-        ++clock_;
-        if (policy_ != ReplPolicy::Fifo)
-            stamp_[f] = clock_;
-    }
+    /** Record a use of resident frame `f`. */
+    void touch(uint32_t f) { stamp_[f] = ++clock_; }
 
     /**
      * Install `line` (not resident) in one of its candidate frames:
-     * the first free one in way order, else the policy's victim. The
-     * frame comes back clean with a fresh stamp; what it held is
-     * reported in `evicted`. Lru and Fifo select the least stamp,
-     * first in way order, in one pass: a free frame has stamp 0 and a
-     * valid one at least 1.
+     * the first free one in way order, else the LRU victim. The frame
+     * comes back clean with a fresh stamp; what it held is reported in
+     * `evicted`. One pass selects the least stamp, first in way order:
+     * a free frame has stamp 0 and a valid one at least 1.
      */
     uint32_t
     allocate(uint64_t line, const Slots &s, Eviction &evicted)
     {
         XMIG_ASSERT(line != kInvalidTag, "cannot install the invalid tag");
+        XMIG_EXPECT(count(s, [&](uint32_t f) {
+                        return tag_[f] == kInvalidTag && stamp_[f] != 0;
+                    }) == 0,
+                    "a free candidate of line %llx is stamped",
+                    (unsigned long long)line);
         uint32_t victim = candidate(s, 0);
-        if (policy_ == ReplPolicy::Random) {
-            unsigned w = 0;
-            while (w < ways_ && tag_[candidate(s, w)] != kInvalidTag)
-                ++w;
-            if (w == ways_)
-                w = static_cast<unsigned>(rng_.below(ways_));
-            victim = candidate(s, w);
-        } else {
-            XMIG_EXPECT(count(s, [&](uint32_t f) {
-                            return tag_[f] == kInvalidTag && stamp_[f] != 0;
-                        }) == 0,
-                        "a free candidate of line %llx is stamped",
-                        (unsigned long long)line);
-            uint64_t least = stamp_[victim];
-            for (unsigned w = 1; w < ways_; ++w) {
-                const uint32_t f = candidate(s, w);
-                const bool older = stamp_[f] < least;
-                victim = older ? f : victim;
-                least = older ? stamp_[f] : least;
-            }
+        uint64_t least = stamp_[victim];
+        for (unsigned w = 1; w < ways_; ++w) {
+            const uint32_t f = candidate(s, w);
+            const bool older = stamp_[f] < least;
+            victim = older ? f : victim;
+            least = older ? stamp_[f] : least;
         }
         evicted.valid = tag_[victim] != kInvalidTag;
         evicted.modified = evicted.valid && modified(victim);
@@ -262,11 +229,9 @@ class FrameArray
     uint64_t sets_;
     unsigned ways_;
     bool skewed_;
-    ReplPolicy policy_;
     uint64_t clock_ = 0;
-    Rng rng_;
     std::vector<uint64_t> tag_;   ///< line address, kInvalidTag if free
-    std::vector<uint64_t> stamp_; ///< Lru: last touch; Fifo: install
+    std::vector<uint64_t> stamp_; ///< last touch or install, 0 if free
     std::vector<uint8_t> flags_;  ///< kModified | kPrefetched
 };
 

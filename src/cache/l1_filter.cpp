@@ -66,12 +66,10 @@ L1Filter::filterBatch(const MemRef *refs, size_t n, LineEvent *events,
  * remembered frame already holds the largest stamp of its set, and
  * LRU victims compare stamps only within a set, so a skipped touch
  * only shifts the clock and every later victim compares the same
- * way; Fifo and Random victims depend only on install stamps and
- * allocate-time draws. No L1 ever sets a modified bit (only the
- * write-through DL1 sees stores), so a hit has nothing else to
- * change. The fully-associative arm has one set, whose last line
- * already sits at the front of the recency list, where a hit would
- * splice it.
+ * way. No L1 ever sets a modified bit (only the write-through DL1
+ * sees stores), so a hit has nothing else to change. The
+ * fully-associative arm has one set, whose last line already sits at
+ * the front of the recency list, where a hit would splice it.
  */
 template <bool kFullyAssoc>
 inline bool

@@ -3,19 +3,16 @@
 #include <bit>
 
 #include "util/hashing.hpp"
-#include "util/contracts.hpp"
 
 namespace xmig {
 
 Prefetcher::Prefetcher(const PrefetcherConfig &config)
     : config_(config)
 {
-    if (config_.kind == PrefetchKind::Stride) {
-        XMIG_ASSERT(std::has_single_bit(
-                        uint64_t(config_.tableEntries)),
-                    "stride table size must be a power of two");
-        table_.resize(config_.tableEntries);
-    }
+    static_assert(std::has_single_bit(kTableEntries),
+                  "stride table size must be a power of two");
+    if (config_.kind == PrefetchKind::Stride)
+        table_.resize(kTableEntries);
 }
 
 void
@@ -49,9 +46,8 @@ Prefetcher::nextLine(uint64_t line, std::vector<uint64_t> &out)
 void
 Prefetcher::stride(uint64_t line, std::vector<uint64_t> &out)
 {
-    const uint64_t region = line >> config_.regionShift;
-    const uint64_t idx =
-        mix64(region) & (config_.tableEntries - 1);
+    const uint64_t region = line >> kRegionShift;
+    const uint64_t idx = mix64(region) & (kTableEntries - 1);
     StrideEntry &e = table_[idx];
 
     if (!e.valid || e.region != region) {
@@ -76,7 +72,7 @@ Prefetcher::stride(uint64_t line, std::vector<uint64_t> &out)
     }
     e.lastLine = line;
 
-    if (e.confidence >= config_.confidenceThreshold) {
+    if (e.confidence >= kConfidenceThreshold) {
         ++stats_.triggers;
         int64_t target = static_cast<int64_t>(line);
         for (unsigned d = 0; d < config_.degree; ++d) {

@@ -38,10 +38,7 @@ enum class PrefetchKind : uint8_t
 struct PrefetcherConfig
 {
     PrefetchKind kind = PrefetchKind::None;
-    unsigned degree = 2;          ///< prefetches per trigger
-    unsigned tableEntries = 256;  ///< stride-table size (power of two)
-    unsigned regionShift = 6;     ///< lines per tracked region (2^n)
-    unsigned confidenceThreshold = 2; ///< stride repeats before issuing
+    unsigned degree = 2; ///< prefetches per trigger
 };
 
 /** Prefetch activity counters. */
@@ -71,6 +68,10 @@ class Prefetcher
     const PrefetcherConfig &config() const { return config_; }
 
   private:
+    static constexpr unsigned kTableEntries = 256; ///< stride-table size
+    static constexpr unsigned kRegionShift = 6; ///< 2^6 lines per region
+    static constexpr unsigned kConfidenceThreshold = 2; ///< repeats to issue
+
     struct StrideEntry
     {
         uint64_t region = 0;

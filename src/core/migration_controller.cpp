@@ -13,6 +13,18 @@
 
 namespace xmig {
 
+namespace {
+
+// The lossy migration fabric (used only under fault plans): a request
+// unacknowledged for kTimeoutRequests requests is lost, and the next
+// issue waits a backoff that starts at kBackoffBase requests and
+// doubles per timeout up to kBackoffCap.
+constexpr uint64_t kTimeoutRequests = 64;
+constexpr uint64_t kBackoffBase = 32;
+constexpr uint64_t kBackoffCap = 8192;
+
+} // namespace
+
 MigrationController::MigrationController(
     const MigrationControllerConfig &config)
     : config_(config), watchdog_(config.watchdog)
@@ -26,7 +38,7 @@ MigrationController::MigrationController(
         ? ~uint64_t{0}
         : (uint64_t{1} << config_.numCores) - 1;
     splitWays_ = config_.numCores;
-    backoff_ = config_.retry.backoffBase;
+    backoff_ = kBackoffBase;
 
     store_ = makeStore();
     buildSplitter(splitWays_);
@@ -270,13 +282,13 @@ MigrationController::serviceMigrationFabric(uint64_t now)
                               obs::JournalCause::FabricDelivery);
         return;
     }
-    if (now - pendingIssued_ >= config_.retry.timeoutRequests) {
+    if (now - pendingIssued_ >= kTimeoutRequests) {
         // Lost (dropped, or delayed past the timeout): back off and
         // let the next divergent decision re-issue.
         pendingValid_ = false;
         ++recovery_.migTimeouts;
         nextIssueAllowed_ = now + backoff_;
-        backoff_ = std::min(backoff_ * 2, config_.retry.backoffCap);
+        backoff_ = std::min(backoff_ * 2, kBackoffCap);
         retryPending_ = true;
         XMIG_JOURNAL(journal_, obs::JournalKind::MigrationTimeout,
                      obs::JournalCause::FaultForced,
@@ -366,7 +378,7 @@ MigrationController::completeMigration(unsigned target, uint64_t now,
                  rootArForJournal(), rootFilterForJournal());
     activeCore_ = target;
     pendingValid_ = false;
-    backoff_ = config_.retry.backoffBase;
+    backoff_ = kBackoffBase;
     nextIssueAllowed_ = 0;
     watchdog_.onMigration(now);
 }
@@ -567,7 +579,7 @@ MigrationController::restore(const ControllerCheckpoint &ckpt)
     // Quiesce the fabric and the backoff machinery.
     pendingValid_ = false;
     nextIssueAllowed_ = 0;
-    backoff_ = config_.retry.backoffBase;
+    backoff_ = kBackoffBase;
     retryPending_ = false;
 
     // Rebuild the splitter at the checkpointed arity, then load the

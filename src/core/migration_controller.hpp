@@ -49,17 +49,6 @@
 
 namespace xmig {
 
-/** Timeout/backoff parameters of the lossy migration fabric. */
-struct MigrationRetryConfig
-{
-    /** Requests after which an unacknowledged migration is lost. */
-    uint64_t timeoutRequests = 64;
-    /** Initial retry backoff, in requests; doubles per timeout. */
-    uint64_t backoffBase = 32;
-    /** Backoff ceiling. */
-    uint64_t backoffCap = 8192;
-};
-
 /** Complete configuration of a migration controller. */
 struct MigrationControllerConfig
 {
@@ -122,9 +111,6 @@ struct MigrationControllerConfig
 
     /** Livelock/degenerate-split watchdog (disabled by default). */
     WatchdogConfig watchdog;
-
-    /** Migration retry/backoff tuning (used only under fault plans). */
-    MigrationRetryConfig retry;
 };
 
 /** Aggregate controller statistics. */

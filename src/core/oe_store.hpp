@@ -261,14 +261,7 @@ struct AffinityCacheConfig
     uint64_t entries = 8 * 1024;  ///< total entries (paper: 8k)
     unsigned ways = 4;            ///< associativity (paper: 4, skewed)
     bool skewed = true;
-    /**
-     * The paper's "age-based replacement". Age evicts exactly the LRU
-     * victim, so it is an alias of ReplPolicy::Lru; the proof is
-     * AffinityStoreGolden.AgeEqualsLru (tests/test_oe_store.cpp).
-     */
-    ReplPolicy repl = ReplPolicy::Age;
     unsigned affinityBits = 16;
-    uint64_t seed = 7;
 };
 
 } // namespace xmig

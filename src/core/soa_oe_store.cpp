@@ -15,7 +15,7 @@ makeFrames(const AffinityCacheConfig &config)
     XMIG_ASSERT(config.entries % config.ways == 0,
                 "affinity cache entries not divisible by ways");
     return FrameArray(config.entries / config.ways, config.ways,
-                      config.skewed, config.repl, config.seed);
+                      config.skewed);
 }
 
 } // namespace

@@ -8,8 +8,8 @@
  * cache indexes and evicts exactly as a cache of the same geometry
  * would; the O_e values live in a frame-indexed column beside it.
  * test_oe_store pins the full decision stream (hits, victims,
- * evictions, fault picks, snapshot order) under every geometry and
- * ReplPolicy with golden digests.
+ * evictions, fault picks, snapshot order) under every geometry with
+ * golden digests.
  */
 
 #pragma once
@@ -33,7 +33,7 @@ namespace xmig {
  * transition filter is not perturbed by untracked lines (section 4.2
  * relies on this to suppress migrations for working-sets far larger
  * than the total L2 capacity). Supports every AffinityCacheConfig:
- * skewed or set-associative indexing, any ReplPolicy.
+ * skewed or set-associative indexing.
  */
 class SoaAffinityStore : public OeStore
 {

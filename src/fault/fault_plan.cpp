@@ -119,11 +119,8 @@ parseEvent(const std::string &text, FaultRule *rule, std::string *error)
     return fail("unknown fault event '" + head + "'");
 }
 
-/**
- * Shortest decimal form of `v` that strtod parses back to exactly
- * `v`: rates round-trip through toString() without drifting and
- * without dragging 17 digits into every repro.
- */
+} // namespace
+
 std::string
 formatRate(double v)
 {
@@ -135,8 +132,6 @@ formatRate(double v)
     }
     return buf;
 }
-
-} // namespace
 
 const char *
 faultSiteName(FaultSite site)

@@ -73,6 +73,13 @@ struct FaultRule
 };
 
 /**
+ * Shortest decimal form of `v` that strtod parses back to exactly
+ * `v`: rates round-trip through plan text without drifting and
+ * without dragging 17 digits into every repro.
+ */
+std::string formatRate(double v);
+
+/**
  * Statement form of one rule, re-parseable by FaultPlan::parse:
  * "at=500000:core_off=2", "rate=1e-05:flip=oe", ... Rates print with
  * the fewest significant digits that strtod round-trips exactly.

@@ -1,8 +1,6 @@
 #include "fuzz/plan_generator.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "util/contracts.hpp"
 #include "util/logging.hpp"
@@ -13,20 +11,17 @@ namespace {
 
 constexpr uint64_t kDefaultHorizon = 400'000;
 
+/** Core count of the machine the plans run against (section 4.2). */
+constexpr unsigned kCores = 4;
+
+/** Probability that a numeric value is a boundary value. */
+constexpr double kBoundaryBias = 0.4;
+
+/** Probability that a statement duplicates an earlier one. */
+constexpr double kDuplicateBias = 0.15;
+
 /** Flip-site names, matching the `flip=` production. */
 constexpr const char *kFlipNames[] = {"ae", "delta", "ar", "oe", "tag"};
-
-std::string
-formatRateShort(double v)
-{
-    char buf[64];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
-}
 
 } // namespace
 
@@ -47,7 +42,6 @@ PlanGenerator::PlanGenerator(uint64_t seed, GeneratorConfig config)
 {
     if (config_.tickHorizon == 0)
         config_.tickHorizon = kDefaultHorizon;
-    XMIG_ASSERT(config_.cores >= 1, "need at least one core");
     XMIG_ASSERT(config_.maxStatements >= 2,
                 "need room for at least a churn pair");
 }
@@ -55,7 +49,7 @@ PlanGenerator::PlanGenerator(uint64_t seed, GeneratorConfig config)
 uint64_t
 PlanGenerator::sampleTick(uint64_t previous_tick)
 {
-    if (rng_.chance(config_.boundaryBias)) {
+    if (rng_.chance(kBoundaryBias)) {
         switch (rng_.below(5)) {
           case 0: return 0; // fires before the first reference retires
           case 1: return 1;
@@ -70,7 +64,7 @@ PlanGenerator::sampleTick(uint64_t previous_tick)
 double
 PlanGenerator::sampleRate()
 {
-    if (rng_.chance(config_.boundaryBias)) {
+    if (rng_.chance(kBoundaryBias)) {
         switch (rng_.below(4)) {
           case 0: return 1.0; // fires at every opportunity
           case 1: return 0.0; // armed but silent
@@ -122,7 +116,7 @@ PlanGenerator::statementFor(FaultSite site, uint64_t &tick_io, bool hot)
       case FaultSite::CoreOff:
       case FaultSite::CoreOn: {
         const unsigned core =
-            static_cast<unsigned>(rng_.below(config_.cores));
+            static_cast<unsigned>(rng_.below(kCores));
         const char *dir =
             site == FaultSite::CoreOff ? "core_off" : "core_on";
         const uint64_t tick =
@@ -141,7 +135,7 @@ PlanGenerator::statementFor(FaultSite site, uint64_t &tick_io, bool hot)
         return "at=" + std::to_string(tick_io) + ':' + event;
     }
     const double rate = hot ? sampleHotRate() : sampleRate();
-    return "rate=" + formatRateShort(rate) + ':' + event;
+    return "rate=" + formatRate(rate) + ':' + event;
 }
 
 std::string
@@ -168,7 +162,7 @@ PlanGenerator::sampleFlipOrFabric(bool &scheduled_out, uint64_t &tick_io)
         tick_io = sampleTick(tick_io);
         return "at=" + std::to_string(tick_io) + ':' + event;
     }
-    return "rate=" + formatRateShort(sampleRate()) + ':' + event;
+    return "rate=" + formatRate(sampleRate()) + ':' + event;
 }
 
 void
@@ -180,15 +174,15 @@ PlanGenerator::appendChurn(std::vector<std::string> &out,
     // paths the oracles require to stay harmless.
     const bool bogus = rng_.chance(0.1);
     const unsigned core =
-        bogus ? config_.cores + static_cast<unsigned>(rng_.below(4))
-              : static_cast<unsigned>(rng_.below(config_.cores));
+        bogus ? kCores + static_cast<unsigned>(rng_.below(4))
+              : static_cast<unsigned>(rng_.below(kCores));
 
     if (rng_.chance(0.2)) {
-        // Probabilistic churn, rate capped (see GeneratorConfig).
+        // Probabilistic churn, rate capped (see kMaxChurnRate).
         const double rate =
-            std::min(sampleRate(), config_.maxChurnRate);
+            std::min(sampleRate(), kMaxChurnRate);
         const char *dir = rng_.chance(0.5) ? "core_off" : "core_on";
-        out.push_back("rate=" + formatRateShort(rate) + ':' + dir +
+        out.push_back("rate=" + formatRate(rate) + ':' + dir +
                       '=' + std::to_string(core));
         return;
     }
@@ -232,7 +226,7 @@ PlanGenerator::next()
         // Duplicate an earlier fault statement verbatim: the grammar
         // allows it and the injector must count both copies.
         if (plan.statements.size() > 1 &&
-            rng_.chance(config_.duplicateBias)) {
+            rng_.chance(kDuplicateBias)) {
             const size_t pick =
                 1 + rng_.below(plan.statements.size() - 1);
             plan.statements.push_back(plan.statements[pick]);

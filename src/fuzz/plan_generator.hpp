@@ -29,9 +29,6 @@ namespace xmig {
 /** Shape of the plans a PlanGenerator samples. */
 struct GeneratorConfig
 {
-    /** Core count of the machine the plans will run against. */
-    unsigned cores = 4;
-
     /**
      * Scheduled `at=` ticks land in [0, tickHorizon]; boundary picks
      * include 0, 1, the horizon itself and just past it (an event
@@ -41,20 +38,6 @@ struct GeneratorConfig
 
     /** Statement budget per plan (the seed= statement is extra). */
     unsigned maxStatements = 12;
-
-    /** Probability that a numeric value is a boundary value. */
-    double boundaryBias = 0.4;
-
-    /** Probability that a statement duplicates an earlier one. */
-    double duplicateBias = 0.15;
-
-    /**
-     * Cap on probabilistic core-churn rates. Rate churn draws once
-     * per tick, so a rate near 1 would flip topology every reference
-     * and drown stderr in ignored-event warnings; the churn boundary
-     * is explored through scheduled back-to-back pairs instead.
-     */
-    double maxChurnRate = 1e-4;
 };
 
 /** One sampled plan: its statements, joinable into a spec string. */
@@ -73,6 +56,14 @@ struct FuzzPlan
 class PlanGenerator
 {
   public:
+    /**
+     * Cap on probabilistic core-churn rates. Rate churn draws once
+     * per tick, so a rate near 1 would flip topology every reference
+     * and drown stderr in ignored-event warnings; the churn boundary
+     * is explored through scheduled back-to-back pairs instead.
+     */
+    static constexpr double kMaxChurnRate = 1e-4;
+
     explicit PlanGenerator(uint64_t seed, GeneratorConfig config = {});
 
     /** Sample the next plan. */

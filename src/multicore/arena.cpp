@@ -8,6 +8,7 @@
 #include <exception>
 #include <utility>
 
+#include "multicore/cost_model.hpp"
 #include "multicore/feed.hpp"
 #include "util/contracts.hpp"
 #include "workloads/registry.hpp"
@@ -371,7 +372,6 @@ TenantArena::buildSharedL3()
         c.lineBytes = config_.machine.lineBytes;
         c.write = WritePolicy::WriteBackAllocate;
         c.skewed = false;
-        c.seed = 99;
         sharedL3_.push_back(std::make_unique<Cache>(c));
     }
 }
@@ -416,10 +416,9 @@ TenantArena::turnCost(const MachineStats &before,
     const double cycles = estimatedCycles(
         after.instructions - before.instructions,
         after.l2Misses - before.l2Misses,
-        after.migrations - before.migrations,
-        config_.timing.stall);
+        after.migrations - before.migrations, TimingParams{});
     return cycles +
-           config_.timing.memPenalty *
+           kMemoryCycles *
                static_cast<double>(after.l3Misses - before.l3Misses);
 }
 
@@ -476,7 +475,7 @@ TenantArena::run()
             probe.instructions > 0
                 ? probe.soloCycles /
                       static_cast<double>(probe.instructions)
-                : config_.timing.stall.baseCpi;
+                : kBaseCpi;
         tr.soloCycles =
             soloCpi * static_cast<double>(s.instructions);
         tr.slowdown = tr.soloCycles > 0
@@ -542,7 +541,7 @@ TenantArena::runTurn(TenantScheduler &sched, unsigned tenant,
     Session &session = *sessions_[tenant];
     XMIG_ASSERT(session.admitted,
                 "turn granted to unadmitted tenant %u", tenant);
-    const uint64_t budget = sched.turnBudget(tenant);
+    const uint64_t budget = sched.quantumRefs();
     const MachineStats before = session.machine->stats();
     const uint64_t fed = feedQuantum(session, budget);
     const double cost = turnCost(before, session.machine->stats());
@@ -557,7 +556,6 @@ TenantArena::runTurn(TenantScheduler &sched, unsigned tenant,
                  obs::JournalCause::Tenant, tenant,
                  static_cast<int64_t>(fed),
                  static_cast<int64_t>(cost));
-    sched.onTurnEnd(tenant, fed);
     if (session.drained()) {
         const double completion =
             serial_time ? *makespan

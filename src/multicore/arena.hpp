@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "multicore/cost_model.hpp"
 #include "multicore/machine.hpp"
 #include "multicore/tenant_sched.hpp"
 #include "obs/journal.hpp"
@@ -71,13 +70,6 @@ struct TenantSpec
     uint64_t seed = 42;
 };
 
-/** Stall-model timing for the arena (extends cost_model.hpp). */
-struct ArenaTiming
-{
-    TimingParams stall;       ///< baseCpi / l3HitPenalty / pmig
-    double memPenalty = 200.0; ///< extra cycles per L3 miss
-};
-
 struct ArenaConfig
 {
     ArenaMode mode = ArenaMode::Throughput;
@@ -95,7 +87,6 @@ struct ArenaConfig
     L3Policy l3Policy = L3Policy::Unpartitioned;
 
     TenantSchedConfig sched;
-    ArenaTiming timing;
 
     /** Solo-probe budget per tenant (appetite + solo baseline). */
     uint64_t probeInstructions = 30'000;

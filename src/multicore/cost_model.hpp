@@ -44,12 +44,18 @@ breakEvenPmig(const MigrationTradeoff &t)
     return removed / static_cast<double>(t.migrations);
 }
 
-/** Simple in-order stall model parameters. */
+/** Latencies of the simple in-order stall model, in cycles. */
+inline constexpr double kBaseCpi = 1.0;        ///< CPI with a perfect L2
+inline constexpr double kL3HitCycles = 20.0;   ///< per L2-miss/L3-hit
+inline constexpr double kMemoryCycles = 200.0; ///< per L3 miss (finite L3)
+// xmig-iron recovery costs (OS/firmware path, not pipeline):
+inline constexpr double kResplitCycles = 5000.0; ///< splitter rebuild
+inline constexpr double kRetryCycles = 100.0; ///< migration timeout + retry
+
+/** The one free parameter of the stall model. */
 struct TimingParams
 {
-    double baseCpi = 1.0;        ///< CPI ignoring L2 misses
-    double l3HitPenalty = 20.0;  ///< cycles per L2-miss/L3-hit
-    double pmig = 10.0;          ///< migration penalty, in L3-hit units
+    double pmig = 10.0; ///< migration penalty, in L3-hit units
 };
 
 /** Estimated cycles for a run under the stall model. */
@@ -57,9 +63,9 @@ inline double
 estimatedCycles(uint64_t instructions, uint64_t l2_misses,
                 uint64_t migrations, const TimingParams &p)
 {
-    return p.baseCpi * static_cast<double>(instructions) +
-           p.l3HitPenalty * static_cast<double>(l2_misses) +
-           p.pmig * p.l3HitPenalty * static_cast<double>(migrations);
+    return kBaseCpi * static_cast<double>(instructions) +
+           kL3HitCycles * static_cast<double>(l2_misses) +
+           p.pmig * kL3HitCycles * static_cast<double>(migrations);
 }
 
 /**

@@ -36,7 +36,6 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
     l2c.write = WritePolicy::WriteBackAllocate;
     l2c.skewed = config.l2Skewed;
     for (unsigned c = 0; c < config.numCores; ++c) {
-        l2c.seed = 11 + c;
         l2s_.push_back(std::make_unique<Cache>(l2c));
         // processLine() hashes each line once for every L2 probe.
         XMIG_ASSERT(l2s_.back()->frames().sameIndexing(l2s_[0]->frames()),
@@ -74,7 +73,6 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
         l3c.lineBytes = config.lineBytes;
         l3c.write = WritePolicy::WriteBackAllocate;
         l3c.skewed = false;
-        l3c.seed = 99;
         l3_ = std::make_unique<Cache>(l3c);
         l3view_ = l3_.get();
     }

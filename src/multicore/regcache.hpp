@@ -29,8 +29,7 @@ namespace xmig {
 /** Register-update cache configuration. */
 struct RegCacheConfig
 {
-    unsigned entries = 8;      ///< cached registers (0 = bypass)
-    unsigned numRegisters = 64; ///< architectural register count
+    unsigned entries = 8; ///< cached registers (0 = bypass)
 };
 
 /** Broadcast-traffic counters. */
@@ -58,10 +57,11 @@ struct RegCacheStats
 class RegisterUpdateCache
 {
   public:
+    static constexpr unsigned kNumRegisters = 64; ///< architectural count
+
     explicit RegisterUpdateCache(const RegCacheConfig &config)
         : config_(config)
     {
-        XMIG_ASSERT(config.numRegisters >= 1, "need registers");
         slots_.reserve(config.entries);
     }
 
@@ -73,7 +73,7 @@ class RegisterUpdateCache
     bool
     write(unsigned reg)
     {
-        XMIG_ASSERT(reg < config_.numRegisters, "register %u", reg);
+        XMIG_ASSERT(reg < kNumRegisters, "register %u", reg);
         ++stats_.writes;
         if (config_.entries == 0) {
             ++stats_.broadcasts;

@@ -7,20 +7,6 @@
 
 namespace xmig {
 
-const char *
-cacheAppetiteName(CacheAppetite appetite)
-{
-    switch (appetite) {
-      case CacheAppetite::Light:
-        return "light";
-      case CacheAppetite::Sensitive:
-        return "sensitive";
-      case CacheAppetite::Thrashing:
-        return "thrashing";
-    }
-    return "unknown";
-}
-
 CacheAppetite
 classifyAppetite(const TenantProbe &probe, double light_mpki,
                  double thrash_mpki)
@@ -44,18 +30,6 @@ l3PolicyName(L3Policy policy)
         return "unpartitioned";
       case L3Policy::WayClustered:
         return "way_clustered";
-    }
-    return "unknown";
-}
-
-const char *
-schedPolicyName(SchedPolicy policy)
-{
-    switch (policy) {
-      case SchedPolicy::RoundRobin:
-        return "round_robin";
-      case SchedPolicy::DeficitRoundRobin:
-        return "deficit_round_robin";
     }
     return "unknown";
 }
@@ -190,7 +164,6 @@ clusterTenants(const std::vector<TenantProbe> &probes,
 TenantScheduler::TenantScheduler(TenantSchedConfig config,
                                  const std::vector<TenantProbe> &probes)
     : config_(std::move(config)),
-      deficits_(probes.size(), 0),
       finished_(probes.size(), false)
 {
     XMIG_ASSERT(config_.maxResident >= 1,
@@ -261,32 +234,7 @@ TenantScheduler::nextTurn()
     ++turnsGranted_;
     XMIG_AUDIT(tenant < finished_.size() && !finished_[tenant],
                "turn granted to finished or unknown tenant %u", tenant);
-    if (config_.policy == SchedPolicy::DeficitRoundRobin)
-        deficits_[tenant] +=
-            config_.quantumRefs * weightOf(tenant);
     return tenant;
-}
-
-uint64_t
-TenantScheduler::turnBudget(unsigned tenant) const
-{
-    XMIG_ASSERT(tenant < finished_.size(),
-                "turn budget for unknown tenant %u", tenant);
-    if (config_.policy == SchedPolicy::DeficitRoundRobin)
-        return deficits_[tenant];
-    return config_.quantumRefs;
-}
-
-void
-TenantScheduler::onTurnEnd(unsigned tenant, uint64_t refs_used)
-{
-    XMIG_ASSERT(tenant < finished_.size(),
-                "turn end for unknown tenant %u", tenant);
-    if (config_.policy != SchedPolicy::DeficitRoundRobin)
-        return;
-    // The deficit carries over only what the turn left unused; a
-    // tenant that drained its stream early donates nothing forward.
-    deficits_[tenant] -= std::min(deficits_[tenant], refs_used);
 }
 
 void
@@ -310,16 +258,6 @@ TenantScheduler::onFinish(unsigned tenant)
         rrCursor_ %= residents_.size();
     else
         rrCursor_ = 0;
-    deficits_[tenant] = 0;
-}
-
-uint32_t
-TenantScheduler::weightOf(unsigned tenant) const
-{
-    if (tenant < config_.weights.size() &&
-        config_.weights[tenant] > 0)
-        return config_.weights[tenant];
-    return 1;
 }
 
 double

@@ -57,8 +57,6 @@ enum class CacheAppetite : uint8_t
     Thrashing, ///< streams through any share it is given
 };
 
-const char *cacheAppetiteName(CacheAppetite appetite);
-
 /**
  * Classify a probe by its miss density: below `light_mpki` → Light,
  * above `thrash_mpki` → Thrashing, Sensitive in between.
@@ -96,40 +94,24 @@ clusterTenants(const std::vector<TenantProbe> &probes,
                unsigned total_ways, double light_mpki = 1.0,
                double thrash_mpki = 30.0);
 
-/** Turn-arbitration policies. */
-enum class SchedPolicy : uint8_t
-{
-    RoundRobin,        ///< equal quanta, fixed cyclic order
-    DeficitRoundRobin, ///< weighted quanta with deficit carry-over
-};
-
-const char *schedPolicyName(SchedPolicy policy);
-
 /** Scheduler configuration. */
 struct TenantSchedConfig
 {
-    SchedPolicy policy = SchedPolicy::RoundRobin;
-
     /** Core slots: tenants resident at once (rest wait to be admitted). */
     unsigned maxResident = 4;
 
-    /** References granted per turn (DRR: per unit of weight). */
+    /** References granted per turn. */
     uint64_t quantumRefs = 4096;
-
-    /** DRR weights, indexed by tenant; missing entries default to 1. */
-    std::vector<uint32_t> weights;
 };
 
 /**
- * Admission + turn arbitration over N tenants.
+ * Admission + round-robin turn arbitration over N tenants.
  *
  * Admission order is the co-location order: tenants sorted by
  * appetite are admitted heaviest-first alternating with lightest-
  * first, so every resident mix pairs cache-hungry tenants with light
  * co-runners instead of with each other. Turns cycle over residents
- * in admission order; DeficitRoundRobin accumulates quantum * weight
- * into a deficit each cycle and grants the whole deficit as the turn
- * budget.
+ * in admission order, each worth quantumRefs references.
  */
 class TenantScheduler
 {
@@ -161,11 +143,8 @@ class TenantScheduler
      */
     unsigned nextTurn();
 
-    /** Reference budget for the turn just granted to `tenant`. */
-    uint64_t turnBudget(unsigned tenant) const;
-
-    /** Account a finished turn (DRR consumes the used deficit). */
-    void onTurnEnd(unsigned tenant, uint64_t refs_used);
+    /** Reference budget of every turn. */
+    uint64_t quantumRefs() const { return config_.quantumRefs; }
 
     /** Retire `tenant`: frees its slot; admits nothing by itself. */
     void onFinish(unsigned tenant);
@@ -174,13 +153,10 @@ class TenantScheduler
     uint64_t turnsGranted() const { return turnsGranted_; }
 
   private:
-    uint32_t weightOf(unsigned tenant) const;
-
     TenantSchedConfig config_;
     std::vector<double> scores_;      ///< mpki per tenant
     std::vector<unsigned> waiting_;   ///< co-location order, front next
     std::vector<unsigned> residents_; ///< admission order
-    std::vector<uint64_t> deficits_;  ///< per tenant, DRR only
     std::vector<bool> finished_;
     size_t rrCursor_ = 0;
     uint64_t turnsGranted_ = 0;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 
+#include "multicore/cost_model.hpp"
 #include "multicore/machine.hpp" // MachineStats
 #include "util/rng.hpp"
 
@@ -97,29 +98,15 @@ class MigrationProtocolModel
     PipelineParams params_;
 };
 
-/** Memory-level latencies for the stall model. */
-struct LatencyParams
-{
-    double baseCpi = 1.0;     ///< CPI with a perfect L2
-    unsigned l2HitCycles = 0; ///< folded into baseCpi by default
-    unsigned l3HitCycles = 20; ///< the paper's L2-miss/L3-hit penalty
-    unsigned memoryCycles = 200; ///< finite-L3 mode only
-
-    // xmig-iron recovery costs (OS/firmware path, not pipeline):
-    unsigned resplitCycles = 5000; ///< splitter rebuild after core loss
-    unsigned retryCycles = 100;    ///< one migration timeout + retry
-};
-
 /**
- * Turns machine event counts into estimated cycles / IPC.
+ * Turns machine event counts into estimated cycles / IPC, with the
+ * latencies of cost_model.hpp.
  */
 class TimingModel
 {
   public:
-    TimingModel(const LatencyParams &latency = {},
-                const PipelineParams &pipeline = {})
-        : latency_(latency),
-          protocol_(pipeline),
+    explicit TimingModel(const PipelineParams &pipeline = {})
+        : protocol_(pipeline),
           penaltyCycles_(protocol_.expectedPenaltyCycles())
     {
     }
@@ -131,24 +118,19 @@ class TimingModel
     double
     pmig() const
     {
-        return migrationPenaltyCycles() /
-               static_cast<double>(latency_.l3HitCycles);
+        return migrationPenaltyCycles() / kL3HitCycles;
     }
 
     /** Estimated execution cycles for a machine run. */
     double
     cycles(const MachineStats &stats) const
     {
-        double c = latency_.baseCpi *
-                   static_cast<double>(stats.instructions);
-        c += static_cast<double>(latency_.l2HitCycles) *
-             static_cast<double>(stats.l2Accesses - stats.l2Misses);
-        c += static_cast<double>(latency_.l3HitCycles) *
-             static_cast<double>(stats.l2Misses);
-        // With a perfect L3 (l3Accesses == 0) every L2 miss costs an
-        // L3 hit; in finite-L3 mode, L3 misses add memory latency.
-        c += static_cast<double>(latency_.memoryCycles) *
-             static_cast<double>(stats.l3Misses);
+        // An L2 hit is folded into the base CPI. With a perfect L3
+        // (l3Accesses == 0) every L2 miss costs an L3 hit; in
+        // finite-L3 mode, L3 misses add memory latency.
+        double c = kBaseCpi * static_cast<double>(stats.instructions);
+        c += kL3HitCycles * static_cast<double>(stats.l2Misses);
+        c += kMemoryCycles * static_cast<double>(stats.l3Misses);
         c += migrationPenaltyCycles() *
              static_cast<double>(stats.migrations);
         return c;
@@ -164,10 +146,8 @@ class TimingModel
                        const RecoveryStats &recovery) const
     {
         double c = cycles(stats);
-        c += static_cast<double>(latency_.resplitCycles) *
-             static_cast<double>(recovery.resplits);
-        c += static_cast<double>(latency_.retryCycles) *
-             static_cast<double>(recovery.migTimeouts);
+        c += kResplitCycles * static_cast<double>(recovery.resplits);
+        c += kRetryCycles * static_cast<double>(recovery.migTimeouts);
         return c;
     }
 
@@ -188,11 +168,9 @@ class TimingModel
         return cycles(baseline) / cycles(migration);
     }
 
-    const LatencyParams &latency() const { return latency_; }
     const MigrationProtocolModel &protocol() const { return protocol_; }
 
   private:
-    LatencyParams latency_;
     MigrationProtocolModel protocol_;
     /** Computed once, so a model shared across threads is read-only. */
     double penaltyCycles_;

@@ -10,19 +10,6 @@
 
 namespace xmig {
 
-namespace {
-
-obs::SamplerConfig
-samplerConfigOf(const ObserveOptions &options)
-{
-    obs::SamplerConfig sc;
-    sc.sampleEvery = options.sampleEvery;
-    sc.capacity = options.sampleCapacity;
-    return sc;
-}
-
-} // namespace
-
 ObserveOptions
 observeOptionsOf(const BenchOptions &opt)
 {
@@ -38,11 +25,10 @@ observeOptionsOf(const BenchOptions &opt)
 
 RunObservatory::RunObservatory(const ObserveOptions &options)
     : options_(options),
-      sampler_(samplerConfigOf(options))
+      sampler_(obs::SamplerConfig{options.sampleEvery})
 {
     if (!options_.journalOut.empty() || !options_.traceOut.empty()) {
-        journal_ =
-            std::make_unique<obs::Journal>(options_.journalCapacity);
+        journal_ = std::make_unique<obs::Journal>();
         // Arm incident dumps at the JSONL path: a panic or watchdog
         // fire flushes the causal history even if finish() never runs.
         if (!options_.journalOut.empty())

@@ -51,12 +51,6 @@ struct ObserveOptions
     /** References between time-series samples. */
     uint64_t sampleEvery = 10'000;
 
-    /** Time-series ring capacity (rows). */
-    size_t sampleCapacity = 4096;
-
-    /** Event-journal ring capacity (events). */
-    size_t journalCapacity = 65536;
-
     /** True if any output was requested. */
     bool
     any() const

@@ -47,17 +47,6 @@ struct QuadcoreRow
         return static_cast<double>(l2Misses4x) /
                static_cast<double>(l2MissesBaseline);
     }
-
-    /** L2 misses removed per migration (break-even P_mig). */
-    double
-    removedMissesPerMigration() const
-    {
-        if (migrations == 0)
-            return 0.0;
-        return (static_cast<double>(l2MissesBaseline) -
-                static_cast<double>(l2Misses4x)) /
-               static_cast<double>(migrations);
-    }
 };
 
 /** Parameters of a Table 2 run. */

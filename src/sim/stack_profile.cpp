@@ -66,9 +66,7 @@ runStackProfile(const std::string &benchmark,
     KWaySplitter splitter(params.splitter, store);
     ProfileSink sink(splitter);
 
-    L1FilterConfig l1c;
-    l1c.il1Bytes = params.l1Bytes;
-    l1c.dl1Bytes = params.l1Bytes;
+    L1FilterConfig l1c; // the default 16-KB IL1 and DL1 (section 4.1)
     l1c.lineBytes = params.lineBytes;
     l1c.fullyAssociative = true;
     l1c.unifiedReadWrite = true;

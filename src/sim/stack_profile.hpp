@@ -27,7 +27,6 @@ namespace xmig {
 struct StackProfileParams
 {
     uint64_t instructionsPerBenchmark = 20'000'000;
-    uint64_t l1Bytes = 16 * 1024;
     uint64_t lineBytes = 64;
     uint64_t seed = 42;
 

@@ -105,40 +105,13 @@ AsciiTable::addRow(std::vector<std::string> row)
     XMIG_ASSERT(row.size() == header_.size(),
                 "row has %zu cells, header has %zu",
                 row.size(), header_.size());
-    rows_.push_back({false, true, std::move(row)});
+    rows_.push_back({false, std::move(row)});
 }
 
 void
 AsciiTable::addSection(std::string label)
 {
-    rows_.push_back({true, true, {std::move(label)}});
-}
-
-void
-AsciiTable::reserveRows(size_t n)
-{
-    XMIG_ASSERT(rows_.size() == reserved_,
-                "reserveRows after %zu appended rows",
-                rows_.size() - reserved_);
-    reserved_ += n;
-    rows_.resize(reserved_, Row{false, false, {}});
-}
-
-void
-AsciiTable::setRow(size_t i, std::vector<std::string> row)
-{
-    XMIG_ASSERT(i < reserved_, "slot %zu of %zu reserved", i, reserved_);
-    XMIG_ASSERT(row.size() == header_.size(),
-                "row has %zu cells, header has %zu",
-                row.size(), header_.size());
-    rows_[i] = Row{false, true, std::move(row)};
-}
-
-void
-AsciiTable::setSection(size_t i, std::string label)
-{
-    XMIG_ASSERT(i < reserved_, "slot %zu of %zu reserved", i, reserved_);
-    rows_[i] = Row{true, true, {std::move(label)}};
+    rows_.push_back({true, {std::move(label)}});
 }
 
 std::string
@@ -148,7 +121,7 @@ AsciiTable::render(const std::string &title) const
     for (size_t c = 0; c < header_.size(); ++c)
         width[c] = header_[c].size();
     for (const auto &row : rows_) {
-        if (row.section || !row.filled)
+        if (row.section)
             continue;
         for (size_t c = 0; c < row.cells.size(); ++c)
             width[c] = std::max(width[c], row.cells[c].size());
@@ -182,9 +155,7 @@ AsciiTable::render(const std::string &title) const
     out.append(total, '-');
     out += "\n";
     for (const auto &row : rows_) {
-        if (!row.filled) {
-            continue; // reserved slot its sweep cell never filled
-        } else if (row.section) {
+        if (row.section) {
             out += "-- " + row.cells[0] + "\n";
         } else {
             emit_row(out, row.cells);
@@ -206,28 +177,7 @@ SeriesWriter::addPoint(const std::string &x, const std::vector<double> &ys)
     XMIG_ASSERT(ys.size() == seriesNames_.size(),
                 "point has %zu series, expected %zu",
                 ys.size(), seriesNames_.size());
-    points_.push_back({true, x, ys});
-}
-
-void
-SeriesWriter::reservePoints(size_t n)
-{
-    XMIG_ASSERT(points_.size() == reserved_,
-                "reservePoints after %zu appended points",
-                points_.size() - reserved_);
-    reserved_ += n;
-    points_.resize(reserved_, Point{false, {}, {}});
-}
-
-void
-SeriesWriter::setPoint(size_t i, const std::string &x,
-                       const std::vector<double> &ys)
-{
-    XMIG_ASSERT(i < reserved_, "slot %zu of %zu reserved", i, reserved_);
-    XMIG_ASSERT(ys.size() == seriesNames_.size(),
-                "point has %zu series, expected %zu",
-                ys.size(), seriesNames_.size());
-    points_[i] = Point{true, x, ys};
+    points_.push_back({x, ys});
 }
 
 std::string
@@ -237,14 +187,6 @@ SeriesWriter::render(const std::string &title) const
     if (!title.empty()) {
         out += "# " + title + "\n";
     }
-    out += renderCsv();
-    return out;
-}
-
-std::string
-SeriesWriter::renderCsv() const
-{
-    std::string out;
     out += csvQuote(xName_);
     for (const auto &name : seriesNames_) {
         out += ',';
@@ -253,8 +195,6 @@ SeriesWriter::renderCsv() const
     out += "\n";
     char buf[32];
     for (const auto &p : points_) {
-        if (!p.filled)
-            continue;
         out += csvQuote(p.x);
         for (double y : p.ys) {
             std::snprintf(buf, sizeof(buf), "%.6g", y);

@@ -103,21 +103,6 @@ class AsciiTable
     /** Append a full-width section label row (e.g. "SPEC2000"). */
     void addSection(std::string label);
 
-    /**
-     * Pre-size the table with `n` addressable slots (xmig-swift):
-     * parallel sweep cells fill their own slot via setRow /
-     * setSection in *completion* order, yet render() always emits in
-     * *slot* order. Slots left unfilled are skipped. Mixed use with
-     * addRow() appends after the reserved block.
-     */
-    void reserveRows(size_t n);
-
-    /** Fill reserved slot `i` with a data row (header-width cells). */
-    void setRow(size_t i, std::vector<std::string> row);
-
-    /** Fill reserved slot `i` with a section label row. */
-    void setSection(size_t i, std::string label);
-
     /** Render the table to a string. */
     std::string render(const std::string &title = "") const;
 
@@ -125,20 +110,19 @@ class AsciiTable
     struct Row
     {
         bool section = false;
-        bool filled = true; ///< reserved-but-unset slots render as nothing
         std::vector<std::string> cells;
     };
 
     std::vector<std::string> header_;
     std::vector<Row> rows_;
-    size_t reserved_ = 0;
 };
 
 /**
  * (x, y...) series writer for figure reproduction.
  *
  * Prints one line per x value with all series values, plus a header
- * naming each series — effectively CSV that is also readable inline.
+ * naming each series: CSV with every cell quoted/escaped as needed
+ * (csvQuote), ready for pandas/gnuplot and readable inline.
  */
 class SeriesWriter
 {
@@ -148,29 +132,14 @@ class SeriesWriter
     void addPoint(const std::string &x, const std::vector<double> &ys);
 
     /**
-     * Pre-size with `n` addressable point slots; parallel sweep cells
-     * fill theirs with setPoint in any order, render emits slot order
-     * and skips unfilled slots (same contract as AsciiTable slots).
+     * Render with an optional leading `# title` comment line; without
+     * a title the output is plain CSV.
      */
-    void reservePoints(size_t n);
-
-    /** Fill reserved slot `i`. */
-    void setPoint(size_t i, const std::string &x,
-                  const std::vector<double> &ys);
-
-    /** Render with an optional leading `# title` comment line. */
     std::string render(const std::string &title = "") const;
-
-    /**
-     * Render as machine-readable CSV: no title rule, every cell
-     * quoted/escaped as needed (csvQuote), ready for pandas/gnuplot.
-     */
-    std::string renderCsv() const;
 
   private:
     struct Point
     {
-        bool filled = true;
         std::string x;
         std::vector<double> ys;
     };
@@ -178,7 +147,6 @@ class SeriesWriter
     std::string xName_;
     std::vector<std::string> seriesNames_;
     std::vector<Point> points_;
-    size_t reserved_ = 0;
 };
 
 } // namespace xmig

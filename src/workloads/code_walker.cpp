@@ -2,25 +2,31 @@
 
 #include <algorithm>
 
-#include "util/contracts.hpp"
 
 namespace xmig {
+
+namespace {
+
+// Function lengths, in instructions.
+constexpr unsigned kMinFuncInstrs = 32;
+constexpr unsigned kMaxFuncInstrs = 256;
+
+/** Max consecutive loop iterations of one function. */
+constexpr unsigned kMaxLoopTrips = 16;
+
+} // namespace
 
 CodeWalker::CodeWalker(const CodeWalkerConfig &config)
     : config_(config),
       rng_(config.seed)
 {
-    XMIG_ASSERT(config.minFuncInstrs >= 1 &&
-                config.maxFuncInstrs >= config.minFuncInstrs,
-                "bad function length range");
     // Carve the code image into functions of random length.
     const uint64_t total_instrs =
-        std::max<uint64_t>(config.codeBytes / config.instrBytes,
-                           config.maxFuncInstrs);
+        std::max<uint64_t>(config.codeBytes / kInstrBytes, kMaxFuncInstrs);
     uint64_t at = 0;
     while (at < total_instrs) {
         const uint32_t len = static_cast<uint32_t>(
-            rng_.inRange(config.minFuncInstrs, config.maxFuncInstrs));
+            rng_.inRange(kMinFuncInstrs, kMaxFuncInstrs));
         funcStart_.push_back(at);
         funcLen_.push_back(len);
         at += len;
@@ -47,8 +53,7 @@ CodeWalker::pickNextFunction()
     // Decide where control goes after this function returns: loop it,
     // call something recently used (hot region), or call afar.
     if (rng_.chance(config_.loopProb)) {
-        loopsLeft_ = static_cast<uint32_t>(
-            rng_.inRange(1, std::max(1u, config_.maxLoopTrips)));
+        loopsLeft_ = static_cast<uint32_t>(rng_.inRange(1, kMaxLoopTrips));
         return;
     }
     uint32_t next;

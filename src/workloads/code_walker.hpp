@@ -28,16 +28,9 @@ namespace xmig {
 struct CodeWalkerConfig
 {
     uint64_t codeBytes = 8 * 1024; ///< static code footprint
-    uint64_t instrBytes = 4;
-    uint64_t baseAddr = 0x0040'0000;
-
-    unsigned minFuncInstrs = 32;
-    unsigned maxFuncInstrs = 256;
 
     /** Probability of re-running the current function (a loop). */
     double loopProb = 0.4;
-    /** Max consecutive loop iterations of one function. */
-    unsigned maxLoopTrips = 16;
 
     /** Probability the next function comes from the recent set. */
     double localCallProb = 0.9;
@@ -53,6 +46,9 @@ struct CodeWalkerConfig
 class CodeWalker
 {
   public:
+    static constexpr uint64_t kBaseAddr = 0x0040'0000; ///< code image start
+    static constexpr uint64_t kInstrBytes = 4;
+
     explicit CodeWalker(const CodeWalkerConfig &config);
 
     /**
@@ -71,8 +67,7 @@ class CodeWalker
     uint64_t
     pc() const
     {
-        return config_.baseAddr +
-               (funcStart_[current_] + pos_) * config_.instrBytes;
+        return kBaseAddr + (funcStart_[current_] + pos_) * kInstrBytes;
     }
 
     uint64_t numFunctions() const { return funcStart_.size(); }

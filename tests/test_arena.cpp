@@ -358,19 +358,6 @@ TEST(ArenaGolden, AdmissionBeyondResidentLimit)
     EXPECT_EQ(runDigest(cfg), 0xfcc3d68f33506818ull);
 }
 
-TEST(ArenaGolden, DeficitRoundRobin)
-{
-    // A quantum that is not a multiple of the 64-ref chunk, so turns
-    // end mid-chunk and the next turn resumes inside it.
-    ArenaConfig cfg = figureConfig(ArenaMode::Throughput,
-                                   L3Policy::WayClustered,
-                                   {"em3d", "health"}, 200'000);
-    cfg.sched.policy = SchedPolicy::DeficitRoundRobin;
-    cfg.sched.quantumRefs = 3000;
-    cfg.sched.weights = {1, 3};
-    EXPECT_EQ(runDigest(cfg), 0x0746f639c97c55f6ull);
-}
-
 /** Counts a workload's references. */
 class CountingSink : public RefSink
 {
@@ -525,33 +512,6 @@ TEST(TenantScheduler, RotationSkipsFinishedTenantCleanly)
     sched.onFinish(1);
     EXPECT_TRUE(sched.allFinished());
     EXPECT_EQ(sched.nextTurn(), TenantScheduler::kNone);
-}
-
-TEST(TenantScheduler, DeficitRoundRobinGrantsWeightedBudgets)
-{
-    const std::vector<TenantProbe> probes = {probeWithMpki(2),
-                                             probeWithMpki(2)};
-    TenantSchedConfig cfg;
-    cfg.policy = SchedPolicy::DeficitRoundRobin;
-    cfg.quantumRefs = 100;
-    cfg.weights = {1, 3};
-    TenantScheduler sched(cfg, probes);
-    ASSERT_NE(sched.admitNext(), TenantScheduler::kNone);
-    ASSERT_NE(sched.admitNext(), TenantScheduler::kNone);
-    EXPECT_EQ(sched.nextTurn(), 0u);
-    EXPECT_EQ(sched.turnBudget(0), 100u);
-    EXPECT_EQ(sched.nextTurn(), 1u);
-    EXPECT_EQ(sched.turnBudget(1), 300u) << "weight 3 → 3 quanta";
-    // Unused budget carries over as deficit.
-    sched.onTurnEnd(0, 40);
-    EXPECT_EQ(sched.nextTurn(), 0u);
-    EXPECT_EQ(sched.turnBudget(0), 160u) << "60 leftover + 100 fresh";
-    // Overdraw clamps to zero rather than underflowing.
-    sched.onTurnEnd(0, 1'000'000);
-    EXPECT_EQ(sched.nextTurn(), 1u);
-    sched.onTurnEnd(1, 300);
-    EXPECT_EQ(sched.nextTurn(), 0u);
-    EXPECT_EQ(sched.turnBudget(0), 100u);
 }
 
 // ---------------------------------------------------------------

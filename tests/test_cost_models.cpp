@@ -89,8 +89,6 @@ TEST(CostModel, SpeedupCrossesOneAtBreakEven)
 TEST(CostModel, EstimatedCyclesComposition)
 {
     TimingParams p;
-    p.baseCpi = 1.0;
-    p.l3HitPenalty = 20.0;
     p.pmig = 10.0;
     EXPECT_EQ(estimatedCycles(1000, 10, 2, p),
               1000.0 + 200.0 + 400.0);

@@ -123,14 +123,13 @@ TEST(PlanGenerator, ExploresBoundaryShapes)
 
 TEST(PlanGenerator, CapsCoreChurnRates)
 {
-    GeneratorConfig config;
     PlanGenerator gen(5);
     for (int i = 0; i < 400; ++i) {
         const FaultPlan plan = mustParse(gen.next().spec());
         for (const FaultRule &r : plan.rates) {
             if (r.site == FaultSite::CoreOff ||
                 r.site == FaultSite::CoreOn) {
-                EXPECT_LE(r.rate, config.maxChurnRate);
+                EXPECT_LE(r.rate, PlanGenerator::kMaxChurnRate);
             }
         }
     }

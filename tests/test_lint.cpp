@@ -451,72 +451,6 @@ TEST(Suppression, MalformedCommentsAreFindings)
 }
 
 // ---------------------------------------------------------------------------
-// Baseline round-trip
-// ---------------------------------------------------------------------------
-
-TEST(Baseline, RoundTripAbsolvesExactlyTheRecordedFindings)
-{
-    const std::string src = "uint64_t g() { return clock(); }\n"
-                            "std::map<Node *, int> idx;\n";
-    const auto findings = lintFile("src/core/f.cpp", src);
-    ASSERT_EQ(findings.size(), 2u);
-
-    const std::string doc = renderBaseline(findings);
-    const auto baseline = parseBaseline(doc);
-    EXPECT_EQ(baseline.size(), 2u);
-
-    auto [fresh, grandfathered] =
-        partitionAgainstBaseline(findings, baseline);
-    EXPECT_TRUE(fresh.empty());
-    EXPECT_EQ(grandfathered.size(), 2u);
-}
-
-TEST(Baseline, NewFindingsSurviveThePartition)
-{
-    const auto oldFindings =
-        lintFile("src/core/f.cpp", "uint64_t g() { return clock(); }\n");
-    const auto baseline = parseBaseline(renderBaseline(oldFindings));
-
-    const auto now = lintFile("src/core/f.cpp",
-                              "uint64_t g() { return clock(); }\n"
-                              "std::map<Node *, int> idx;\n");
-    auto [fresh, grandfathered] = partitionAgainstBaseline(now, baseline);
-    ASSERT_EQ(fresh.size(), 1u);
-    EXPECT_EQ(fresh[0].rule, "pointer-order");
-    EXPECT_EQ(grandfathered.size(), 1u);
-}
-
-TEST(Baseline, KeysAreLineNumberInsensitive)
-{
-    const auto before =
-        lintFile("src/core/f.cpp", "uint64_t g() { return clock(); }\n");
-    const auto baseline = parseBaseline(renderBaseline(before));
-    // The same source line drifts 3 lines down; the key still holds.
-    const auto after = lintFile("src/core/f.cpp",
-                                "\n\n\n"
-                                "uint64_t g() { return clock(); }\n");
-    auto [fresh, grandfathered] =
-        partitionAgainstBaseline(after, baseline);
-    EXPECT_TRUE(fresh.empty());
-    EXPECT_EQ(grandfathered.size(), 1u);
-}
-
-TEST(Baseline, EachEntryAbsolvesAtMostOneFinding)
-{
-    const auto one =
-        lintFile("src/core/f.cpp", "uint64_t g() { return clock(); }\n");
-    const auto baseline = parseBaseline(renderBaseline(one));
-    // Two identical lines now produce two identical keys; the single
-    // baseline entry must absolve only one of them.
-    const auto two = lintFile("src/core/f.cpp",
-                              "uint64_t g() { return clock(); }\n"
-                              "uint64_t g() { return clock(); }\n");
-    auto [fresh, grandfathered] = partitionAgainstBaseline(two, baseline);
-    EXPECT_EQ(fresh.size(), 1u);
-    EXPECT_EQ(grandfathered.size(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Renderers and compile_commands
 // ---------------------------------------------------------------------------
 

@@ -56,7 +56,6 @@ tinyCache()
     c.entries = 16;
     c.ways = 4;
     c.skewed = false;
-    c.repl = ReplPolicy::Lru;
     return c;
 }
 
@@ -187,7 +186,6 @@ TEST(SoaAffinityStore, SkewedVariantWorks)
     c.entries = 8 * 1024;
     c.ways = 4;
     c.skewed = true;
-    c.repl = ReplPolicy::Age;
     SoaAffinityStore store(c);
     for (uint64_t line = 0; line < 6000; ++line)
         store.lookup(0x4000000 + line, 3);
@@ -274,22 +272,20 @@ storeDigest(const AffinityCacheConfig &c, uint64_t ops)
 }
 
 AffinityCacheConfig
-goldenCache(uint64_t entries, bool skewed, ReplPolicy repl)
+goldenCache(uint64_t entries, bool skewed)
 {
     AffinityCacheConfig c;
     c.entries = entries;
     c.ways = 4;
     c.skewed = skewed;
-    c.repl = repl;
     return c;
 }
 
-/** One recorded digest: geometry, policy and the expected hash. */
+/** One recorded digest: geometry and the expected hash. */
 struct GoldenCase
 {
     uint64_t entries;
     bool skewed;
-    ReplPolicy repl;
     uint64_t digest;
 };
 
@@ -300,36 +296,19 @@ constexpr uint64_t kGoldenOps = 400'000;
  * replaced (a virtual tag store with the O_e value in a payload
  * field of each frame), which produced the same digests for every
  * case below, as does the FrameArray-backed store.
- * The Age and Lru rows agree: Age evicts the highest 2-bit age and
- * breaks ties by LRU timestamp, and an entry's age only grows with
- * the time since its last touch, so both policies pick the same
- * victim.
+ *
+ * The paper's 2-bit age-based replacement also produced every one of
+ * these digests, so LRU stands in for it: Age evicted the highest
+ * age and broke ties by the LRU stamp, and an entry's age only grows
+ * with the time since its last touch, so both pick the same victim.
  */
 constexpr GoldenCase kGolden[] = {
-    {64, true, ReplPolicy::Age, 0x43392ad900cf2c58ull},
-    {64, true, ReplPolicy::Lru, 0x43392ad900cf2c58ull},
-    {64, true, ReplPolicy::Fifo, 0x071c9813d16b420bull},
-    {64, true, ReplPolicy::Random, 0x66ab240b0e5fece5ull},
-    {1024, true, ReplPolicy::Age, 0x65757e2759d0f3c3ull},
-    {1024, true, ReplPolicy::Lru, 0x65757e2759d0f3c3ull},
-    {1024, true, ReplPolicy::Fifo, 0xaaf5c631b749fd48ull},
-    {1024, true, ReplPolicy::Random, 0xe80d5319edb11ec5ull},
-    {8192, true, ReplPolicy::Age, 0x4fb2e76ead97d44bull},
-    {8192, true, ReplPolicy::Lru, 0x4fb2e76ead97d44bull},
-    {8192, true, ReplPolicy::Fifo, 0x2d48ec6fab15ba95ull},
-    {8192, true, ReplPolicy::Random, 0x02189a1f3fbe574full},
-    {64, false, ReplPolicy::Age, 0x5a26146c84b3317aull},
-    {64, false, ReplPolicy::Lru, 0x5a26146c84b3317aull},
-    {64, false, ReplPolicy::Fifo, 0x8ff26d7004486945ull},
-    {64, false, ReplPolicy::Random, 0x12062cda03f68320ull},
-    {1024, false, ReplPolicy::Age, 0xeba3937b9e69c94cull},
-    {1024, false, ReplPolicy::Lru, 0xeba3937b9e69c94cull},
-    {1024, false, ReplPolicy::Fifo, 0xc2162c7224ef6dabull},
-    {1024, false, ReplPolicy::Random, 0x2600247612fc1e83ull},
-    {8192, false, ReplPolicy::Age, 0x4c2f5ec7f6423816ull},
-    {8192, false, ReplPolicy::Lru, 0x4c2f5ec7f6423816ull},
-    {8192, false, ReplPolicy::Fifo, 0x12c1ecd1889c64a1ull},
-    {8192, false, ReplPolicy::Random, 0xfd41a0a45488da1cull},
+    {64, true, 0x43392ad900cf2c58ull},
+    {1024, true, 0x65757e2759d0f3c3ull},
+    {8192, true, 0x4fb2e76ead97d44bull},
+    {64, false, 0x5a26146c84b3317aull},
+    {1024, false, 0xeba3937b9e69c94cull},
+    {8192, false, 0x4c2f5ec7f6423816ull},
 };
 
 void
@@ -338,11 +317,9 @@ expectGolden(bool skewed)
     for (const GoldenCase &g : kGolden) {
         if (g.skewed != skewed)
             continue;
-        EXPECT_EQ(storeDigest(goldenCache(g.entries, g.skewed, g.repl),
-                              kGoldenOps),
+        EXPECT_EQ(storeDigest(goldenCache(g.entries, g.skewed), kGoldenOps),
                   g.digest)
-            << g.entries << " entries, policy "
-            << static_cast<int>(g.repl);
+            << g.entries << " entries";
     }
 }
 
@@ -361,29 +338,6 @@ TEST(AffinityStoreGolden, SkewedCachesReproduceRecordedDigests)
 TEST(AffinityStoreGolden, SetAssociativeCachesReproduceRecordedDigests)
 {
     expectGolden(false);
-}
-
-
-/*
- * Age picks the LRU victim on every golden stream: a frame's 2-bit
- * age only grows with the time since its last touch and Age breaks
- * ties by the LRU stamp, so the two victim streams are identical.
- * This passed against the 2-bit age sweep, which is why
- * ReplPolicy::Age is now an alias of Lru.
- */
-TEST(AffinityStoreGolden, AgeEqualsLru)
-{
-    for (const bool skewed : {true, false}) {
-        for (const uint64_t entries : {64u, 1024u, 8192u}) {
-            EXPECT_EQ(storeDigest(goldenCache(entries, skewed,
-                                              ReplPolicy::Age),
-                                  kGoldenOps),
-                      storeDigest(goldenCache(entries, skewed,
-                                              ReplPolicy::Lru),
-                                  kGoldenOps))
-                << entries << " entries, skewed " << skewed;
-        }
-    }
 }
 
 } // namespace

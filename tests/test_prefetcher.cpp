@@ -45,8 +45,6 @@ TEST(Prefetcher, StrideDetectsPositiveStride)
     PrefetcherConfig c;
     c.kind = PrefetchKind::Stride;
     c.degree = 2;
-    c.confidenceThreshold = 2;
-    c.regionShift = 20; // one region: pure stride stream
     Prefetcher pf(c);
     std::vector<uint64_t> out;
     // Stride-4 stream: 0, 4, 8, 12, ...
@@ -63,8 +61,6 @@ TEST(Prefetcher, StrideDetectsNegativeStride)
     PrefetcherConfig c;
     c.kind = PrefetchKind::Stride;
     c.degree = 1;
-    c.confidenceThreshold = 2;
-    c.regionShift = 20;
     Prefetcher pf(c);
     std::vector<uint64_t> out;
     for (uint64_t line = 1000; line >= 976; line -= 8) {
@@ -79,8 +75,6 @@ TEST(Prefetcher, StrideResetsOnPatternBreak)
 {
     PrefetcherConfig c;
     c.kind = PrefetchKind::Stride;
-    c.confidenceThreshold = 2;
-    c.regionShift = 20;
     Prefetcher pf(c);
     std::vector<uint64_t> out;
     for (uint64_t line : {0u, 4u, 8u, 12u}) {
@@ -100,7 +94,6 @@ TEST(Prefetcher, RandomStreamStaysQuiet)
 {
     PrefetcherConfig c;
     c.kind = PrefetchKind::Stride;
-    c.confidenceThreshold = 2;
     Prefetcher pf(c);
     Rng rng(4);
     std::vector<uint64_t> out;

@@ -67,9 +67,7 @@ TEST(TimingModel, PmigInPaperUnits)
     p.updateBusCycles = 2;
     p.issueToRetireStages = 10;
     p.mispredictPerInstr = 0.0;
-    LatencyParams l;
-    l.l3HitCycles = 20;
-    TimingModel model(l, p);
+    TimingModel model(p);
     // 12 cycles / 20 cycles-per-L3-hit = 0.6 P_mig units: a cheap
     // migration, comfortably below every measured break-even.
     EXPECT_NEAR(model.pmig(), 0.6, 1e-9);
@@ -77,13 +75,9 @@ TEST(TimingModel, PmigInPaperUnits)
 
 TEST(TimingModel, CyclesDecomposition)
 {
-    LatencyParams l;
-    l.baseCpi = 1.0;
-    l.l3HitCycles = 20;
-    l.memoryCycles = 200;
     PipelineParams p;
     p.mispredictPerInstr = 0.0; // penalty = 12 cycles exactly
-    TimingModel model(l, p);
+    TimingModel model(p);
 
     MachineStats s;
     s.instructions = 1000;

@@ -52,16 +52,15 @@ TEST(CodeWalker, AddressesStayInCodeImage)
 {
     CodeWalkerConfig c;
     c.codeBytes = 4096;
-    c.baseAddr = 0x400000;
     CodeWalker walker(c);
     RefRecorder rec;
     for (int i = 0; i < 10000; ++i)
         walker.step(rec);
     for (const MemRef &r : rec.refs()) {
         ASSERT_TRUE(r.isIfetch());
-        ASSERT_GE(r.addr, c.baseAddr);
+        ASSERT_GE(r.addr, CodeWalker::kBaseAddr);
         // Function carving may round up by one function length.
-        ASSERT_LT(r.addr, c.baseAddr + c.codeBytes + 4096);
+        ASSERT_LT(r.addr, CodeWalker::kBaseAddr + c.codeBytes + 4096);
     }
 }
 

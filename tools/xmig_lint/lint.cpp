@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <unordered_set>
 
 namespace xmig::lint {
@@ -266,23 +267,6 @@ trimmed(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/** 1-based source line text, trimmed (for baseline keys). */
-std::string
-sourceLine(const std::string &content, unsigned line)
-{
-    size_t pos = 0;
-    for (unsigned l = 1; l < line; ++l) {
-        pos = content.find('\n', pos);
-        if (pos == std::string::npos)
-            return "";
-        ++pos;
-    }
-    size_t end = content.find('\n', pos);
-    if (end == std::string::npos)
-        end = content.size();
-    return trimmed(content.substr(pos, end - pos));
-}
-
 // ---------------------------------------------------------------------------
 // Suppressions:  // xmig-lint: allow(rule[, rule]) -- justification
 // ---------------------------------------------------------------------------
@@ -296,8 +280,7 @@ struct Suppressions
 
 Suppressions
 parseSuppressions(const std::string &path,
-                  const std::vector<Comment> &comments,
-                  const std::string &content)
+                  const std::vector<Comment> &comments)
 {
     Suppressions out;
     // A justification may wrap onto following comment lines; the
@@ -312,7 +295,7 @@ parseSuppressions(const std::string &path,
             continue;
         auto bad = [&](const std::string &why) {
             out.malformed.push_back({path, c.line, "bad-suppression",
-                                     why, sourceLine(content, c.line)});
+                                     why});
         };
         const size_t open = c.text.find("allow(", tag);
         if (open == std::string::npos) {
@@ -427,7 +410,6 @@ wallclockExempt(const std::string &path)
 
 void
 ruleNoWallclock(const std::string &path, const LexedFile &lexed,
-                const std::string &content,
                 std::vector<Finding> &findings)
 {
     if (wallclockExempt(path))
@@ -443,8 +425,7 @@ ruleNoWallclock(const std::string &path, const LexedFile &lexed,
                      "#include <" + hdr +
                          "> pulls wall-clock/entropy primitives into "
                          "a simulation TU; simulated time and xmig::Rng "
-                         "are the only sanctioned sources",
-                     sourceLine(content, d.line)});
+                         "are the only sanctioned sources"});
             }
         }
     }
@@ -460,8 +441,7 @@ ruleNoWallclock(const std::string &path, const LexedFile &lexed,
                      "' is a wall-clock/entropy source; a replayable "
                      "sim path must use simulated time or a seeded "
                      "xmig::Rng (wall clock is allowed only in "
-                     "src/obs/prof.*)",
-                 sourceLine(content, t.line)});
+                     "src/obs/prof.*)"});
             continue;
         }
         if (!kBannedCallIdents.count(t.text))
@@ -492,8 +472,7 @@ ruleNoWallclock(const std::string &path, const LexedFile &lexed,
             {path, t.line, "no-wallclock",
              "call to '" + t.text +
                  "' injects wall-clock/ambient state into a sim "
-                 "path; use simulated time or a seeded xmig::Rng",
-             sourceLine(content, t.line)});
+                 "path; use simulated time or a seeded xmig::Rng"});
     }
 }
 
@@ -549,7 +528,6 @@ writesOutput(const LexedFile &lexed)
 
 void
 ruleUnorderedOutput(const std::string &path, const LexedFile &lexed,
-                    const std::string &content,
                     const std::unordered_set<std::string> &unordered,
                     std::vector<Finding> &findings)
 {
@@ -563,8 +541,7 @@ ruleUnorderedOutput(const std::string &path, const LexedFile &lexed,
                     "that writes CSV/JSONL/trace output; iteration "
                     "order is implementation-defined — sort keys at "
                     "the export boundary, or suppress with a "
-                    "justification if the loop is order-free",
-             sourceLine(content, line)});
+                    "justification if the loop is order-free"});
     };
     for (size_t i = 0; i < toks.size(); ++i) {
         // Range-for whose range expression names an unordered
@@ -618,7 +595,6 @@ ruleUnorderedOutput(const std::string &path, const LexedFile &lexed,
 
 void
 rulePointerOrder(const std::string &path, const LexedFile &lexed,
-                 const std::string &content,
                  std::vector<Finding> &findings)
 {
     const auto &toks = lexed.toks;
@@ -632,8 +608,7 @@ rulePointerOrder(const std::string &path, const LexedFile &lexed,
                  "'" + t.text +
                      "' converts a pointer to an orderable integer; "
                      "address-derived order varies run to run (ASLR, "
-                     "allocator) and must not reach output",
-                 sourceLine(content, t.line)});
+                     "allocator) and must not reach output"});
             continue;
         }
         const bool container =
@@ -666,8 +641,7 @@ rulePointerOrder(const std::string &path, const LexedFile &lexed,
                  "std::" + t.text +
                      " keyed on raw pointer values: ordering/hash "
                      "follows addresses, which vary run to run — key "
-                     "on a stable id instead",
-                 sourceLine(content, t.line)});
+                     "on a stable id instead"});
         }
     }
 }
@@ -684,7 +658,6 @@ const std::unordered_set<std::string> kCapabilityMacros = {
 
 void
 ruleNakedMutex(const std::string &path, const LexedFile &lexed,
-               const std::string &content,
                std::vector<Finding> &findings)
 {
     const auto &toks = lexed.toks;
@@ -724,8 +697,7 @@ ruleNakedMutex(const std::string &path, const LexedFile &lexed,
                  "the state it guards with XMIG_GUARDED_BY(" +
                  name.text +
                  ") (src/util/thread_annotations.hpp) so clang "
-                 "-Wthread-safety can check every access",
-             sourceLine(content, name.line)});
+                 "-Wthread-safety can check every access"});
     }
 }
 
@@ -757,7 +729,6 @@ contractScoped(const std::string &path)
 
 void
 ruleContractCoverage(const std::string &path, const LexedFile &lexed,
-                     const std::string &content,
                      std::vector<Finding> &findings)
 {
     if (!contractScoped(path))
@@ -844,8 +815,7 @@ ruleContractCoverage(const std::string &path, const LexedFile &lexed,
                      std::to_string(bodyLines) +
                      " lines) has no XMIG_ASSERT/XMIG_AUDIT/"
                      "XMIG_EXPECT site; state what it preserves, or "
-                     "suppress with a justification",
-                 sourceLine(content, toks[i].line)});
+                     "suppress with a justification"});
         }
         i = bodyOpen; // resume after the header (nested defs: none)
     }
@@ -873,7 +843,6 @@ identMentionsJournal(const std::string &text)
 
 void
 ruleJournalInHotLoop(const std::string &path, const LexedFile &lexed,
-                     const std::string &content,
                      std::vector<Finding> &findings)
 {
     // src/obs/ is the journal's home: the Journal class and the
@@ -902,8 +871,7 @@ ruleJournalInHotLoop(const std::string &path, const LexedFile &lexed,
                  "null check and evaluates its arguments even with "
                  "no journal attached; use "
                  "XMIG_JOURNAL / XMIG_JOURNAL_CLOCK / "
-                 "XMIG_JOURNAL_INCIDENT (src/obs/journal.hpp)",
-             sourceLine(content, toks[i].line)});
+                 "XMIG_JOURNAL_INCIDENT (src/obs/journal.hpp)"});
     }
 }
 
@@ -945,7 +913,6 @@ const std::unordered_set<std::string> kScalarEntryCalls = {
  */
 void
 ruleAllocInHotLoop(const std::string &path, const LexedFile &lexed,
-                   const std::string &content,
                    std::vector<Finding> &findings)
 {
     const auto &toks = lexed.toks;
@@ -987,8 +954,7 @@ ruleAllocInHotLoop(const std::string &path, const LexedFile &lexed,
                      "allocation-free and devirtualized — hoist the "
                      "work out of the loop or use the concrete *Fast "
                      "entry points; a cold exact-fallback arm may be "
-                     "suppressed with a justification",
-                 sourceLine(content, line)});
+                     "suppressed with a justification"});
         };
         for (size_t j = bodyOpen + 1; j < bodyClose; ++j) {
             const Tok &t = toks[j];
@@ -1063,18 +1029,17 @@ lintFiles(const std::vector<std::pair<std::string, std::string>> &files)
     // Pass 2: per-file rules, then suppression filtering.
     std::vector<Finding> findings;
     for (size_t f = 0; f < files.size(); ++f) {
-        const auto &[path, content] = files[f];
+        const std::string &path = files[f].first;
         std::vector<Finding> raw;
-        ruleNoWallclock(path, lexed[f], content, raw);
-        ruleUnorderedOutput(path, lexed[f], content, unordered, raw);
-        rulePointerOrder(path, lexed[f], content, raw);
-        ruleNakedMutex(path, lexed[f], content, raw);
-        ruleContractCoverage(path, lexed[f], content, raw);
-        ruleJournalInHotLoop(path, lexed[f], content, raw);
-        ruleAllocInHotLoop(path, lexed[f], content, raw);
+        ruleNoWallclock(path, lexed[f], raw);
+        ruleUnorderedOutput(path, lexed[f], unordered, raw);
+        rulePointerOrder(path, lexed[f], raw);
+        ruleNakedMutex(path, lexed[f], raw);
+        ruleContractCoverage(path, lexed[f], raw);
+        ruleJournalInHotLoop(path, lexed[f], raw);
+        ruleAllocInHotLoop(path, lexed[f], raw);
 
-        const Suppressions sup =
-            parseSuppressions(path, lexed[f].comments, content);
+        const Suppressions sup = parseSuppressions(path, lexed[f].comments);
         for (Finding &finding : raw) {
             if (!suppressed(sup, finding.line, finding.rule))
                 findings.push_back(std::move(finding));
@@ -1097,67 +1062,6 @@ std::vector<Finding>
 lintFile(const std::string &path, const std::string &content)
 {
     return lintFiles({{path, content}});
-}
-
-std::string
-baselineKey(const Finding &finding)
-{
-    return finding.rule + "|" + finding.file + "|" + finding.lineText;
-}
-
-std::multiset<std::string>
-parseBaseline(const std::string &content)
-{
-    std::multiset<std::string> out;
-    size_t pos = 0;
-    while (pos <= content.size()) {
-        size_t end = content.find('\n', pos);
-        if (end == std::string::npos)
-            end = content.size();
-        const std::string line = trimmed(content.substr(pos, end - pos));
-        if (!line.empty() && line[0] != '#')
-            out.insert(line);
-        if (end == content.size())
-            break;
-        pos = end + 1;
-    }
-    return out;
-}
-
-std::string
-renderBaseline(const std::vector<Finding> &findings)
-{
-    std::string out =
-        "# xmig_lint grandfather baseline. One `rule|file|line-text`\n"
-        "# key per line; keys are content-addressed, so line-number\n"
-        "# drift does not invalidate them. Shrink this file; never\n"
-        "# grow it without a review (docs/analysis.md).\n";
-    std::vector<std::string> keys;
-    keys.reserve(findings.size());
-    for (const Finding &f : findings)
-        keys.push_back(baselineKey(f));
-    std::sort(keys.begin(), keys.end());
-    for (const std::string &k : keys)
-        out += k + "\n";
-    return out;
-}
-
-std::pair<std::vector<Finding>, std::vector<Finding>>
-partitionAgainstBaseline(const std::vector<Finding> &findings,
-                         std::multiset<std::string> baseline)
-{
-    std::vector<Finding> fresh;
-    std::vector<Finding> grandfathered;
-    for (const Finding &f : findings) {
-        auto it = baseline.find(baselineKey(f));
-        if (it != baseline.end()) {
-            baseline.erase(it); // each entry absolves one finding
-            grandfathered.push_back(f);
-        } else {
-            fresh.push_back(f);
-        }
-    }
-    return {std::move(fresh), std::move(grandfathered)};
 }
 
 std::string

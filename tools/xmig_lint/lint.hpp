@@ -65,16 +65,13 @@
  *   bad-suppression    a malformed xmig-lint comment (unknown rule
  *                      id, or no justification).
  *
- * Findings not matched by the checked-in baseline
- * (.xmig-lint-baseline) fail the run; the baseline is keyed on
- * (rule, file, source-line text), so line-number drift does not
- * invalidate it. The intended steady state is an *empty* baseline.
+ * Every finding fails the run; a justified suppression is the only
+ * waiver.
  */
 
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,7 +85,6 @@ struct Finding
     unsigned line = 0;    ///< 1-based
     std::string rule;     ///< rule id, e.g. "no-wallclock"
     std::string message;  ///< human-readable explanation
-    std::string lineText; ///< trimmed source line (baseline key part)
 };
 
 /** All rule ids the tool knows, in reporting order. */
@@ -110,26 +106,6 @@ lintFiles(const std::vector<std::pair<std::string, std::string>> &files);
 /** Convenience wrapper: lint one in-memory file. */
 std::vector<Finding> lintFile(const std::string &path,
                               const std::string &content);
-
-/** Stable identity of a finding: "rule|file|trimmed line text". */
-std::string baselineKey(const Finding &finding);
-
-/**
- * Parse a baseline document (one baselineKey per line; blank lines
- * and lines starting with '#' ignored).
- */
-std::multiset<std::string> parseBaseline(const std::string &content);
-
-/** Render findings as a baseline document (sorted, commented). */
-std::string renderBaseline(const std::vector<Finding> &findings);
-
-/**
- * Split findings into (new, baselined) against a baseline multiset.
- * Each baseline entry absolves at most one finding.
- */
-std::pair<std::vector<Finding>, std::vector<Finding>>
-partitionAgainstBaseline(const std::vector<Finding> &findings,
-                         std::multiset<std::string> baseline);
 
 /** `file:line: rule: message`, one finding per line. */
 std::string renderText(const std::vector<Finding> &findings);

@@ -9,8 +9,9 @@
  * under <root>/src — one source of truth shared with clang-tidy and
  * editors (CMAKE_EXPORT_COMPILE_COMMANDS is ON at the top level).
  *
- * Exit status: 0 clean (baselined findings allowed), 1 on any
- * non-baselined finding, 2 on usage or I/O errors.
+ * Exit status: 0 clean, 1 on any finding (a justified per-site
+ * `// xmig-lint: allow(rule) -- why` is the only waiver), 2 on usage
+ * or I/O errors.
  */
 
 #include <algorithm>
@@ -42,10 +43,6 @@ usage(std::FILE *to)
         "                          reported relative to it\n"
         "  --compile-commands F    compile_commands.json for the TU\n"
         "                          list (default: <root>/build/...)\n"
-        "  --baseline F            grandfather baseline (default:\n"
-        "                          <root>/.xmig-lint-baseline)\n"
-        "  --write-baseline F      write current findings as baseline\n"
-        "                          and exit 0\n"
         "  --json                  emit findings as JSON to stdout\n"
         "  --sarif F               also write a SARIF 2.1.0 report\n"
         "  --list                  print the TU list and exit\n"
@@ -104,9 +101,7 @@ main(int argc, char **argv)
 {
     fs::path root = fs::current_path();
     fs::path compileCommands;
-    fs::path baselinePath;
     fs::path sarifPath;
-    fs::path writeBaselinePath;
     bool asJson = false;
     bool listOnly = false;
     std::vector<std::string> explicitFiles;
@@ -125,10 +120,6 @@ main(int argc, char **argv)
             root = value();
         } else if (arg == "--compile-commands") {
             compileCommands = value();
-        } else if (arg == "--baseline") {
-            baselinePath = value();
-        } else if (arg == "--write-baseline") {
-            writeBaselinePath = value();
         } else if (arg == "--sarif") {
             sarifPath = value();
         } else if (arg == "--json") {
@@ -150,8 +141,6 @@ main(int argc, char **argv)
     root = fs::absolute(root);
     if (compileCommands.empty())
         compileCommands = root / "build" / "compile_commands.json";
-    if (baselinePath.empty())
-        baselinePath = root / ".xmig-lint-baseline";
 
     // ----- assemble the TU list ---------------------------------------
     std::vector<std::string> tuList;
@@ -228,39 +217,19 @@ main(int argc, char **argv)
     }
     const std::vector<Finding> findings = lintFiles(files);
 
-    if (!writeBaselinePath.empty()) {
-        if (!writeFile(writeBaselinePath, renderBaseline(findings))) {
-            std::fprintf(stderr, "xmig_lint: cannot write %s\n",
-                         writeBaselinePath.string().c_str());
-            return 2;
-        }
-        std::fprintf(stderr,
-                     "xmig_lint: wrote %zu finding(s) to baseline %s\n",
-                     findings.size(),
-                     writeBaselinePath.string().c_str());
-        return 0;
-    }
-
-    std::multiset<std::string> baseline;
-    std::string baselineContent;
-    if (readFile(baselinePath, &baselineContent))
-        baseline = parseBaseline(baselineContent);
-    auto [fresh, grandfathered] =
-        partitionAgainstBaseline(findings, baseline);
-
     if (!sarifPath.empty() &&
-        !writeFile(sarifPath, renderSarif(fresh))) {
+        !writeFile(sarifPath, renderSarif(findings))) {
         std::fprintf(stderr, "xmig_lint: cannot write %s\n",
                      sarifPath.string().c_str());
         return 2;
     }
     if (asJson)
-        std::fputs(renderJson(fresh).c_str(), stdout);
+        std::fputs(renderJson(findings).c_str(), stdout);
     else
-        std::fputs(renderText(fresh).c_str(), stdout);
+        std::fputs(renderText(findings).c_str(), stdout);
     std::fprintf(
         stderr,
-        "xmig_lint: %zu file(s), %zu finding(s) (%zu baselined)\n",
-        files.size(), findings.size(), grandfathered.size());
-    return fresh.empty() ? 0 : 1;
+        "xmig_lint: %zu file(s), %zu finding(s)\n", files.size(),
+        findings.size());
+    return findings.empty() ? 0 : 1;
 }
