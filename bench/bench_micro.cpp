@@ -3,8 +3,9 @@
  * Microbenchmarks (google-benchmark): throughput of the core data
  * structures — affinity engine variants, splitters, cache models,
  * LRU stack, hashes — and of the per-reference layers over a recorded
- * 179.art prefix in 64-reference chunks: the L1 filter, the migration
- * controller, and the whole migration machine.
+ * 179.art prefix in 64-reference chunks: the L1 filter (also over a
+ * storm.phase prefix), the migration controller, and the whole
+ * migration machine.
  */
 
 #include <benchmark/benchmark.h>
@@ -115,16 +116,28 @@ BM_LruStack(benchmark::State &state)
 }
 BENCHMARK(BM_LruStack);
 
-/** A recorded 179.art prefix: the input of the batch microbenches. */
+/** A recorded 200k-instruction prefix of kernel `name` at seed 42. */
+static std::vector<MemRef>
+recordPrefix(const char *name)
+{
+    RefRecorder recorder;
+    makeWorkload(name)->run(recorder, 200'000, 42);
+    return recorder.refs();
+}
+
+/** The 179.art prefix: the input of the batch microbenches. */
 static const std::vector<MemRef> &
 artPrefix()
 {
-    static const std::vector<MemRef> refs = [] {
-        auto workload = makeWorkload("179.art");
-        RefRecorder recorder;
-        workload->run(recorder, 200'000, 42);
-        return recorder.refs();
-    }();
+    static const std::vector<MemRef> refs = recordPrefix("179.art");
+    return refs;
+}
+
+/** A storm.phase prefix: the L1 under the storm workloads. */
+static const std::vector<MemRef> &
+stormPrefix()
+{
+    static const std::vector<MemRef> refs = recordPrefix("storm.phase");
     return refs;
 }
 
@@ -161,12 +174,14 @@ BM_MigrationMachineBatch(benchmark::State &state)
 }
 BENCHMARK(BM_MigrationMachineBatch);
 
+/** The machine's L1 over 179.art (arg 0) or storm.phase (arg 1). */
 static void
 BM_L1FilterBatch(benchmark::State &state)
 {
     NullLineSink sink;
     L1Filter l1(machineL1Config(MachineConfig{}), sink);
-    const std::vector<MemRef> &refs = artPrefix();
+    const std::vector<MemRef> &refs =
+        state.range(0) == 0 ? artPrefix() : stormPrefix();
     constexpr size_t kChunk = MigrationMachine::kBatchRefs;
     const size_t chunks = refs.size() / kChunk;
     LineEvent events[kChunk];
@@ -184,7 +199,7 @@ BM_L1FilterBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(kChunk));
 }
-BENCHMARK(BM_L1FilterBatch);
+BENCHMARK(BM_L1FilterBatch)->Arg(0)->Arg(1)->ArgName("storm");
 
 /**
  * The controller alone over the prefix's post-L1 requests, each with

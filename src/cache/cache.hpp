@@ -2,9 +2,11 @@
  * @file
  * A single cache with write-policy semantics, built on a FrameArray.
  *
- * The machine model of the paper needs two flavors:
- *  - L1 data: write-through, non-write-allocate (section 2.1);
- *  - L2: write-back, write-allocate, 4-way skewed-associative.
+ * The paper's L2s are write-back, write-allocate and 4-way
+ * skewed-associative. The write-through, non-write-allocate policy of
+ * its L1 data cache (section 2.1) is modelled here too, as the
+ * stamped-LRU oracle the L1 filter's tests check it against; the
+ * machine's L1s are cache/l1_filter.hpp's recency-ordered sets.
  * Cache operates on *line addresses*; callers apply LineGeometry.
  */
 
@@ -117,29 +119,22 @@ class Cache
                  bool is_store)
     {
         ++stats_.accesses;
-        return accessAt(line, s, probe, is_store, stats_.hits);
-    }
-
-    /**
-     * access() with the accesses/hits tallies kept in the caller's
-     * registers: the batch loop calls this per reference and settles
-     * the two counters once per chunk with settleBatchStats(), so the
-     * hot loop does no statistics memory traffic. The cache state
-     * transition is exactly access()'s.
-     */
-    AccessOutcome
-    accessTallied(uint64_t line, bool is_store, uint64_t &hits)
-    {
-        const Slots s = frames_.slots(line);
-        return accessAt(line, s, frames_.find(line, s), is_store, hits);
-    }
-
-    /** Fold a batch loop's register tallies into the stats. */
-    void
-    settleBatchStats(uint64_t accesses, uint64_t hits)
-    {
-        stats_.accesses += accesses;
-        stats_.hits += hits;
+        AccessOutcome out;
+        if (probe == kNoFrame) {
+            missPath(line, s, is_store, out);
+            return out;
+        }
+        out.hit = true;
+        ++stats_.hits;
+        frames_.touch(probe);
+        if (is_store) {
+            if (config_.write == WritePolicy::WriteBackAllocate)
+                frames_.setModified(probe, true);
+            else
+                out.writeThrough = true;
+        }
+        out.frame = probe;
+        return out;
     }
 
     /**
@@ -185,29 +180,6 @@ class Cache
     const FrameArray &frames() const { return frames_; }
 
   private:
-    /** The one access body: hit arm inline, miss arm out of line. */
-    AccessOutcome
-    accessAt(uint64_t line, const Slots &s, uint32_t probe, bool is_store,
-             uint64_t &hits)
-    {
-        AccessOutcome out;
-        if (probe == kNoFrame) {
-            missPath(line, s, is_store, out);
-            return out;
-        }
-        out.hit = true;
-        ++hits;
-        frames_.touch(probe);
-        if (is_store) {
-            if (config_.write == WritePolicy::WriteBackAllocate)
-                frames_.setModified(probe, true);
-            else
-                out.writeThrough = true;
-        }
-        out.frame = probe;
-        return out;
-    }
-
     /** The miss arm of every access (counts the miss). */
     void missPath(uint64_t line, const Slots &s, bool is_store,
                   AccessOutcome &out);

@@ -1,9 +1,10 @@
 /**
  * @file
- * FrameArray: the indexing and replacement half of every cache model.
+ * FrameArray: the indexing and replacement half of every cache model
+ * below the L1s, which keep recency-ordered sets (l1_filter.hpp).
  *
- * One non-virtual structure of arrays serves the L1s, the per-core
- * L2s and the L3 (cache.hpp), and the affinity cache of section 3.5
+ * One non-virtual structure of arrays serves the per-core L2s and the
+ * L3 (cache.hpp), and the affinity cache of section 3.5
  * (core/soa_oe_store.hpp). Each frame is three columns:
  *  - `tag`: the full line address, or kInvalidTag for a free frame;
  *  - `stamp`: the replacement clock at the last touch or install;
@@ -49,7 +50,7 @@ class FrameArray
      * bank; set-associative arrays store only the set's first frame
      * in frame[0], and way w is frame[0] + w. Entries slots() does not
      * write are never read, and stay uninitialized on purpose: zeroing
-     * 64 bytes would cost every L1 reference four stores.
+     * 64 bytes would cost every probe four stores.
      */
     struct Slots
     {

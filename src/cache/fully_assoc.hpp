@@ -47,24 +47,23 @@ class FullyAssocLru
            bool *evicted_valid = nullptr)
     {
         ++stats_.accesses;
-        return accessTallied(line, stats_.hits, evicted_line,
-                             evicted_valid);
+        const bool hit = accessUncounted(line, evicted_line, evicted_valid);
+        stats_.hits += hit ? 1 : 0;
+        return hit;
     }
 
     /**
-     * access() with the accesses/hits tallies kept by the caller and
-     * folded in with settleBatchStats(), like Cache::accessTallied().
+     * access() without the accesses and hits tallies: L1Filter's batch
+     * loop keeps those and folds them in with settleBatchStats().
      */
     bool
-    accessTallied(uint64_t line, uint64_t &hits,
-                  uint64_t *evicted_line = nullptr,
-                  bool *evicted_valid = nullptr)
+    accessUncounted(uint64_t line, uint64_t *evicted_line = nullptr,
+                    bool *evicted_valid = nullptr)
     {
         if (evicted_valid)
             *evicted_valid = false;
         auto it = map_.find(line);
         if (it != map_.end()) {
-            ++hits;
             recency_.splice(recency_.begin(), recency_, it->second);
             return true;
         }

@@ -14,11 +14,13 @@
  * of the whole machine exactly.
  *
  * Every reference, whether it arrives through access() or
- * filterBatch(), runs through one inline body (l1_filter.cpp). The
- * IL1 and the DL1 remember, for each of their sets, the line of the
- * set's last touch or fill; a reference to that line is a guaranteed
- * hit whose LRU touch would change no victim, so it costs one compare
- * and a hit tally (docs/parallelism.md, "per-set MRU check").
+ * filterBatch(), runs through one inline body (l1_filter.cpp). A
+ * set-associative L1 stores each set's line addresses most recent
+ * first, so the recency order is the LRU order itself: a probe
+ * compares the MRU way first, a hit moves its line to the front and a
+ * fill drops the tail (docs/parallelism.md, "recency-ordered sets").
+ * The fully-associative L1 remembers its last line, whose re-reference
+ * is a guaranteed hit that costs one compare.
  */
 
 #pragma once
@@ -140,19 +142,24 @@ class L1Filter : public RefSink
                      uint32_t *ref_idx, uint32_t *ev_instr,
                      uint32_t *ifetch_total);
 
-    template <bool kFullyAssoc>
-    bool probe(uint64_t line, unsigned l1, bool is_store, uint64_t &hits);
+    static bool probeSet(uint64_t *t, unsigned ways, uint64_t line,
+                         bool is_store);
+    bool probeFullyAssoc(uint64_t line, unsigned l1);
 
     L1FilterConfig config_;
     LineGeometry geom_;
     LineSink *sink_;
-    std::vector<uint64_t> mru_[2]; ///< per set: last touched or filled
-    uint64_t mruMask_[2] = {0, 0}; ///< sets - 1 (0: fully associative)
 
-    // Fully-associative backing (section 4.1)...
+    // Fully-associative backing (section 4.1) with its last line...
     std::unique_ptr<FullyAssocLru> fa_[2];
-    // ...or set-associative backing (section 4.2).
-    std::unique_ptr<Cache> sa_[2];
+    uint64_t faLast_[2] = {kNoLine, kNoLine};
+
+    // ...or set-associative backing (section 4.2): `ways` lines per
+    // set, most recent first; kNoLine marks a free way, always at the
+    // tail of its set.
+    std::vector<uint64_t> tags_[2];
+    uint64_t setMask_[2] = {0, 0}; ///< sets - 1
+    CacheStats saStats_[2];
 };
 
 } // namespace xmig

@@ -65,11 +65,11 @@ class FifoWindow
         // oldest entry, so overwriting it displaces exactly the
         // |R|-references-old line the postponed-update identities
         // assume (O_f = I_f + 2 Delta for the *oldest* member).
-        XMIG_AUDIT(!full || (head_ + slots_.size() - size_) %
-                                slots_.size() == head_,
+        XMIG_AUDIT(!full || wrap(head_ + slots_.size() - size_) == head_,
                    "FIFO eviction is not the oldest slot");
         slots_[head_] = {line, ie};
-        head_ = (head_ + 1) % slots_.size();
+        if (++head_ == slots_.size())
+            head_ = 0;
         if (!full)
             ++size_;
         return full;
@@ -90,7 +90,7 @@ class FifoWindow
     {
         for (size_t i = 0; i < size_; ++i) {
             // Scan from most recent to oldest.
-            size_t idx = (head_ + slots_.size() - 1 - i) % slots_.size();
+            size_t idx = wrap(head_ + slots_.size() - 1 - i);
             if (slots_[idx].line == line)
                 return &slots_[idx];
         }
@@ -103,7 +103,7 @@ class FifoWindow
     forEach(Fn fn) const
     {
         for (size_t i = 0; i < size_; ++i) {
-            size_t idx = (head_ + slots_.size() - size_ + i) % slots_.size();
+            size_t idx = wrap(head_ + slots_.size() - size_ + i);
             fn(slots_[idx]);
         }
     }
@@ -134,6 +134,13 @@ class FifoWindow
     }
 
   private:
+    /** Slot index `i` (< 2 x capacity) wrapped without a divide. */
+    size_t
+    wrap(size_t i) const
+    {
+        return i >= slots_.size() ? i - slots_.size() : i;
+    }
+
     std::vector<WindowSlot> slots_;
     size_t head_ = 0;
     size_t size_ = 0;

@@ -181,7 +181,7 @@ CoverageGuidedGenerator::compose()
     const unsigned budget = static_cast<unsigned>(
         rng_.inRange(2, gen_.config().maxStatements));
     uint64_t tick =
-        rng_.below(gen_.config().tickHorizon / 2 + 1);
+        rng_.below(PlanGenerator::kTickHorizon / 2 + 1);
     while (plan.statements.size() - 1 < budget)
         appendGuided(plan.statements, tick);
     return plan;
@@ -210,7 +210,7 @@ CoverageGuidedGenerator::mutate(const std::string &spec)
         plan.statements.front() =
             "seed=" + std::to_string(rng_.next() >> 1);
 
-    uint64_t tick = rng_.below(gen_.config().tickHorizon / 2 + 1);
+    uint64_t tick = rng_.below(PlanGenerator::kTickHorizon / 2 + 1);
     const uint64_t mutations = rng_.inRange(1, 3);
     for (uint64_t m = 0; m < mutations; ++m) {
         switch (rng_.below(4)) {

@@ -9,8 +9,6 @@ namespace xmig {
 
 namespace {
 
-constexpr uint64_t kDefaultHorizon = 400'000;
-
 /** Core count of the machine the plans run against (section 4.2). */
 constexpr unsigned kCores = 4;
 
@@ -40,8 +38,6 @@ FuzzPlan::spec() const
 PlanGenerator::PlanGenerator(uint64_t seed, GeneratorConfig config)
     : config_(config), rng_(seed)
 {
-    if (config_.tickHorizon == 0)
-        config_.tickHorizon = kDefaultHorizon;
     XMIG_ASSERT(config_.maxStatements >= 2,
                 "need room for at least a churn pair");
 }
@@ -53,12 +49,12 @@ PlanGenerator::sampleTick(uint64_t previous_tick)
         switch (rng_.below(5)) {
           case 0: return 0; // fires before the first reference retires
           case 1: return 1;
-          case 2: return config_.tickHorizon;
-          case 3: return config_.tickHorizon + 1; // never fires
+          case 2: return kTickHorizon;
+          case 3: return kTickHorizon + 1; // never fires
           default: return previous_tick;          // same-tick pile-up
         }
     }
-    return rng_.below(config_.tickHorizon + 1);
+    return rng_.below(kTickHorizon + 1);
 }
 
 double
@@ -120,7 +116,7 @@ PlanGenerator::statementFor(FaultSite site, uint64_t &tick_io, bool hot)
         const char *dir =
             site == FaultSite::CoreOff ? "core_off" : "core_on";
         const uint64_t tick =
-            hot ? rng_.below(config_.tickHorizon / 2 + 1)
+            hot ? rng_.below(kTickHorizon / 2 + 1)
                 : sampleTick(tick_io);
         tick_io = tick;
         return "at=" + std::to_string(tick) + ':' + dir + '=' +
@@ -130,7 +126,7 @@ PlanGenerator::statementFor(FaultSite site, uint64_t &tick_io, bool hot)
         XMIG_PANIC("kCount is not a fault site");
     }
     if (rng_.chance(hot ? 0.4 : 0.5)) {
-        tick_io = hot ? rng_.below(config_.tickHorizon / 2 + 1)
+        tick_io = hot ? rng_.below(kTickHorizon / 2 + 1)
                       : sampleTick(tick_io);
         return "at=" + std::to_string(tick_io) + ':' + event;
     }
@@ -197,7 +193,7 @@ PlanGenerator::appendChurn(std::vector<std::string> &out,
         on_tick = off_tick + rng_.below(2);
     } else {
         on_tick = off_tick + 1 +
-                  rng_.below(config_.tickHorizon / 4 + 1);
+                  rng_.below(kTickHorizon / 4 + 1);
     }
     tick_io = on_tick;
 
@@ -220,7 +216,7 @@ PlanGenerator::next()
 
     const unsigned budget = static_cast<unsigned>(
         rng_.inRange(1, config_.maxStatements));
-    uint64_t tick = rng_.below(config_.tickHorizon + 1);
+    uint64_t tick = rng_.below(kTickHorizon + 1);
 
     while (plan.statements.size() - 1 < budget) {
         // Duplicate an earlier fault statement verbatim: the grammar

@@ -29,13 +29,6 @@ namespace xmig {
 /** Shape of the plans a PlanGenerator samples. */
 struct GeneratorConfig
 {
-    /**
-     * Scheduled `at=` ticks land in [0, tickHorizon]; boundary picks
-     * include 0, 1, the horizon itself and just past it (an event
-     * that never fires). 0 = default horizon (400k ticks).
-     */
-    uint64_t tickHorizon = 0;
-
     /** Statement budget per plan (the seed= statement is extra). */
     unsigned maxStatements = 12;
 };
@@ -63,6 +56,13 @@ class PlanGenerator
      * is explored through scheduled back-to-back pairs instead.
      */
     static constexpr double kMaxChurnRate = 1e-4;
+
+    /**
+     * Scheduled `at=` ticks land in [0, kTickHorizon]; boundary picks
+     * include 0, 1, the horizon itself and just past it (an event
+     * that never fires).
+     */
+    static constexpr uint64_t kTickHorizon = 400'000;
 
     explicit PlanGenerator(uint64_t seed, GeneratorConfig config = {});
 

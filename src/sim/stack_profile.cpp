@@ -4,14 +4,30 @@
 
 #include "cache/l1_filter.hpp"
 #include "cache/lru_stack.hpp"
+#include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
 #include "multicore/feed.hpp"
-#include "util/contracts.hpp"
 #include "workloads/registry.hpp"
 
 namespace xmig {
 
 namespace {
+
+/** The section 3.6 4-way split: the depth-2 tree. */
+KWaySplitter::Config
+splitterConfig()
+{
+    KWaySplitter::Config c;
+    c.depth = 2;
+    c.rootWindow = 128; // |R_X| = 128, |R_Y| = 64
+    c.filterBits = 20;
+    c.samplingCutoff = 31; // unlimited affinity cache, no sampling
+    return c;
+}
+
+/** p1/p4 are reported at cache sizes from 16 KB to 16 MB, doubling. */
+constexpr uint64_t kMinPlotBytes = 16 * 1024;
+constexpr uint64_t kMaxPlotBytes = 16 * 1024 * 1024;
 
 /** Routes each post-L1 line to the single stack and the split stacks. */
 class ProfileSink : public LineSink
@@ -57,13 +73,11 @@ StackProfileResult
 runStackProfile(const std::string &benchmark,
                 const StackProfileParams &params)
 {
-    XMIG_ASSERT(params.splitter.depth == 2,
-                "Figures 4/5 profile 4 split stacks, not a depth-%u tree",
-                params.splitter.depth);
     auto workload = makeWorkload(benchmark);
 
-    UnboundedOeStore store(params.splitter.affinityBits);
-    KWaySplitter splitter(params.splitter, store);
+    const KWaySplitter::Config split = splitterConfig();
+    UnboundedOeStore store(split.affinityBits);
+    KWaySplitter splitter(split, store);
     ProfileSink sink(splitter);
 
     L1FilterConfig l1c; // the default 16-KB IL1 and DL1 (section 4.1)
@@ -86,9 +100,8 @@ runStackProfile(const std::string &benchmark,
         : static_cast<double>(splitter.transitions()) /
           static_cast<double>(sink.accesses());
     result.footprintLines = sink.single().distinctLines();
-    result.plotSizes = params.plotSizes;
-
-    for (uint64_t size : params.plotSizes) {
+    for (uint64_t size = kMinPlotBytes; size <= kMaxPlotBytes; size *= 2) {
+        result.plotSizes.push_back(size);
         const uint64_t lines = size / params.lineBytes;
         result.p1.push_back(sink.single().missRatioAtSize(lines));
         uint64_t split_misses = 0;

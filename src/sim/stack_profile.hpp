@@ -10,7 +10,8 @@
  * profile p4(x). Splitter parameters: 20-bit transition filters,
  * |R_X| = 128, |R_Y| = 64, unlimited affinity cache, no sampling, no
  * L2 filtering. p(x) is the fraction of references with stack depth
- * greater than x (first touches count as infinite depth).
+ * greater than x (first touches count as infinite depth), reported at
+ * x = 16 KB, 32 KB, ..., 16 MB.
  */
 
 #pragma once
@@ -18,8 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "core/kway_splitter.hpp"
 
 namespace xmig {
 
@@ -29,32 +28,6 @@ struct StackProfileParams
     uint64_t instructionsPerBenchmark = 20'000'000;
     uint64_t lineBytes = 64;
     uint64_t seed = 42;
-
-    KWaySplitter::Config splitter = defaultSplitter();
-
-    /** x values (cache sizes in bytes) at which p1/p4 are reported. */
-    std::vector<uint64_t> plotSizes = defaultPlotSizes();
-
-    /** The section 3.6 4-way split: the depth-2 tree. */
-    static KWaySplitter::Config
-    defaultSplitter()
-    {
-        KWaySplitter::Config c;
-        c.depth = 2;
-        c.rootWindow = 128; // |R_X| = 128, |R_Y| = 64
-        c.filterBits = 20;
-        c.samplingCutoff = 31; // unlimited affinity cache, no sampling
-        return c;
-    }
-
-    static std::vector<uint64_t>
-    defaultPlotSizes()
-    {
-        std::vector<uint64_t> sizes;
-        for (uint64_t s = 16 * 1024; s <= 16 * 1024 * 1024; s *= 2)
-            sizes.push_back(s);
-        return sizes;
-    }
 };
 
 /** Result of one profile run. */
@@ -68,7 +41,7 @@ struct StackProfileResult
     double transitionFrequency = 0.0; ///< the "trans:" label
     uint64_t footprintLines = 0; ///< distinct lines in the stream
 
-    std::vector<uint64_t> plotSizes;
+    std::vector<uint64_t> plotSizes; ///< x values, cache sizes in bytes
     std::vector<double> p1; ///< single-stack profile
     std::vector<double> p4; ///< 4-way-split global profile
 

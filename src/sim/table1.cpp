@@ -11,8 +11,8 @@ runTable1(const std::string &benchmark, const Table1Params &params)
 {
     auto workload = makeWorkload(benchmark);
 
-    L1FilterConfig l1c; // the default 16-KB IL1 and DL1 (section 4.1)
-    l1c.lineBytes = params.lineBytes;
+    // The default 16-KB IL1 and DL1 with 64-B lines (section 4.1).
+    L1FilterConfig l1c;
     l1c.fullyAssociative = true;
     l1c.unifiedReadWrite = true;
 

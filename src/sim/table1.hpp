@@ -31,7 +31,6 @@ struct Table1Row
 struct Table1Params
 {
     uint64_t instructionsPerBenchmark = 20'000'000;
-    uint64_t lineBytes = 64;
     uint64_t seed = 42;
 };
 

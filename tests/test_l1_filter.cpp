@@ -123,8 +123,10 @@ TEST(L1Filter, LineSizeRespected)
 }
 
 /**
- * The L1 level without the per-set MRU check: a bare IL1/DL1
- * pair probed on every reference, with the filter's write policies.
+ * The oracle of the L1 level: a bare IL1/DL1 pair with the filter's
+ * write policies, probed on every reference — stamped-LRU FrameArray
+ * Caches when set-associative, so nothing of the filter's
+ * recency-ordered sets or last-line check is shared.
  */
 class BareL1
 {
@@ -280,19 +282,30 @@ multiSetLines()
 }
 
 /**
+ * Set-associative IL1 and DL1 of `il1_sets` and `dl1_sets` sets of
+ * `ways` 64-B lines each.
+ */
+L1FilterConfig
+setAssocConfig(uint64_t il1_sets, uint64_t dl1_sets, unsigned ways,
+               bool unified)
+{
+    L1FilterConfig c;
+    c.il1Bytes = il1_sets * ways * 64;
+    c.dl1Bytes = dl1_sets * ways * 64;
+    c.fullyAssociative = false;
+    c.ways = ways;
+    c.unifiedReadWrite = unified;
+    return c;
+}
+
+/**
  * An 8-KB IL1 (32 sets) and a 32-KB DL1 (128 sets), both 4-way: the
- * two levels index their per-set MRU lines with different masks.
+ * two levels index their sets with different masks.
  */
 L1FilterConfig
 multiSetConfig(bool unified)
 {
-    L1FilterConfig c;
-    c.il1Bytes = 8 * 1024;
-    c.dl1Bytes = 32 * 1024;
-    c.fullyAssociative = false;
-    c.ways = 4;
-    c.unifiedReadWrite = unified;
-    return c;
+    return setAssocConfig(32, 128, 4, unified);
 }
 
 /**
@@ -364,6 +377,29 @@ TEST(L1Filter, PerSetMruCheckKeepsVictims)
     {
         SCOPED_TRACE("unified DL1");
         expectSameAsBare(multiSetConfig(true), stream, multiSetLines());
+    }
+}
+
+/**
+ * The recency-ordered sets against the stamped-LRU oracle at 1, 2, 4
+ * and 8 ways: a hit's shift and a fill's drop run at every tail
+ * position, including a direct-mapped L1 (one way, no shift) and sets
+ * that never fill (8 ways hold every line of either stream's set).
+ */
+TEST(L1Filter, RecencySetsMatchStampedLruAtEveryAssociativity)
+{
+    const std::vector<MemRef> repeats = repeatStream();
+    const std::vector<MemRef> multi = multiSetStream();
+    for (unsigned ways : {1u, 2u, 4u, 8u}) {
+        for (bool unified : {false, true}) {
+            SCOPED_TRACE(std::to_string(ways) + " ways, " +
+                         (unified ? "unified" : "write-through") + " DL1");
+            // Lines 0-8 even share set 0 of two; line 1 sits in set 1.
+            expectSameAsBare(setAssocConfig(2, 2, ways, unified), repeats,
+                             {0, 1, 2, 4, 6, 8});
+            expectSameAsBare(setAssocConfig(32, 128, ways, unified), multi,
+                             multiSetLines());
+        }
     }
 }
 

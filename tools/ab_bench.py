@@ -11,6 +11,9 @@ pairs, change first in odd ones), so slow drift on a shared host hits
 both sides alike. It prints, for every end-to-end metric of
 BENCHMARK.json, each side's median, quartiles and IQR and the number of
 pairs the change lost, and for the chosen metric the per-pair deltas.
+Next to peak_rss_mb it prints each side's untraced pass count, for
+information only: the peak grows with the passes a run completes, so a
+faster build reads as a memory rise at a fixed --seconds.
 
     python3 tools/ab_bench.py --base HEAD~1 --change HEAD \\
         --workload table2 --pairs 10 --seconds 30
@@ -36,6 +39,7 @@ Exit status:
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -77,8 +81,18 @@ def checkout(rev, workdir, side):
     return tree, sha
 
 
+PASSES = re.compile(r"(\d+) untraced \+ (\d+) traced passes")
+
+
+def parse_passes(stdout):
+    """The untraced pass count of run.py's summary line, or None."""
+    match = PASSES.search(stdout)
+    return int(match.group(1)) if match else None
+
+
 def run_once(tree, args, seconds):
-    """One run.py invocation; returns its final JSON line."""
+    """One run.py invocation: the final JSON line's metric values, with
+    the untraced pass count under "passes" (None if not printed)."""
     cmd = [sys.executable, os.path.join(tree, "xmig-bench", "run.py"),
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds)]
@@ -88,7 +102,9 @@ def run_once(tree, args, seconds):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result.get("correct") or result.get("failed"):
         die(f"{tree}: {result.get('failed')} failed cells")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    values["passes"] = parse_passes(proc.stdout)
+    return values
 
 
 def quartiles(values):
@@ -135,6 +151,16 @@ def verdict(spec, base_runs, change_runs):
     return [name for name, m in spec.items()
             if is_slower(m, [r[name] for r in base_runs],
                          [r[name] for r in change_runs])]
+
+
+def print_passes(base_runs, change_runs):
+    """The informational passes row: each side's median pass count."""
+    base = [r["passes"] for r in base_runs]
+    change = [r["passes"] for r in change_runs]
+    if None in base or None in change:
+        return
+    print(f"  {'  passes (info)':22s} {statistics.median(base):12g} "
+          f"{'':22s} {'':9s} {statistics.median(change):14g}")
 
 
 def main():
@@ -197,6 +223,8 @@ def main():
         print(f"  {name:22s} {bmed:12.4g} [{bq1:9.4g}, {bq3:9.4g}] "
               f"{bq3 - bq1:9.4g} {cmed:14.4g} [{cq1:9.4g}, {cq3:9.4g}] "
               f"{cq3 - cq1:9.4g} {lost_pairs(m, base, change):5d}")
+        if name == "peak_rss_mb":
+            print_passes(base_runs, change_runs)
 
     wins = lost_pairs(spec[args.metric],
                       [r[args.metric] for r in change_runs],

@@ -2,7 +2,8 @@
 """Checks the verdict of tools/ab_bench.py without building anything.
 
 The verdict is fed synthetic per-pair metrics under the end-to-end
-bounds of BENCHMARK.json; a failed run is played by a stub run.py.
+bounds of BENCHMARK.json; a failed run, and the pass count beside the
+metrics, are played by a stub run.py.
 
     python3 tools/test_ab_bench.py
 """
@@ -89,6 +90,31 @@ class FailedRun(unittest.TestCase):
 
     def test_failed_build_or_run_exits_2(self):
         self.assertEqual(self.run_stub("raise SystemExit(1)\n"), 2)
+
+
+class Passes(unittest.TestCase):
+    SUMMARY = ("xmig-bench table2: seed 42, 2000000 instructions per "
+               "kernel/tenant, 31 untraced + 0 traced passes, cells run "
+               "serially")
+
+    def test_summary_line_gives_the_untraced_passes(self):
+        self.assertEqual(ab_bench.parse_passes(self.SUMMARY + "\n{}\n"),
+                         31)
+
+    def test_missing_summary_line_gives_none(self):
+        self.assertIsNone(ab_bench.parse_passes('{"correct": true}\n'))
+
+    def test_run_once_reports_passes_beside_the_metrics(self):
+        line = json.dumps({"correct": True, "attempted": 18, "failed": 0,
+                           "metrics": {"peak_rss_mb": {"value": 6.5}}})
+        with tempfile.TemporaryDirectory() as tree:
+            os.makedirs(os.path.join(tree, "xmig-bench"))
+            with open(os.path.join(tree, "xmig-bench", "run.py"),
+                      "w") as f:
+                f.write(f"print({self.SUMMARY!r})\nprint({line!r})\n")
+            args = argparse.Namespace(workload="table2", seed=42)
+            self.assertEqual(ab_bench.run_once(tree, args, 1),
+                             {"peak_rss_mb": 6.5, "passes": 31})
 
 
 if __name__ == "__main__":
