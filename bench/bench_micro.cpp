@@ -108,10 +108,15 @@ BENCHMARK(BM_FullyAssocLru);
 static void
 BM_LruStack(benchmark::State &state)
 {
-    LruStack stack;
+    // fig4_5's plotted sizes: 16 KB to 16 MB, doubling, in 64-B lines.
+    std::vector<uint64_t> capacities;
+    for (uint64_t lines = 256; lines <= 256 * 1024; lines *= 2)
+        capacities.push_back(lines);
+    LruStack stack(capacities);
     Rng rng(1);
     for (auto _ : state)
-        benchmark::DoNotOptimize(stack.access(rng.below(100000)));
+        stack.access(rng.below(100000));
+    benchmark::DoNotOptimize(stack.missesAtSize(256));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LruStack);
@@ -216,7 +221,6 @@ BM_ControllerRequestBatch(benchmark::State &state)
     l2c.capacityBytes = mc.l2Bytes;
     l2c.ways = mc.l2Ways;
     l2c.lineBytes = mc.lineBytes;
-    l2c.write = WritePolicy::WriteBackAllocate;
     l2c.skewed = mc.l2Skewed;
     Cache l2(l2c);
 

@@ -47,10 +47,6 @@ Cache::missPath(uint64_t line, const Slots &s, bool is_store,
                 AccessOutcome &out)
 {
     ++stats_.misses;
-    if (is_store && config_.write == WritePolicy::WriteThroughNoAllocate) {
-        out.writeThrough = true;
-        return;
-    }
     const uint32_t f = install(line, s, out);
     if (is_store)
         frames_.setModified(f, true);

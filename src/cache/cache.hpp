@@ -1,12 +1,11 @@
 /**
  * @file
- * A single cache with write-policy semantics, built on a FrameArray.
+ * A single write-back, write-allocate cache, built on a FrameArray.
  *
  * The paper's L2s are write-back, write-allocate and 4-way
- * skewed-associative. The write-through, non-write-allocate policy of
- * its L1 data cache (section 2.1) is modelled here too, as the
- * stamped-LRU oracle the L1 filter's tests check it against; the
- * machine's L1s are cache/l1_filter.hpp's recency-ordered sets.
+ * skewed-associative; the L3 and the affinity cache's frames follow
+ * the same policy. The write-through, non-write-allocate L1 data cache
+ * of section 2.1 is cache/l1_filter.hpp's, not this class's.
  * Cache operates on *line addresses*; callers apply LineGeometry.
  */
 
@@ -18,12 +17,8 @@
 
 namespace xmig {
 
-/** Write-handling policy. */
-enum class WritePolicy : uint8_t
-{
-    WriteThroughNoAllocate, ///< stores propagate down; miss: no fill
-    WriteBackAllocate,      ///< stores set modified; miss: fill first
-};
+/** The one write policy: stores set modified; a miss fills first. */
+enum class WritePolicy : uint8_t { WriteBackAllocate };
 
 /** Static configuration of one cache. */
 struct CacheConfig
@@ -31,13 +26,14 @@ struct CacheConfig
     uint64_t capacityBytes = 512 * 1024;
     unsigned ways = 4;
     uint64_t lineBytes = 64;
-    WritePolicy write = WritePolicy::WriteBackAllocate;
     bool skewed = false; ///< skewed-associative instead of set-assoc
     /**
-     * No effect: replacement is always LRU, so nothing is random. The
-     * field stays because xmig-bench/main.cpp, the fixed benchmark
-     * harness, still assigns it.
+     * No effect, either of them: every cache is write-back allocate,
+     * and replacement is always LRU, so nothing is random. They stay
+     * because xmig-bench/main.cpp, the fixed benchmark harness, still
+     * assigns them.
      */
+    WritePolicy write = WritePolicy::WriteBackAllocate;
     uint64_t seed = 1;
 
     uint64_t numLines() const { return capacityBytes / lineBytes; }
@@ -48,16 +44,14 @@ struct AccessOutcome
 {
     bool hit = false;
     bool filled = false;        ///< a frame was allocated for the line
-    bool writeThrough = false;  ///< store must be sent downstream (WT)
     bool evictedValid = false;  ///< an existing line was displaced
     bool writeback = false;     ///< ...and it was modified (dirty)
     uint64_t evictedLine = 0;
 
     /**
      * Frame holding `line` after the operation: the hit frame, or the
-     * frame just filled; kNoFrame when the line was left non-resident
-     * (WT-no-allocate store miss). Valid only until the next mutation
-     * of the cache. Saves callers a re-probe.
+     * frame just filled. Valid only until the next mutation of the
+     * cache. Saves callers a re-probe.
      */
     uint32_t frame = FrameArray::kNoFrame;
 };
@@ -97,8 +91,8 @@ class Cache
     explicit Cache(const CacheConfig &config);
 
     /**
-     * Perform a load or store for `line`, applying the write policy.
-     * Misses allocate according to the policy.
+     * Perform a load or store for `line`: a miss allocates, and a
+     * store sets the frame's modified bit.
      */
     AccessOutcome
     access(uint64_t line, bool is_store)
@@ -127,12 +121,8 @@ class Cache
         out.hit = true;
         ++stats_.hits;
         frames_.touch(probe);
-        if (is_store) {
-            if (config_.write == WritePolicy::WriteBackAllocate)
-                frames_.setModified(probe, true);
-            else
-                out.writeThrough = true;
-        }
+        if (is_store)
+            frames_.setModified(probe, true);
         out.frame = probe;
         return out;
     }

@@ -84,20 +84,6 @@ L1Filter::probeSet(uint64_t *t, unsigned ways, uint64_t line, bool is_store)
     return hit;
 }
 
-/**
- * The fully-associative per-reference body. A reference to the level's
- * last line is a guaranteed hit that already sits at the front of the
- * recency list, where a hit would splice it.
- */
-inline bool
-L1Filter::probeFullyAssoc(uint64_t line, unsigned l1)
-{
-    if (line == faLast_[l1])
-        return true;
-    faLast_[l1] = line;
-    return fa_[l1]->accessUncounted(line);
-}
-
 template <bool kFullyAssoc>
 size_t
 L1Filter::filterRun(const MemRef *refs, size_t n, LineEvent *events,
@@ -120,10 +106,14 @@ L1Filter::filterRun(const MemRef *refs, size_t n, LineEvent *events,
         const bool is_store = write_through && ref.isStore();
         instr += ifetch ? 1 : 0;
         const unsigned l1 = ifetch ? kIl1 : kDl1;
+        // A fully-associative L1's last line is a guaranteed hit that
+        // already sits at the front of its recency list.
         const bool hit = kFullyAssoc
-            ? probeFullyAssoc(line, l1)
+            ? line == faLast_[l1] || fa_[l1]->access(line)
             : probeSet(tags[l1] + (line & set_mask[l1]) * ways, ways, line,
                        is_store);
+        if constexpr (kFullyAssoc)
+            faLast_[l1] = line;
         hits += hit ? 1 : 0;
         ifetch_hits += hit && ifetch ? 1 : 0;
         // Downstream sees every miss, plus (in write-through mode)
@@ -142,13 +132,9 @@ L1Filter::filterRun(const MemRef *refs, size_t n, LineEvent *events,
         const uint64_t accesses = l1 == kIl1 ? instr : n - instr;
         const uint64_t l1_hits =
             l1 == kIl1 ? ifetch_hits : hits - ifetch_hits;
-        if constexpr (kFullyAssoc) {
-            fa_[l1]->settleBatchStats(accesses, l1_hits);
-        } else {
-            saStats_[l1].accesses += accesses;
-            saStats_[l1].hits += l1_hits;
-            saStats_[l1].misses += accesses - l1_hits;
-        }
+        stats_[l1].accesses += accesses;
+        stats_[l1].hits += l1_hits;
+        stats_[l1].misses += accesses - l1_hits;
     }
     *ifetch_total = instr;
     return m;
@@ -157,24 +143,8 @@ L1Filter::filterRun(const MemRef *refs, size_t n, LineEvent *events,
 void
 L1Filter::resetStats()
 {
-    for (unsigned l1 : {kIl1, kDl1}) {
-        if (config_.fullyAssociative)
-            fa_[l1]->resetStats();
-        else
-            saStats_[l1] = {};
-    }
-}
-
-const CacheStats &
-L1Filter::il1Stats() const
-{
-    return config_.fullyAssociative ? fa_[kIl1]->stats() : saStats_[kIl1];
-}
-
-const CacheStats &
-L1Filter::dl1Stats() const
-{
-    return config_.fullyAssociative ? fa_[kDl1]->stats() : saStats_[kDl1];
+    stats_[kIl1] = {};
+    stats_[kDl1] = {};
 }
 
 } // namespace xmig

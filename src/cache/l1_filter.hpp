@@ -117,8 +117,8 @@ class L1Filter : public RefSink
                        uint32_t *ref_idx, uint32_t *ev_instr,
                        uint32_t *ifetch_total);
 
-    const CacheStats &il1Stats() const;
-    const CacheStats &dl1Stats() const;
+    const CacheStats &il1Stats() const { return stats_[kIl1]; }
+    const CacheStats &dl1Stats() const { return stats_[kDl1]; }
     const LineGeometry &geometry() const { return geom_; }
 
     /** Zero the IL1/DL1 counters (contents are preserved). */
@@ -144,7 +144,6 @@ class L1Filter : public RefSink
 
     static bool probeSet(uint64_t *t, unsigned ways, uint64_t line,
                          bool is_store);
-    bool probeFullyAssoc(uint64_t line, unsigned l1);
 
     L1FilterConfig config_;
     LineGeometry geom_;
@@ -159,7 +158,8 @@ class L1Filter : public RefSink
     // tail of its set.
     std::vector<uint64_t> tags_[2];
     uint64_t setMask_[2] = {0, 0}; ///< sets - 1
-    CacheStats saStats_[2];
+
+    CacheStats stats_[2];
 };
 
 } // namespace xmig

@@ -1,111 +1,75 @@
 #include "cache/lru_stack.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "util/logging.hpp"
+#include "util/contracts.hpp"
 
 namespace xmig {
 
-namespace {
-constexpr uint64_t kInitialSlots = 1 << 16;
-} // namespace
-
-LruStack::LruStack()
-    : bit_(kInitialSlots, 0)
+LruStack::LruStack(std::vector<uint64_t> capacities)
+    : list_(1 << 12), // doubles as lines arrive
+      capacities_(std::move(capacities)),
+      markers_(capacities_.size(), RecencyList::kNil),
+      hits_(capacities_.size() + 1, 0)
 {
-}
-
-uint64_t
-LruStack::prefix(int64_t pos) const
-{
-    uint64_t sum = 0;
-    for (int64_t i = pos + 1; i > 0; i -= i & -i)
-        sum += static_cast<uint64_t>(bit_[i - 1]);
-    return sum;
-}
-
-void
-LruStack::update(int64_t pos, int64_t delta)
-{
-    const int64_t n = static_cast<int64_t>(bit_.size());
-    for (int64_t i = pos + 1; i <= n; i += i & -i)
-        bit_[i - 1] += delta;
-}
-
-void
-LruStack::compact()
-{
-    // Re-number timestamps 0..n-1 in recency order, keeping only the
-    // live (marked) slots; the tree then has room for another round
-    // of references before the next compaction.
-    std::vector<std::pair<uint64_t, uint64_t>> pairs; // (time, line)
-    pairs.reserve(last_.size());
-    for (const auto &[line, t] : last_)
-        pairs.emplace_back(t, line);
-    std::sort(pairs.begin(), pairs.end());
-
-    const uint64_t need = std::max<uint64_t>(kInitialSlots,
-                                             2 * pairs.size() + 16);
-    bit_.assign(need, 0);
-    uint64_t t = 0;
-    for (auto &[old_t, line] : pairs) {
-        last_[line] = t;
-        update(static_cast<int64_t>(t), +1);
-        ++t;
+    XMIG_ASSERT(!capacities_.empty() && capacities_.size() < 255,
+                "%zu capacities; a stack reads 1 to 254",
+                capacities_.size());
+    for (size_t i = 0; i < capacities_.size(); ++i) {
+        XMIG_ASSERT(capacities_[i] > (i == 0 ? 0 : capacities_[i - 1]),
+                    "capacities must be positive and strictly ascending");
     }
-    time_ = t;
 }
 
-uint64_t
+void
+LruStack::stepMarkers(unsigned s)
+{
+    for (unsigned i = 0; i < s; ++i) {
+        const uint32_t m = markers_[i];
+        segment_[m] = static_cast<uint8_t>(i + 1);
+        markers_[i] = list_.prev(m);
+    }
+}
+
+void
 LruStack::access(uint64_t line)
 {
     ++references_;
-    if (time_ >= bit_.size())
-        compact();
-
-    uint64_t depth = kInfiniteDepth;
-    auto it = last_.find(line);
-    if (it != last_.end()) {
-        const uint64_t prev = it->second;
-        // Lines whose most recent access is later than `prev` sit
-        // above this line in the stack.
-        const uint64_t newer = marked_ - prefix(static_cast<int64_t>(prev));
-        depth = newer + 1;
-        update(static_cast<int64_t>(prev), -1);
-        --marked_;
-        if (depth - 1 >= histogram_.size())
-            histogram_.resize(depth, 0);
-        ++histogram_[depth - 1];
-    } else {
-        ++coldRefs_;
+    const uint32_t x = list_.find(line);
+    if (x == RecencyList::kNil) {
+        list_.pushFront(line);
+        segment_.push_back(0);
+        stepMarkers(placed_);
+        if (placed_ < capacities_.size() &&
+            list_.size() == capacities_[placed_])
+            markers_[placed_++] = list_.tail();
+        return;
     }
-
-    last_[line] = time_;
-    update(static_cast<int64_t>(time_), +1);
-    ++marked_;
-    ++time_;
-    return depth;
+    const unsigned s = segment_[x];
+    ++hits_[s];
+    if (x == list_.head())
+        return;
+    // A marker on x passes to the line above it, which x's move shifts
+    // down to x's depth.
+    const uint32_t above = list_.prev(x);
+    list_.moveToFront(x);
+    segment_[x] = 0;
+    if (s < placed_ && markers_[s] == x)
+        markers_[s] = above;
+    stepMarkers(s);
 }
 
 uint64_t
-LruStack::missesAtSize(uint64_t depth) const
+LruStack::missesAtSize(uint64_t capacity) const
 {
-    // misses = cold refs + refs with finite depth > `depth`
-    uint64_t finite_hits = 0;
-    const uint64_t upto = std::min<uint64_t>(depth, histogram_.size());
-    for (uint64_t d = 0; d < upto; ++d)
-        finite_hits += histogram_[d];
-    uint64_t finite_total = references_ - coldRefs_;
-    return coldRefs_ + (finite_total - finite_hits);
-}
-
-double
-LruStack::missRatioAtSize(uint64_t depth) const
-{
-    if (references_ == 0)
-        return 0.0;
-    return static_cast<double>(missesAtSize(depth)) /
-           static_cast<double>(references_);
+    uint64_t hits = 0;
+    for (size_t i = 0; i < capacities_.size(); ++i) {
+        hits += hits_[i];
+        if (capacities_[i] == capacity)
+            return references_ - hits;
+    }
+    XMIG_PANIC("the stack does not count capacity %llu",
+               (unsigned long long)capacity);
 }
 
 } // namespace xmig

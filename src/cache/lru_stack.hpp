@@ -1,83 +1,72 @@
 /**
  * @file
- * Single-pass Mattson LRU-stack profiler.
+ * Single-pass Mattson LRU-stack profiler at a fixed set of capacities.
  *
  * Section 4.1 of the paper characterizes "splittability" by comparing
  * LRU stack profiles (Mattson et al., 1970): p(x) is the fraction of
  * references whose stack depth exceeds x, i.e. the miss ratio of a
- * fully-associative LRU cache of x lines, for every x at once.
+ * fully-associative LRU cache of x lines. The experiments read p at
+ * the plotted sizes only, so the stack counts exactly those.
  *
- * This implementation computes exact stack distances in O(log n) per
- * reference using a Fenwick tree over access timestamps, with periodic
- * compaction so memory stays proportional to the number of distinct
- * lines rather than to trace length.
+ * The stack is one recency list (fully_assoc.hpp) cut into segments
+ * by a marker per capacity c_0 < c_1 < ... < c_{k-1}. Marker i sits on
+ * the line at depth c_i once the list first holds c_i lines; segment i
+ * holds the depths (c_{i-1}, c_i], and segment k everything deeper. A
+ * reference found in segment s hits in every cache of c_s lines or
+ * more. Moving it to the front pushes the line under each marker above
+ * segment s one segment down, and that marker steps one slot toward the
+ * front; a first touch does this for every placed marker. A reference
+ * costs one table lookup plus at most one step per capacity, however
+ * deep its line.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
 #include <vector>
+
+#include "cache/fully_assoc.hpp"
 
 namespace xmig {
 
-/**
- * Exact LRU stack with a full depth histogram.
- *
- * Depths are 1-based: a reference immediately repeated has depth 1
- * (hits in a 1-line cache). First touches report kInfiniteDepth.
- */
+/** Exact LRU stack that counts hits at each of its capacities. */
 class LruStack
 {
   public:
-    static constexpr uint64_t kInfiniteDepth =
-        std::numeric_limits<uint64_t>::max();
+    /**
+     * @param capacities the cache sizes, in lines, that missesAtSize()
+     *        reads: strictly ascending, between 1 and 254 of them.
+     */
+    explicit LruStack(std::vector<uint64_t> capacities);
 
-    LruStack();
+    /** Process one reference. */
+    void access(uint64_t line);
 
-    /** Process one reference; returns its stack depth. */
-    uint64_t access(uint64_t line);
-
-    /** Number of references processed. */
     uint64_t references() const { return references_; }
 
     /** Number of distinct lines seen (= footprint in lines). */
-    uint64_t distinctLines() const { return last_.size(); }
-
-    /** Number of first-touch (infinite-depth) references. */
-    uint64_t coldReferences() const { return coldRefs_; }
+    uint64_t distinctLines() const { return list_.size(); }
 
     /**
-     * Histogram: histogram()[d-1] = number of references with depth
-     * exactly d (cold references excluded; see coldReferences()).
+     * Number of references with depth > `capacity` (first touches
+     * included, matching the paper's p(x) definition where they have
+     * infinite depth): the misses of a fully-associative LRU cache of
+     * `capacity` lines. `capacity` must be one the stack was built
+     * with.
      */
-    const std::vector<uint64_t> &histogram() const { return histogram_; }
-
-    /**
-     * Number of references with depth > `depth` (cold references
-     * included, matching the paper's p(x) definition where first
-     * touches have infinite depth).
-     */
-    uint64_t missesAtSize(uint64_t depth) const;
-
-    /** missesAtSize as a fraction of all references. */
-    double missRatioAtSize(uint64_t depth) const;
+    uint64_t missesAtSize(uint64_t capacity) const;
 
   private:
-    void compact();
+    /** Step markers [0, s): each line under one moves a segment down. */
+    void stepMarkers(unsigned s);
 
-    /** Fenwick prefix sum over [0, pos]. */
-    uint64_t prefix(int64_t pos) const;
-    void update(int64_t pos, int64_t delta);
-
-    std::unordered_map<uint64_t, uint64_t> last_; // line -> timestamp
-    std::vector<int64_t> bit_;                    // Fenwick over time
-    uint64_t time_ = 0;
-    uint64_t marked_ = 0; // number of set slots == distinct lines
+    RecencyList list_;
+    std::vector<uint64_t> capacities_;
+    std::vector<uint32_t> markers_; ///< slot at depth capacities_[i]
+    unsigned placed_ = 0;           ///< markers_[0, placed_) are placed
+    std::vector<uint8_t> segment_;  ///< per slot
+    std::vector<uint64_t> hits_;    ///< per segment
     uint64_t references_ = 0;
-    uint64_t coldRefs_ = 0;
-    std::vector<uint64_t> histogram_;
 };
 
 } // namespace xmig

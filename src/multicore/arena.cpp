@@ -370,7 +370,6 @@ TenantArena::buildSharedL3()
                                config_.machine.lineBytes);
         c.ways = std::max(1u, cluster.ways);
         c.lineBytes = config_.machine.lineBytes;
-        c.write = WritePolicy::WriteBackAllocate;
         c.skewed = false;
         sharedL3_.push_back(std::make_unique<Cache>(c));
     }

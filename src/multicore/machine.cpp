@@ -33,7 +33,6 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
     l2c.capacityBytes = config.l2Bytes;
     l2c.ways = config.l2Ways;
     l2c.lineBytes = config.lineBytes;
-    l2c.write = WritePolicy::WriteBackAllocate;
     l2c.skewed = config.l2Skewed;
     for (unsigned c = 0; c < config.numCores; ++c) {
         l2s_.push_back(std::make_unique<Cache>(l2c));
@@ -71,7 +70,6 @@ MigrationMachine::MigrationMachine(const MachineConfig &config)
         l3c.capacityBytes = config.l3Bytes;
         l3c.ways = config.l3Ways;
         l3c.lineBytes = config.lineBytes;
-        l3c.write = WritePolicy::WriteBackAllocate;
         l3c.skewed = false;
         l3_ = std::make_unique<Cache>(l3c);
         l3view_ = l3_.get();

@@ -29,33 +29,32 @@ splitterConfig()
 constexpr uint64_t kMinPlotBytes = 16 * 1024;
 constexpr uint64_t kMaxPlotBytes = 16 * 1024 * 1024;
 
-/** Routes each post-L1 line to the single stack and the split stacks. */
+/**
+ * Routes each post-L1 line to stack 0, the single stack, and to stack
+ * 1 + k, the stack of the split subset k it goes to.
+ */
 class ProfileSink : public LineSink
 {
   public:
-    ProfileSink(KWaySplitter &splitter)
-        : splitter_(splitter)
+    ProfileSink(KWaySplitter &splitter, const std::vector<uint64_t> &lines)
+        : splitter_(splitter),
+          stacks_(5, LruStack(lines))
     {
     }
 
     void
     onLine(const LineEvent &event) override
     {
-        ++accesses_;
-        single_.access(event.line);
+        stacks_[0].access(event.line);
         const SplitDecision d = splitter_.onReference(event.line);
-        split_[d.subset].access(event.line);
+        stacks_[1 + d.subset].access(event.line);
     }
 
-    uint64_t accesses() const { return accesses_; }
-    const LruStack &single() const { return single_; }
-    const LruStack &split(unsigned k) const { return split_[k]; }
+    const LruStack &stack(unsigned i) const { return stacks_[i]; }
 
   private:
     KWaySplitter &splitter_;
-    LruStack single_;
-    LruStack split_[4];
-    uint64_t accesses_ = 0;
+    std::vector<LruStack> stacks_;
 };
 
 } // namespace
@@ -78,7 +77,13 @@ runStackProfile(const std::string &benchmark,
     const KWaySplitter::Config split = splitterConfig();
     UnboundedOeStore store(split.affinityBits);
     KWaySplitter splitter(split, store);
-    ProfileSink sink(splitter);
+    StackProfileResult result;
+    std::vector<uint64_t> lines; // the plotted sizes, in lines
+    for (uint64_t size = kMinPlotBytes; size <= kMaxPlotBytes; size *= 2) {
+        result.plotSizes.push_back(size);
+        lines.push_back(size / params.lineBytes);
+    }
+    ProfileSink sink(splitter, lines);
 
     L1FilterConfig l1c; // the default 16-KB IL1 and DL1 (section 4.1)
     l1c.lineBytes = params.lineBytes;
@@ -89,29 +94,26 @@ runStackProfile(const std::string &benchmark,
     ChunkFeed feed({}, {&filter});
     feed.run(*workload, params.instructionsPerBenchmark, params.seed);
 
-    StackProfileResult result;
     result.name = workload->info().name;
     result.suite = workload->info().suite;
     result.instructions = feed.instructions();
-    result.stackAccesses = sink.accesses();
+    result.stackAccesses = sink.stack(0).references();
+    /** `count` per post-L1 reference. */
+    const auto ratio = [&](uint64_t count) {
+        return result.stackAccesses == 0
+            ? 0.0
+            : static_cast<double>(count) /
+              static_cast<double>(result.stackAccesses);
+    };
     result.transitions = splitter.transitions();
-    result.transitionFrequency = sink.accesses() == 0
-        ? 0.0
-        : static_cast<double>(splitter.transitions()) /
-          static_cast<double>(sink.accesses());
-    result.footprintLines = sink.single().distinctLines();
-    for (uint64_t size = kMinPlotBytes; size <= kMaxPlotBytes; size *= 2) {
-        result.plotSizes.push_back(size);
-        const uint64_t lines = size / params.lineBytes;
-        result.p1.push_back(sink.single().missRatioAtSize(lines));
+    result.transitionFrequency = ratio(splitter.transitions());
+    result.footprintLines = sink.stack(0).distinctLines();
+    for (uint64_t c : lines) {
         uint64_t split_misses = 0;
-        for (unsigned k = 0; k < 4; ++k)
-            split_misses += sink.split(k).missesAtSize(lines);
-        result.p4.push_back(
-            sink.accesses() == 0
-                ? 0.0
-                : static_cast<double>(split_misses) /
-                  static_cast<double>(sink.accesses()));
+        for (unsigned k = 1; k <= 4; ++k)
+            split_misses += sink.stack(k).missesAtSize(c);
+        result.p1.push_back(ratio(sink.stack(0).missesAtSize(c)));
+        result.p4.push_back(ratio(split_misses));
     }
     return result;
 }

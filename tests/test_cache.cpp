@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the write-policy cache model (section 2.1 semantics).
+ * Unit tests for the write-back, write-allocate cache model.
  */
 
 #include <gtest/gtest.h>
@@ -15,19 +15,18 @@ namespace xmig {
 namespace {
 
 CacheConfig
-tinyConfig(WritePolicy write)
+tinyConfig()
 {
     CacheConfig c;
     c.capacityBytes = 4 * 64; // 4 lines
     c.ways = 2;
     c.lineBytes = 64;
-    c.write = write;
     return c;
 }
 
 TEST(Cache, ReadMissFillsThenHits)
 {
-    Cache cache(tinyConfig(WritePolicy::WriteBackAllocate));
+    Cache cache(tinyConfig());
     AccessOutcome first = cache.access(10, false);
     EXPECT_FALSE(first.hit);
     EXPECT_TRUE(first.filled);
@@ -40,39 +39,17 @@ TEST(Cache, ReadMissFillsThenHits)
 
 TEST(Cache, WriteBackAllocateSetsModified)
 {
-    Cache cache(tinyConfig(WritePolicy::WriteBackAllocate));
+    Cache cache(tinyConfig());
     AccessOutcome out = cache.access(10, true);
     EXPECT_FALSE(out.hit);
     EXPECT_TRUE(out.filled);
-    EXPECT_FALSE(out.writeThrough);
     ASSERT_NE(cache.find(10), Cache::kNoFrame);
     EXPECT_TRUE(cache.modified(cache.find(10)));
 }
 
-TEST(Cache, WriteThroughNoAllocateStoreMiss)
-{
-    Cache cache(tinyConfig(WritePolicy::WriteThroughNoAllocate));
-    AccessOutcome out = cache.access(10, true);
-    EXPECT_FALSE(out.hit);
-    EXPECT_FALSE(out.filled); // non-write-allocate
-    EXPECT_TRUE(out.writeThrough);
-    EXPECT_FALSE(cache.contains(10));
-}
-
-TEST(Cache, WriteThroughStoreHitPropagates)
-{
-    Cache cache(tinyConfig(WritePolicy::WriteThroughNoAllocate));
-    cache.access(10, false); // allocate via load
-    AccessOutcome out = cache.access(10, true);
-    EXPECT_TRUE(out.hit);
-    EXPECT_TRUE(out.writeThrough);
-    // WT caches never hold dirty lines.
-    EXPECT_FALSE(cache.modified(cache.find(10)));
-}
-
 TEST(Cache, EvictingModifiedLineWritesBack)
 {
-    CacheConfig c = tinyConfig(WritePolicy::WriteBackAllocate);
+    CacheConfig c = tinyConfig();
     c.capacityBytes = 2 * 64; // 2 lines, 2 ways: one set
     Cache cache(c);
     cache.access(1, true); // dirty
@@ -86,7 +63,7 @@ TEST(Cache, EvictingModifiedLineWritesBack)
 
 TEST(Cache, EvictingCleanLineNoWriteback)
 {
-    CacheConfig c = tinyConfig(WritePolicy::WriteBackAllocate);
+    CacheConfig c = tinyConfig();
     c.capacityBytes = 2 * 64;
     Cache cache(c);
     cache.access(1, false);
@@ -98,7 +75,7 @@ TEST(Cache, EvictingCleanLineNoWriteback)
 
 TEST(Cache, FillInstallsWithoutCountingAccess)
 {
-    Cache cache(tinyConfig(WritePolicy::WriteBackAllocate));
+    Cache cache(tinyConfig());
     AccessOutcome out = cache.fill(42, false);
     EXPECT_TRUE(out.filled);
     EXPECT_EQ(cache.stats().accesses, 0u);
@@ -107,7 +84,7 @@ TEST(Cache, FillInstallsWithoutCountingAccess)
 
 TEST(Cache, FillOnResidentLineOrsModified)
 {
-    Cache cache(tinyConfig(WritePolicy::WriteBackAllocate));
+    Cache cache(tinyConfig());
     cache.fill(42, false);
     EXPECT_FALSE(cache.modified(cache.find(42)));
     cache.fill(42, true);
@@ -118,7 +95,7 @@ TEST(Cache, FillOnResidentLineOrsModified)
 
 TEST(Cache, InvalidateClearsLine)
 {
-    Cache cache(tinyConfig(WritePolicy::WriteBackAllocate));
+    Cache cache(tinyConfig());
     cache.access(10, true);
     EXPECT_TRUE(cache.invalidate(10));
     EXPECT_FALSE(cache.contains(10));
@@ -158,7 +135,6 @@ uint64_t
 outcomeMix(uint64_t hash, const AccessOutcome &out)
 {
     hash = fnvMix(hash, uint64_t{out.hit} | uint64_t{out.filled} << 1 |
-                            uint64_t{out.writeThrough} << 2 |
                             uint64_t{out.evictedValid} << 3 |
                             uint64_t{out.writeback} << 4);
     return fnvMix(hash, out.evictedLine);
@@ -224,32 +200,21 @@ cacheDigest(const CacheConfig &config, uint64_t seed)
 }
 
 CacheConfig
-goldenConfig(uint64_t bytes, unsigned ways, bool skewed, WritePolicy write)
+goldenConfig(uint64_t bytes, unsigned ways, bool skewed)
 {
     CacheConfig c;
     c.capacityBytes = bytes;
     c.ways = ways;
     c.skewed = skewed;
-    c.write = write;
     return c;
 }
 
 /* Recorded from the Cache over the virtual tag store with 48-byte
  * frames and pointer outcomes that the SoA frame array replaced. */
 
-TEST(CacheGolden, WriteThroughL1ReproducesRecordedDigest)
-{
-    EXPECT_EQ(cacheDigest(goldenConfig(16 * 1024, 4, false,
-                                       WritePolicy::WriteThroughNoAllocate),
-                          1),
-              0xabeb741c2ec326eeull);
-}
-
 TEST(CacheGolden, WriteBackL1ReproducesRecordedDigest)
 {
-    EXPECT_EQ(cacheDigest(goldenConfig(16 * 1024, 4, false,
-                                       WritePolicy::WriteBackAllocate),
-                          1),
+    EXPECT_EQ(cacheDigest(goldenConfig(16 * 1024, 4, false), 1),
               0xc371a77a61d3ed39ull);
 }
 
@@ -257,9 +222,7 @@ TEST(CacheGolden, SkewedL2ReproducesRecordedDigests)
 {
     const uint64_t digests[] = {0xe369e6a8e6ba1a3bull, 0x6b874e70f2f0eb82ull, 0x818eb93004e5a15full, 0x77654ca622d9b43dull};
     for (uint64_t seed = 11; seed <= 14; ++seed) {
-        EXPECT_EQ(cacheDigest(goldenConfig(512 * 1024, 4, true,
-                                           WritePolicy::WriteBackAllocate),
-                              seed),
+        EXPECT_EQ(cacheDigest(goldenConfig(512 * 1024, 4, true), seed),
                   digests[seed - 11])
             << "seed " << seed;
     }
@@ -267,9 +230,7 @@ TEST(CacheGolden, SkewedL2ReproducesRecordedDigests)
 
 TEST(CacheGolden, L3ReproducesRecordedDigest)
 {
-    EXPECT_EQ(cacheDigest(goldenConfig(512 * 1024, 16, false,
-                                       WritePolicy::WriteBackAllocate),
-                          99),
+    EXPECT_EQ(cacheDigest(goldenConfig(512 * 1024, 16, false), 99),
               0x8dc8189e0fcae666ull);
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,31 +125,29 @@ TEST(L1Filter, LineSizeRespected)
 
 /**
  * The oracle of the L1 level: a bare IL1/DL1 pair with the filter's
- * write policies, probed on every reference — stamped-LRU FrameArray
- * Caches when set-associative, so nothing of the filter's
- * recency-ordered sets or last-line check is shared.
+ * write policies, probed on every reference, that shares no code with
+ * the filter. Fully associative, each L1 is a std::list in recency
+ * order; set-associative, a stamped-LRU FrameArray Cache, under its
+ * own write-through rule for the DL1: a store that misses does not
+ * allocate, and a store that hits touches the line.
  */
 class BareL1
 {
   public:
     explicit BareL1(const L1FilterConfig &c)
         : fully_(c.fullyAssociative),
-          writeThrough_(!c.unifiedReadWrite)
+          writeThrough_(!c.unifiedReadWrite),
+          faCapacity_{c.dl1Bytes / c.lineBytes, c.il1Bytes / c.lineBytes}
     {
-        if (fully_) {
-            faIl1_ = std::make_unique<FullyAssocLru>(c.il1Bytes / c.lineBytes);
-            faDl1_ = std::make_unique<FullyAssocLru>(c.dl1Bytes / c.lineBytes);
+        if (fully_)
             return;
-        }
         CacheConfig cc;
-        cc.capacityBytes = c.il1Bytes;
+        cc.capacityBytes = c.dl1Bytes;
         cc.ways = c.ways;
         cc.lineBytes = c.lineBytes;
-        saIl1_ = std::make_unique<Cache>(cc);
-        cc.capacityBytes = c.dl1Bytes;
-        if (writeThrough_)
-            cc.write = WritePolicy::WriteThroughNoAllocate;
-        saDl1_ = std::make_unique<Cache>(cc);
+        sa_[0] = std::make_unique<Cache>(cc);
+        cc.capacityBytes = c.il1Bytes;
+        sa_[1] = std::make_unique<Cache>(cc);
     }
 
     /** Probe `ref`'s line (64-B lines); true on a hit. */
@@ -156,35 +155,50 @@ class BareL1
     access(const MemRef &ref)
     {
         const uint64_t line = ref.addr / 64;
-        if (fully_)
-            return (ref.isIfetch() ? *faIl1_ : *faDl1_).access(line);
-        const bool is_store = writeThrough_ && ref.isStore();
-        return (ref.isIfetch() ? *saIl1_ : *saDl1_)
-            .access(line, is_store)
-            .hit;
+        const bool ifetch = ref.isIfetch();
+        bool hit = false;
+        if (fully_) {
+            std::list<uint64_t> &lru = fa_[ifetch];
+            const auto it = std::find(lru.begin(), lru.end(), line);
+            hit = it != lru.end();
+            if (hit)
+                lru.erase(it);
+            else if (lru.size() == faCapacity_[ifetch])
+                lru.pop_back();
+            lru.push_front(line);
+        } else if (writeThrough_ && ref.isStore() &&
+                   !sa_[ifetch]->contains(line)) {
+            hit = false;
+        } else {
+            hit = sa_[ifetch]->access(line, false).hit;
+        }
+        CacheStats &s = stats_[ifetch];
+        ++s.accesses;
+        s.hits += hit ? 1 : 0;
+        s.misses += hit ? 0 : 1;
+        return hit;
     }
 
     bool
     contains(bool ifetch, uint64_t line) const
     {
-        if (fully_)
-            return (ifetch ? *faIl1_ : *faDl1_).contains(line);
-        return (ifetch ? *saIl1_ : *saDl1_).contains(line);
+        if (fully_) {
+            const std::list<uint64_t> &lru = fa_[ifetch];
+            return std::find(lru.begin(), lru.end(), line) != lru.end();
+        }
+        return sa_[ifetch]->contains(line);
     }
 
-    const CacheStats &
-    stats(bool ifetch) const
-    {
-        if (fully_)
-            return (ifetch ? *faIl1_ : *faDl1_).stats();
-        return (ifetch ? *saIl1_ : *saDl1_).stats();
-    }
+    const CacheStats &stats(bool ifetch) const { return stats_[ifetch]; }
 
   private:
     bool fully_;
     bool writeThrough_;
-    std::unique_ptr<FullyAssocLru> faIl1_, faDl1_;
-    std::unique_ptr<Cache> saIl1_, saDl1_;
+    // Each pair is indexed by `ifetch`: [0] the DL1, [1] the IL1.
+    uint64_t faCapacity_[2];
+    std::list<uint64_t> fa_[2]; ///< front = MRU
+    std::unique_ptr<Cache> sa_[2];
+    CacheStats stats_[2];
 };
 
 /**

@@ -27,13 +27,32 @@ give two builds of one source different .rodata layouts and .text
 bytes. Both revisions may be the same commit: an A/A run of the host's
 noise.
 
+With --paper EXP[,EXP...] (or --paper all) it judges xmig_paper
+experiments instead. Each side's xmig_paper is built in <tree>/build-ab
+(RelWithDebInfo), and each pair runs, experiment by experiment,
+
+    xmig_paper EXP --jobs 1 [artifact flags]
+
+on both sides in alternating order, each run in an empty directory.
+The artifact flags are every file output the experiment reads on both
+sides (--csv, --csv-dir, --metrics-out, --samples-out, --trace-out,
+--journal-out, as xmig_paper's listing names them), each pointed into
+that directory. A run's cost is its user+sys CPU time from wait4(2);
+the verdict is the one above, on BENCHMARK.json's cpu_s bound. Each
+pair's stdout and every file the two runs wrote are compared byte for
+byte: any difference exits 2, whatever the timing says.
+
+    python3 tools/ab_bench.py --base HEAD~1 --change HEAD \\
+        --paper fig4_5,table1,linesize --pairs 5
+
 Exit status:
   0  not slower;
   1  "slower": on some metric the change (a) lost every pair, or all
      but one when there are at least 5, (b) has a median worse than the
      base median by more than the base IQR, and (c) by more than the
      metric's BENCHMARK.json bound (a relative fraction);
-  2  a build or run failed, or a run reported failed cells.
+  2  a build or run failed, a run reported failed cells, or (--paper)
+     the two sides' stdout or files differ.
 """
 
 import argparse
@@ -163,12 +182,185 @@ def print_passes(base_runs, change_runs):
           f"{'':22s} {'':9s} {statistics.median(change):14g}")
 
 
+# xmig_paper's file outputs, each with the name it gets in a run's
+# directory (--csv-dir names a directory the run writes into).
+ARTIFACT_FLAGS = {
+    "--csv": "out.csv",
+    "--csv-dir": "csv",
+    "--metrics-out": "metrics.jsonl",
+    "--samples-out": "samples.csv",
+    "--trace-out": "trace.json",
+    "--journal-out": "journal.jsonl",
+}
+
+
+def paper_binary(tree):
+    return os.path.join(tree, "build-ab", "bench", "xmig_paper")
+
+
+def build_paper(tree):
+    """Configure and build `tree`'s xmig_paper in <tree>/build-ab."""
+    build = os.path.join(tree, "build-ab")
+    if not os.path.isfile(os.path.join(build, "CMakeCache.txt")):
+        cmd = ["cmake", "-S", tree, "-B", build,
+               "-DCMAKE_BUILD_TYPE=RelWithDebInfo"]
+        if shutil.which("ninja"):
+            cmd += ["-G", "Ninja"]
+        if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
+            die(f"cmake configure of {tree} failed")
+    jobs = str(min(4, os.cpu_count() or 1))
+    cmd = ["cmake", "--build", build, "-j", jobs, "--target", "xmig_paper"]
+    if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
+        die(f"building {tree}'s xmig_paper failed")
+
+
+def parse_listing(text):
+    """{experiment: [flags it reads]} from xmig_paper's no-argument
+    listing, in table order: each experiment's line is followed by an
+    indented "reads: --flag ..." line."""
+    reads = {}
+    name = None
+    for line in text.splitlines():
+        if line.startswith(" ") and name is not None:
+            fields = line.split()
+            if fields and fields[0] == "reads:":
+                reads[name] = fields[1:]
+            name = None
+        elif line and not line.startswith("usage:"):
+            name = line.split()[0]
+    return reads
+
+
+def listing(binary):
+    proc = subprocess.run([binary], stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        die(f"{binary} could not list its experiments")
+    return parse_listing(proc.stdout)
+
+
+def paper_experiments(spec, base_reads, change_reads):
+    """The experiments `spec` ("all" or "EXP[,EXP...]") names, each with
+    the artifact flags it reads on both sides; dies on a name that
+    either side lacks."""
+    names = list(change_reads) if spec == "all" else spec.split(",")
+    experiments = {}
+    for name in names:
+        if name not in base_reads or name not in change_reads:
+            die(f"--paper: no experiment '{name}' on both sides")
+        experiments[name] = [f for f in ARTIFACT_FLAGS
+                             if f in base_reads[name]
+                             and f in change_reads[name]]
+    return experiments
+
+
+def read_tree(root):
+    """{relative path: bytes} of every file under `root`."""
+    files = {}
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+def run_paper(binary, experiment, flags, rundir):
+    """One `xmig_paper EXPERIMENT --jobs 1` run in the emptied `rundir`,
+    its artifact flags pointed into it: (user+sys CPU seconds, stdout
+    bytes, {file: bytes} of what it wrote)."""
+    shutil.rmtree(rundir, ignore_errors=True)
+    os.makedirs(rundir)
+    cmd = [binary, experiment, "--jobs", "1"]
+    for flag in flags:
+        cmd += [flag, ARTIFACT_FLAGS[flag]]
+    if "--csv-dir" in flags:
+        os.makedirs(os.path.join(rundir, ARTIFACT_FLAGS["--csv-dir"]))
+    errpath = rundir + ".stderr"
+    with open(errpath, "w") as err:
+        proc = subprocess.Popen(cmd, cwd=rundir, stdout=subprocess.PIPE,
+                                stderr=err)
+        stdout = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        die(f"{' '.join(cmd)} exited with {proc.returncode} "
+            f"(stderr in {errpath})")
+    return usage.ru_utime + usage.ru_stime, stdout, read_tree(rundir)
+
+
+def output_differences(base, change):
+    """What differs between two runs' (stdout, files): "stdout" and the
+    names of the files that differ or that only one side wrote."""
+    diffs = ["stdout"] if base[0] != change[0] else []
+    for name in sorted(set(base[1]) | set(change[1])):
+        if base[1].get(name) != change[1].get(name):
+            diffs.append(name)
+    return diffs
+
+
+def paper_verdict(metric, base_cpu, change_cpu):
+    """The experiments on which the change is slower: is_slower() on
+    each one's per-pair CPU seconds under `metric`'s bound."""
+    return [name for name in base_cpu
+            if is_slower(metric, base_cpu[name], change_cpu[name])]
+
+
+def main_paper(args, spec, trees):
+    for tree in trees.values():
+        build_paper(tree)
+    binaries = {side: paper_binary(tree) for side, tree in trees.items()}
+    experiments = paper_experiments(args.paper, listing(binaries["base"]),
+                                    listing(binaries["change"]))
+    cpu = {side: {name: [] for name in experiments} for side in trees}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for name, flags in experiments.items():
+            outputs = {}
+            for side in order:
+                seconds, *outputs[side] = run_paper(
+                    binaries[side], name, flags,
+                    os.path.join(args.workdir, f"run-{side}"))
+                cpu[side][name].append(seconds)
+            diffs = output_differences(outputs["base"], outputs["change"])
+            if diffs:
+                die(f"{name}, pair {i + 1}: the sides differ in "
+                    f"{', '.join(diffs)}")
+            b, c = cpu["base"][name][-1], cpu["change"][name][-1]
+            print(f"pair {i + 1:2d} ({order[0]} first): {name:10s} cpu_s "
+                  f"base {b:.3f}  change {c:.3f}  delta {c - b:+.3f}",
+                  flush=True)
+
+    print(f"\nxmig_paper --jobs 1, {args.pairs} pairs, user+sys CPU s; "
+          f"stdout and files byte-identical in every pair")
+    print(f"  {'experiment':12s} {'base median':>12s} {'[q1, q3]':>18s} "
+          f"{'IQR':>7s} {'change median':>14s} {'[q1, q3]':>18s} "
+          f"{'IQR':>7s} {'delta':>8s} {'lost':>5s}")
+    metric = spec["cpu_s"]
+    for name in experiments:
+        base, change = cpu["base"][name], cpu["change"][name]
+        bq1, bmed, bq3 = quartiles(base)
+        cq1, cmed, cq3 = quartiles(change)
+        print(f"  {name:12s} {bmed:12.3f} [{bq1:7.3f}, {bq3:7.3f}] "
+              f"{bq3 - bq1:7.3f} {cmed:14.3f} [{cq1:7.3f}, {cq3:7.3f}] "
+              f"{cq3 - cq1:7.3f} {(cmed - bmed) / bmed:+8.1%} "
+              f"{lost_pairs(metric, base, change):5d}")
+    slower = paper_verdict(metric, cpu["base"], cpu["change"])
+    if slower:
+        print(f"slower: {', '.join(slower)}")
+        sys.exit(1)
+    print("not slower")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="parent revision")
     ap.add_argument("--change", default="HEAD", help="revision under test")
-    ap.add_argument("--workload", required=True,
-                    choices=("table2", "storm", "figure1_pairs"))
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload",
+                      choices=("table2", "storm", "figure1_pairs"))
+    what.add_argument("--paper", metavar="EXP[,EXP...]|all",
+                      help="judge these xmig_paper experiments")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=42)
@@ -187,13 +379,18 @@ def main():
     if args.metric not in spec:
         ap.error(f"--metric must be one of {', '.join(spec)}")
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="xmig-ab-")
-    os.makedirs(workdir, exist_ok=True)
-    sides = {}
+    args.workdir = args.workdir or tempfile.mkdtemp(prefix="xmig-ab-")
+    os.makedirs(args.workdir, exist_ok=True)
+    trees = {}
     for side, rev, name in (("base", args.base, "a"),
                             ("change", args.change, "b")):
-        tree, sha = checkout(rev, workdir, name)
-        print(f"{side}: {rev} = {sha[:12]} in {tree}", flush=True)
+        trees[side], sha = checkout(rev, args.workdir, name)
+        print(f"{side}: {rev} = {sha[:12]} in {trees[side]}", flush=True)
+    if args.paper:
+        main_paper(args, spec, trees)
+        return
+    sides = {}
+    for side, tree in trees.items():
         run_once(tree, args, 1)  # build, and warm the host's caches
         sides[side] = {"tree": tree, "runs": []}
 
