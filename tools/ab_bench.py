@@ -299,34 +299,30 @@ def output_differences(base, change):
     return diffs
 
 
-def paper_verdict(metric, base_cpu, change_cpu):
-    """The experiments on which the change is slower: is_slower() on
-    each one's per-pair CPU seconds under `metric`'s bound."""
-    return [name for name in base_cpu
-            if is_slower(metric, base_cpu[name], change_cpu[name])]
-
-
 def main_paper(args, spec, trees):
     for tree in trees.values():
         build_paper(tree)
     binaries = {side: paper_binary(tree) for side, tree in trees.items()}
     experiments = paper_experiments(args.paper, listing(binaries["base"]),
                                     listing(binaries["change"]))
-    cpu = {side: {name: [] for name in experiments} for side in trees}
+    # Per side, one {experiment: CPU seconds} dict per pair: the shape
+    # verdict() takes, each experiment judged on the cpu_s bound.
+    runs = {side: [] for side in trees}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append({})
         for name, flags in experiments.items():
             outputs = {}
             for side in order:
-                seconds, *outputs[side] = run_paper(
+                runs[side][i][name], *outputs[side] = run_paper(
                     binaries[side], name, flags,
                     os.path.join(args.workdir, f"run-{side}"))
-                cpu[side][name].append(seconds)
             diffs = output_differences(outputs["base"], outputs["change"])
             if diffs:
                 die(f"{name}, pair {i + 1}: the sides differ in "
                     f"{', '.join(diffs)}")
-            b, c = cpu["base"][name][-1], cpu["change"][name][-1]
+            b, c = runs["base"][i][name], runs["change"][i][name]
             print(f"pair {i + 1:2d} ({order[0]} first): {name:10s} cpu_s "
                   f"base {b:.3f}  change {c:.3f}  delta {c - b:+.3f}",
                   flush=True)
@@ -336,16 +332,17 @@ def main_paper(args, spec, trees):
     print(f"  {'experiment':12s} {'base median':>12s} {'[q1, q3]':>18s} "
           f"{'IQR':>7s} {'change median':>14s} {'[q1, q3]':>18s} "
           f"{'IQR':>7s} {'delta':>8s} {'lost':>5s}")
-    metric = spec["cpu_s"]
+    cpu_spec = {name: spec["cpu_s"] for name in experiments}
     for name in experiments:
-        base, change = cpu["base"][name], cpu["change"][name]
+        base = [r[name] for r in runs["base"]]
+        change = [r[name] for r in runs["change"]]
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         print(f"  {name:12s} {bmed:12.3f} [{bq1:7.3f}, {bq3:7.3f}] "
               f"{bq3 - bq1:7.3f} {cmed:14.3f} [{cq1:7.3f}, {cq3:7.3f}] "
               f"{cq3 - cq1:7.3f} {(cmed - bmed) / bmed:+8.1%} "
-              f"{lost_pairs(metric, base, change):5d}")
-    slower = paper_verdict(metric, cpu["base"], cpu["change"])
+              f"{lost_pairs(cpu_spec[name], base, change):5d}")
+    slower = verdict(cpu_spec, runs["base"], runs["change"])
     if slower:
         print(f"slower: {', '.join(slower)}")
         sys.exit(1)

@@ -198,8 +198,18 @@ class PaperParser(unittest.TestCase):
             self.assertEqual(stop.exception.code, 2)
 
 
+def by_pair(cpu):
+    """{experiment: per-pair CPU s} as one {experiment: CPU s} per pair."""
+    return [dict(zip(cpu, values)) for values in zip(*cpu.values())]
+
+
+def paper_verdict(base, change):
+    """verdict() as --paper calls it, on the cpu_s bound."""
+    spec = {name: SPEC["cpu_s"] for name in base}
+    return ab_bench.verdict(spec, by_pair(base), by_pair(change))
+
+
 class PaperVerdict(unittest.TestCase):
-    CPU = SPEC["cpu_s"]
 
     def test_identical_runs_differ_in_nothing(self):
         run = (b"table\n", {"out.csv": b"a,b\n"})
@@ -217,15 +227,14 @@ class PaperVerdict(unittest.TestCase):
                 "table1": [8.0, 8.1, 7.9, 8.3, 8.0]}
         change = {"fig4_5": [13.0, 12.9, 13.5, 13.1, 13.2],
                   "table1": [8.1, 8.0, 8.2, 7.9, 8.4]}
-        self.assertEqual(ab_bench.paper_verdict(self.CPU, base, change), [])
+        self.assertEqual(paper_verdict(base, change), [])
 
     def test_an_experiment_slower_in_every_pair_is_named(self):
         base = {"linesize": [3.0, 3.1, 2.9, 3.0, 3.0],
                 "table1": [8.0, 8.1, 7.9, 8.3, 8.0]}
         change = {"linesize": [v * 1.34 for v in base["linesize"]],
                   "table1": base["table1"]}
-        self.assertEqual(ab_bench.paper_verdict(self.CPU, base, change),
-                         ["linesize"])
+        self.assertEqual(paper_verdict(base, change), ["linesize"])
 
 
 class PaperRuns(unittest.TestCase):
@@ -252,7 +261,9 @@ class PaperRuns(unittest.TestCase):
             self.assertEqual(stop.exception.code, 2)
 
     def main_paper(self, base_output, change_output):
-        """main_paper over two stub sides, building nothing."""
+        """main_paper over two stub sides, building nothing. Every run
+        reports 1 CPU s: a stub's own timing is noise that could call
+        two pairs "slower" on a loaded host."""
         with tempfile.TemporaryDirectory() as tmp:
             trees = {side: os.path.join(tmp, side)
                      for side in ("base", "change")}
@@ -261,13 +272,14 @@ class PaperRuns(unittest.TestCase):
                        change_output)
             args = argparse.Namespace(paper="fig1,fig3", pairs=2,
                                       workdir=tmp)
-            build = ab_bench.build_paper
+            build, run = ab_bench.build_paper, ab_bench.run_paper
             ab_bench.build_paper = lambda tree: None
+            ab_bench.run_paper = lambda *a: (1.0, *run(*a)[1:])
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
                     ab_bench.main_paper(args, SPEC, trees)
             finally:
-                ab_bench.build_paper = build
+                ab_bench.build_paper, ab_bench.run_paper = build, run
 
     def test_identical_sides_are_not_slower(self):
         self.main_paper("same", "same")
