@@ -16,7 +16,7 @@ namespace {
 
 /** Budget flags: the experiment runs workloads for --instr each, its
  *  cells on --jobs workers. */
-constexpr uint32_t kBudget = kFlagInstr | kFlagScale | kFlagSeed | kFlagJobs;
+constexpr uint32_t kBudget = kFlagInstr | kFlagSeed | kFlagJobs;
 
 /** A budget experiment over the workloads --bench names. */
 constexpr uint32_t kSweep = kBudget | kFlagBench;

@@ -61,8 +61,7 @@ xmig::paperTable2(const BenchOptions &opt)
     // registry per run; see sim/observe.hpp).
     std::unique_ptr<RunObservatory> observatory;
     if (opt.observing())
-        observatory =
-            std::make_unique<RunObservatory>(observeOptionsOf(opt));
+        observatory = std::make_unique<RunObservatory>(opt);
 
     const SweepSpec spec{names.size(), [&](size_t i) {
         const QuadcoreRow r =

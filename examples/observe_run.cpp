@@ -38,7 +38,7 @@ main(int argc, char **argv)
     // One run of one benchmark: --jobs, --smoke and the CSV flags
     // would be ignored, so they are fatal.
     constexpr uint32_t kReads =
-        kFlagInstr | kFlagScale | kFlagBench | kFlagSeed | kFlagWarmup |
+        kFlagInstr | kFlagBench | kFlagSeed | kFlagWarmup |
         kFlagFaultPlan | kFlagMetricsOut | kFlagSamplesOut |
         kFlagTraceOut | kFlagJournalOut | kFlagSampleEvery;
     BenchOptions opt = BenchOptions::parse(argc, argv, 4'000'000,
@@ -65,7 +65,7 @@ main(int argc, char **argv)
     params.seed = opt.seed;
     params.machine.faultPlan = opt.faultPlan;
 
-    RunObservatory observatory(observeOptionsOf(opt));
+    RunObservatory observatory(opt);
     const QuadcoreRow row = runQuadcore(bench, params, &observatory);
 
     std::printf("benchmark %s: %llu instructions, %llu migrations, "

@@ -16,31 +16,12 @@ Prefetcher::Prefetcher(const PrefetcherConfig &config)
 }
 
 void
-Prefetcher::onDemand(uint64_t line, bool miss, std::vector<uint64_t> &out)
+Prefetcher::onDemand(uint64_t line, std::vector<uint64_t> &out)
 {
-    switch (config_.kind) {
-      case PrefetchKind::None:
-        return;
-      case PrefetchKind::NextLine:
-        if (miss) {
-            ++stats_.triggers;
-            nextLine(line, out);
-        }
-        return;
-      case PrefetchKind::Stride:
-        // Stride training observes every demand access; issue only
-        // counts as a trigger when candidates are produced.
+    // Stride training observes every demand access, hit or miss;
+    // issue only counts as a trigger when candidates are produced.
+    if (config_.kind == PrefetchKind::Stride)
         stride(line, out);
-        return;
-    }
-}
-
-void
-Prefetcher::nextLine(uint64_t line, std::vector<uint64_t> &out)
-{
-    for (unsigned d = 1; d <= config_.degree; ++d)
-        out.push_back(line + d);
-    stats_.issued += config_.degree;
 }
 
 void

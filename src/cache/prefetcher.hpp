@@ -6,13 +6,11 @@
  * prefetching: much observed splittability comes from circular
  * working-set behavior "on which prefetching is likely to succeed",
  * while linked data structures resist prefetching but can still
- * split. To study that question this module provides two classic
- * prefetchers operating on the post-L1 line stream:
- *
- *  - NextLine: on a demand miss, fetch the next `degree` lines;
- *  - Stride: a region-indexed table detects constant strides (of any
- *    sign/magnitude) and issues `degree` prefetches along the stride
- *    once confidence builds.
+ * split. To study that question this module provides a classic
+ * stride prefetcher operating on the post-L1 line stream: a
+ * region-indexed table detects constant strides (of any
+ * sign/magnitude) and issues `degree` prefetches along the stride
+ * once confidence builds.
  *
  * The machine model fills prefetched lines into the active core's
  * L2 and tracks usefulness (a prefetched line consumed by a demand
@@ -30,7 +28,6 @@ namespace xmig {
 enum class PrefetchKind : uint8_t
 {
     None,
-    NextLine,
     Stride,
 };
 
@@ -44,7 +41,7 @@ struct PrefetcherConfig
 /** Prefetch activity counters. */
 struct PrefetchStats
 {
-    uint64_t triggers = 0; ///< demand misses observed
+    uint64_t triggers = 0; ///< confident strides that issued
     uint64_t issued = 0;   ///< prefetch candidates produced
 };
 
@@ -57,12 +54,11 @@ class Prefetcher
     explicit Prefetcher(const PrefetcherConfig &config);
 
     /**
-     * Observe a demand access. On a miss (and for Stride, once the
-     * detected stride is confident), appends prefetch candidate line
-     * addresses to `out`. The caller decides what to do with them.
+     * Observe a demand access. Once the detected stride is
+     * confident, appends prefetch candidate line addresses to `out`.
+     * The caller decides what to do with them.
      */
-    void onDemand(uint64_t line, bool miss,
-                  std::vector<uint64_t> &out);
+    void onDemand(uint64_t line, std::vector<uint64_t> &out);
 
     const PrefetchStats &stats() const { return stats_; }
     const PrefetcherConfig &config() const { return config_; }
@@ -81,7 +77,6 @@ class Prefetcher
         bool valid = false;
     };
 
-    void nextLine(uint64_t line, std::vector<uint64_t> &out);
     void stride(uint64_t line, std::vector<uint64_t> &out);
 
     PrefetcherConfig config_;

@@ -37,7 +37,7 @@ AffinityEngine::AffinityEngine(const EngineConfig &config, OeStore &store)
         fifo_ = std::make_unique<FifoWindow>(config_.windowSize);
     else
         lru_ = std::make_unique<DistinctLruWindow>(config_.windowSize);
-    if (config_.shadow == ShadowMode::Armed)
+    if (config_.shadowAudit)
         shadow_ = std::make_unique<ShadowAudit>(config_, config_.shadowTag);
 }
 

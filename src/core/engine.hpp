@@ -37,13 +37,6 @@ namespace xmig {
 class FaultInjector;
 class ShadowAudit;
 
-/** Whether an engine runs the shadow-model oracle (shadow_audit.hpp). */
-enum class ShadowMode : uint8_t
-{
-    Off,   ///< no shadow model (default; zero overhead)
-    Armed, ///< lockstep DirectAffinityEngine, panic on divergence
-};
-
 /**
  * How the window affinity A_R is maintained.
  *
@@ -69,8 +62,12 @@ struct EngineConfig
     WindowKind window = WindowKind::Fifo;
     ArKind ar = ArKind::Exact;
 
-    /** Run the shadow-model oracle in lockstep (shadow_audit.hpp). */
-    ShadowMode shadow = ShadowMode::Off;
+    /**
+     * Run the shadow-model oracle (shadow_audit.hpp): a lockstep
+     * DirectAffinityEngine that panics on divergence. Off by default
+     * (zero overhead).
+     */
+    bool shadowAudit = false;
 
     /**
      * With the shadow armed, compare the affinity of *every* tracked
@@ -138,7 +135,7 @@ class AffinityEngine
     const EngineConfig &config() const { return config_; }
     const OeStore &store() const { return store_; }
 
-    /** The shadow-model oracle (nullptr when ShadowMode::Off). */
+    /** The shadow-model oracle (nullptr unless shadowAudit). */
     const ShadowAudit *shadow() const { return shadow_.get(); }
 
     /**

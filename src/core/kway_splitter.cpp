@@ -25,8 +25,7 @@ KWaySplitter::KWaySplitter(const Config &config, OeStore &store)
         ec.window = config.window;
         ec.ar = config.ar;
         if (i == 0) {
-            ec.shadow = config.shadow;
-            ec.shadowDeepCheckEvery = config.shadowDeepCheckEvery;
+            ec.shadowAudit = config.shadowAudit;
             ec.shadowTag = "root";
         }
         ec.faults = config.faults;

@@ -89,8 +89,7 @@ class KWaySplitter
          * leaving O_e values no single-engine reference model can
          * predict.
          */
-        ShadowMode shadow = ShadowMode::Off;
-        uint64_t shadowDeepCheckEvery = 4096;
+        bool shadowAudit = false;
 
         /** Soft-error hook shared by all tree nodes (xmig-iron). */
         FaultInjector *faults = nullptr;

@@ -69,8 +69,7 @@ MigrationController::buildSplitter(unsigned ways)
     sc.ar = config_.ar;
     sc.filterBits = config_.filterBits;
     sc.samplingCutoff = config_.samplingCutoff;
-    sc.shadow = config_.shadowAudit ? ShadowMode::Armed : ShadowMode::Off;
-    sc.shadowDeepCheckEvery = config_.shadowDeepCheckEvery;
+    sc.shadowAudit = config_.shadowAudit;
     sc.faults = config_.faults;
     splitter_ = std::make_unique<KWaySplitter>(sc, *store_);
     // Keep the causal journal attached across resplits/restores.

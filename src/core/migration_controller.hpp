@@ -100,7 +100,6 @@ struct MigrationControllerConfig
      * controller *knowingly* caused is not a model divergence.
      */
     bool shadowAudit = false;
-    uint64_t shadowDeepCheckEvery = 4096;
 
     /**
      * xmig-iron fault hook (non-owning; may be null). Drives soft

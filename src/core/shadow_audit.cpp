@@ -24,8 +24,8 @@ ShadowAudit::ShadowAudit(const EngineConfig &config, std::string tag)
       exactAr_(config.ar == ArKind::Exact),
       deepEvery_(config.shadowDeepCheckEvery)
 {
-    XMIG_ASSERT(config.shadow == ShadowMode::Armed,
-                "shadow audit [%s] constructed with shadow mode off",
+    XMIG_ASSERT(config.shadowAudit,
+                "shadow audit [%s] constructed with shadowAudit off",
                 tag_.c_str());
     if (!exactAr_) {
         // The Figure-2 register recurrence tracks entry/exit but not

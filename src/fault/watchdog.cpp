@@ -2,17 +2,18 @@
 
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
-#include "util/contracts.hpp"
 
 namespace xmig {
 
+static_assert(Watchdog::kPingPongWindow > 0 &&
+                  Watchdog::kCooldownBase > 0,
+              "watchdog windows must be positive");
+static_assert(Watchdog::kCooldownCap >= Watchdog::kCooldownBase,
+              "watchdog cooldown cap below base");
+
 Watchdog::Watchdog(const WatchdogConfig &config) : config_(config)
 {
-    XMIG_ASSERT(config_.pingPongWindow > 0 && config_.cooldownBase > 0,
-                "watchdog windows must be positive");
-    XMIG_ASSERT(config_.cooldownCap >= config_.cooldownBase,
-                "watchdog cooldown cap below base");
-    cooldown_ = config_.cooldownBase;
+    cooldown_ = kCooldownBase;
     stats_.cooldownNow = cooldown_;
 }
 
@@ -23,7 +24,7 @@ Watchdog::onRequest(uint64_t now, bool rootSaturated)
         return;
 
     if (rootSaturated) {
-        if (++saturatedRun_ >= config_.stuckWindow) {
+        if (++saturatedRun_ >= kStuckWindow) {
             // Degenerate all-one-sign split: every sampled transition
             // lands on one side. Request a re-init and restart the run
             // so a persistent pathology fires again after a while.
@@ -37,9 +38,9 @@ Watchdog::onRequest(uint64_t now, bool rootSaturated)
 
     // Hysteresis decay: a long clean stretch shrinks the cooldown
     // back to base so an isolated ancient trip stops hurting.
-    if (cooldown_ > config_.cooldownBase && now >= cooldownUntil_ &&
-        now - lastTrip_ >= config_.decayAfter) {
-        cooldown_ = config_.cooldownBase;
+    if (cooldown_ > kCooldownBase && now >= cooldownUntil_ &&
+        now - lastTrip_ >= kDecayAfter) {
+        cooldown_ = kCooldownBase;
         stats_.cooldownNow = cooldown_;
     }
 }
@@ -61,11 +62,11 @@ Watchdog::onMigration(uint64_t now)
 {
     if (!config_.enabled)
         return;
-    if (now - windowStart_ >= config_.pingPongWindow) {
+    if (now - windowStart_ >= kPingPongWindow) {
         windowStart_ = now;
         windowMigrations_ = 0;
     }
-    if (++windowMigrations_ > config_.pingPongLimit) {
+    if (++windowMigrations_ > kPingPongLimit) {
         // Livelock: back off, doubling the cooldown on repeat trips.
         ++stats_.livelocks;
         XMIG_JOURNAL(journal_, obs::JournalKind::WatchdogTrip,
@@ -77,9 +78,9 @@ Watchdog::onMigration(uint64_t now)
         XMIG_JOURNAL_INCIDENT(journal_, "watchdog livelock trip");
         lastTrip_ = now;
         cooldownUntil_ = now + cooldown_;
-        cooldown_ = cooldown_ < config_.cooldownCap / 2
+        cooldown_ = cooldown_ < kCooldownCap / 2
                         ? cooldown_ * 2
-                        : config_.cooldownCap;
+                        : kCooldownCap;
         stats_.cooldownNow = cooldown_;
         windowStart_ = now;
         windowMigrations_ = 0;

@@ -9,16 +9,16 @@
  *    faster than the working set can follow (e.g. after a corrupted
  *    Delta register or a near-balanced bimodal phase). Detection is a
  *    windowed migration count: more than `pingPongLimit` migrations
- *    inside any `pingPongWindow`-request window trips the watchdog,
+ *    inside any `kPingPongWindow`-request window trips the watchdog,
  *    which then *suppresses* further migrations for a cooldown period.
- *    Repeated trips double the cooldown up to `cooldownCap`
+ *    Repeated trips double the cooldown up to `kCooldownCap`
  *    (hysteresis); a long clean stretch decays it back to
- *    `cooldownBase`.
+ *    `kCooldownBase`.
  *
  *  - **degenerate all-one-sign split**: the root transition filter
  *    saturates and stays saturated, i.e. every sampled transition
  *    falls on one side so the "split" no longer partitions the
- *    working set. After `stuckWindow` consecutive saturated requests
+ *    working set. After `kStuckWindow` consecutive saturated requests
  *    the watchdog requests a filter re-initialization (consumed by
  *    the controller via takeReinit()).
  *
@@ -45,18 +45,6 @@ namespace xmig {
 struct WatchdogConfig
 {
     bool enabled = false;
-    /// Window (in migration requests) for the ping-pong count.
-    uint64_t pingPongWindow = 2048;
-    /// Migrations within one window that count as livelock.
-    uint64_t pingPongLimit = 12;
-    /// Initial migration-suppression cooldown, in requests.
-    uint64_t cooldownBase = 4096;
-    /// Hysteresis ceiling for the doubled cooldown.
-    uint64_t cooldownCap = uint64_t{1} << 20;
-    /// Clean requests after which the cooldown decays back to base.
-    uint64_t decayAfter = uint64_t{1} << 16;
-    /// Consecutive saturated requests before a re-init is requested.
-    uint64_t stuckWindow = 65536;
 };
 
 struct WatchdogStats
@@ -70,6 +58,19 @@ struct WatchdogStats
 class Watchdog
 {
   public:
+    /// Window (in migration requests) for the ping-pong count.
+    static constexpr uint64_t kPingPongWindow = 2048;
+    /// Migrations within one window that count as livelock.
+    static constexpr uint64_t kPingPongLimit = 12;
+    /// Initial migration-suppression cooldown, in requests.
+    static constexpr uint64_t kCooldownBase = 4096;
+    /// Hysteresis ceiling for the doubled cooldown.
+    static constexpr uint64_t kCooldownCap = uint64_t{1} << 20;
+    /// Clean requests after which the cooldown decays back to base.
+    static constexpr uint64_t kDecayAfter = uint64_t{1} << 16;
+    /// Consecutive saturated requests before a re-init is requested.
+    static constexpr uint64_t kStuckWindow = 65536;
+
     explicit Watchdog(const WatchdogConfig &config);
 
     bool enabled() const { return config_.enabled; }

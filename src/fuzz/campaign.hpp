@@ -40,7 +40,11 @@ class JobPool;
 struct CampaignConfig
 {
     uint64_t plans = 200; ///< case count, corpus replays included
-    std::string benchmark = "181.mcf";
+    std::string benchmark = kDefaultFuzzBenchmark;
+    /**
+     * Instructions per case. Fuzz cases are short by design:
+     * thousands of plans beat one long run.
+     */
     uint64_t instructions = 150'000;
     bool minimize = true;
 

@@ -179,7 +179,7 @@ CoverageGuidedGenerator::compose()
     plan.statements.push_back("seed=" +
                               std::to_string(rng_.next() >> 1));
     const unsigned budget = static_cast<unsigned>(
-        rng_.inRange(2, gen_.config().maxStatements));
+        rng_.inRange(2, PlanGenerator::kMaxStatements));
     uint64_t tick =
         rng_.below(PlanGenerator::kTickHorizon / 2 + 1);
     while (plan.statements.size() - 1 < budget)
@@ -238,7 +238,7 @@ CoverageGuidedGenerator::mutate(const std::string &spec)
 
     // Keep mutated plans from growing without bound.
     const size_t cap =
-        static_cast<size_t>(gen_.config().maxStatements) + 5;
+        size_t{PlanGenerator::kMaxStatements} + 5;
     while (plan.statements.size() > cap)
         plan.statements.erase(plan.statements.begin() + 1);
     return plan;

@@ -1,36 +1,14 @@
 #include "fuzz/fuzz_cli.hpp"
 
-#include <cstdlib>
+#include "sim/options.hpp"
 
 namespace xmig {
-
-namespace {
-
-/**
- * Strict unsigned parse: the whole token must be a decimal number.
- * BenchOptions::parseCount XMIG_FATALs (exit 1) on bad input; a
- * usage error must exit 2 instead, so this returns failure.
- */
-bool
-parseU64(const std::string &token, uint64_t *out)
-{
-    if (token.empty() || token[0] == '-' || token[0] == '+')
-        return false;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        return false;
-    *out = v;
-    return true;
-}
-
-} // namespace
 
 const char *
 fuzzCliUsage()
 {
-    return
+    static const std::string usage =
+        std::string(
         "usage: xmig_fuzz [mode] [options]\n"
         "\n"
         "modes (default: uniform campaign):\n"
@@ -44,7 +22,8 @@ fuzzCliUsage()
         "  --jobs N              worker threads (default: hardware)\n"
         "  --instr N             instructions per case (default 150000;\n"
         "                        --smoke: 60000)\n"
-        "  --bench NAME          workload (default 181.mcf)\n"
+        "  --bench NAME          workload (default ") +
+        kDefaultFuzzBenchmark + ")\n"
         "  --repro-dir DIR       write minimized repros + journals here\n"
         "  --no-minimize         keep failing plans unminimized\n"
         "  --smoke               small fast defaults\n"
@@ -59,6 +38,7 @@ fuzzCliUsage()
         "  --workload-seed N     workload seed of the case (default 42)\n"
         "\n"
         "exit codes: 0 = clean, 1 = failures found, 2 = usage error\n";
+    return usage.c_str();
 }
 
 FuzzCliParse
@@ -66,6 +46,7 @@ parseFuzzCli(int argc, const char *const *argv)
 {
     FuzzCliParse p;
     FuzzCliOptions &o = p.options;
+    CampaignConfig &campaign = o.campaign;
 
     const auto fail = [&](const std::string &message) {
         p.exitCode = 2;
@@ -93,7 +74,9 @@ parseFuzzCli(int argc, const char *const *argv)
                 p.error = "missing value for " + arg;
                 return false;
             }
-            if (!parseU64(token, out)) {
+            // Strict like BenchOptions::parseCount, but a usage
+            // error here exits 2, so it is returned, not fatal.
+            if (parseStrictCount(token, out) != CountParse::Ok) {
                 p.exitCode = 2;
                 p.error = "malformed value for " + arg + ": '" +
                           token + "'";
@@ -124,18 +107,19 @@ parseFuzzCli(int argc, const char *const *argv)
             if (!count(&o.seed, false))
                 return p;
         } else if (arg == "--plans") {
-            if (!count(&o.plans, true))
+            if (!count(&campaign.plans, true))
                 return p;
             plans_set = true;
         } else if (arg == "--jobs") {
             uint64_t jobs = 0;
             if (!count(&jobs, true))
                 return p;
-            if (jobs > 1024)
-                return fail("--jobs must be <= 1024");
+            if (!validJobs(jobs))
+                return fail("--jobs must be <= " +
+                            std::to_string(JobPool::kMaxJobs));
             o.jobs = static_cast<unsigned>(jobs);
         } else if (arg == "--instr") {
-            if (!count(&o.instructions, true))
+            if (!count(&campaign.instructions, true))
                 return p;
             instr_set = true;
         } else if (arg == "--workload-seed") {
@@ -143,21 +127,21 @@ parseFuzzCli(int argc, const char *const *argv)
                 return p;
         } else if (arg == "--bench") {
             const char *token = nullptr;
-            if (!value(&token))
+            if (!value(&token) || *token == '\0')
                 return fail("missing value for --bench");
-            o.benchmark = token;
+            campaign.benchmark = token;
         } else if (arg == "--repro-dir") {
             const char *token = nullptr;
             if (!value(&token))
                 return fail("missing value for --repro-dir");
-            o.reproDir = token;
+            campaign.reproDir = token;
         } else if (arg == "--corpus") {
             const char *token = nullptr;
             if (!value(&token))
                 return fail("missing value for --corpus");
-            o.corpusDir = token;
+            campaign.corpusDir = token;
         } else if (arg == "--no-minimize") {
-            o.minimize = false;
+            campaign.minimize = false;
         } else if (arg == "--storm-workloads") {
             o.stormWorkloads = true;
         } else if (arg == "--smoke") {
@@ -181,14 +165,14 @@ parseFuzzCli(int argc, const char *const *argv)
     else if (self_test)
         o.mode = FuzzCliOptions::Mode::SelfTest;
 
-    if (!o.corpusDir.empty() && !guided)
+    if (!campaign.corpusDir.empty() && !guided)
         return fail("--corpus only makes sense with --guided");
 
     // --smoke changes only the defaults: an explicit value wins.
     if (smoke && !plans_set)
-        o.plans = 50;
+        campaign.plans = 50;
     if (smoke && !instr_set)
-        o.instructions = 60'000;
+        campaign.instructions = 60'000;
 
     return p;
 }

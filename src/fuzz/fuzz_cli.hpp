@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string>
 
+#include "fuzz/campaign.hpp"
+
 namespace xmig {
 
 /** Everything the xmig_fuzz driver can be asked to do. */
@@ -33,17 +35,14 @@ struct FuzzCliOptions
     Mode mode = Mode::Campaign;
 
     uint64_t seed = 1;
-    uint64_t plans = 200;         ///< case count (--smoke: 50)
     unsigned jobs = 0;            ///< 0 = hardware concurrency
+
     /**
-     * Instructions per case (--smoke: 60'000). Fuzz cases are short
-     * by design: thousands of plans beat one long run.
+     * --plans (--smoke: 50), --instr (--smoke: 60'000), --bench,
+     * --no-minimize, --repro-dir and --corpus; replay and self-test
+     * read its benchmark, instructions and repro directory too.
      */
-    uint64_t instructions = 150'000;
-    std::string benchmark;        ///< empty = harness default
-    std::string reproDir;
-    std::string corpusDir;        ///< guided corpus (--corpus)
-    bool minimize = true;
+    CampaignConfig campaign;
     bool stormWorkloads = false;  ///< pair the adversarial pool in
     bool verbose = false;
 

@@ -150,15 +150,15 @@ PlanMinimizer::minimize(const FuzzCase &failing,
     std::vector<std::string> stmts = splitStatements(failing.plan);
 
     // Pass 1: drop statements.
-    stmts = ddmin(std::move(stmts), failsList, config_.maxProbes,
+    stmts = ddmin(std::move(stmts), failsList, kMaxProbes,
                   result.probes);
 
     // Pass 2: shrink numeric triggers, one statement at a time,
     // re-trying a statement as long as a variant sticks.
     for (size_t i = 0;
-         i < stmts.size() && result.probes < config_.maxProbes; ++i) {
+         i < stmts.size() && result.probes < kMaxProbes; ++i) {
         bool shrunk = true;
-        while (shrunk && result.probes < config_.maxProbes) {
+        while (shrunk && result.probes < kMaxProbes) {
             shrunk = false;
             for (const std::string &variant :
                  shrinkVariants(stmts[i])) {
@@ -170,14 +170,14 @@ PlanMinimizer::minimize(const FuzzCase &failing,
                     shrunk = true;
                     break;
                 }
-                if (result.probes >= config_.maxProbes)
+                if (result.probes >= kMaxProbes)
                     break;
             }
         }
     }
 
     // Pass 3: shrunk values can strand now-redundant statements.
-    stmts = ddmin(std::move(stmts), failsList, config_.maxProbes,
+    stmts = ddmin(std::move(stmts), failsList, kMaxProbes,
                   result.probes);
 
     result.minimized.plan = joinStatements(stmts);

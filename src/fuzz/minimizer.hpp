@@ -53,18 +53,11 @@ struct MinimizeResult
 class PlanMinimizer
 {
   public:
-    struct Config
-    {
-        uint64_t maxProbes = 2'000;
-    };
+    /** Harness runs one minimization may spend. */
+    static constexpr uint64_t kMaxProbes = 2'000;
 
     explicit PlanMinimizer(const PropertyHarness &harness)
-        : PlanMinimizer(harness, Config())
-    {
-    }
-
-    PlanMinimizer(const PropertyHarness &harness, Config config)
-        : harness_(harness), config_(config)
+        : harness_(harness)
     {
     }
 
@@ -79,7 +72,6 @@ class PlanMinimizer
 
   private:
     const PropertyHarness &harness_;
-    Config config_;
 };
 
 } // namespace xmig

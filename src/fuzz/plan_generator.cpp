@@ -35,12 +35,10 @@ FuzzPlan::spec() const
     return out;
 }
 
-PlanGenerator::PlanGenerator(uint64_t seed, GeneratorConfig config)
-    : config_(config), rng_(seed)
-{
-    XMIG_ASSERT(config_.maxStatements >= 2,
-                "need room for at least a churn pair");
-}
+static_assert(PlanGenerator::kMaxStatements >= 2,
+              "need room for at least a churn pair");
+
+PlanGenerator::PlanGenerator(uint64_t seed) : rng_(seed) {}
 
 uint64_t
 PlanGenerator::sampleTick(uint64_t previous_tick)
@@ -215,7 +213,7 @@ PlanGenerator::next()
                               std::to_string(rng_.next() >> 1));
 
     const unsigned budget = static_cast<unsigned>(
-        rng_.inRange(1, config_.maxStatements));
+        rng_.inRange(1, kMaxStatements));
     uint64_t tick = rng_.below(kTickHorizon + 1);
 
     while (plan.statements.size() - 1 < budget) {

@@ -26,13 +26,6 @@
 
 namespace xmig {
 
-/** Shape of the plans a PlanGenerator samples. */
-struct GeneratorConfig
-{
-    /** Statement budget per plan (the seed= statement is extra). */
-    unsigned maxStatements = 12;
-};
-
 /** One sampled plan: its statements, joinable into a spec string. */
 struct FuzzPlan
 {
@@ -43,8 +36,8 @@ struct FuzzPlan
 };
 
 /**
- * Seeded sampler of valid FaultPlan specs. Same (seed, config) =>
- * same plan sequence, bit for bit.
+ * Seeded sampler of valid FaultPlan specs. Same seed => same plan
+ * sequence, bit for bit.
  */
 class PlanGenerator
 {
@@ -64,7 +57,11 @@ class PlanGenerator
      */
     static constexpr uint64_t kTickHorizon = 400'000;
 
-    explicit PlanGenerator(uint64_t seed, GeneratorConfig config = {});
+    /** Statement budget per plan (the seed= statement is extra); at
+     *  least 2, room for a churn pair. */
+    static constexpr unsigned kMaxStatements = 12;
+
+    explicit PlanGenerator(uint64_t seed);
 
     /** Sample the next plan. */
     FuzzPlan next();
@@ -89,8 +86,6 @@ class PlanGenerator
      */
     void appendChurn(std::vector<std::string> &out, uint64_t &tick_io);
 
-    const GeneratorConfig &config() const { return config_; }
-
   private:
     uint64_t sampleTick(uint64_t previous_tick);
     double sampleRate();
@@ -98,7 +93,6 @@ class PlanGenerator
     std::string sampleFlipOrFabric(bool &scheduled_out,
                                    uint64_t &tick_io);
 
-    GeneratorConfig config_;
     Rng rng_;
 };
 

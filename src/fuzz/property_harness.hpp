@@ -51,11 +51,14 @@
 
 namespace xmig {
 
+/** The workload a fuzz case runs unless --bench names another. */
+inline constexpr const char *kDefaultFuzzBenchmark = "181.mcf";
+
 /** One (plan, workload) pairing to execute. */
 struct FuzzCase
 {
     std::string plan;               ///< FaultPlan spec string
-    std::string benchmark = "181.mcf";
+    std::string benchmark = kDefaultFuzzBenchmark;
     uint64_t workloadSeed = 42;
     uint64_t instructions = 150'000;
 };

@@ -279,7 +279,7 @@ TenantArena::TenantArena(ArenaConfig config) : config_(std::move(config))
 {
     XMIG_ASSERT(!config_.tenants.empty(),
                 "an arena needs at least one tenant");
-    XMIG_ASSERT(config_.sharedL3Bytes > 0 && config_.sharedL3Ways > 0,
+    XMIG_ASSERT(config_.sharedL3Bytes > 0,
                 "arena shared L3 must be finite (got %llu bytes)",
                 (unsigned long long)config_.sharedL3Bytes);
     XMIG_ASSERT(config_.machine.faultPlan.empty(),

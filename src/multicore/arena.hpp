@@ -83,7 +83,7 @@ struct ArenaConfig
     MachineConfig machine;
 
     uint64_t sharedL3Bytes = 1 * 1024 * 1024;
-    unsigned sharedL3Ways = 16;
+    static constexpr unsigned sharedL3Ways = 16;
     L3Policy l3Policy = L3Policy::Unpartitioned;
 
     TenantSchedConfig sched;

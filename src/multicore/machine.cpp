@@ -323,13 +323,13 @@ MigrationMachine::accessL2(uint64_t line, const Cache::Slots &slots,
             ++stats_.prefetchUseful;
         }
         if (prefetcher_) // stride training sees hits too
-            issuePrefetches(line, /*miss=*/false);
+            issuePrefetches(line);
         return;
     }
 
     ++stats_.l2Misses;
     if (prefetcher_)
-        issuePrefetches(line, /*miss=*/true);
+        issuePrefetches(line);
     if (!out.filled)
         return; // WT store miss at L2 would not occur (L2 is WB/WA)
 
@@ -356,12 +356,12 @@ MigrationMachine::accessL2(uint64_t line, const Cache::Slots &slots,
 }
 
 void
-MigrationMachine::issuePrefetches(uint64_t line, bool miss)
+MigrationMachine::issuePrefetches(uint64_t line)
 {
     XMIG_ASSERT(prefetcher_ != nullptr,
                 "prefetch issue with no prefetcher configured");
     prefetchCandidates_.clear();
-    prefetcher_->onDemand(line, miss, prefetchCandidates_);
+    prefetcher_->onDemand(line, prefetchCandidates_);
     Cache &l2 = *l2s_[activeCore_];
     for (uint64_t candidate : prefetchCandidates_) {
         // A clean fill() of a resident line changes nothing.

@@ -97,21 +97,19 @@ struct MachineConfig
      */
     std::string faultPlan;
 
-    /** Section 4.2 controller settings. */
+    /**
+     * Section 4.2 controller settings: MigrationControllerConfig's
+     * defaults (4 cores, 16-bit affinities, |R_X| = 128, the 8k-entry
+     * 4-way skewed affinity cache) plus the four section 4.2 deltas.
+     */
     static MigrationControllerConfig
     defaultController()
     {
         MigrationControllerConfig c;
-        c.numCores = 4;
-        c.affinityBits = 16;
-        c.windowX = 128;
         c.filterBits = 18;
         c.samplingCutoff = 8; // 25 % working-set sampling
         c.l2Filtering = true;
         c.boundedStore = true;
-        c.affinityCache.entries = 8 * 1024;
-        c.affinityCache.ways = 4;
-        c.affinityCache.skewed = true;
         return c;
     }
 };
@@ -314,7 +312,7 @@ class MigrationMachine
     void broadcastStore(uint64_t line, const Cache::Slots &slots);
 
     /** Run the prefetcher and fill candidates into the active L2. */
-    void issuePrefetches(uint64_t line, bool miss);
+    void issuePrefetches(uint64_t line);
 
     /** Fetch a line from the (finite) L3; counts memory traffic. */
     void fetchFromL3(uint64_t line);

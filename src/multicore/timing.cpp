@@ -10,7 +10,7 @@ MigrationProtocolModel::simulateMigration(Rng &rng) const
     // X2 receives the transition PC and starts fetching, its issue
     // stage blocked until T retires.
     const unsigned inflight = inflightInstructions();
-    const unsigned width = params_.retireWidth;
+    const unsigned width = PipelineParams::kRetireWidth;
 
     // X1 drains `inflight` instructions at `width` per cycle. If one
     // of them mispredicts, everything younger is flushed (shortening
@@ -32,7 +32,7 @@ MigrationProtocolModel::simulateMigration(Rng &rng) const
                 // X1 are flushed (drain ends at the branch), X2
                 // restarts from the new transition PC.
                 to_drain = drained;
-                resteer_cycles += params_.updateBusCycles;
+                resteer_cycles += PipelineParams::kUpdateBusCycles;
                 break;
             }
         }
@@ -44,7 +44,7 @@ MigrationProtocolModel::simulateMigration(Rng &rng) const
     // broadcast of T unlocks X2's issue stage, and T's successor
     // then flows from issue to retirement.
     (void)drain_cycles;
-    return params_.updateBusCycles + resteer_cycles +
+    return PipelineParams::kUpdateBusCycles + resteer_cycles +
            params_.issueToRetireStages;
 }
 

@@ -35,14 +35,15 @@ namespace xmig {
 /** Pipeline and bus parameters of one core (section 2.2 / 2.3). */
 struct PipelineParams
 {
+    /** Stages between fetch and issue (drain length contribution). */
+    static constexpr unsigned kFetchToIssueStages = 5;
+    /** Instructions retired (and drained) per cycle. */
+    static constexpr unsigned kRetireWidth = 4;
+    /** Cycles to broadcast one retired instruction on the update bus. */
+    static constexpr unsigned kUpdateBusCycles = 2;
+
     /** Stages between issue and retirement (the paper's penalty term). */
     unsigned issueToRetireStages = 10;
-    /** Stages between fetch and issue (drain length contribution). */
-    unsigned fetchToIssueStages = 5;
-    /** Instructions retired (and drained) per cycle. */
-    unsigned retireWidth = 4;
-    /** Cycles to broadcast one retired instruction on the update bus. */
-    unsigned updateBusCycles = 2;
     /** Per-instruction probability of a branch mispredict re-steer. */
     double mispredictPerInstr = 0.01;
 };
@@ -62,9 +63,9 @@ class MigrationProtocolModel
     unsigned
     inflightInstructions() const
     {
-        return (params_.fetchToIssueStages +
+        return (PipelineParams::kFetchToIssueStages +
                 params_.issueToRetireStages) *
-               params_.retireWidth;
+               PipelineParams::kRetireWidth;
     }
 
     /**
@@ -76,7 +77,8 @@ class MigrationProtocolModel
     unsigned
     basePenaltyCycles() const
     {
-        return params_.updateBusCycles + params_.issueToRetireStages;
+        return PipelineParams::kUpdateBusCycles +
+               params_.issueToRetireStages;
     }
 
     /**

@@ -20,14 +20,15 @@ namespace xmig {
 /** Retirement-bandwidth parameters of the active core. */
 struct RetireProfile
 {
+    static constexpr unsigned kRegIdBits = 6;  ///< logical register id
+    static constexpr unsigned kValueBits = 64; ///< register/store value
+    static constexpr unsigned kStoreAddrBits = 64;
+    static constexpr unsigned kBranchAddrBits = 16; ///< low-order bits
+    static constexpr unsigned kTypeBitsPerInstr = 2; ///< "a few bits"
+
     unsigned retireWidth = 4;       ///< instructions retired per cycle
     unsigned storesPerCycle = 1;
     unsigned branchesPerCycle = 1;
-    unsigned regIdBits = 6;         ///< logical register identifier
-    unsigned valueBits = 64;        ///< register / store value width
-    unsigned storeAddrBits = 64;
-    unsigned branchAddrBits = 16;   ///< low-order bits are enough
-    unsigned typeBitsPerInstr = 2;  ///< "a few bits" of instr type
 };
 
 /**
@@ -51,12 +52,12 @@ class UpdateBusModel
         // instruction. A store's value is one of these values (the
         // paper broadcasts "four 64-bit values" total), so stores
         // only add their address below.
-        bits += uint64_t(p.retireWidth) * (p.regIdBits + p.valueBits);
-        bits += uint64_t(p.storesPerCycle) * p.storeAddrBits;
+        bits += uint64_t(p.retireWidth) * (p.kRegIdBits + p.kValueBits);
+        bits += uint64_t(p.storesPerCycle) * p.kStoreAddrBits;
         // Branches: truncated address (outcome rides in the type bits).
-        bits += uint64_t(p.branchesPerCycle) * p.branchAddrBits;
+        bits += uint64_t(p.branchesPerCycle) * p.kBranchAddrBits;
         // Instruction-type tags.
-        bits += uint64_t(p.retireWidth) * p.typeBitsPerInstr;
+        bits += uint64_t(p.retireWidth) * p.kTypeBitsPerInstr;
         return bits;
     }
 
@@ -76,11 +77,11 @@ class UpdateBusModel
     bytesPerInstruction(double store_frac, double branch_frac,
                         double regwrite_frac) const
     {
-        const RetireProfile &p = profile_;
-        double bits = p.typeBitsPerInstr;
-        bits += regwrite_frac * (p.regIdBits + p.valueBits);
-        bits += store_frac * p.storeAddrBits;
-        bits += branch_frac * p.branchAddrBits;
+        using P = RetireProfile;
+        double bits = P::kTypeBitsPerInstr;
+        bits += regwrite_frac * (P::kRegIdBits + P::kValueBits);
+        bits += store_frac * P::kStoreAddrBits;
+        bits += branch_frac * P::kBranchAddrBits;
         return bits / 8.0;
     }
 

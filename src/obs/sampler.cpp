@@ -10,8 +10,6 @@ TimeSeriesSampler::TimeSeriesSampler(const SamplerConfig &config)
     : config_(config),
       nextSampleAt_(config.sampleEvery)
 {
-    XMIG_ASSERT(config_.capacity >= 1,
-                "sampler ring needs at least one row");
 }
 
 void
@@ -76,7 +74,7 @@ void
 TimeSeriesSampler::record()
 {
     if (ring_.empty())
-        ring_.assign(config_.capacity * stride(), 0.0);
+        ring_.assign(kCapacity * stride(), 0.0);
 
     double *row = &ring_[head_ * stride()];
     row[0] = static_cast<double>(ticks_);
@@ -99,25 +97,25 @@ TimeSeriesSampler::record()
         }
     }
 
-    head_ = (head_ + 1) % config_.capacity;
+    head_ = (head_ + 1) % kCapacity;
     ++totalSamples_;
 }
 
 size_t
 TimeSeriesSampler::samples() const
 {
-    return totalSamples_ < config_.capacity
+    return totalSamples_ < kCapacity
         ? static_cast<size_t>(totalSamples_)
-        : config_.capacity;
+        : kCapacity;
 }
 
 size_t
 TimeSeriesSampler::physicalRow(size_t i) const
 {
     XMIG_ASSERT(i < samples(), "sample row %zu of %zu", i, samples());
-    if (totalSamples_ <= config_.capacity)
+    if (totalSamples_ <= kCapacity)
         return i; // not yet wrapped: rows sit in write order
-    return (head_ + i) % config_.capacity; // head_ is the oldest row
+    return (head_ + i) % kCapacity; // head_ is the oldest row
 }
 
 uint64_t

@@ -24,14 +24,13 @@
 
 namespace xmig::obs {
 
-/** Sampling cadence and memory bound. */
+/** Sampling cadence. */
 struct SamplerConfig
 {
-    /** Ticks (references) between samples; 0 disables tick sampling. */
-    uint64_t sampleEvery = 10'000;
+    static constexpr uint64_t kDefaultSampleEvery = 10'000;
 
-    /** Ring-buffer capacity in rows; older rows are overwritten. */
-    size_t capacity = 4096;
+    /** Ticks (references) between samples; 0 disables tick sampling. */
+    uint64_t sampleEvery = kDefaultSampleEvery;
 };
 
 /**
@@ -41,6 +40,9 @@ class TimeSeriesSampler
 {
   public:
     using Probe = std::function<double()>;
+
+    /** Ring-buffer capacity in rows; older rows are overwritten. */
+    static constexpr size_t kCapacity = 4096;
 
     explicit TimeSeriesSampler(const SamplerConfig &config = {});
 
@@ -82,14 +84,14 @@ class TimeSeriesSampler
      */
     void rebaseDeltas();
 
-    /** Rows currently held (<= capacity). */
+    /** Rows currently held (<= kCapacity). */
     size_t samples() const;
 
     /** Rows recorded over the sampler's lifetime. */
     uint64_t totalSamples() const { return totalSamples_; }
 
     /** True once old rows have been overwritten. */
-    bool wrapped() const { return totalSamples_ > config_.capacity; }
+    bool wrapped() const { return totalSamples_ > kCapacity; }
 
     /** Logical time (ticks seen so far). */
     uint64_t ticks() const { return ticks_; }

@@ -4,28 +4,17 @@
 
 #include "multicore/machine.hpp"
 #include "obs/journal.hpp"
-#include "sim/options.hpp"
 #include "util/artifact.hpp"
 #include "util/contracts.hpp"
 
 namespace xmig {
 
-ObserveOptions
-observeOptionsOf(const BenchOptions &opt)
-{
-    ObserveOptions o;
-    o.metricsOut = opt.metricsOut;
-    o.samplesOut = opt.samplesOut;
-    o.traceOut = opt.traceOut;
-    o.journalOut = opt.journalOut;
-    if (opt.sampleEvery > 0)
-        o.sampleEvery = opt.sampleEvery;
-    return o;
-}
-
-RunObservatory::RunObservatory(const ObserveOptions &options)
+RunObservatory::RunObservatory(const BenchOptions &options)
     : options_(options),
-      sampler_(obs::SamplerConfig{options.sampleEvery})
+      sampler_(obs::SamplerConfig{
+          options.sampleEvery > 0
+              ? options.sampleEvery
+              : obs::SamplerConfig::kDefaultSampleEvery})
 {
     if (!options_.journalOut.empty() || !options_.traceOut.empty()) {
         journal_ = std::make_unique<obs::Journal>();

@@ -9,12 +9,16 @@
  *    under hierarchical dotted names (exported as JSONL at the end);
  *  - a TimeSeriesSampler probing the affinity state (A_R, Delta,
  *    filter value), event rates and per-core L2 occupancies every
- *    `sampleEvery` references (exported as CSV);
+ *    --sample-every references (exported as CSV);
  *  - an xmig-lens event Journal (obs/journal.hpp), attached to the
  *    sampled machine and exported at the end as JSONL (--journal-out)
  *    and/or as a Chrome trace_event document (--trace-out). The
  *    journal is per-machine state, so both files are byte-identical
  *    at any --jobs value (docs/observability.md, "Journal").
+ *
+ * The observatory reads what to observe and where to write it
+ * straight from the parsed command line (BenchOptions: an empty path
+ * leaves that output off).
  *
  * Lifetime rule (see obs/registry.hpp): registered pointers reach
  * into the live machines, so finish() must run while the machines
@@ -31,37 +35,13 @@
 #include "multicore/feed.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
+#include "sim/options.hpp"
 
 namespace xmig::obs {
 class Journal;
 } // namespace xmig::obs
 
 namespace xmig {
-
-struct BenchOptions;
-
-/** What to observe and where to write it ("" = that output is off). */
-struct ObserveOptions
-{
-    std::string metricsOut; ///< JSONL metrics dump path
-    std::string samplesOut; ///< time-series CSV path
-    std::string traceOut;   ///< Chrome trace_event JSON path
-    std::string journalOut; ///< xmig-lens event journal JSONL path
-
-    /** References between time-series samples. */
-    uint64_t sampleEvery = 10'000;
-
-    /** True if any output was requested. */
-    bool
-    any() const
-    {
-        return !metricsOut.empty() || !samplesOut.empty() ||
-               !traceOut.empty() || !journalOut.empty();
-    }
-};
-
-/** Build ObserveOptions from parsed common CLI flags. */
-ObserveOptions observeOptionsOf(const BenchOptions &opt);
 
 /**
  * All observability state for one simulation run. It is the FeedOwner
@@ -70,7 +50,12 @@ ObserveOptions observeOptionsOf(const BenchOptions &opt);
 class RunObservatory final : public FeedOwner
 {
   public:
-    explicit RunObservatory(const ObserveOptions &options);
+    /**
+     * Observe per `options`' xmig-scope flags. --sample-every 0 (the
+     * flag's default) keeps the sampler's own cadence,
+     * obs::SamplerConfig::kDefaultSampleEvery references.
+     */
+    explicit RunObservatory(const BenchOptions &options);
     ~RunObservatory() override;
 
     RunObservatory(const RunObservatory &) = delete;
@@ -123,14 +108,14 @@ class RunObservatory final : public FeedOwner
 
     obs::MetricsRegistry &registry() { return registry_; }
     obs::TimeSeriesSampler &sampler() { return sampler_; }
-    const ObserveOptions &options() const { return options_; }
+    const BenchOptions &options() const { return options_; }
 
     /** The event journal (null unless --journal-out or --trace-out
      *  requested one). */
     obs::Journal *journal() { return journal_.get(); }
 
   private:
-    ObserveOptions options_;
+    BenchOptions options_;
     obs::MetricsRegistry registry_;
     obs::TimeSeriesSampler sampler_;
     std::unique_ptr<obs::Journal> journal_;

@@ -7,16 +7,14 @@
  *   --instr N      instruction budget per benchmark (default: the
  *                  reader's own budget, or its smoke budget under
  *                  --smoke)
- *   --scale X      multiply the budget that applies by X
  *   --bench NAME   restrict to one benchmark (repeatable)
  *   --seed S       workload seed
  *   --warmup N     unmeasured warm-up instructions
  *   --fault-plan P xmig-iron fault plan (fault_plan.hpp grammar),
  *                  forwarded to MachineConfig::faultPlan
- *   --jobs N       xmig-swift sweep workers (default: the XMIG_JOBS
- *                  environment variable, else one per host core).
- *                  Output is bit-identical at any value
- *                  (docs/parallelism.md); N must be positive
+ *   --jobs N       xmig-swift sweep workers, 1..JobPool::kMaxJobs
+ *                  (default: one per host core). Output is
+ *                  bit-identical at any value (docs/parallelism.md)
  *   --smoke        CI-sized run: shrink budgets and sweep ranges to
  *                  finish in seconds
  *   --csv F        write the machine-readable result table to F
@@ -46,35 +44,73 @@
 #pragma once
 
 #include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "sim/runner/job_pool.hpp"
 #include "util/logging.hpp"
 
 namespace xmig {
+
+/** How a strict count parse ended. */
+enum class CountParse : uint8_t
+{
+    Ok,
+    Empty,     ///< no characters at all
+    NotDigits, ///< a sign, blank, suffix or other non-digit
+    Overflow,  ///< digits only, but past UINT64_MAX
+};
+
+/**
+ * Strict decimal count, shared by every CLI: the whole string must be
+ * digits (no sign, no blanks, no suffix) and fit in uint64_t. `*out`
+ * is written only on Ok.
+ */
+inline CountParse
+parseStrictCount(const char *text, uint64_t *out)
+{
+    if (text == nullptr || *text == '\0')
+        return CountParse::Empty;
+    for (const char *p = text; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9')
+            return CountParse::NotDigits;
+    }
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || end == nullptr || *end != '\0')
+        return CountParse::Overflow;
+    *out = static_cast<uint64_t>(v);
+    return CountParse::Ok;
+}
+
+/** A worker count every CLI accepts for --jobs: 1..JobPool::kMaxJobs. */
+constexpr bool
+validJobs(uint64_t jobs)
+{
+    return jobs >= 1 && jobs <= JobPool::kMaxJobs;
+}
 
 /** One bit per flag BenchOptions::parse() knows. */
 enum BenchFlag : uint32_t
 {
     kFlagInstr = 1u << 0,
-    kFlagScale = 1u << 1,
-    kFlagBench = 1u << 2,
-    kFlagSeed = 1u << 3,
-    kFlagWarmup = 1u << 4,
-    kFlagFaultPlan = 1u << 5,
-    kFlagJobs = 1u << 6,
-    kFlagSmoke = 1u << 7,
-    kFlagCsv = 1u << 8,
-    kFlagMetricsOut = 1u << 9,
-    kFlagSamplesOut = 1u << 10,
-    kFlagTraceOut = 1u << 11,
-    kFlagJournalOut = 1u << 12,
-    kFlagSampleEvery = 1u << 13,
-    kFlagCsvDir = 1u << 14,
+    kFlagBench = 1u << 1,
+    kFlagSeed = 1u << 2,
+    kFlagWarmup = 1u << 3,
+    kFlagFaultPlan = 1u << 4,
+    kFlagJobs = 1u << 5,
+    kFlagSmoke = 1u << 6,
+    kFlagCsv = 1u << 7,
+    kFlagMetricsOut = 1u << 8,
+    kFlagSamplesOut = 1u << 9,
+    kFlagTraceOut = 1u << 10,
+    kFlagJournalOut = 1u << 11,
+    kFlagSampleEvery = 1u << 12,
+    kFlagCsvDir = 1u << 13,
 };
 
 /** The common flags: every flag but --csv-dir. */
@@ -91,7 +127,6 @@ struct BenchFlagInfo
 /** Every flag parse() knows, in BenchFlag bit order. */
 inline constexpr BenchFlagInfo kBenchFlags[] = {
     {"--instr", kFlagInstr, true},
-    {"--scale", kFlagScale, true},
     {"--bench", kFlagBench, true},
     {"--seed", kFlagSeed, true},
     {"--warmup", kFlagWarmup, true},
@@ -158,41 +193,38 @@ struct BenchOptions
         return names;
     }
 
-    /**
-     * Strict decimal count: the whole string must be digits (no
-     * sign, no blanks, no suffix) and fit in uint64_t.
-     */
+    /** parseStrictCount(), fatal (exit 1) on anything but Ok. */
     static uint64_t
     parseCount(const char *flag, const char *text)
     {
-        if (text == nullptr || *text == '\0')
+        uint64_t v = 0;
+        switch (parseStrictCount(text, &v)) {
+          case CountParse::Ok:
+            break;
+          case CountParse::Empty:
             XMIG_FATAL("%s requires a value", flag);
-        for (const char *p = text; *p != '\0'; ++p) {
-            if (*p < '0' || *p > '9')
-                XMIG_FATAL("%s: '%s' is not a non-negative integer",
-                           flag, text);
-        }
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(text, &end, 10);
-        if (errno == ERANGE || end == nullptr || *end != '\0')
+          case CountParse::NotDigits:
+            XMIG_FATAL("%s: '%s' is not a non-negative integer", flag,
+                       text);
+          case CountParse::Overflow:
             XMIG_FATAL("%s: '%s' overflows a 64-bit count", flag,
                        text);
-        return static_cast<uint64_t>(v);
+        }
+        return v;
     }
 
     /**
-     * Strict worker count for --jobs / XMIG_JOBS: a *positive*
-     * integer (0 workers is meaningless; "auto" is expressed by
-     * omitting the flag entirely).
+     * Strict worker count for --jobs: validJobs() or fatal (0
+     * workers is meaningless; "auto" is expressed by omitting the
+     * flag entirely).
      */
     static unsigned
     parseJobs(const char *flag, const char *text)
     {
         const uint64_t v = parseCount(flag, text);
-        if (v == 0 || v > 4096)
+        if (!validJobs(v))
             XMIG_FATAL("%s: '%s' is not a positive worker count "
-                       "(1..4096)", flag, text);
+                       "(1..%u)", flag, text, JobPool::kMaxJobs);
         return static_cast<unsigned>(v);
     }
 
@@ -207,7 +239,7 @@ struct BenchOptions
     /**
      * Parse the command line of a reader whose own budget is
      * `defaultInstr`, and `smokeInstr` under --smoke. An explicit
-     * --instr replaces both; --scale multiplies whichever applies.
+     * --instr replaces both.
      * `reads` is the set of BenchFlag bits the reader reads; a known
      * flag outside it is fatal, naming `reader` (argv[0] when null).
      */
@@ -218,9 +250,6 @@ struct BenchOptions
     {
         BenchOptions opt;
         bool instrGiven = false;
-        double scale = 1.0;
-        if (const char *env = std::getenv("XMIG_JOBS"))
-            opt.jobs = parseJobs("XMIG_JOBS", env);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             const BenchFlagInfo *flag = nullptr;
@@ -242,18 +271,6 @@ struct BenchOptions
                 opt.instructions = parseCount("--instr", text);
                 instrGiven = true;
                 break;
-              case kFlagScale: {
-                errno = 0;
-                char *end = nullptr;
-                scale = std::strtod(text, &end);
-                if (*text == '\0' || end == nullptr || *end != '\0' ||
-                    !std::isfinite(scale) || scale <= 0.0) {
-                    XMIG_FATAL("--scale: '%s' is not a positive "
-                               "finite number",
-                               text);
-                }
-                break;
-              }
               case kFlagBench:
                 opt.benchmarks.emplace_back(text);
                 break;
@@ -302,8 +319,6 @@ struct BenchOptions
         }
         if (!instrGiven)
             opt.instructions = opt.smoke ? smokeInstr : defaultInstr;
-        opt.instructions = static_cast<uint64_t>(
-            static_cast<double>(opt.instructions) * scale);
         return opt;
     }
 };

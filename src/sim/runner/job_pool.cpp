@@ -1,58 +1,11 @@
 #include "sim/runner/job_pool.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <atomic>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <thread>
 
-#include "util/contracts.hpp"
-#include "util/thread_annotations.hpp"
-
 namespace xmig {
-
-namespace {
-
-/** One worker's job queue; mutex-guarded (jobs are coarse). */
-struct WorkerQueue
-{
-    std::mutex mutex;
-    std::deque<size_t> jobs XMIG_GUARDED_BY(mutex);
-
-    bool
-    popFront(size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (jobs.empty())
-            return false;
-        *out = jobs.front();
-        jobs.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (jobs.empty())
-            return false;
-        *out = jobs.back();
-        jobs.pop_back();
-        return true;
-    }
-
-    /** Submit-time seeding; runs before the workers exist, but takes
-     *  the lock anyway so the annotated invariant holds everywhere
-     *  (one uncontended lock per job is submit-path noise). */
-    void
-    seed(size_t job)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        jobs.push_back(job);
-    }
-};
-
-} // namespace
 
 unsigned
 JobPool::defaultJobs()
@@ -82,29 +35,18 @@ JobPool::run(size_t n, const std::function<void(size_t)> &fn) const
         return;
     }
 
-    const size_t workers = std::min<size_t>(jobs_, n);
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
-    queues.reserve(workers);
-    for (size_t w = 0; w < workers; ++w)
-        queues.push_back(std::make_unique<WorkerQueue>());
-    // Round-robin seeding: worker w starts with jobs w, w+workers, ...
-    // Deterministic, and spreads the (often monotone-cost) cell list
-    // so no worker begins with all the expensive ones.
-    for (size_t i = 0; i < n; ++i)
-        queues[i % workers]->seed(i);
-
     // One slot per *job*: failures are reported by job index, so the
-    // rethrown exception is schedule-independent.
+    // rethrown exception is schedule-independent. Each slot is
+    // written by the one worker that claimed its job and read after
+    // the join.
     std::vector<std::exception_ptr> errors(n);
+    std::atomic<size_t> next{0};
 
-    auto worker_body = [&](size_t self) {
-        size_t job;
+    auto worker_body = [&] {
         for (;;) {
-            bool have = queues[self]->popFront(&job);
-            for (size_t v = 1; !have && v < workers; ++v)
-                have = queues[(self + v) % workers]->stealBack(&job);
-            if (!have)
-                return; // every queue drained
+            const size_t job = next.fetch_add(1);
+            if (job >= n)
+                return; // every job claimed
             try {
                 fn(job);
             } catch (...) {
@@ -113,11 +55,12 @@ JobPool::run(size_t n, const std::function<void(size_t)> &fn) const
         }
     };
 
+    const size_t workers = std::min<size_t>(jobs_, n);
     std::vector<std::thread> threads;
     threads.reserve(workers - 1);
     for (size_t w = 1; w < workers; ++w)
-        threads.emplace_back(worker_body, w);
-    worker_body(0); // the caller is worker 0
+        threads.emplace_back(worker_body);
+    worker_body(); // the caller is worker 0
     for (std::thread &t : threads)
         t.join();
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing job pool for sweep parallelism (xmig-swift).
+ * Job pool for sweep parallelism (xmig-swift).
  *
  * Every experiment in the paper is a sweep of *independent*
  * single-program simulations: each (benchmark x config) cell builds
@@ -10,12 +10,13 @@
  * job-index order, so a parallel sweep renders byte-identical output
  * to the serial one (docs/parallelism.md states the full contract).
  *
- * Scheduling: each worker owns a deque of job indices, seeded
- * round-robin at submit time. A worker pops from the *front* of its
- * own deque and, when empty, steals from the *back* of a victim's —
- * the classic Chase-Lev shape, here with a per-deque mutex because
- * jobs are whole simulations (milliseconds to minutes), not
- * microtasks; queue operations are measurement noise.
+ * Scheduling: the workers share one atomic next-job cursor. Each
+ * worker claims the next unclaimed index, runs it, and claims again
+ * until the cursor passes n, so a worker that drew cheap cells simply
+ * claims more of them. Jobs are whole simulations (milliseconds to
+ * minutes), not microtasks: one fetch_add per job is measurement
+ * noise, and no per-worker queue or stealing is needed to balance
+ * uneven costs.
  *
  * With jobs() == 1 or a single submitted job, run() executes inline
  * on the calling thread: no threads are spawned, and the execution is
@@ -31,11 +32,14 @@
 namespace xmig {
 
 /**
- * Fixed-width pool executing indexed jobs with work stealing.
+ * Fixed-width pool executing indexed jobs off a shared cursor.
  */
 class JobPool
 {
   public:
+    /** Largest worker count a CLI accepts for --jobs (validJobs()). */
+    static constexpr unsigned kMaxJobs = 4096;
+
     /** @param jobs worker count; 0 means defaultJobs(). */
     explicit JobPool(unsigned jobs);
 

@@ -11,8 +11,11 @@
  *  - XMIG_AUDIT    — compiled at audit level >= 1 (cheap). O(1)
  *                    checks on hot paths: occupancy bounds, counter
  *                    monotonicity, subset-index ranges. The default
- *                    build keeps these on; they cost a compare and a
- *                    predictable branch.
+ *                    build keeps these on. Each is O(1), but together
+ *                    they are not free: xmig-bench runs of an `off`
+ *                    build read 3-8 % fewer ns/ref than `cheap` on
+ *                    some workloads (docs/analysis.md §1 has the
+ *                    numbers).
  *  - XMIG_EXPECT   — compiled at audit level >= 2 (paranoid).
  *                    Expensive structural walks: O(|R|) window sums,
  *                    tag/O_e column reconciliation, whole-machine

@@ -56,10 +56,10 @@ slurp(const std::string &path)
  * references, into a scratch CSV named after `tag` (unique per
  * concurrent run). The feed cuts a chunk at every sample instant.
  */
-ObserveOptions
+BenchOptions
 sampledOptions(const std::string &tag)
 {
-    ObserveOptions oo;
+    BenchOptions oo;
     oo.samplesOut = testing::TempDir() + "xmig_sampled_" + tag + ".csv";
     return oo;
 }
@@ -155,7 +155,7 @@ runObserved(const std::string &bench, const std::string &tag,
             bool metrics)
 {
     const std::string stem = testing::TempDir() + "xmig_observed_" + tag;
-    ObserveOptions oo;
+    BenchOptions oo;
     oo.sampleEvery = sample_every;
     if (samples)
         oo.samplesOut = stem + ".csv";
@@ -496,8 +496,8 @@ TEST(BatchDeterminism, JournalJsonlBytesAgreeBatchedAndPerRef)
     // agree byte for byte too.
     std::string jsonl[2], trace[2];
     for (int m = 0; m < 2; ++m) {
-        ObserveOptions oo = m == 0 ? sampledOptions("journal")
-                                   : ObserveOptions{};
+        BenchOptions oo = m == 0 ? sampledOptions("journal")
+                                   : BenchOptions{};
         const std::string stem = testing::TempDir() +
                                  "xmig_batch_journal_" +
                                  std::to_string(m);
@@ -561,8 +561,7 @@ TEST(BatchDeterminism, SampleCutOnWarmupReference)
     // puts the first sample instant and the counter reset on the same
     // reference: the row must be read after the reset. Cadence 1 cuts
     // the feed at every reference, on a run short enough that the
-    // ring keeps every row (each row scans all four L2s); cadence 0
-    // turns tick sampling off.
+    // ring keeps every row (each row scans all four L2s).
     const uint64_t warmup = 37'777;
     const uint64_t warmup_refs =
         warmupRefsOf(recordStream("179.art", warmup), warmup);
@@ -577,7 +576,6 @@ TEST(BatchDeterminism, SampleCutOnWarmupReference)
     const Case cases[] = {
         {warmup_refs, runParams(warmup), 0xd3be998dedafb76dull},
         {1, runParams(1'177, 600), 0x4d2239288e5f0a33ull},
-        {0, runParams(warmup), 0x3826d76ec7e1daf2ull},
     };
     for (const Case &c : cases) {
         const std::string tag = "cut_" + std::to_string(c.sampleEvery);

@@ -80,7 +80,7 @@ TEST(EngineCheckpoint, RestoredEngineContinuesIdentically)
 TEST(EngineCheckpoint, RestoreDisarmsTheShadowOracle)
 {
     EngineConfig ec = engineConfig();
-    ec.shadow = ShadowMode::Armed;
+    ec.shadowAudit = true;
     UnboundedOeStore store(ec.affinityBits);
     AffinityEngine engine(ec, store);
     CircularStream s(500);

@@ -15,7 +15,13 @@ namespace {
 TEST(UpdateBus, PaperParametersGiveAbout45Bytes)
 {
     // 4x(6+64) + 64 + 16 + 4x2 bits = 368 bits = 46 bytes; the paper
-    // rounds to "approximately 45 bytes per cycle".
+    // rounds to "approximately 45 bytes per cycle". The ids, values
+    // and addresses are RetireProfile's constants.
+    EXPECT_EQ(RetireProfile::kRegIdBits, 6u);
+    EXPECT_EQ(RetireProfile::kValueBits, 64u);
+    EXPECT_EQ(RetireProfile::kStoreAddrBits, 64u);
+    EXPECT_EQ(RetireProfile::kBranchAddrBits, 16u);
+    EXPECT_EQ(RetireProfile::kTypeBitsPerInstr, 2u);
     UpdateBusModel model;
     EXPECT_EQ(model.bitsPerCycle(), 368u);
     EXPECT_NEAR(model.bytesPerCycle(), 45.0, 1.5);

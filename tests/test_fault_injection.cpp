@@ -144,7 +144,7 @@ TEST(EngineFaults, SoftErrorsLandAndDisarmTheShadow)
                           "rate=0.001:flip=ar"));
     EngineConfig ec;
     ec.windowSize = 64;
-    ec.shadow = ShadowMode::Armed;
+    ec.shadowAudit = true;
     ec.faults = &fi;
     UnboundedOeStore store(ec.affinityBits);
     AffinityEngine engine(ec, store);
@@ -238,13 +238,12 @@ TEST(Watchdog, PingPongTripsAndSuppresses)
 {
     WatchdogConfig cfg;
     cfg.enabled = true;
-    cfg.pingPongWindow = 100;
-    cfg.pingPongLimit = 4;
-    cfg.cooldownBase = 50;
-    cfg.cooldownCap = 400;
     Watchdog wd(cfg);
+    // Long enough for three trips: 4096 + 8192 requests of cooldown
+    // after the first two.
+    constexpr uint64_t kRequests = 4 * Watchdog::kCooldownBase;
     uint64_t completed = 0, suppressed = 0;
-    for (uint64_t now = 1; now <= 2000; ++now) {
+    for (uint64_t now = 1; now <= kRequests; ++now) {
         wd.onRequest(now, false);
         if (wd.migrationAllowed(now)) {
             wd.onMigration(now); // pathological: migrate every time
@@ -253,51 +252,50 @@ TEST(Watchdog, PingPongTripsAndSuppresses)
             ++suppressed;
         }
     }
-    EXPECT_GT(wd.stats().livelocks, 0u);
+    EXPECT_EQ(wd.stats().livelocks, 3u);
     EXPECT_GT(suppressed, 0u);
     EXPECT_EQ(wd.stats().suppressed, suppressed);
-    // The cooldown bounds the migration frequency: out of 2000
-    // pathological requests, the vast majority must be vetoed.
-    EXPECT_LT(completed, 500u);
+    // Each trip lets kPingPongLimit + 1 migrations through, then the
+    // cooldown vetoes everything until it ends.
+    EXPECT_EQ(completed, 3 * (Watchdog::kPingPongLimit + 1));
 }
 
 TEST(Watchdog, RepeatedTripsDoubleTheCooldownUpToTheCap)
 {
     WatchdogConfig cfg;
     cfg.enabled = true;
-    cfg.pingPongWindow = 16;
-    cfg.pingPongLimit = 2;
-    cfg.cooldownBase = 32;
-    cfg.cooldownCap = 128;
-    cfg.decayAfter = 1'000'000; // no decay during the test
     Watchdog wd(cfg);
+    EXPECT_EQ(wd.stats().cooldownNow, Watchdog::kCooldownBase);
+    // No onRequest(): the clean stretches that decay the cooldown
+    // back to base are requests, so without them every trip doubles
+    // it. The doubled cooldowns sum to under 2 x kCooldownCap.
     uint64_t peak = 0;
-    for (uint64_t now = 1; now <= 5000; ++now) {
-        wd.onRequest(now, false);
+    for (uint64_t now = 1; now <= 3 * Watchdog::kCooldownCap; ++now) {
         if (wd.migrationAllowed(now))
             wd.onMigration(now);
         peak = std::max(peak, wd.stats().cooldownNow);
     }
     EXPECT_GT(wd.stats().livelocks, 1u);
-    EXPECT_EQ(peak, 128u); // reached, never exceeded, the cap
+    // Reached, never exceeded, the cap.
+    EXPECT_EQ(peak, Watchdog::kCooldownCap);
 }
 
 TEST(Watchdog, DegenerateSplitRequestsOneReinit)
 {
     WatchdogConfig cfg;
     cfg.enabled = true;
-    cfg.stuckWindow = 100;
     Watchdog wd(cfg);
-    for (uint64_t now = 1; now <= 99; ++now)
+    constexpr uint64_t kStuck = Watchdog::kStuckWindow;
+    uint64_t now = 1;
+    for (; now < kStuck; ++now)
         wd.onRequest(now, true);
     EXPECT_FALSE(wd.takeReinit()); // not stuck long enough yet
     // One unsaturated request resets the run.
-    wd.onRequest(100, false);
-    for (uint64_t now = 101; now <= 199; ++now)
-        wd.onRequest(now, true);
+    wd.onRequest(now++, false);
+    for (uint64_t i = 1; i < kStuck; ++i)
+        wd.onRequest(now++, true);
     EXPECT_FALSE(wd.takeReinit());
-    for (uint64_t now = 200; now <= 299; ++now)
-        wd.onRequest(now, true);
+    wd.onRequest(now++, true);
     EXPECT_TRUE(wd.takeReinit());
     EXPECT_FALSE(wd.takeReinit()); // one-shot
     EXPECT_EQ(wd.stats().reinits, 1u);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/fuzz_cli.hpp"
+#include "sim/runner/job_pool.hpp"
 
 namespace xmig {
 namespace {
@@ -31,26 +32,34 @@ TEST(FuzzCli, DefaultsAreUniformCampaign)
     ASSERT_EQ(p.exitCode, -1);
     EXPECT_EQ(p.options.mode, FuzzCliOptions::Mode::Campaign);
     EXPECT_EQ(p.options.seed, 1u);
-    EXPECT_EQ(p.options.plans, 200u);
-    EXPECT_EQ(p.options.instructions, 150'000u);
-    EXPECT_TRUE(p.options.minimize);
+    EXPECT_EQ(p.options.campaign.plans, 200u);
+    EXPECT_EQ(p.options.campaign.instructions, 150'000u);
+    EXPECT_TRUE(p.options.campaign.minimize);
     EXPECT_FALSE(p.options.stormWorkloads);
+    // The campaign defaults are CampaignConfig's own, and the
+    // workload is the one every fuzz case defaults to.
+    EXPECT_EQ(p.options.campaign.benchmark, kDefaultFuzzBenchmark);
+    EXPECT_EQ(p.options.campaign.benchmark, FuzzCase{}.benchmark);
+    EXPECT_NE(std::string(fuzzCliUsage()).find(
+                  std::string("workload (default ") +
+                  kDefaultFuzzBenchmark + ")"),
+              std::string::npos);
 }
 
 TEST(FuzzCli, SmokeChangesOnlyTheDefaults)
 {
     const FuzzCliParse smoke = parse({"--smoke"});
     ASSERT_EQ(smoke.exitCode, -1) << smoke.error;
-    EXPECT_EQ(smoke.options.plans, 50u);
-    EXPECT_EQ(smoke.options.instructions, 60'000u);
+    EXPECT_EQ(smoke.options.campaign.plans, 50u);
+    EXPECT_EQ(smoke.options.campaign.instructions, 60'000u);
 
     // An explicit value wins, even one equal to the plain default.
     const FuzzCliParse p = parse(
         {"--smoke", "--plans", "200", "--instr", "150000"});
     ASSERT_EQ(p.exitCode, -1) << p.error;
-    EXPECT_EQ(p.options.plans, 200u);
-    EXPECT_EQ(p.options.instructions, 150'000u);
-    EXPECT_EQ(parse({"--plans", "200", "--smoke"}).options.plans, 200u);
+    EXPECT_EQ(p.options.campaign.plans, 200u);
+    EXPECT_EQ(p.options.campaign.instructions, 150'000u);
+    EXPECT_EQ(parse({"--plans", "200", "--smoke"}).options.campaign.plans, 200u);
 }
 
 TEST(FuzzCli, ParsesAFullSoakInvocation)
@@ -63,14 +72,14 @@ TEST(FuzzCli, ParsesAFullSoakInvocation)
     ASSERT_EQ(p.exitCode, -1) << p.error;
     EXPECT_EQ(p.options.mode, FuzzCliOptions::Mode::Guided);
     EXPECT_EQ(p.options.seed, 7u);
-    EXPECT_EQ(p.options.plans, 128u);
+    EXPECT_EQ(p.options.campaign.plans, 128u);
     EXPECT_EQ(p.options.jobs, 4u);
-    EXPECT_EQ(p.options.instructions, 50'000u);
-    EXPECT_EQ(p.options.benchmark, "179.art");
-    EXPECT_EQ(p.options.corpusDir, "/tmp/corpus");
-    EXPECT_EQ(p.options.reproDir, "/tmp/repros");
+    EXPECT_EQ(p.options.campaign.instructions, 50'000u);
+    EXPECT_EQ(p.options.campaign.benchmark, "179.art");
+    EXPECT_EQ(p.options.campaign.corpusDir, "/tmp/corpus");
+    EXPECT_EQ(p.options.campaign.reproDir, "/tmp/repros");
     EXPECT_TRUE(p.options.stormWorkloads);
-    EXPECT_FALSE(p.options.minimize);
+    EXPECT_FALSE(p.options.campaign.minimize);
 }
 
 TEST(FuzzCli, ReplayCarriesThePlan)
@@ -130,12 +139,20 @@ TEST(FuzzCli, MissingAndZeroValuesAreUsageErrors)
 {
     EXPECT_EQ(parse({"--plans"}).exitCode, 2);
     EXPECT_EQ(parse({"--bench"}).exitCode, 2);
+    EXPECT_EQ(parse({"--bench", ""}).exitCode, 2);
     EXPECT_EQ(parse({"--replay"}).exitCode, 2);
     // Counts that must be positive.
     EXPECT_EQ(parse({"--plans", "0"}).exitCode, 2);
     EXPECT_EQ(parse({"--jobs", "0"}).exitCode, 2);
     EXPECT_EQ(parse({"--instr", "0"}).exitCode, 2);
-    EXPECT_EQ(parse({"--jobs", "4096"}).exitCode, 2);
+    // --jobs shares xmig_paper's bound: parse only, no pool is built.
+    const std::string past_bound = std::to_string(JobPool::kMaxJobs + 1);
+    EXPECT_EQ(parse({"--jobs", past_bound.c_str()}).exitCode, 2);
+    const std::string at_bound = std::to_string(JobPool::kMaxJobs);
+    EXPECT_EQ(parse({"--jobs", at_bound.c_str()}).options.jobs,
+              JobPool::kMaxJobs);
+    // A count past UINT64_MAX is malformed, not saturated.
+    EXPECT_EQ(parse({"--plans", "18446744073709551616"}).exitCode, 2);
     // Seeds may legitimately be zero.
     EXPECT_EQ(parse({"--seed", "0"}).exitCode, -1);
     EXPECT_EQ(parse({"--workload-seed", "0"}).exitCode, -1);

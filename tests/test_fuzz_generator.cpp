@@ -4,6 +4,7 @@
  * the sampled plan space.
  */
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -137,14 +138,17 @@ TEST(PlanGenerator, CapsCoreChurnRates)
 
 TEST(PlanGenerator, RespectsStatementBudget)
 {
-    GeneratorConfig config;
-    config.maxStatements = 5;
-    PlanGenerator gen(3, config);
+    PlanGenerator gen(3);
+    size_t longest = 0;
     for (int i = 0; i < 200; ++i) {
         // seed= statement + budget, with one-statement slop for a
         // churn pair straddling the budget edge.
-        EXPECT_LE(gen.next().statements.size(), size_t{5} + 2);
+        const size_t n = gen.next().statements.size();
+        EXPECT_LE(n, size_t{PlanGenerator::kMaxStatements} + 2);
+        longest = std::max(longest, n);
     }
+    // 200 draws of a budget in [1, kMaxStatements] reach its top.
+    EXPECT_GT(longest, size_t{PlanGenerator::kMaxStatements});
 }
 
 TEST(PlanGenerator, GeneratedPlansRoundTripThroughToString)

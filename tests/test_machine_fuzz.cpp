@@ -2,7 +2,7 @@
  * @file
  * Property fuzzing of the migration machine over its configuration
  * space: for every combination of core count, L2 organization,
- * controller valves, prefetcher and window kind, the invariants of
+ * controller valves, prefetch degree and window kind, the invariants of
  * section 2 must hold on a mixed random/circular/strided workload.
  */
 
@@ -19,7 +19,8 @@ namespace {
 
 using FuzzParam = std::tuple<unsigned /*cores*/, bool /*skewed*/,
                              bool /*l2filter*/, bool /*bounded*/,
-                             int /*prefetch*/, bool /*lru window*/>;
+                             int /*stride prefetch degree, 0 = off*/,
+                             bool /*lru window*/>;
 
 class MachineFuzzTest : public ::testing::TestWithParam<FuzzParam>
 {
@@ -40,7 +41,10 @@ TEST_P(MachineFuzzTest, InvariantsHoldUnderMixedTraffic)
     cfg.controller.windowX = 64;
     cfg.controller.window =
         lru ? WindowKind::DistinctLru : WindowKind::Fifo;
-    cfg.prefetch.kind = static_cast<PrefetchKind>(prefetch);
+    cfg.prefetch.kind =
+        prefetch == 0 ? PrefetchKind::None : PrefetchKind::Stride;
+    if (prefetch > 0)
+        cfg.prefetch.degree = static_cast<unsigned>(prefetch);
 
     MachineConfig base_cfg = cfg;
     base_cfg.numCores = 1;
@@ -116,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),          // skewed
                        ::testing::Bool(),          // l2 filtering
                        ::testing::Bool(),          // bounded store
-                       ::testing::Values(0, 1, 2), // prefetch kind
+                       ::testing::Values(0, 1, 2), // prefetch degree
                        ::testing::Bool()));        // LRU window
 
 } // namespace

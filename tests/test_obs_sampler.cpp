@@ -15,17 +15,18 @@ namespace xmig::obs {
 namespace {
 
 SamplerConfig
-cfg(uint64_t every, size_t capacity)
+cfg(uint64_t every)
 {
     SamplerConfig c;
     c.sampleEvery = every;
-    c.capacity = capacity;
     return c;
 }
 
+constexpr size_t kCap = TimeSeriesSampler::kCapacity;
+
 TEST(Sampler, SamplesOnCadence)
 {
-    TimeSeriesSampler s(cfg(10, 100));
+    TimeSeriesSampler s(cfg(10));
     int probes = 0;
     s.addColumn("p", [&] { return static_cast<double>(++probes); });
 
@@ -45,7 +46,7 @@ TEST(Sampler, SamplesOnCadence)
 
 TEST(Sampler, DeltaColumnsReportPerIntervalRates)
 {
-    TimeSeriesSampler s(cfg(10, 100));
+    TimeSeriesSampler s(cfg(10));
     uint64_t events = 0;
     s.addDeltaColumn("rate", &events);
 
@@ -64,7 +65,7 @@ TEST(Sampler, DeltaColumnsReportPerIntervalRates)
 TEST(Sampler, DeltaBaselineIsRegistrationTimeValue)
 {
     uint64_t events = 100; // pre-existing history must not leak in
-    TimeSeriesSampler s(cfg(5, 8));
+    TimeSeriesSampler s(cfg(5));
     s.addDeltaColumn("rate", &events);
     events = 103;
     s.tick(5);
@@ -73,7 +74,7 @@ TEST(Sampler, DeltaBaselineIsRegistrationTimeValue)
 
 TEST(Sampler, RebaseAfterCounterResetReportsGrowthSinceReset)
 {
-    TimeSeriesSampler s(cfg(10, 100));
+    TimeSeriesSampler s(cfg(10));
     uint64_t events = 0;
     s.addDeltaColumn("rate", &events);
     events = 50;
@@ -89,7 +90,7 @@ TEST(Sampler, RebaseAfterCounterResetReportsGrowthSinceReset)
 
 TEST(Sampler, IntervalColumnDrainsTicks)
 {
-    TimeSeriesSampler s(cfg(10, 100));
+    TimeSeriesSampler s(cfg(10));
     s.addColumn("c", [] { return 0.0; });
     s.tick(10);
     s.tick(3);
@@ -111,17 +112,18 @@ TEST(Sampler, IntervalColumnDrainsTicks)
 
 TEST(Sampler, RingWrapsKeepingNewestRows)
 {
-    TimeSeriesSampler s(cfg(1, 4));
+    TimeSeriesSampler s(cfg(1));
     s.addColumn("t2", [&] { return static_cast<double>(s.ticks()); });
 
-    for (int t = 0; t < 10; ++t)
+    const uint64_t total = kCap + 6;
+    for (uint64_t t = 0; t < total; ++t)
         s.tick();
     EXPECT_TRUE(s.wrapped());
-    EXPECT_EQ(s.totalSamples(), 10u);
-    EXPECT_EQ(s.samples(), 4u); // bounded memory
+    EXPECT_EQ(s.totalSamples(), total);
+    EXPECT_EQ(s.samples(), kCap); // bounded memory
 
-    // Oldest surviving row first: ticks 7, 8, 9, 10.
-    for (size_t i = 0; i < 4; ++i) {
+    // Oldest surviving row first: ticks 7, 8, ..., kCap + 6.
+    for (size_t i = 0; i < kCap; ++i) {
         EXPECT_EQ(s.rowTick(i), 7 + i);
         EXPECT_EQ(s.rowValues(i)[0], static_cast<double>(7 + i));
     }
@@ -135,16 +137,16 @@ TEST(Sampler, RingWrapsKeepingNewestRows)
     size_t rows = 1;
     while (std::getline(lines, line))
         ++rows;
-    EXPECT_EQ(rows, 4u);
+    EXPECT_EQ(rows, kCap);
 }
 
 TEST(Sampler, ExactlyAtCapacityDoesNotWrap)
 {
-    TimeSeriesSampler s(cfg(1, 4));
+    TimeSeriesSampler s(cfg(1));
     s.addColumn("c", [] { return 1.0; });
-    for (int t = 0; t < 4; ++t)
+    for (size_t t = 0; t < kCap; ++t)
         s.tick();
-    EXPECT_EQ(s.totalSamples(), 4u);
+    EXPECT_EQ(s.totalSamples(), kCap);
     EXPECT_FALSE(s.wrapped());
     EXPECT_EQ(s.rowTick(0), 1u);
     s.tick();
@@ -154,7 +156,7 @@ TEST(Sampler, ExactlyAtCapacityDoesNotWrap)
 
 TEST(Sampler, ZeroCadenceOnlySamplesOnDemand)
 {
-    TimeSeriesSampler s(cfg(0, 8));
+    TimeSeriesSampler s(cfg(0));
     s.addColumn("c", [] { return 2.0; });
     EXPECT_FALSE(s.tick(1000));
     EXPECT_EQ(s.samples(), 0u);
@@ -165,7 +167,7 @@ TEST(Sampler, ZeroCadenceOnlySamplesOnDemand)
 
 TEST(Sampler, CsvHeaderQuotesAwkwardColumnNames)
 {
-    TimeSeriesSampler s(cfg(1, 2));
+    TimeSeriesSampler s(cfg(1));
     s.addColumn("a,b", [] { return 0.0; });
     std::istringstream lines(s.renderCsv());
     std::string header;
@@ -175,7 +177,7 @@ TEST(Sampler, CsvHeaderQuotesAwkwardColumnNames)
 
 TEST(Sampler, WriteCsvRoundTripsThroughDisk)
 {
-    TimeSeriesSampler s(cfg(2, 8));
+    TimeSeriesSampler s(cfg(2));
     s.addColumn("v", [] { return 1.25; });
     s.tick(6);
     const std::string path =

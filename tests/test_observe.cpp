@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "sim/observe.hpp"
@@ -33,25 +34,47 @@ slurp(const std::string &path)
     return out;
 }
 
-TEST(ObserveOptions, BuiltFromCliFlags)
+/** BenchOptions::parse of the common flags in `args`. */
+BenchOptions
+parseFlags(std::vector<const char *> args)
 {
-    const char *argv[] = {"bench",          "--metrics-out", "m.jsonl",
-                          "--samples-out",  "s.csv",         "--trace-out",
-                          "t.json",         "--sample-every", "500"};
-    const BenchOptions opt =
-        BenchOptions::parse(9, const_cast<char **>(argv));
-    EXPECT_TRUE(opt.observing());
-    const ObserveOptions o = observeOptionsOf(opt);
-    EXPECT_EQ(o.metricsOut, "m.jsonl");
-    EXPECT_EQ(o.samplesOut, "s.csv");
-    EXPECT_EQ(o.traceOut, "t.json");
-    EXPECT_EQ(o.sampleEvery, 500u);
+    args.insert(args.begin(), "bench");
+    return BenchOptions::parse(static_cast<int>(args.size()),
+                               const_cast<char **>(args.data()));
+}
 
-    const BenchOptions none = BenchOptions::parse(1, nullptr);
-    EXPECT_FALSE(none.observing());
-    // Unset cadence keeps the sampler default.
-    EXPECT_EQ(observeOptionsOf(none).sampleEvery,
-              ObserveOptions{}.sampleEvery);
+TEST(Observatory, BuiltFromBenchOptions)
+{
+    const std::string samples =
+        testing::TempDir() + "xmig_observe_default_cadence.csv";
+    const BenchOptions opt = parseFlags(
+        {"--samples-out", samples.c_str(), "--sample-every", "0"});
+    EXPECT_TRUE(opt.observing());
+    EXPECT_FALSE(parseFlags({}).observing());
+
+    QuadcoreParams p;
+    p.instructionsPerBenchmark = 300'000;
+    {
+        RunObservatory obs(opt);
+        EXPECT_EQ(obs.options().samplesOut, samples);
+        // --sample-every 0 keeps the sampler's own cadence.
+        EXPECT_EQ(obs.sampler().config().sampleEvery,
+                  obs::SamplerConfig::kDefaultSampleEvery);
+        EXPECT_EQ(obs::SamplerConfig::kDefaultSampleEvery, 10'000u);
+        runQuadcore("179.art", p, &obs);
+        const auto &s = obs.sampler();
+        EXPECT_GT(s.totalSamples(), 10u);
+        EXPECT_EQ(s.totalSamples(), s.ticks() / 10'000);
+        EXPECT_EQ(s.rowTick(0), 10'000u);
+    }
+    std::remove(samples.c_str());
+
+    // An explicit cadence is the sampler's.
+    const BenchOptions every500 =
+        parseFlags({"--samples-out", samples.c_str(), "--sample-every",
+                    "500"});
+    EXPECT_EQ(RunObservatory(every500).sampler().config().sampleEvery,
+              500u);
 }
 
 TEST(Observatory, FullQuadcoreRunProducesAllArtifacts)
@@ -63,7 +86,7 @@ TEST(Observatory, FullQuadcoreRunProducesAllArtifacts)
     const std::string trace =
         testing::TempDir() + "xmig_observe_trace.json";
 
-    ObserveOptions o;
+    BenchOptions o;
     o.metricsOut = metrics;
     o.samplesOut = samples;
     o.traceOut = trace;
@@ -143,8 +166,8 @@ TEST(Observatory, FullQuadcoreRunProducesAllArtifacts)
 
 TEST(Observatory, NoOutputsMeansNoFilesAndNoSampling)
 {
-    ObserveOptions o; // everything off
-    EXPECT_FALSE(o.any());
+    BenchOptions o; // everything off
+    EXPECT_FALSE(o.observing());
     RunObservatory obs(o);
 
     QuadcoreParams p;
@@ -165,7 +188,7 @@ TEST(Observatory, ObservedRunMatchesUnobservedRun)
     p.instructionsPerBenchmark = 300'000;
     const QuadcoreRow plain = runQuadcore("em3d", p);
 
-    ObserveOptions o;
+    BenchOptions o;
     o.samplesOut = testing::TempDir() + "xmig_observe_same.csv";
     o.sampleEvery = 777;
     RunObservatory obs(o);

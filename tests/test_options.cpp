@@ -79,18 +79,6 @@ TEST(BenchOptions, ParsesEveryFlag)
     EXPECT_EQ(opt.benchmarks[1], "health");
 }
 
-TEST(BenchOptions, ScaleMultipliesBudget)
-{
-    const BenchOptions opt = parse({"--instr", "1000", "--scale", "2.5"});
-    EXPECT_EQ(opt.instructions, 2500u);
-    // Without --instr, --scale multiplies the budget that applies.
-    EXPECT_EQ(parseHarness({"--scale", "0.5"}).instructions,
-              4'000'000u);
-    EXPECT_EQ(parseHarness({"--smoke", "--scale", "0.5"}).instructions,
-              1'000'000u);
-    EXPECT_EQ(parse({"--scale", "0.5"}).instructions, 10'000'000u);
-}
-
 TEST(BenchOptions, ParsesFaultPlan)
 {
     const BenchOptions opt =
@@ -100,27 +88,28 @@ TEST(BenchOptions, ParsesFaultPlan)
 
 TEST(BenchOptions, ParsesJobsAndSmoke)
 {
-    unsetenv("XMIG_JOBS");
     EXPECT_EQ(parse({}).jobs, 0u); // 0 = auto (one per host core)
     EXPECT_FALSE(parse({}).smoke);
     EXPECT_EQ(parse({"--jobs", "8"}).jobs, 8u);
     EXPECT_EQ(parse({"--jobs", "1"}).jobs, 1u);
-    EXPECT_EQ(parse({"--jobs", "4096"}).jobs, 4096u);
+    EXPECT_EQ(parse({"--jobs", "4096"}).jobs, JobPool::kMaxJobs);
     EXPECT_TRUE(parse({"--smoke"}).smoke);
 }
 
-TEST(BenchOptions, JobsFromEnvironment)
+// --jobs is the one input for the worker count: no environment
+// variable sets it, and a malformed one is not even read.
+TEST(BenchOptions, IgnoresJobsEnvironment)
 {
-    setenv("XMIG_JOBS", "3", 1);
-    EXPECT_EQ(parse({}).jobs, 3u);
-    // The command line wins over the environment.
-    EXPECT_EQ(parse({"--jobs", "5"}).jobs, 5u);
+    for (const char *value : {"3", "zero"}) {
+        setenv("XMIG_JOBS", value, 1);
+        EXPECT_EQ(parse({}).jobs, 0u) << value;
+        EXPECT_EQ(parse({"--jobs", "5"}).jobs, 5u) << value;
+    }
     unsetenv("XMIG_JOBS");
 }
 
 TEST(BenchOptions, TraceOutKeepsRequestedJobs)
 {
-    unsetenv("XMIG_JOBS");
     // The trace is rendered from the per-machine journal, so it places
     // no constraint on the sweep width: auto stays auto, 4 stays 4.
     EXPECT_EQ(parse({"--trace-out", "/tmp/t.json"}).jobs, 0u);
@@ -175,12 +164,14 @@ TEST(BenchOptionsDeathTest, RejectsOverflowingCount)
                 ::testing::ExitedWithCode(1), "overflows");
 }
 
-TEST(BenchOptionsDeathTest, RejectsNonPositiveScale)
+// --instr is the one budget input: --scale is an unknown argument.
+TEST(BenchOptionsDeathTest, RejectsScaleAsUnknownArgument)
 {
-    EXPECT_EXIT(parse({"--scale", "0"}),
-                ::testing::ExitedWithCode(1), "--scale");
-    EXPECT_EXIT(parse({"--scale", "nan"}),
-                ::testing::ExitedWithCode(1), "--scale");
+    EXPECT_EXIT(parse({"--instr", "1000", "--scale", "2.5"}),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--scale'");
+    for (const BenchFlagInfo &f : kBenchFlags)
+        EXPECT_STRNE(f.name, "--scale");
 }
 
 TEST(BenchOptionsDeathTest, RejectsMalformedFaultPlan)
@@ -193,15 +184,16 @@ TEST(BenchOptionsDeathTest, RejectsMalformedFaultPlan)
 // and garbage or absurd counts must die loudly (xmig-iron strictness).
 TEST(BenchOptionsDeathTest, RejectsBadJobs)
 {
-    unsetenv("XMIG_JOBS");
     EXPECT_EXIT(parse({"--jobs", "0"}),
                 ::testing::ExitedWithCode(1), "--jobs");
     EXPECT_EXIT(parse({"--jobs", "many"}),
                 ::testing::ExitedWithCode(1), "--jobs");
     EXPECT_EXIT(parse({"--jobs", "-2"}),
                 ::testing::ExitedWithCode(1), "--jobs");
+    // One past JobPool::kMaxJobs, the bound xmig_fuzz shares (parse
+    // only: no pool is built).
     EXPECT_EXIT(parse({"--jobs", "4097"}),
-                ::testing::ExitedWithCode(1), "--jobs");
+                ::testing::ExitedWithCode(1), "--jobs.*1\\.\\.4096");
 }
 
 // A misspelt flag (--instrs for --instr) must not run the default
@@ -219,13 +211,6 @@ TEST(BenchOptionsDeathTest, RejectsUnknownArgument)
     EXPECT_EXIT(parse({"--csv-dir"}, BenchOptions::kDefaultInstructions,
                       BenchOptions::kDefaultInstructions, kFlagCsvDir),
                 ::testing::ExitedWithCode(1), "--csv-dir requires a value");
-}
-
-TEST(BenchOptionsDeathTest, RejectsBadJobsEnvironment)
-{
-    setenv("XMIG_JOBS", "zero", 1);
-    EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(1), "XMIG_JOBS");
-    unsetenv("XMIG_JOBS");
 }
 
 TEST(QuadcoreWarmup, ExcludesWarmupEvents)

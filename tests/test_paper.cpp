@@ -136,7 +136,6 @@ const std::vector<Golden> kGolden = {
 
 TEST(PaperGolden, EveryExperimentMatchesItsHarnessDigests)
 {
-    unsetenv("XMIG_JOBS");
     std::set<std::string> covered;
     for (const Golden &g : kGolden) {
         SCOPED_TRACE(g.args[0]);
@@ -170,7 +169,6 @@ sampleValue(BenchFlag flag)
 {
     switch (flag) {
       case kFlagInstr: return "1000";
-      case kFlagScale: return "2";
       case kFlagBench: return "179.art";
       case kFlagSeed: return "7";
       case kFlagWarmup: return "5";
@@ -221,8 +219,8 @@ TEST(PaperFlags, BudgetsMatchTheBudgetFlags)
     for (const Experiment &e : experiments()) {
         SCOPED_TRACE(e.name);
         // A fixed-size experiment takes no budget flag; a budget
-        // experiment takes --instr, --scale and --seed together.
-        const uint32_t budget = kFlagInstr | kFlagScale | kFlagSeed;
+        // experiment takes --instr and --seed together.
+        const uint32_t budget = kFlagInstr | kFlagSeed;
         EXPECT_EQ(e.instr != 0, (e.reads & budget) == budget);
         EXPECT_EQ(e.instr == 0, (e.reads & budget) == 0);
         // --smoke is read exactly where it picks a smaller budget.
@@ -248,7 +246,6 @@ TEST(PaperDriver, NoArgumentListsEveryExperiment)
 
 TEST(PaperDriver, AliasRunsItsExperiment)
 {
-    unsetenv("XMIG_JOBS");
     const std::vector<std::string> flags = {"--instr", "200000", "--bench",
                                             "art+mcf", "--jobs", "1"};
     std::vector<std::string> alias = {"some/dir/bench_figure1"};
@@ -268,6 +265,15 @@ TEST(PaperDriverDeathTest, RejectsAFlagTheExperimentDoesNotRead)
     EXPECT_EXIT(mainOf({"bench_figure1", "--samples-out", "s.csv"}),
                 ::testing::ExitedWithCode(1),
                 "fig1 does not read --samples-out");
+}
+
+// --instr is the one budget input: --scale dies like any misspelt
+// flag (parse only).
+TEST(PaperDriverDeathTest, RejectsScaleAsAnUnknownArgument)
+{
+    EXPECT_EXIT(mainOf({"xmig_paper", "table2", "--scale", "2"}),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--scale'");
 }
 
 TEST(PaperDriverDeathTest, RejectsAnUnknownExperiment)

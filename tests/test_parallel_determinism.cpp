@@ -47,9 +47,6 @@ with(std::vector<std::string> args, const std::vector<std::string> &extra)
 std::string
 table2(int jobs, const std::vector<std::string> &extra = {})
 {
-    // The environment of the ctest runner must not leak into the
-    // comparison.
-    unsetenv("XMIG_JOBS");
     return run(with({"table2", "--smoke", "--jobs", std::to_string(jobs)},
                     extra));
 }
@@ -132,7 +129,6 @@ TEST(ParallelDeterminism, JournalIsByteIdenticalAcrossJobs)
 std::string
 figure1(int jobs, const std::vector<std::string> &extra)
 {
-    unsetenv("XMIG_JOBS");
     return run(with({"fig1", "--instr", "400000", "--bench", "em3d+health",
                      "--bench", "bisort+mst+twolf+vortex", "--jobs",
                      std::to_string(jobs)},
@@ -195,7 +191,6 @@ TEST(ParallelDeterminism, Figure1CsvIsByteIdenticalAcrossJobs)
  */
 TEST(ParallelDeterminism, SweptExperimentsAreByteIdenticalAcrossJobs)
 {
-    unsetenv("XMIG_JOBS");
     const std::vector<std::vector<std::string>> cases = {
         {"table1", "--bench", "179.art", "--bench", "em3d", "--bench",
          "164.gzip"},
@@ -217,15 +212,6 @@ TEST(ParallelDeterminism, SweptExperimentsAreByteIdenticalAcrossJobs)
         ASSERT_FALSE(serial.empty());
         EXPECT_EQ(serial, at(4));
     }
-}
-
-TEST(ParallelDeterminism, JobsEnvironmentVariableIsHonored)
-{
-    const std::string serial = table2(1);
-    setenv("XMIG_JOBS", "8", 1);
-    const std::string env = run({"table2", "--smoke"});
-    unsetenv("XMIG_JOBS");
-    EXPECT_EQ(serial, env);
 }
 
 } // namespace

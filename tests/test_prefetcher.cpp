@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit and integration tests for the L2 prefetchers and their
+ * Unit and integration tests for the L2 stride prefetcher and its
  * machine-model plumbing (section 6 extension).
  */
 
@@ -19,25 +19,9 @@ TEST(Prefetcher, NoneIssuesNothing)
 {
     Prefetcher pf(PrefetcherConfig{});
     std::vector<uint64_t> out;
-    pf.onDemand(100, true, out);
+    pf.onDemand(100, out);
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(pf.stats().issued, 0u);
-}
-
-TEST(Prefetcher, NextLineIssuesDegreeCandidates)
-{
-    PrefetcherConfig c;
-    c.kind = PrefetchKind::NextLine;
-    c.degree = 3;
-    Prefetcher pf(c);
-    std::vector<uint64_t> out;
-    pf.onDemand(100, true, out);
-    EXPECT_EQ(out, (std::vector<uint64_t>{101, 102, 103}));
-    out.clear();
-    pf.onDemand(200, false, out); // hits do not trigger next-line
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(pf.stats().triggers, 1u);
-    EXPECT_EQ(pf.stats().issued, 3u);
 }
 
 TEST(Prefetcher, StrideDetectsPositiveStride)
@@ -50,7 +34,7 @@ TEST(Prefetcher, StrideDetectsPositiveStride)
     // Stride-4 stream: 0, 4, 8, 12, ...
     for (uint64_t line = 0; line <= 12; line += 4) {
         out.clear();
-        pf.onDemand(line, true, out);
+        pf.onDemand(line, out);
     }
     // By line 12 confidence reached the threshold.
     EXPECT_EQ(out, (std::vector<uint64_t>{16, 20}));
@@ -65,7 +49,7 @@ TEST(Prefetcher, StrideDetectsNegativeStride)
     std::vector<uint64_t> out;
     for (uint64_t line = 1000; line >= 976; line -= 8) {
         out.clear();
-        pf.onDemand(line, true, out);
+        pf.onDemand(line, out);
     }
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 976u - 8);
@@ -79,14 +63,14 @@ TEST(Prefetcher, StrideResetsOnPatternBreak)
     std::vector<uint64_t> out;
     for (uint64_t line : {0u, 4u, 8u, 12u}) {
         out.clear();
-        pf.onDemand(line, true, out);
+        pf.onDemand(line, out);
     }
     EXPECT_FALSE(out.empty());
     out.clear();
-    pf.onDemand(1000, true, out); // break
+    pf.onDemand(1000, out); // break
     EXPECT_TRUE(out.empty());
     out.clear();
-    pf.onDemand(1004, true, out); // new stride, confidence 0
+    pf.onDemand(1004, out); // new stride, confidence 0
     EXPECT_TRUE(out.empty());
 }
 
@@ -98,22 +82,23 @@ TEST(Prefetcher, RandomStreamStaysQuiet)
     Rng rng(4);
     std::vector<uint64_t> out;
     for (int i = 0; i < 20000; ++i)
-        pf.onDemand(rng.below(1 << 20), true, out);
+        pf.onDemand(rng.below(1 << 20), out);
     // Essentially no stride should survive the confidence gate.
     EXPECT_LT(pf.stats().issued, 600u);
 }
 
-TEST(PrefetchMachine, NextLineRemovesSequentialMisses)
+TEST(PrefetchMachine, StrideRemovesSequentialMisses)
 {
     MachineConfig plain;
     plain.numCores = 1;
     MachineConfig with_pf = plain;
-    with_pf.prefetch.kind = PrefetchKind::NextLine;
+    with_pf.prefetch.kind = PrefetchKind::Stride;
     with_pf.prefetch.degree = 4;
 
     MigrationMachine base(plain), pf(with_pf);
-    // A large sequential stream: next-line prefetching should remove
-    // the bulk of the L2 misses.
+    // A large sequential stream is a stride-1 stream in every region:
+    // once each region's stride is confident, prefetching should
+    // remove the bulk of the L2 misses.
     for (int round = 0; round < 4; ++round) {
         for (uint64_t line = 0; line < 100'000; ++line) {
             const MemRef r = MemRef::load(0x40000000 + line * 64);

@@ -165,9 +165,6 @@ TEST(Recovery, WatchdogBoundsPingPongLivelock)
 
     MigrationControllerConfig guarded_cfg = baseConfig(4);
     guarded_cfg.watchdog.enabled = true;
-    guarded_cfg.watchdog.pingPongWindow = 256;
-    guarded_cfg.watchdog.pingPongLimit = 8;
-    guarded_cfg.watchdog.cooldownBase = 1024;
     MigrationController guarded(guarded_cfg);
 
     UniformRandomStream s1(4000), s2(4000);

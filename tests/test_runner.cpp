@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the xmig-swift work-stealing job pool and the shared
+ * Tests for the xmig-swift job pool and the shared
  * sweep harness: deterministic index ordering, serial-path identity
  * at jobs == 1, and exception propagation matching the serial loop.
  */
@@ -43,6 +43,36 @@ TEST(JobPool, EveryJobRunsExactlyOnce)
     pool.run(hits.size(), [&](size_t i) { ++hits[i]; });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+// Many more jobs than workers, with a few jobs far costlier than the
+// rest: the shared cursor hands each index to exactly one worker
+// whatever the width, and the results still land in index order.
+TEST(JobPool, UnevenJobsRunExactlyOnceAtAnyWidth)
+{
+    constexpr size_t kJobs = 600;
+    // Every 37th job costs about a hundred times the others.
+    const auto work = [](size_t i) {
+        const uint64_t steps =
+            i % 37 == 0 ? 200'000 : 500 + (i * 7919) % 3000;
+        uint64_t acc = i;
+        for (uint64_t k = 0; k < steps; ++k)
+            acc = acc * 6364136223846793005ull + 1442695040888963407ull;
+        return acc;
+    };
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+        SCOPED_TRACE(jobs);
+        std::vector<std::atomic<int>> hits(kJobs);
+        const std::vector<uint64_t> out = runIndexed<uint64_t>(
+            JobPool(jobs), kJobs, [&](size_t i) {
+                ++hits[i];
+                return work(i);
+            });
+        for (size_t i = 0; i < kJobs; ++i) {
+            EXPECT_EQ(hits[i].load(), 1) << i;
+            EXPECT_EQ(out[i], work(i)) << i;
+        }
+    }
 }
 
 // jobs == 1 must be the *literal* serial path: every job executes

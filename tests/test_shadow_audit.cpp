@@ -44,7 +44,7 @@ wideConfig(size_t window, WindowKind kind)
     c.affinityBits = 44;
     c.windowSize = window;
     c.window = kind;
-    c.shadow = ShadowMode::Armed;
+    c.shadowAudit = true;
     return c;
 }
 
@@ -277,7 +277,7 @@ wideTree(unsigned depth)
     sc.affinityBits = 44;
     sc.rootWindow = 128;
     sc.window = WindowKind::DistinctLru;
-    sc.shadow = ShadowMode::Armed;
+    sc.shadowAudit = true;
     return sc;
 }
 

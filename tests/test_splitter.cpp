@@ -129,7 +129,7 @@ TEST(SplitterGolden, DepthTwoReproducesFourWayDecisionStreams)
 uint64_t
 journalDigest(unsigned cores, const std::string &plan, size_t *lines)
 {
-    ObserveOptions oo;
+    BenchOptions oo;
     oo.journalOut = testing::TempDir() + "xmig_golden_journal_" +
                     std::to_string(cores) + ".jsonl";
     {

@@ -16,10 +16,9 @@ TEST(MigrationProtocol, BasePenaltyIsBroadcastPlusPipeline)
     // cycles for broadcasting T on the update bus plus the number of
     // pipeline stages from the issue stage to retirement."
     PipelineParams p;
-    p.updateBusCycles = 2;
     p.issueToRetireStages = 10;
     MigrationProtocolModel model(p);
-    EXPECT_EQ(model.basePenaltyCycles(), 12u);
+    EXPECT_EQ(model.basePenaltyCycles(), 12u); // 2 + 10
 }
 
 TEST(MigrationProtocol, NoMispredictsMeansBasePenalty)
@@ -48,23 +47,25 @@ TEST(MigrationProtocol, MispredictsAddResteerCycles)
     MigrationProtocolModel certain(q);
     Rng rng(2);
     EXPECT_EQ(certain.simulateMigration(rng),
-              certain.basePenaltyCycles() + q.updateBusCycles);
+              certain.basePenaltyCycles() +
+                  PipelineParams::kUpdateBusCycles);
 }
 
 TEST(MigrationProtocol, InflightScalesWithDepthAndWidth)
 {
+    // (5 fetch-to-issue + 10 issue-to-retire stages) x 4-wide.
     PipelineParams p;
-    p.fetchToIssueStages = 5;
     p.issueToRetireStages = 10;
-    p.retireWidth = 4;
-    MigrationProtocolModel model(p);
-    EXPECT_EQ(model.inflightInstructions(), 60u);
+    EXPECT_EQ(MigrationProtocolModel(p).inflightInstructions(), 60u);
+    p.issueToRetireStages = 20;
+    EXPECT_EQ(MigrationProtocolModel(p).inflightInstructions(),
+              (PipelineParams::kFetchToIssueStages + 20) *
+                  PipelineParams::kRetireWidth);
 }
 
 TEST(TimingModel, PmigInPaperUnits)
 {
     PipelineParams p;
-    p.updateBusCycles = 2;
     p.issueToRetireStages = 10;
     p.mispredictPerInstr = 0.0;
     TimingModel model(p);

@@ -123,7 +123,7 @@ class Passes(unittest.TestCase):
 LISTING = """usage: xmig_paper EXPERIMENT [flags]
 
 table1      Table 1: benchmark inventory and 16-KB L1 misses (20M instr)
-            reads: --instr --scale --bench --seed --jobs
+            reads: --instr --bench --seed --jobs
 fig1        Figure 1: migration mode vs throughput mode (4M instr, smoke 1M)
             reads: --instr --jobs --smoke --csv --metrics-out --journal-out
 resilience  Fault resilience (8M instr, smoke 2M)

@@ -74,10 +74,9 @@ replayMode(const FuzzCliOptions &cli)
 {
     FuzzCase c;
     c.plan = cli.replayPlan;
-    if (!cli.benchmark.empty())
-        c.benchmark = cli.benchmark;
+    c.benchmark = cli.campaign.benchmark;
     c.workloadSeed = cli.workloadSeed;
-    c.instructions = cli.instructions;
+    c.instructions = cli.campaign.instructions;
 
     const PropertyHarness harness;
     const CaseResult r = harness.run(c);
@@ -105,7 +104,7 @@ selfTestMode(const FuzzCliOptions &cli)
     bad.plan = "seed=9;at=120000:core_off=1;rate=0.001:flip=ae;"
                "at=60000:mig_delay=8;rate=0.0002:bus_drop;"
                "at=200000:core_on=1;rate=0.0001:mig_drop;at=1:flip=tag";
-    bad.instructions = cli.instructions;
+    bad.instructions = cli.campaign.instructions;
 
     HarnessConfig hc;
     hc.brokenOracle = true;
@@ -148,7 +147,7 @@ selfTestMode(const FuzzCliOptions &cli)
                "(got '" + m2.minimized.plan + "' on the second run)\n";
     }
 
-    if (ok && !cli.reproDir.empty()) {
+    if (ok && !cli.campaign.reproDir.empty()) {
         // Exercise the repro-writing path end to end, so CI can
         // assert the artifact exists.
         CampaignFailure f;
@@ -158,7 +157,7 @@ selfTestMode(const FuzzCliOptions &cli)
         f.failure = {"broken_self_test", "self-test pipeline proof"};
         f.probes = m1.probes;
         const std::string path =
-            cli.reproDir + "/repro_selftest.txt";
+            cli.campaign.reproDir + "/repro_selftest.txt";
         writeArtifact(path, renderRepro(f), "--repro-dir");
         out += "repro written: " + path + "\n";
     }
@@ -192,15 +191,7 @@ main(int argc, char **argv)
     if (cli.mode == FuzzCliOptions::Mode::SelfTest)
         return selfTestMode(cli);
 
-    CampaignConfig config;
-    config.plans = cli.plans;
-    config.instructions = cli.instructions;
-    config.minimize = cli.minimize;
-    config.reproDir = cli.reproDir;
-    config.corpusDir = cli.corpusDir;
-    if (!cli.benchmark.empty())
-        config.benchmark = cli.benchmark;
-
+    const CampaignConfig &config = cli.campaign;
     const PropertyHarness harness;
     const JobPool pool(cli.jobs);
     if (cli.verbose)
