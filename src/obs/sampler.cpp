@@ -7,8 +7,9 @@
 namespace xmig::obs {
 
 TimeSeriesSampler::TimeSeriesSampler(const SamplerConfig &config)
-    : config_(config),
-      nextSampleAt_(config.sampleEvery)
+    : config_{config.sampleEvery > 0 ? config.sampleEvery
+                                     : SamplerConfig::kDefaultSampleEvery},
+      nextSampleAt_(config_.sampleEvery)
 {
 }
 
@@ -44,7 +45,7 @@ TimeSeriesSampler::tick(uint64_t n)
 {
     ticks_ += n;
     sinceLastSample_.add(n);
-    if (config_.sampleEvery == 0 || ticks_ < nextSampleAt_)
+    if (ticks_ < nextSampleAt_)
         return false;
     bool sampled = false;
     while (ticks_ >= nextSampleAt_) {

@@ -29,7 +29,7 @@ struct SamplerConfig
 {
     static constexpr uint64_t kDefaultSampleEvery = 10'000;
 
-    /** Ticks (references) between samples; 0 disables tick sampling. */
+    /** Ticks (references) between samples; 0 = kDefaultSampleEvery. */
     uint64_t sampleEvery = kDefaultSampleEvery;
 };
 
@@ -63,15 +63,9 @@ class TimeSeriesSampler
 
     /**
      * Ticks until the next row comes due (>= 1): tick(n) with n up to
-     * this value records at most one row, at its last tick. UINT64_MAX
-     * when tick sampling is off.
+     * this value records at most one row, at its last tick.
      */
-    uint64_t
-    ticksUntilSample() const
-    {
-        return config_.sampleEvery == 0 ? UINT64_MAX
-                                        : nextSampleAt_ - ticks_;
-    }
+    uint64_t ticksUntilSample() const { return nextSampleAt_ - ticks_; }
 
     /** Record one row now, regardless of cadence. */
     void sampleNow();

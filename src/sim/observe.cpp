@@ -11,10 +11,7 @@ namespace xmig {
 
 RunObservatory::RunObservatory(const BenchOptions &options)
     : options_(options),
-      sampler_(obs::SamplerConfig{
-          options.sampleEvery > 0
-              ? options.sampleEvery
-              : obs::SamplerConfig::kDefaultSampleEvery})
+      sampler_(obs::SamplerConfig{options.sampleEvery})
 {
     if (!options_.journalOut.empty() || !options_.traceOut.empty()) {
         journal_ = std::make_unique<obs::Journal>();

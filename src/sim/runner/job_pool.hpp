@@ -14,9 +14,9 @@
  * worker claims the next unclaimed index, runs it, and claims again
  * until the cursor passes n, so a worker that drew cheap cells simply
  * claims more of them. Jobs are whole simulations (milliseconds to
- * minutes), not microtasks: one fetch_add per job is measurement
- * noise, and no per-worker queue or stealing is needed to balance
- * uneven costs.
+ * minutes), not microtasks, so one fetch_add per job is measurement
+ * noise. Jobs start in index order: a costly cell late in the list
+ * starts late and can end the sweep alone.
  *
  * With jobs() == 1 or a single submitted job, run() executes inline
  * on the calling thread: no threads are spawned, and the execution is

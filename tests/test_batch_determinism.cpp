@@ -561,7 +561,8 @@ TEST(BatchDeterminism, SampleCutOnWarmupReference)
     // puts the first sample instant and the counter reset on the same
     // reference: the row must be read after the reset. Cadence 1 cuts
     // the feed at every reference, on a run short enough that the
-    // ring keeps every row (each row scans all four L2s).
+    // ring keeps every row (each row scans all four L2s); a cadence
+    // past the run's end never samples, and its CSV is the header.
     const uint64_t warmup = 37'777;
     const uint64_t warmup_refs =
         warmupRefsOf(recordStream("179.art", warmup), warmup);
@@ -576,6 +577,7 @@ TEST(BatchDeterminism, SampleCutOnWarmupReference)
     const Case cases[] = {
         {warmup_refs, runParams(warmup), 0xd3be998dedafb76dull},
         {1, runParams(1'177, 600), 0x4d2239288e5f0a33ull},
+        {UINT64_MAX, runParams(warmup), 0x3826d76ec7e1daf2ull},
     };
     for (const Case &c : cases) {
         const std::string tag = "cut_" + std::to_string(c.sampleEvery);

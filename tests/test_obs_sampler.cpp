@@ -156,10 +156,15 @@ TEST(Sampler, ExactlyAtCapacityDoesNotWrap)
 
 TEST(Sampler, ZeroCadenceOnlySamplesOnDemand)
 {
-    TimeSeriesSampler s(cfg(0));
+    // A cadence past every tick of the run records only on demand;
+    // cadence 0 is the default cadence, not "off".
+    EXPECT_EQ(TimeSeriesSampler(cfg(0)).config().sampleEvery,
+              SamplerConfig::kDefaultSampleEvery);
+    TimeSeriesSampler s(cfg(UINT64_MAX));
     s.addColumn("c", [] { return 2.0; });
     EXPECT_FALSE(s.tick(1000));
     EXPECT_EQ(s.samples(), 0u);
+    EXPECT_EQ(s.ticksUntilSample(), UINT64_MAX - 1000);
     s.sampleNow();
     EXPECT_EQ(s.samples(), 1u);
     EXPECT_EQ(s.rowTick(0), 1000u);
