@@ -74,15 +74,17 @@ main(int argc, char **argv)
                 (unsigned long long)row.instructions,
                 (unsigned long long)row.migrations, row.missRatio());
 
-    // Note: the registry's pointers reached into machines that only
-    // lived inside runQuadcore(), so values may not be *read* here —
-    // the JSONL was exported by finish() while they were alive.
-    std::printf("\nmetrics: %zu registered -> %s\n",
-                observatory.registry().size(), opt.metricsOut.c_str());
+    // The registry is a snapshot finish() took before the machines
+    // went away, so it can still be read here.
+    const auto &registry = observatory.registry();
+    std::printf("\nmetrics: %zu registered -> %s\n", registry.size(),
+                opt.metricsOut.c_str());
     std::printf("  e.g. machine.l2_misses = %llu, "
                 "machine.controller.migrations = %llu\n",
-                (unsigned long long)row.l2Misses4x,
-                (unsigned long long)row.migrations);
+                (unsigned long long)*registry.counterValue(
+                    "machine.l2_misses"),
+                (unsigned long long)*registry.counterValue(
+                    "machine.controller.migrations"));
 
     const auto &sampler = observatory.sampler();
     std::printf("time series: %zu samples x %zu columns (every %llu "

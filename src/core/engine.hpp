@@ -159,10 +159,9 @@ class AffinityEngine
     void restore(const EngineCheckpoint &ckpt);
 
     /**
-     * Register this engine's live state under `prefix` (xmig-scope):
+     * Record this engine's current state under `prefix` (xmig-scope):
      * `<prefix>.references`, `.delta`, `.window_affinity`,
-     * `.window_occupancy`. The engine must outlive the registry's
-     * last export.
+     * `.window_occupancy`.
      */
     void registerMetrics(obs::MetricsRegistry &registry,
                          const std::string &prefix) const;

@@ -27,7 +27,7 @@ constexpr uint64_t kBackoffCap = 8192;
 
 MigrationController::MigrationController(
     const MigrationControllerConfig &config)
-    : config_(config), watchdog_(config.watchdog)
+    : config_(config), store_(makeStore()), watchdog_(config.watchdog)
 {
     XMIG_ASSERT(config.numCores >= 2 && config.numCores <= 64 &&
                 (config.numCores & (config.numCores - 1)) == 0,
@@ -40,7 +40,6 @@ MigrationController::MigrationController(
     splitWays_ = config_.numCores;
     backoff_ = kBackoffBase;
 
-    store_ = makeStore();
     buildSplitter(splitWays_);
     recomputeMapping();
 }
@@ -106,13 +105,6 @@ MigrationController::rootFilterForJournal() const
 }
 
 void
-MigrationController::retireSplitter()
-{
-    if (splitter_)
-        retiredSplitters_.push_back(std::move(splitter_));
-}
-
-void
 MigrationController::recomputeMapping()
 {
     subsetToCore_.assign(splitWays_, 0);
@@ -135,13 +127,12 @@ MigrationController::applyTopology()
         ways *= 2;
     ways = std::min(ways, config_.numCores);
     if (ways != splitWays_) {
-        // The retired store's O_e values are relative to the retired
-        // engines' Delta registers, so the rebuilt splitter gets a
-        // fresh store and re-learns the working-set split. Retire, do
-        // not destroy: registered metric gauges hold references.
-        retireSplitter();
-        retiredStores_.push_back(std::move(store_));
-        store_ = makeStore();
+        // The store's O_e values are relative to the old engines'
+        // Delta registers, so the rebuilt splitter starts from an
+        // emptied store and re-learns the working-set split. The
+        // store keeps its statistics.
+        splitter_.reset();
+        store_->restoreEntries({}, store_->stats());
         splitWays_ = ways;
         transitionsBase_ = stats_.transitions;
         if (ways > 1)
@@ -583,9 +574,8 @@ MigrationController::restore(const ControllerCheckpoint &ckpt)
 
     // Rebuild the splitter at the checkpointed arity, then load the
     // engine/filter/store state into the fresh structure. The store
-    // object is reused (its registered metrics stay valid); only its
-    // contents are replaced.
-    retireSplitter();
+    // object is reused; only its contents are replaced.
+    splitter_.reset();
     splitWays_ = ckpt.splitWays;
     if (splitWays_ > 1)
         buildSplitter(splitWays_);

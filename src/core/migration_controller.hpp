@@ -14,10 +14,12 @@
  *  - **topology**: cores can go offline/online at run time
  *    (setCoreOffline / setCoreOnline). The controller keeps a live
  *    mask and splits across the largest power-of-two subset of the
- *    survivors, rebuilding the splitter (and a fresh O_e store — the
- *    retired store's affinities are relative to retired Delta
- *    registers) whenever the split arity changes. Splitter subsets
- *    map to live cores through `subsetToCore_`.
+ *    survivors, rebuilding the splitter whenever the split arity
+ *    changes. The old splitter is freed and the O_e store emptied in
+ *    place (its affinities are relative to the old engines' Delta
+ *    registers); the store keeps its statistics, so they cover the
+ *    whole run. Splitter subsets map to live cores through
+ *    `subsetToCore_`.
  *
  *  - **migration fabric faults**: with a FaultPlan targeting
  *    mig_drop / mig_delay, an ordered migration becomes an in-flight
@@ -220,12 +222,14 @@ class MigrationController
     uint64_t splitterTransitions() const;
 
     /**
-     * Register controller, O_e-store, and splitter state under
+     * Record controller, O_e-store, and splitter state under
      * `prefix` (xmig-scope): `<prefix>.requests`, `.filter_updates`,
      * `.transitions`, `.migrations`, `.active_core`, the store's
-     * `.store.*` counters, the splitter tree under `.splitter.*`,
-     * recovery counters under `.recovery.*`, and — if the watchdog
-     * is enabled — `.watchdog.*`.
+     * `.store.*` counters (over the controller's whole life), the
+     * live splitter's tree under `.splitter.*` (none while a lone
+     * live core leaves nothing to split), recovery counters under
+     * `.recovery.*`, and — if the watchdog is enabled —
+     * `.watchdog.*`.
      */
     void registerMetrics(obs::MetricsRegistry &registry,
                          const std::string &prefix) const;
@@ -306,7 +310,6 @@ class MigrationController
     void buildSplitter(unsigned ways);
     void recomputeMapping();
     void applyTopology();
-    void retireSplitter();
     void injectStoreFaults();
     void disarmRootShadow(const char *reason);
     void serviceMigrationFabric(uint64_t now);
@@ -318,6 +321,8 @@ class MigrationController
     int64_t rootFilterForJournal() const;
 
     MigrationControllerConfig config_;
+    /** One store for the controller's life: resplits and restores
+     *  empty or reload it in place. */
     std::unique_ptr<OeStore> store_;
     /** Null only while a lone live core leaves nothing to split. */
     std::unique_ptr<KWaySplitter> splitter_;
@@ -344,11 +349,6 @@ class MigrationController
     obs::Journal *journal_ = nullptr;
     obs::Histogram resplitGap_;
     uint64_t lastResplitAt_ = 0; ///< stats_.requests at the last resplit
-
-    // Retired splitters/stores: registered metric gauges hold
-    // references into them, so a resplit parks rather than frees.
-    std::vector<std::unique_ptr<OeStore>> retiredStores_;
-    std::vector<std::unique_ptr<KWaySplitter>> retiredSplitters_;
 
     // Migration fabric state (engaged only under mig_drop/mig_delay
     // fault plans; otherwise migrations complete instantaneously).

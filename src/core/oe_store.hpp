@@ -90,8 +90,9 @@ class OeStore
         const = 0;
 
     /**
-     * Replace the contents with `entries` and adopt `stats`. Exact
-     * for the unbounded store; for the finite affinity cache the
+     * Replace the contents with `entries` and adopt `stats`; with no
+     * entries the store then decides exactly as a new one would.
+     * Exact for the unbounded store; for the finite affinity cache the
      * replacement ages are rebuilt by re-insertion, so subsequent
      * victim choices may differ from the original run (documented in
      * docs/robustness.md).
@@ -216,7 +217,10 @@ class UnboundedOeStore : public OeStore
     restoreEntries(const std::vector<OeEntrySnapshot> &entries,
                    const OeStoreStats &stats) override
     {
-        map_.clear();
+        // A fresh map, not clear(): clear() keeps the bucket count,
+        // which orders iteration, and the fault hooks pick entries in
+        // iteration order. An emptied store must pick as a new one.
+        std::unordered_map<uint64_t, int64_t>().swap(map_);
         for (const OeEntrySnapshot &e : entries)
             map_[e.line] = saturateToBits(e.oe, bits_);
         stats_ = stats;

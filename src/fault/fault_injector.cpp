@@ -126,11 +126,11 @@ void
 FaultInjector::registerMetrics(obs::MetricsRegistry &registry,
                                const std::string &prefix) const
 {
-    registry.addCounter(prefix + ".ticks", &stats_.ticks);
+    registry.addCounter(prefix + ".ticks", stats_.ticks);
     for (size_t i = 0; i < static_cast<size_t>(FaultSite::kCount); ++i) {
         registry.addCounter(prefix + ".injected." +
                                 faultSiteName(static_cast<FaultSite>(i)),
-                            &stats_.injected[i]);
+                            stats_.injected[i]);
     }
 }
 

@@ -99,10 +99,10 @@ void
 Watchdog::registerMetrics(obs::MetricsRegistry &registry,
                           const std::string &prefix) const
 {
-    registry.addCounter(prefix + ".livelocks", &stats_.livelocks);
-    registry.addCounter(prefix + ".suppressed", &stats_.suppressed);
-    registry.addCounter(prefix + ".reinits", &stats_.reinits);
-    registry.addCounter(prefix + ".cooldown", &stats_.cooldownNow);
+    registry.addCounter(prefix + ".livelocks", stats_.livelocks);
+    registry.addCounter(prefix + ".suppressed", stats_.suppressed);
+    registry.addCounter(prefix + ".reinits", stats_.reinits);
+    registry.addCounter(prefix + ".cooldown", stats_.cooldownNow);
 }
 
 } // namespace xmig

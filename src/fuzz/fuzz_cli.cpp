@@ -1,6 +1,7 @@
 #include "fuzz/fuzz_cli.hpp"
 
 #include "sim/options.hpp"
+#include "workloads/registry.hpp"
 
 namespace xmig {
 
@@ -129,6 +130,9 @@ parseFuzzCli(int argc, const char *const *argv)
             const char *token = nullptr;
             if (!value(&token) || *token == '\0')
                 return fail("missing value for --bench");
+            if (!isWorkloadName(token))
+                return fail("unknown workload for --bench: '" +
+                            std::string(token) + "'");
             campaign.benchmark = token;
         } else if (arg == "--repro-dir") {
             const char *token = nullptr;

@@ -622,7 +622,7 @@ TenantArena::registerMetrics(obs::MetricsRegistry &registry,
             prefix + ".tenant" + std::to_string(session.tenant);
         session.machine->registerMetrics(registry, base);
         registry.addHistogram(base + ".turn_cycles",
-                              &session.turnCycles);
+                              session.turnCycles);
     }
     for (size_t k = 0; k < sharedL3_.size(); ++k) {
         registerCacheMetrics(registry,

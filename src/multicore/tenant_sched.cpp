@@ -231,7 +231,6 @@ TenantScheduler::nextTurn()
     rrCursor_ %= residents_.size();
     const unsigned tenant = residents_[rrCursor_];
     rrCursor_ = (rrCursor_ + 1) % residents_.size();
-    ++turnsGranted_;
     XMIG_AUDIT(tenant < finished_.size() && !finished_[tenant],
                "turn granted to finished or unknown tenant %u", tenant);
     return tenant;

@@ -149,9 +149,6 @@ class TenantScheduler
     /** Retire `tenant`: frees its slot; admits nothing by itself. */
     void onFinish(unsigned tenant);
 
-    /** Total turns granted so far (scheduler-level accounting). */
-    uint64_t turnsGranted() const { return turnsGranted_; }
-
   private:
     TenantSchedConfig config_;
     std::vector<double> scores_;      ///< mpki per tenant
@@ -159,7 +156,6 @@ class TenantScheduler
     std::vector<unsigned> residents_; ///< admission order
     std::vector<bool> finished_;
     size_t rrCursor_ = 0;
-    uint64_t turnsGranted_ = 0;
 };
 
 /**

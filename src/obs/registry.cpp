@@ -65,60 +65,34 @@ Histogram::percentile(double p) const
 }
 
 bool
-MetricsRegistry::claim(const std::string &path)
+MetricsRegistry::add(Entry entry)
 {
-    XMIG_ASSERT(!path.empty(), "metric path must not be empty");
-    if (index_.count(path))
+    XMIG_ASSERT(!entry.name.empty(), "metric path must not be empty");
+    if (!index_.emplace(entry.name, entries_.size()).second)
         return false;
-    index_.emplace(path, entries_.size());
+    entries_.push_back(std::move(entry));
     return true;
 }
 
 bool
-MetricsRegistry::addCounter(const std::string &path,
-                            const uint64_t *counter)
+MetricsRegistry::addCounter(const std::string &path, uint64_t value)
 {
-    XMIG_ASSERT(counter != nullptr, "null counter for '%s'",
-                path.c_str());
-    if (!claim(path))
-        return false;
-    Entry e;
-    e.name = path;
-    e.kind = MetricKind::Counter;
-    e.counter = counter;
-    entries_.push_back(std::move(e));
-    return true;
+    return add({path, MetricKind::Counter, static_cast<double>(value),
+                value, std::nullopt});
 }
 
 bool
-MetricsRegistry::addGauge(const std::string &path, GaugeFn fn)
+MetricsRegistry::addGauge(const std::string &path, double value)
 {
-    XMIG_ASSERT(static_cast<bool>(fn), "null gauge for '%s'",
-                path.c_str());
-    if (!claim(path))
-        return false;
-    Entry e;
-    e.name = path;
-    e.kind = MetricKind::Gauge;
-    e.gauge = std::move(fn);
-    entries_.push_back(std::move(e));
-    return true;
+    return add({path, MetricKind::Gauge, value, 0, std::nullopt});
 }
 
 bool
 MetricsRegistry::addHistogram(const std::string &path,
-                              const Histogram *hist)
+                              const Histogram &hist)
 {
-    XMIG_ASSERT(hist != nullptr, "null histogram for '%s'",
-                path.c_str());
-    if (!claim(path))
-        return false;
-    Entry e;
-    e.name = path;
-    e.kind = MetricKind::Histogram;
-    e.hist = hist;
-    entries_.push_back(std::move(e));
-    return true;
+    return add({path, MetricKind::Histogram,
+                static_cast<double>(hist.count()), 0, hist});
 }
 
 bool
@@ -136,27 +110,13 @@ MetricsRegistry::kindOf(const std::string &path) const
     return entries_[it->second].kind;
 }
 
-double
-MetricsRegistry::read(const Entry &e) const
-{
-    switch (e.kind) {
-      case MetricKind::Counter:
-        return static_cast<double>(*e.counter);
-      case MetricKind::Gauge:
-        return e.gauge();
-      case MetricKind::Histogram:
-        return static_cast<double>(e.hist->count());
-    }
-    return 0.0;
-}
-
 std::optional<double>
 MetricsRegistry::value(const std::string &path) const
 {
     auto it = index_.find(path);
     if (it == index_.end())
         return std::nullopt;
-    return read(entries_[it->second]);
+    return entries_[it->second].value;
 }
 
 std::optional<uint64_t>
@@ -168,7 +128,7 @@ MetricsRegistry::counterValue(const std::string &path) const
     const Entry &e = entries_[it->second];
     if (e.kind != MetricKind::Counter)
         return std::nullopt;
-    return *e.counter;
+    return e.counter;
 }
 
 std::vector<MetricsRegistry::CounterSample>
@@ -178,7 +138,7 @@ MetricsRegistry::counterSnapshot() const
     for (const size_t i : sortedOrder()) {
         const Entry &e = entries_[i];
         if (e.kind == MetricKind::Counter)
-            out.push_back({e.name, *e.counter});
+            out.push_back({e.name, e.counter});
     }
     return out;
 }
@@ -203,8 +163,8 @@ MetricsRegistry::renderJsonl() const
         const Entry &e = entries_[i];
         out += "{\"name\":\"" + jsonEscape(e.name) + "\",\"kind\":\"";
         out += kindName(e.kind);
-        out += "\",\"value\":" + jsonNumber(read(e));
-        if (e.kind == MetricKind::Histogram) {
+        out += "\",\"value\":" + jsonNumber(e.value);
+        if (e.hist) {
             out += ",\"p50\":" + jsonNumber(e.hist->percentile(50));
             out += ",\"p95\":" + jsonNumber(e.hist->percentile(95));
             out += ",\"p99\":" + jsonNumber(e.hist->percentile(99));

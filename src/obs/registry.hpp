@@ -4,17 +4,17 @@
  * simulator keeps.
  *
  * Components keep their existing `*Stats` structs as the hot-path
- * storage; the registry holds *pointers* (or read-only closures) into
- * that storage under hierarchical dotted names such as
- * `machine.core0.l2.misses` or `engine.migrations`. Registration is
- * therefore free on the simulation path — values are only read when
- * an exporter runs. Exporters emit JSONL (one metric per line, for
- * pandas / jq), CSV, and the repo's AsciiTable format.
+ * storage and copy their values into a registry, under hierarchical
+ * dotted names such as `machine.core0.l2.misses` or
+ * `engine.migrations`, only when a run is exported. The simulation
+ * path never touches a registry.
  *
- * Lifetime rule: a registered pointer/closure must outlive the last
- * export. The intended pattern is one registry per run, registered
- * right after the machines are built and exported right before they
- * are destroyed (see sim/observe.hpp).
+ * Snapshot rule: a registry holds values, not references. What it
+ * reports is what the components held when they registered, so
+ * register when the run is over (sim/observe.hpp does so in
+ * RunObservatory::finish()); the registry then stays readable after
+ * the components are gone. The exporter emits JSONL (one metric per
+ * line, for pandas / jq).
  *
  * Thread contract: single-thread confined. Each sweep cell builds
  * and exports its own registry on the worker that runs it; no
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -39,9 +38,9 @@ namespace xmig::obs {
 /** What kind of instrument a registry entry is. */
 enum class MetricKind : uint8_t
 {
-    Counter,   ///< monotonically increasing uint64 (pointer)
-    Gauge,     ///< point-in-time value (closure, read at export)
-    Histogram, ///< log2-bucketed distribution (pointer)
+    Counter,   ///< monotonically increasing uint64
+    Gauge,     ///< point-in-time value
+    Histogram, ///< log2-bucketed distribution
 };
 
 /**
@@ -97,25 +96,22 @@ class Histogram
 };
 
 /**
- * Named registry of counters, gauges and histograms.
+ * Named snapshot of counters, gauges and histograms.
  */
 class MetricsRegistry
 {
   public:
-    using GaugeFn = std::function<double()>;
-
     /**
-     * Register a counter living at `*counter`. Returns false (and
-     * registers nothing) if `path` is already taken — callers that
-     * re-attach the same component twice get dedup, not aliasing.
+     * Record a counter's value. Returns false (and records nothing)
+     * if `path` is already taken: the first registration wins.
      */
-    bool addCounter(const std::string &path, const uint64_t *counter);
+    bool addCounter(const std::string &path, uint64_t value);
 
-    /** Register a gauge computed by `fn` at export time. */
-    bool addGauge(const std::string &path, GaugeFn fn);
+    /** Record a gauge's value. */
+    bool addGauge(const std::string &path, double value);
 
-    /** Register a histogram living at `*hist`. */
-    bool addHistogram(const std::string &path, const Histogram *hist);
+    /** Record a copy of `hist`. */
+    bool addHistogram(const std::string &path, const Histogram &hist);
 
     /** True if a metric is registered under `path`. */
     bool contains(const std::string &path) const;
@@ -124,8 +120,8 @@ class MetricsRegistry
     std::optional<MetricKind> kindOf(const std::string &path) const;
 
     /**
-     * Current value of the metric at `path`: counters and gauges read
-     * their storage; histograms report their sample count.
+     * Recorded value of the metric at `path`; a histogram reports its
+     * sample count.
      */
     std::optional<double> value(const std::string &path) const;
 
@@ -146,8 +142,8 @@ class MetricsRegistry
     };
 
     /**
-     * Ordered snapshot of every registered *counter*: name-sorted
-     * (the renderJsonl order), values read exactly. This is the
+     * Every registered *counter*, name-sorted (the renderJsonl
+     * order), values exact. This is the
      * programmatic read-back surface — consumers such as the
      * xmig-storm coverage map use it instead of re-parsing their own
      * JSONL export.
@@ -169,14 +165,13 @@ class MetricsRegistry
     struct Entry
     {
         std::string name;
-        MetricKind kind;
-        const uint64_t *counter = nullptr;
-        GaugeFn gauge;
-        const Histogram *hist = nullptr;
+        MetricKind kind = MetricKind::Counter;
+        double value = 0.0;            ///< what value() reports
+        uint64_t counter = 0;          ///< exact value of a counter
+        std::optional<Histogram> hist; ///< copy of a histogram
     };
 
-    bool claim(const std::string &path);
-    double read(const Entry &e) const;
+    bool add(Entry entry);
 
     /** Indices of entries_, sorted by metric name. */
     std::vector<size_t> sortedOrder() const;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/contracts.hpp"
+#include "util/stats.hpp"
 
 namespace xmig::obs {
 
@@ -43,8 +44,10 @@ TimeSeriesSampler::addDeltaColumn(std::string name,
 bool
 TimeSeriesSampler::tick(uint64_t n)
 {
+    XMIG_AUDIT(ticks_ + n >= ticks_,
+               "tick counter wrapped past 2^64 (was %llu, adding %llu)",
+               (unsigned long long)ticks_, (unsigned long long)n);
     ticks_ += n;
-    sinceLastSample_.add(n);
     if (ticks_ < nextSampleAt_)
         return false;
     bool sampled = false;
@@ -79,9 +82,8 @@ TimeSeriesSampler::record()
 
     double *row = &ring_[head_ * stride()];
     row[0] = static_cast<double>(ticks_);
-    // The interval column drains the tick counter so per-sample
-    // deltas cannot drift from the cumulative tick total.
-    row[1] = static_cast<double>(sinceLastSample_.snapshotAndReset());
+    row[1] = static_cast<double>(ticks_ - lastSampleAt_);
+    lastSampleAt_ = ticks_;
     for (size_t c = 0; c < names_.size(); ++c) {
         if (deltaSrc_[c]) {
             const uint64_t now = *deltaSrc_[c];

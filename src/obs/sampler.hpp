@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "util/stats.hpp"
-
 namespace xmig::obs {
 
 /** Sampling cadence. */
@@ -125,7 +123,7 @@ class TimeSeriesSampler
 
     uint64_t ticks_ = 0;
     uint64_t nextSampleAt_;
-    Counter sinceLastSample_; ///< drained via snapshotAndReset()
+    uint64_t lastSampleAt_ = 0; ///< tick of the previous row
 };
 
 } // namespace xmig::obs

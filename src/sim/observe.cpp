@@ -28,7 +28,7 @@ void
 RunObservatory::attachMachine(MigrationMachine &machine,
                               const std::string &prefix, bool sampled)
 {
-    machine.registerMetrics(registry_, prefix);
+    attached_.push_back({&machine, prefix});
 
     if (!sampled)
         return;
@@ -104,6 +104,9 @@ RunObservatory::finish()
     if (finished_)
         return;
     finished_ = true;
+
+    for (const Attached &a : attached_)
+        a.machine->registerMetrics(registry_, a.prefix);
 
     // An output the user asked for and did not get is fatal.
     if (!options_.metricsOut.empty())

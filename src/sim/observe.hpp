@@ -6,7 +6,8 @@
  * A RunObservatory bundles the three pillars for a single run:
  *
  *  - a MetricsRegistry holding every machine/controller/store counter
- *    under hierarchical dotted names (exported as JSONL at the end);
+ *    under hierarchical dotted names, snapshotted by finish() and
+ *    exported as JSONL;
  *  - a TimeSeriesSampler probing the affinity state (A_R, Delta,
  *    filter value), event rates and per-core L2 occupancies every
  *    --sample-every references (exported as CSV);
@@ -20,10 +21,10 @@
  * straight from the parsed command line (BenchOptions: an empty path
  * leaves that output off).
  *
- * Lifetime rule (see obs/registry.hpp): registered pointers reach
- * into the live machines, so finish() must run while the machines
- * still exist. runQuadcore() calls finish() before returning when
- * handed an observatory.
+ * finish() registers the attached machines (a value snapshot, see
+ * obs/registry.hpp), so it must run while they still exist;
+ * runQuadcore() calls it before returning when handed an
+ * observatory. The registry stays readable afterwards.
  */
 
 #pragma once
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "multicore/feed.hpp"
 #include "obs/registry.hpp"
@@ -62,13 +64,13 @@ class RunObservatory final : public FeedOwner
     RunObservatory &operator=(const RunObservatory &) = delete;
 
     /**
-     * Register `machine`'s full counter tree under `prefix`. With
-     * `sampled` true (at most one machine per observatory), also
-     * install the standard time-series columns — A_R, Delta, filter
-     * value, active core, per-interval event rates, and per-core L2
-     * occupancies plus their spread — and attach the event journal
-     * (when --journal-out or --trace-out asked for one) to the
-     * machine.
+     * Remember `machine`, whose full counter tree finish() registers
+     * under `prefix`. With `sampled` true (at most one machine per
+     * observatory), also install the standard time-series columns —
+     * A_R, Delta, filter value, active core, per-interval event
+     * rates, and per-core L2 occupancies plus their spread — and
+     * attach the event journal (when --journal-out or --trace-out
+     * asked for one) to the machine.
      */
     void attachMachine(MigrationMachine &machine,
                        const std::string &prefix, bool sampled);
@@ -100,13 +102,15 @@ class RunObservatory final : public FeedOwner
     }
 
     /**
-     * Export everything that was requested: JSONL metrics, CSV time
-     * series, and the journal as JSONL and/or Chrome trace. Must run
-     * while every attached machine is still alive. Idempotent.
+     * Register every attached machine's counters, then export
+     * everything that was requested: JSONL metrics, CSV time series,
+     * and the journal as JSONL and/or Chrome trace. Must run while
+     * every attached machine is still alive. Idempotent.
      */
     void finish();
 
-    obs::MetricsRegistry &registry() { return registry_; }
+    /** The metrics snapshot; empty until finish(). */
+    const obs::MetricsRegistry &registry() const { return registry_; }
     obs::TimeSeriesSampler &sampler() { return sampler_; }
     const BenchOptions &options() const { return options_; }
 
@@ -115,7 +119,14 @@ class RunObservatory final : public FeedOwner
     obs::Journal *journal() { return journal_.get(); }
 
   private:
+    struct Attached
+    {
+        const MigrationMachine *machine;
+        std::string prefix;
+    };
+
     BenchOptions options_;
+    std::vector<Attached> attached_;
     obs::MetricsRegistry registry_;
     obs::TimeSeriesSampler sampler_;
     std::unique_ptr<obs::Journal> journal_;

@@ -44,8 +44,8 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
         feed.run(*workload, total, params.seed);
     }
 
-    // Registered pointers reach into the two machines above, so every
-    // export has to happen before this frame unwinds.
+    // finish() registers the two machines above, so it has to run
+    // before this frame unwinds.
     if (observatory)
         observatory->finish();
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Event counters and report formatting.
+ * Report formatting.
  *
  * The paper reports most results as "instructions per event" (Table 2)
  * or as miss-ratio curves (Figures 4-5). This module provides the
- * counters and the ASCII table / CSV series formatters the bench
- * harnesses use to print paper-shaped output.
+ * ASCII table / CSV series formatters the bench harnesses use to
+ * print paper-shaped output.
  */
 
 #pragma once
@@ -14,52 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "util/contracts.hpp"
-
 namespace xmig {
-
-/** A simple monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void inc(uint64_t n = 1) { add(n); }
-
-    /**
-     * Add `n` events. A 64-bit event counter wrapping means the run's
-     * totals are garbage, so the wrap is audited rather than silently
-     * reduced modulo 2^64.
-     */
-    void
-    add(uint64_t n)
-    {
-        XMIG_AUDIT(count_ + n >= count_,
-                   "event counter wrapped past 2^64 (was %llu, "
-                   "adding %llu)",
-                   (unsigned long long)count_, (unsigned long long)n);
-        count_ += n;
-    }
-
-    uint64_t value() const { return count_; }
-    void reset() { count_ = 0; }
-
-    /**
-     * Read-and-zero in one step, for interval sampling: the sampler
-     * takes the per-interval delta without racing a separately
-     * maintained cumulative total.
-     */
-    uint64_t
-    snapshotAndReset()
-    {
-        const uint64_t v = count_;
-        count_ = 0;
-        return v;
-    }
-
-  private:
-    uint64_t count_ = 0;
-};
 
 /**
  * Format "instructions per event" the way Table 2 does: an integer

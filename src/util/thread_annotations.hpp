@@ -6,8 +6,8 @@
  * attributes when the compiler supports them and to nothing
  * everywhere else, so the annotated headers stay warning-free under
  * GCC. Together with the dynamic TSan CI job (docs/parallelism.md)
- * they give the repo a *static* race detector: the CI `clang-race`
- * job builds the runner/obs/fault targets with
+ * they give the repo a *static* race detector: the CI `lint` job
+ * also builds the runner/obs/fault targets with clang and
  * `-Wthread-safety -Werror=thread-safety`, so acquiring the wrong
  * lock — or none — around annotated state fails the build instead of
  * flaking a soak.

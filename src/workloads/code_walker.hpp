@@ -70,8 +70,6 @@ class CodeWalker
         return kBaseAddr + (funcStart_[current_] + pos_) * kInstrBytes;
     }
 
-    uint64_t numFunctions() const { return funcStart_.size(); }
-
   private:
     /** Leave the current function: loop it or pick the next one. */
     void endFunction();

@@ -60,6 +60,21 @@ shortName(const std::string &name)
     return name;
 }
 
+/** The entry `name` resolves to, or null. */
+const RegistryEntry *
+findEntry(const std::string &name)
+{
+    for (const auto &e : kRegistry) {
+        if (name == e.name || shortName(name) == shortName(e.name))
+            return &e;
+    }
+    for (const auto &e : kAdversarial) {
+        if (name == e.name)
+            return &e;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 const std::vector<std::string> &
@@ -114,17 +129,17 @@ adversarialWorkloadNames()
     return names;
 }
 
+bool
+isWorkloadName(const std::string &name)
+{
+    return findEntry(name) != nullptr;
+}
+
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name)
 {
-    for (const auto &e : kRegistry) {
-        if (name == e.name || shortName(name) == shortName(e.name))
-            return e.factory();
-    }
-    for (const auto &e : kAdversarial) {
-        if (name == e.name)
-            return e.factory();
-    }
+    if (const RegistryEntry *e = findEntry(name))
+        return e->factory();
     XMIG_FATAL("unknown workload '%s'", name.c_str());
 }
 

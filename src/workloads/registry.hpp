@@ -31,8 +31,15 @@ const std::vector<std::string> &oldenWorkloadNames();
 const std::vector<std::string> &adversarialWorkloadNames();
 
 /**
- * Instantiate a kernel by name (e.g. "181.mcf" or "mcf"; suite
- * prefixes are optional). Fatal error on unknown names.
+ * True if makeWorkload() accepts `name`: a Table-1 benchmark, with
+ * or without its SPEC number ("181.mcf" or "mcf"), or an xmig-storm
+ * kernel by its full name.
+ */
+bool isWorkloadName(const std::string &name);
+
+/**
+ * Instantiate a kernel by name, as isWorkloadName() resolves it.
+ * Fatal error on unknown names.
  */
 std::unique_ptr<Workload> makeWorkload(const std::string &name);
 

@@ -737,7 +737,9 @@ TEST(BatchDeterminism, SoaStoreDecidesExactlyLikeAos)
  * the time-series CSV, the metrics JSONL (see withoutMigrationGaps)
  * and the journal JSONL. One run also arms a fault plan. Recorded
  * from the feed that ran warm-up and sampled runs one reference at
- * a time.
+ * a time. The fault-armed run resplits twice, so its metrics carry
+ * the whole run's O_e-store counters and the live splitter's tree
+ * (docs/observability.md, "After a resplit").
  */
 TEST(QuadcoreGolden, SampledWarmupArtifactsArePinned)
 {
@@ -756,7 +758,7 @@ TEST(QuadcoreGolden, SampledWarmupArtifactsArePinned)
         {"storm.thrash", 777,
          "seed=5;rate=0.001:bus_drop;at=60000:core_off=1;"
          "at=90000:core_on=1",
-         0xddc1b74bafcb0108ull},
+         0x47833451516de9a7ull},
     };
     int n = 0;
     for (const Case &c : cases) {

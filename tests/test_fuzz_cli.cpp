@@ -158,6 +158,27 @@ TEST(FuzzCli, MissingAndZeroValuesAreUsageErrors)
     EXPECT_EQ(parse({"--workload-seed", "0"}).exitCode, -1);
 }
 
+TEST(FuzzCli, UnknownWorkloadIsUsageError)
+{
+    for (const auto &args : std::vector<std::vector<const char *>>{
+             {"--bench", "nosuch"},
+             {"--bench", "storm"},
+             {"--replay", "seed=1", "--bench", "nosuch"},
+         }) {
+        const FuzzCliParse p = parse(args);
+        EXPECT_EQ(p.exitCode, 2) << args.back();
+        EXPECT_NE(p.error.find("unknown workload"), std::string::npos)
+            << p.error;
+    }
+    // Every name makeWorkload() accepts still parses.
+    for (const char *name :
+         {"181.mcf", "mcf", "em3d", "storm.phase", "storm.thrash"}) {
+        const FuzzCliParse p = parse({"--bench", name});
+        EXPECT_EQ(p.exitCode, -1) << name << ": " << p.error;
+        EXPECT_EQ(p.options.campaign.benchmark, name);
+    }
+}
+
 TEST(FuzzCli, ConflictingModesAreUsageErrors)
 {
     EXPECT_EQ(parse({"--guided", "--self-test"}).exitCode, 2);
@@ -212,6 +233,19 @@ TEST(FuzzCliBinary, UsageErrorsExitTwoWithUsageText)
 
     EXPECT_EQ(runTool("--guided --replay seed=1", &out), 2);
     EXPECT_NE(out.find("conflicting modes"), std::string::npos);
+}
+
+TEST(FuzzCliBinary, UnknownWorkloadExitsTwo)
+{
+    // Exit 1 means "failures found"; a typoed workload is a usage
+    // error, for campaigns and replays alike.
+    std::string out;
+    EXPECT_EQ(runTool("--bench nosuch --plans 1 --smoke", &out), 2);
+    EXPECT_NE(out.find("unknown workload for --bench: 'nosuch'"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("usage: xmig_fuzz"), std::string::npos);
+    EXPECT_EQ(runTool("--replay seed=1 --bench nosuch", &out), 2);
 }
 
 TEST(FuzzCliBinary, HelpExitsZeroAndCleanRunsExitZero)

@@ -98,15 +98,13 @@ TEST(JsonValue, ParsesIntoADom)
 TEST(Registry, RegistersAndReadsEveryKind)
 {
     MetricsRegistry r;
-    uint64_t counter = 7;
     Histogram h;
     h.record(0);
     h.record(5);
-    double gauge_value = 1.5;
 
-    EXPECT_TRUE(r.addCounter("m.counter", &counter));
-    EXPECT_TRUE(r.addGauge("m.gauge", [&] { return gauge_value; }));
-    EXPECT_TRUE(r.addHistogram("m.hist", &h));
+    EXPECT_TRUE(r.addCounter("m.counter", 7));
+    EXPECT_TRUE(r.addGauge("m.gauge", 1.5));
+    EXPECT_TRUE(r.addHistogram("m.hist", h));
     EXPECT_EQ(r.size(), 3u);
 
     EXPECT_EQ(r.kindOf("m.counter"), MetricKind::Counter);
@@ -115,31 +113,41 @@ TEST(Registry, RegistersAndReadsEveryKind)
     EXPECT_EQ(r.kindOf("m.missing"), std::nullopt);
 
     EXPECT_EQ(r.value("m.counter"), 7.0);
-    counter = 9; // registry holds a pointer, not a copy
-    EXPECT_EQ(r.value("m.counter"), 9.0);
     EXPECT_EQ(r.value("m.gauge"), 1.5);
-    gauge_value = 2.0; // gauges re-run their closure
-    EXPECT_EQ(r.value("m.gauge"), 2.0);
     EXPECT_EQ(r.value("m.hist"), 2.0); // sample count
     EXPECT_EQ(r.value("m.missing"), std::nullopt);
+}
+
+TEST(Registry, HistogramIsCopiedAtRegistration)
+{
+    // The registry is a snapshot: samples recorded after registration
+    // do not reach it, and it outlives the registered histogram.
+    MetricsRegistry r;
+    std::string before;
+    {
+        Histogram h;
+        h.record(4);
+        ASSERT_TRUE(r.addHistogram("m.hist", h));
+        before = r.renderJsonl();
+        h.record(4096);
+        h.reset();
+    }
+    EXPECT_EQ(r.value("m.hist"), 1.0);
+    EXPECT_EQ(r.renderJsonl(), before);
+    EXPECT_NE(before.find("\"p50\":4"), std::string::npos) << before;
 }
 
 TEST(Registry, CounterValueIsExactAndCounterOnly)
 {
     MetricsRegistry r;
     // A value a double cannot hold exactly: 2^53 + 1.
-    uint64_t big = (uint64_t{1} << 53) + 1;
-    uint64_t small = 3;
-    Histogram h;
-    EXPECT_TRUE(r.addCounter("m.big", &big));
-    EXPECT_TRUE(r.addCounter("m.small", &small));
-    EXPECT_TRUE(r.addGauge("m.gauge", [] { return 1.0; }));
-    EXPECT_TRUE(r.addHistogram("m.hist", &h));
+    EXPECT_TRUE(r.addCounter("m.big", (uint64_t{1} << 53) + 1));
+    EXPECT_TRUE(r.addCounter("m.small", 3));
+    EXPECT_TRUE(r.addGauge("m.gauge", 1.0));
+    EXPECT_TRUE(r.addHistogram("m.hist", Histogram{}));
 
     EXPECT_EQ(r.counterValue("m.big"), (uint64_t{1} << 53) + 1);
     EXPECT_EQ(r.counterValue("m.small"), 3u);
-    small = 4; // live pointer, not a copy
-    EXPECT_EQ(r.counterValue("m.small"), 4u);
 
     // Non-counters and unknown paths read back as nullopt, never 0.
     EXPECT_EQ(r.counterValue("m.gauge"), std::nullopt);
@@ -150,33 +158,25 @@ TEST(Registry, CounterValueIsExactAndCounterOnly)
 TEST(Registry, CounterSnapshotIsNameSortedCountersOnly)
 {
     MetricsRegistry r;
-    uint64_t z = 26, a = 1, m = 13;
-    Histogram h;
-    EXPECT_TRUE(r.addCounter("zulu", &z));
-    EXPECT_TRUE(r.addGauge("golf", [] { return 7.0; }));
-    EXPECT_TRUE(r.addCounter("alpha", &a));
-    EXPECT_TRUE(r.addHistogram("hotel", &h));
-    EXPECT_TRUE(r.addCounter("mike", &m));
+    EXPECT_TRUE(r.addCounter("zulu", 26));
+    EXPECT_TRUE(r.addGauge("golf", 7.0));
+    EXPECT_TRUE(r.addCounter("alpha", 1));
+    EXPECT_TRUE(r.addHistogram("hotel", Histogram{}));
+    EXPECT_TRUE(r.addCounter("mike", 13));
 
     const auto snap = r.counterSnapshot();
     ASSERT_EQ(snap.size(), 3u);
     EXPECT_EQ(snap[0], (MetricsRegistry::CounterSample{"alpha", 1}));
     EXPECT_EQ(snap[1], (MetricsRegistry::CounterSample{"mike", 13}));
     EXPECT_EQ(snap[2], (MetricsRegistry::CounterSample{"zulu", 26}));
-
-    // The snapshot is a copy taken at call time.
-    m = 99;
-    EXPECT_EQ(snap[1].value, 13u);
-    EXPECT_EQ(r.counterSnapshot()[1].value, 99u);
 }
 
 TEST(Registry, DuplicatePathsAreRefusedNotAliased)
 {
     MetricsRegistry r;
-    uint64_t a = 1, b = 2;
-    EXPECT_TRUE(r.addCounter("dup", &a));
-    EXPECT_FALSE(r.addCounter("dup", &b));
-    EXPECT_FALSE(r.addGauge("dup", [] { return 3.0; }));
+    EXPECT_TRUE(r.addCounter("dup", 1));
+    EXPECT_FALSE(r.addCounter("dup", 2));
+    EXPECT_FALSE(r.addGauge("dup", 3.0));
     EXPECT_EQ(r.size(), 1u);
     EXPECT_EQ(r.value("dup"), 1.0); // first registration wins
 }
@@ -184,12 +184,11 @@ TEST(Registry, DuplicatePathsAreRefusedNotAliased)
 TEST(Registry, JsonlIsSortedAndEveryLineParses)
 {
     MetricsRegistry r;
-    uint64_t c = 12;
     Histogram h;
     h.record(3);
-    r.addGauge("z.last", [] { return 0.5; });
-    r.addCounter("a.first", &c);
-    r.addHistogram("m.mid", &h);
+    r.addGauge("z.last", 0.5);
+    r.addCounter("a.first", 12);
+    r.addHistogram("m.mid", h);
 
     const std::string jsonl = r.renderJsonl();
     std::istringstream lines(jsonl);
@@ -216,8 +215,7 @@ TEST(Registry, JsonlIsSortedAndEveryLineParses)
 TEST(Registry, WriteJsonlRoundTripsThroughDisk)
 {
     MetricsRegistry r;
-    uint64_t c = 77;
-    r.addCounter("disk.counter", &c);
+    r.addCounter("disk.counter", 77);
     const std::string path =
         testing::TempDir() + "xmig_obs_registry_test.jsonl";
     writeArtifact(path, r.renderJsonl(), "--metrics-out");
@@ -234,8 +232,7 @@ TEST(Registry, WriteJsonlRoundTripsThroughDisk)
 TEST(Registry, WriteToUnwritablePathFails)
 {
     MetricsRegistry r;
-    uint64_t c = 1;
-    r.addCounter("c", &c);
+    r.addCounter("c", 1);
     // Exporters write through writeArtifact(): an output that cannot
     // land is fatal and names its flag.
     EXPECT_EXIT(writeArtifact("/nonexistent-dir/metrics.jsonl",
@@ -328,7 +325,7 @@ TEST(HistogramPercentile, ExportersCarryPercentiles)
     MetricsRegistry r;
     Histogram h;
     h.record(256); // one sample: every percentile is exactly 256
-    ASSERT_TRUE(r.addHistogram("machine.gap", &h));
+    ASSERT_TRUE(r.addHistogram("machine.gap", h));
     const std::string jsonl = r.renderJsonl();
     EXPECT_NE(jsonl.find("\"p50\":256"), std::string::npos) << jsonl;
     EXPECT_NE(jsonl.find("\"p95\":256"), std::string::npos) << jsonl;
@@ -386,11 +383,10 @@ TEST(Registry, CounterSnapshotOrderIsByteLexicographic)
     // numeric order, and '.' sorts before digits — pin that down so
     // exporters and diff tools agree forever.
     MetricsRegistry r;
-    uint64_t v1 = 1, v2 = 2, v3 = 3, v4 = 4;
-    EXPECT_TRUE(r.addCounter("a.tenant2.refs", &v1));
-    EXPECT_TRUE(r.addCounter("a.tenant10.refs", &v2));
-    EXPECT_TRUE(r.addCounter("a.tenant1.refs", &v3));
-    EXPECT_TRUE(r.addCounter("a.tenant1", &v4));
+    EXPECT_TRUE(r.addCounter("a.tenant2.refs", 1));
+    EXPECT_TRUE(r.addCounter("a.tenant10.refs", 2));
+    EXPECT_TRUE(r.addCounter("a.tenant1.refs", 3));
+    EXPECT_TRUE(r.addCounter("a.tenant1", 4));
     const auto snap = r.counterSnapshot();
     ASSERT_EQ(snap.size(), 4u);
     EXPECT_EQ(snap[0].name, "a.tenant1");
@@ -404,9 +400,8 @@ TEST(Registry, CounterSnapshotIsStableAcrossCallsAndInsertions)
     // Repeated snapshots must agree element-for-element, and a later
     // registration must only insert — never reorder the others.
     MetricsRegistry r;
-    uint64_t z = 26, a = 1;
-    EXPECT_TRUE(r.addCounter("zulu", &z));
-    EXPECT_TRUE(r.addCounter("alpha", &a));
+    EXPECT_TRUE(r.addCounter("zulu", 26));
+    EXPECT_TRUE(r.addCounter("alpha", 1));
     const auto first = r.counterSnapshot();
     const auto second = r.counterSnapshot();
     ASSERT_EQ(first.size(), second.size());
@@ -414,8 +409,7 @@ TEST(Registry, CounterSnapshotIsStableAcrossCallsAndInsertions)
         EXPECT_EQ(first[i].name, second[i].name);
         EXPECT_EQ(first[i].value, second[i].value);
     }
-    uint64_t m = 13;
-    EXPECT_TRUE(r.addCounter("mike", &m));
+    EXPECT_TRUE(r.addCounter("mike", 13));
     const auto third = r.counterSnapshot();
     ASSERT_EQ(third.size(), 3u);
     EXPECT_EQ(third[0].name, "alpha");
@@ -428,9 +422,8 @@ TEST(Registry, EmptyAndCounterlessRegistriesSnapshotEmpty)
 {
     MetricsRegistry r;
     EXPECT_TRUE(r.counterSnapshot().empty());
-    Histogram h;
-    EXPECT_TRUE(r.addGauge("g", [] { return 1.0; }));
-    EXPECT_TRUE(r.addHistogram("h", &h));
+    EXPECT_TRUE(r.addGauge("g", 1.0));
+    EXPECT_TRUE(r.addHistogram("h", Histogram{}));
     EXPECT_TRUE(r.counterSnapshot().empty())
         << "gauges and histograms are not counters";
 }

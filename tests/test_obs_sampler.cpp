@@ -10,6 +10,7 @@
 
 #include "obs/sampler.hpp"
 #include "util/artifact.hpp"
+#include "util/contracts.hpp"
 
 namespace xmig::obs {
 namespace {
@@ -195,6 +196,17 @@ TEST(Sampler, WriteCsvRoundTripsThroughDisk)
     std::fclose(f);
     std::remove(path.c_str());
     EXPECT_EQ(std::string(buf, n), s.renderCsv());
+}
+
+TEST(SamplerDeathTest, TickWrapPastMaxIsAudited)
+{
+    if (!kAuditCheap)
+        GTEST_SKIP() << "audits compiled out at level " << kAuditLevel;
+    // A cadence the run never reaches: no row is recorded on the way.
+    TimeSeriesSampler s(cfg(UINT64_MAX));
+    s.tick(UINT64_MAX - 1);
+    EXPECT_EQ(s.samples(), 0u);
+    EXPECT_DEATH(s.tick(2), "tick counter wrapped");
 }
 
 } // namespace

@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
+#include "multicore/feed.hpp"
+#include "multicore/machine.hpp"
 #include "obs/json.hpp"
 #include "sim/observe.hpp"
 #include "sim/options.hpp"
 #include "sim/quadcore.hpp"
+#include "workloads/registry.hpp"
 
 namespace xmig {
 namespace {
@@ -200,6 +204,77 @@ TEST(Observatory, ObservedRunMatchesUnobservedRun)
     EXPECT_EQ(plain.l2Misses4x, observed.l2Misses4x);
     EXPECT_EQ(plain.migrations, observed.migrations);
     std::remove(o.samplesOut.c_str());
+}
+
+// One core goes offline mid-run, so the controller resplits 4 -> 2.
+constexpr const char *kChurnPlan = "at=200000:core_off=1";
+
+TEST(Observatory, ResplitExportsLiveSplitterAndWholeRunStore)
+{
+    MachineConfig cfg;
+    cfg.faultPlan = kChurnPlan;
+    MigrationMachine machine(cfg);
+    auto workload = makeWorkload("181.mcf");
+
+    RunObservatory obs(BenchOptions{});
+    obs.attachMachine(machine, "machine", /*sampled=*/true);
+    ChunkFeed feed({&machine}, {}, 0, &obs);
+    feed.run(*workload, 1'000'000);
+    EXPECT_EQ(obs.registry().size(), 0u); // filled by finish()
+    obs.finish();
+
+    const MigrationController &c = *machine.controller();
+    ASSERT_EQ(c.recovery().resplits, 1u);
+    ASSERT_EQ(c.splitWays(), 2u);
+    const auto &r = obs.registry();
+    EXPECT_EQ(r.counterValue("machine.controller.splitter.transitions"),
+              c.splitterTransitions());
+    EXPECT_EQ(r.counterValue("machine.controller.store.lookups"),
+              c.store().stats().lookups);
+    EXPECT_EQ(r.counterValue("machine.controller.store.evictions"),
+              c.store().stats().evictions);
+    EXPECT_EQ(
+        r.counterValue("machine.controller.splitter.node0.engine."
+                       "references"),
+        c.rootEngine().references());
+    // A 2-way split has one tree node; the 4-way tree had three.
+    EXPECT_FALSE(r.contains("machine.controller.splitter.node1.filter."
+                            "value"));
+}
+
+TEST(Observatory, SampledStoreEvictionsFollowTheLiveStoreAfterResplit)
+{
+    BenchOptions o;
+    o.samplesOut = testing::TempDir() + "xmig_observe_resplit.csv";
+    o.sampleEvery = 10'000;
+    QuadcoreParams p;
+    p.instructionsPerBenchmark = 2'000'000;
+    p.machine.faultPlan = kChurnPlan;
+
+    RunObservatory obs(o);
+    runQuadcore("181.mcf", p, &obs);
+    std::remove(o.samplesOut.c_str());
+    ASSERT_EQ(obs.registry().counterValue(
+                  "machine.controller.recovery.resplits"),
+              1u);
+
+    const auto &s = obs.sampler();
+    const auto &names = s.columnNames();
+    const size_t col =
+        std::find(names.begin(), names.end(), "store_evictions") -
+        names.begin();
+    ASSERT_LT(col, names.size());
+    // The fault fires 200,000 references in; every later row lies
+    // past the resplit and must see the live store's evictions.
+    uint64_t late_rows = 0, evicting = 0;
+    for (size_t i = 0; i < s.samples(); ++i) {
+        if (s.rowTick(i) <= 400'000)
+            continue;
+        ++late_rows;
+        evicting += s.rowValues(i)[col] > 0 ? 1 : 0;
+    }
+    ASSERT_GT(late_rows, 0u);
+    EXPECT_GT(evicting, 0u);
 }
 
 } // namespace

@@ -271,6 +271,70 @@ storeDigest(const AffinityCacheConfig &c, uint64_t ops)
     return fnvMix(hash, store.occupancy());
 }
 
+/**
+ * Digest of what `store` returns under a fixed stimulus of `ops`
+ * lookups, write-backs and fault-hook calls over `lines` distinct
+ * lines, plus its final contents. Counters are left out, so a store
+ * that kept its statistics can be compared with a new one.
+ */
+uint64_t
+decisionDigest(OeStore &store, uint64_t lines, uint64_t ops, uint64_t seed)
+{
+    Rng rng(seed);
+    Rng faults(seed + 1);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (uint64_t t = 0; t < ops; ++t) {
+        const uint64_t line = 0x4000000 + rng.below(lines);
+        const uint64_t op = rng.below(100);
+        if (op < 60)
+            hash = fnvMix(hash, static_cast<uint64_t>(store.lookup(
+                                    line, static_cast<int64_t>(t))));
+        else if (op < 90)
+            store.store(line, static_cast<int64_t>(rng.below(9'999)));
+        else if (op < 95)
+            hash = fnvMix(hash, store.corruptRandomEntry(faults));
+        else
+            hash = fnvMix(hash, store.dropRandomEntry(faults));
+    }
+    std::vector<OeEntrySnapshot> snap;
+    store.snapshotEntries(snap);
+    for (const OeEntrySnapshot &e : snap) {
+        hash = fnvMix(hash, e.line);
+        hash = fnvMix(hash, static_cast<uint64_t>(e.oe));
+    }
+    return hash;
+}
+
+TEST(OeStore, EmptiedStoreDecidesLikeANewOne)
+{
+    // A resplit empties the controller's one store in place instead
+    // of building a new one: afterwards it must hit, evict and pick
+    // fault victims exactly as a new store would, keeping only its
+    // counters.
+    AffinityCacheConfig skewed = tinyCache();
+    skewed.skewed = true;
+    const AffinityCacheConfig set_assoc = tinyCache();
+    const auto check = [](OeStore &used, OeStore &fresh,
+                          const char *kind) {
+        decisionDigest(used, 20'000, 60'000, 3);
+        const OeStoreStats kept = used.stats();
+        used.restoreEntries({}, kept);
+        EXPECT_FALSE(used.peek(0x4000000 + 7).has_value()) << kind;
+        EXPECT_EQ(decisionDigest(used, 300, 5'000, 11),
+                  decisionDigest(fresh, 300, 5'000, 11))
+            << kind;
+        EXPECT_EQ(used.stats().lookups,
+                  kept.lookups + fresh.stats().lookups)
+            << kind;
+    };
+    UnboundedOeStore unbounded_used, unbounded_fresh;
+    check(unbounded_used, unbounded_fresh, "unbounded");
+    SoaAffinityStore skewed_used(skewed), skewed_fresh(skewed);
+    check(skewed_used, skewed_fresh, "skewed");
+    SoaAffinityStore set_used(set_assoc), set_fresh(set_assoc);
+    check(set_used, set_fresh, "set-associative");
+}
+
 AffinityCacheConfig
 goldenCache(uint64_t entries, bool skewed)
 {

@@ -73,37 +73,6 @@ TEST(Rng, ReseedReproduces)
     EXPECT_EQ(rng.next(), first);
 }
 
-TEST(Counter, IncrementAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Counter, SnapshotAndResetDrains)
-{
-    Counter c;
-    c.add(7);
-    EXPECT_EQ(c.snapshotAndReset(), 7u);
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(c.snapshotAndReset(), 0u);
-    c.inc();
-    EXPECT_EQ(c.snapshotAndReset(), 1u);
-}
-
-TEST(CounterDeathTest, WrapPastMaxIsAudited)
-{
-    if (!kAuditCheap)
-        GTEST_SKIP() << "audits compiled out at level " << kAuditLevel;
-    Counter c;
-    c.add(UINT64_MAX);
-    EXPECT_DEATH(c.add(1), "counter wrapped");
-}
-
 TEST(PerEvent, FormatsLikeTable2)
 {
     EXPECT_EQ(perEvent(1000, 0), "inf");
